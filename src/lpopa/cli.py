@@ -35,9 +35,6 @@ from .space import SpaceParams
 from .verification import run_verification
 from .weights import power_weight, weight_from_config
 
-log = logging.getLogger(__name__)
-
-
 # --------------------------------------------------------------------------
 # Deterministic serialization (floats with 17 significant digits)
 # --------------------------------------------------------------------------
@@ -282,19 +279,22 @@ def _cmd_sweep(args) -> int:
     problem = _problem_from_args(args)
     opts = _opts_from_args(args, sp)
     grid = _parse_n_range(args.n)
-    code = 0
     try:
         points = run_sweep(problem, sp, grid, solver=args.solver, opts=opts)
     except SweepError as exc:
-        log.warning("sweep: %s", exc)
-        points = None
-        raise
+        # write the partial artifact: every row, converged=false on failures
+        print(f"error: {exc}", file=sys.stderr)
+        points, failed = exc.points, True
+    else:
+        failed = False
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for pt in points:
         writer.writerow([_fmt_cell(getattr(pt, col)) for col in _CSV_COLUMNS])
     _emit(buf.getvalue(), args.out)
+    if failed:
+        return 3
     try:
         fit = fit_rates(points, sp, fit_min_n=args.fit_min_n)
         print(f"fitted exponent: {fit.fitted_exponent:.6f} "
@@ -306,7 +306,7 @@ def _cmd_sweep(args) -> int:
                   file=sys.stderr)
     except ValueError as exc:
         print(f"fit skipped: {exc}", file=sys.stderr)
-    return code
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -356,7 +356,8 @@ def _add_solver_args(sub) -> None:
     sub.add_argument("--solver", default="auto", choices=SOLVER_CHOICES)
     sub.add_argument("--tol", type=float,
                      help="gradient tolerance (objective tolerance at p in {1, inf})")
-    sub.add_argument("--max-iters", type=int, dest="max_iters")
+    sub.add_argument("--max-iters", type=int, dest="max_iters",
+                     help="iteration budget; Newton steps for the convex route")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,9 +412,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SweepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except IllConditionedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

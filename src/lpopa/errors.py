@@ -31,8 +31,13 @@ class InternalConsistencyError(LpopaError):
 
 
 class SweepError(LpopaError):
-    """One or more sweep points failed to converge."""
+    """One or more sweep points failed to converge.
 
-    def __init__(self, message, failed_orders=()):
+    ``points`` holds every point of the sweep, the failed ones included, so
+    callers can still write partial results.
+    """
+
+    def __init__(self, message, failed_orders=(), points=()):
         super().__init__(message)
         self.failed_orders = tuple(failed_orders)
+        self.points = list(points)

@@ -4,7 +4,8 @@ An optimal approximant of order n for a polynomial f is the p_n in the
 degree-n polynomials minimizing the weighted norm of 1 - p_n f.  Four
 independent routes are implemented:
 
-* :func:`solve_convex`     smooth descent on the p-th power objective (1 < p < inf),
+* :func:`solve_convex`     damped Newton descent on the p-th power objective
+                           (1 < p < inf),
 * :func:`solve_hilbert`    direct normal equations at p = 2,
 * :func:`solve_structural` Newton iteration on the exponential-polynomial
                            structure of the residual coefficients for f with
@@ -23,23 +24,35 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import (IllConditionedError, InexactDivisionError,
                      InternalConsistencyError, UnsupportedExponentError)
 from .poly import ONE, CircleZeroSpec, Poly, exact_div, expand, signed_power, signed_powers
-from .space import SpaceParams, bj_residual, norm
+from .space import SpaceParams, norm
 from .weights import Weight, dilate
 
 log = logging.getLogger(__name__)
 
 _COND_LIMIT = 1e14
+_CONTINUATION_P = 1.5   # solve_convex seeds p below this from a solve at it
+# solve_convex's damped Newton loop: the Armijo fraction of the predicted
+# decrease, the relative rounding level of phi below which a decrease does
+# not count, and the number of steps that fail to halve a gradient sup-norm
+# already within tolerance before it returns
+_ARMIJO = 0.25
+_PHI_NOISE = 1e-15
+_STALL_STEPS = 3
 
 
 @dataclass
 class SolverOpts:
-    """Tolerances and iteration limits shared by the solvers."""
+    """Tolerances and iteration limits shared by the solvers.
+
+    ``max_iters`` bounds the iterations of each route; for
+    :func:`solve_convex` it counts Newton steps, those of its p < 1.5
+    continuation stage included.
+    """
 
     grad_tol: float = 1e-10
     max_iters: int = 10_000
@@ -186,7 +199,7 @@ def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
 
 
 # ---------------------------------------------------------------------------
-# 1 < p < inf: smooth convex descent
+# 1 < p < inf: damped Newton descent
 # ---------------------------------------------------------------------------
 
 def _conv_matrix(fc: np.ndarray, n: int) -> np.ndarray:
@@ -200,21 +213,36 @@ def _conv_matrix(fc: np.ndarray, n: int) -> np.ndarray:
 
 def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = None,
                  init: Poly | None = None) -> OpaResult:
-    """Order-n approximant for 1 < p < inf by quasi-Newton descent plus polish.
+    """Order-n approximant for 1 < p < inf by damped Newton descent.
 
-    Minimizes sum_t w_t |(1 - Pf)_t|^p over the 2(n+1) real coordinates of
-    P's complex coefficients.  The objective is convex and differentiable
-    (the |r|^{p-2} gradient factor is clamped to 0 below 1e-30, and excluded
-    coordinates are exact there for p > 1), so L-BFGS gets close and a damped
-    Newton polish with the analytic Hessian pushes the gradient sup-norm to
-    ``opts.grad_tol``.  f is scaled to unit norm internally; results are
-    reported for the original f.
+    Minimizes phi = sum_t w_t |(1 - Pf)_t|^p over the 2(n+1) real coordinates
+    of P's complex coefficients with the analytic gradient and Hessian
+    (Boyd & Vandenberghe, *Convex Optimization*, 9.5).  The objective is
+    convex and differentiable; residual entries at convolution-noise level
+    are exact zeros of the minimizer and drop out of the gradient (p < 2)
+    and the Hessian.  The start is ``init`` when given, else the p = 2
+    approximant; for p < 1.5 that start seeds a p = 1.5 solve whose result
+    seeds the p solve (one continuation stage).
+
+    A step is accepted when it passes the Armijo test on phi or lowers the
+    gradient sup-norm: at the precision floor phi can no longer fall but the
+    gradient still can.  A failed solve or a non-descent direction retries
+    with a Levenberg shift.  Newton steps, the continuation stage's
+    included, count against ``opts.max_iters``.  The loop drives the
+    gradient sup-norm towards min(grad_tol / 100, 1e-12) and returns early
+    once it is at or below ``opts.grad_tol`` and has stopped improving.
+    ``converged`` means the sup-norm is at or below ``opts.grad_tol``.  f is
+    scaled to unit norm internally; results are reported for the original f.
     """
     opts = opts or SolverOpts()
     if sp.is_flat:
         raise UnsupportedExponentError("solve_convex needs 1 < p < inf; use solve_flat")
     _validate(f, n)
     p = sp.p
+    iterations = 0
+    if p < _CONTINUATION_P:
+        stage = solve_convex(f, n, SpaceParams(_CONTINUATION_P, sp.weight), opts, init)
+        init, iterations = stage.approximant, stage.iterations
     scale = norm(f, sp)
     fc = f.coeffs / scale
     fcc = np.conj(fc)
@@ -225,13 +253,13 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     def split(x: np.ndarray) -> np.ndarray:
         return x[: n + 1] + 1j * x[n + 1:]
 
-    def residual_of(c: np.ndarray) -> np.ndarray:
-        r = -np.convolve(c, fc)
+    def residual_of(x: np.ndarray) -> np.ndarray:
+        r = -np.convolve(split(x), fc)
         r[0] += 1.0
         return r
 
     def phi_grad(x: np.ndarray):
-        r = residual_of(split(x))
+        r = residual_of(x)
         a = np.abs(r)
         phi = float((a ** p * wv).sum())
         s = signed_powers(r, p - 1.0)
@@ -245,48 +273,37 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         g = np.concatenate([-p * pair.real, p * pair.imag])
         return phi, g
 
-    if init is not None:
-        c0 = init.padded(n + 1) * scale
-    else:
-        c0 = solve_hilbert(f, n, sp.weight).approximant.padded(n + 1) * scale
-    x = np.concatenate([c0.real, c0.imag])
-
-    res = scipy.optimize.minimize(
-        phi_grad, x, jac=True, method="L-BFGS-B",
-        options={"maxiter": opts.max_iters, "maxfun": 20 * opts.max_iters,
-                 "ftol": 1e-18, "gtol": 0.5 * opts.grad_tol,
-                 "maxcor": 25, "maxls": 60})
-    x = res.x
-    iterations = int(res.nit)
-
-    # Newton polish: L-BFGS stalls once objective changes drop under machine
-    # precision, but the analytic gradient system can still be driven down.
     F = _conv_matrix(fc, n)
     Fbar = np.conj(F)
-    ident = np.eye(2 * (n + 1))
-    target = min(opts.grad_tol * 1e-2, 1e-12)
-    phi, g = phi_grad(x)
-    polish_budget = min(60, max(0, opts.max_iters - iterations))
-    for _ in range(polish_budget):
-        gmax = float(np.abs(g).max())
-        if gmax <= target:
-            break
-        r = residual_of(split(x))
+
+    def hessian(x: np.ndarray) -> np.ndarray:
+        r = residual_of(x)
         a = np.abs(r)
-        hcut = 1e-14 * max(1.0, float(a.max())) if p < 2 else 1e-18 * max(1.0, float(a.max()))
+        hcut = (1e-14 if p < 2 else 1e-18) * max(1.0, float(a.max()))
         hmask = a > hcut
         am, wm = a[hmask], wv[hmask]
         beta = np.zeros(m)
         gamma = np.zeros(m)
         beta[hmask] = p * wm * am ** (p - 2.0)
         gamma[hmask] = p * (p - 2.0) * wm * am ** (p - 4.0)
-        K = (F.conj().T * beta) @ F
-        H1 = np.block([[K.real, -K.imag], [K.imag, K.real]])
+        K = (Fbar.T * beta) @ F
         V = Fbar * r[:, None]
         W = -np.hstack([V.real, V.imag])
-        H = H1 + W.T @ (gamma[:, None] * W)
-        hscale = max(float(np.abs(np.diag(H)).max()), 1e-30)
+        return np.block([[K.real, -K.imag], [K.imag, K.real]]) + W.T @ (gamma[:, None] * W)
 
+    if init is not None:
+        c0 = init.padded(n + 1) * scale
+    else:
+        c0 = solve_hilbert(f, n, sp.weight).approximant.padded(n + 1) * scale
+    x = np.concatenate([c0.real, c0.imag])
+    phi, g = phi_grad(x)
+    gmax = float(np.abs(g).max())
+    target = min(opts.grad_tol * 1e-2, 1e-12)
+    ident = np.eye(2 * (n + 1))
+    stalled = 0
+    while iterations < opts.max_iters and gmax > target:
+        H = hessian(x)
+        hscale = max(float(np.abs(np.diag(H)).max()), 1e-30)
         accepted = False
         lam = 0.0
         for _ in range(8):
@@ -294,13 +311,13 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
                 dx = np.linalg.solve(H + lam * hscale * ident if lam else H, -g)
             except np.linalg.LinAlgError:
                 dx = None
-            if dx is not None and np.isfinite(dx).all():
+            slope = float(g @ dx) if dx is not None and np.isfinite(dx).all() else 0.0
+            if slope < 0.0:
                 t = 1.0
                 for _ in range(30):
                     phin, gn = phi_grad(x + t * dx)
-                    if float(np.abs(gn).max()) < gmax or phin < phi:
-                        x = x + t * dx
-                        phi, g = phin, gn
+                    gnmax = float(np.abs(gn).max())
+                    if phi - phin > max(-_ARMIJO * t * slope, _PHI_NOISE * phi) or gnmax < gmax:
                         accepted = True
                         break
                     t *= 0.5
@@ -310,8 +327,12 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         iterations += 1
         if not accepted:
             break
+        x = x + t * dx
+        stalled = stalled + 1 if gmax <= opts.grad_tol and gnmax > 0.5 * gmax else 0
+        phi, g, gmax = phin, gn, gnmax
+        if stalled >= _STALL_STEPS:
+            break
 
-    gmax = float(np.abs(g).max())
     converged = gmax <= opts.grad_tol
     if not converged:
         log.debug("solve_convex: gradient sup %.3e above tolerance %.1e",
@@ -737,16 +758,4 @@ def bj_certificate(result: OpaResult, f: Poly, sp: SpaceParams,
         shifted[j:] = f.coeffs
         trial = norm(result.residual + lam * Poly(shifted), sp)
         worst = max(worst, base - trial)
-    return worst
-
-
-def bj_residual_max(result: OpaResult, f: Poly, sp: SpaceParams) -> float:
-    """Recompute the orthogonality certificate from scratch (normalized f)."""
-    n = max(result.approximant.degree or 0, 0)
-    f_unit = f * (1.0 / norm(f, sp))
-    worst = 0.0
-    for j in range(n + 1):
-        shifted = np.zeros(j + f.degree + 1, dtype=np.complex128)
-        shifted[j:] = f_unit.coeffs
-        worst = max(worst, abs(bj_residual(result.residual, Poly(shifted), sp)))
     return worst

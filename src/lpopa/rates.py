@@ -193,9 +193,9 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto",
               opts: SolverOpts | None = None) -> list[SweepPoint]:
     """Solve at every order in n_grid and assemble per-point records.
 
-    Raises SweepError listing the failing orders if any solve does not
-    converge, and InternalConsistencyError if a computed norm undercuts the
-    universal lower bound.
+    Raises SweepError listing the failing orders, and carrying every point,
+    if any solve does not converge, and InternalConsistencyError if a
+    computed norm undercuts the universal lower bound.
     """
     opts = opts or SolverOpts()
     n_grid = [int(n) for n in n_grid]
@@ -232,7 +232,7 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto",
             solver=res.solver, converged=res.converged,
             iterations=res.iterations, wall_ms=wall))
     if failed:
-        raise SweepError(f"solver failed to converge at n in {failed}", failed)
+        raise SweepError(f"solver failed to converge at n in {failed}", failed, points)
     return points
 
 

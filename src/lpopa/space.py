@@ -77,14 +77,6 @@ def wiener_norm(g: Poly) -> float:
     return float(np.abs(g.coeffs).sum())
 
 
-def coefficient_norms(g: Poly, sp: SpaceParams) -> np.ndarray:
-    """Per-index summands |a_k|^p w_k (or |a_k| w_k at p = inf)."""
-    if g.is_zero:
-        return np.zeros(0)
-    a = np.abs(g.coeffs)
-    w = sp.weight.values_up_to(g.degree)
-    return a * w if sp.p == INF else a ** sp.p * w
-
 def bj_residual(f: Poly, g: Poly, sp: SpaceParams) -> complex:
     """Orthogonality pairing sum_n f_n^{<p-1>} g_n w_n.
 

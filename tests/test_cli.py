@@ -191,6 +191,18 @@ class TestSweep:
                     "--alpha", "0.5", "--n", "6", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_partial_csv_on_nonconvergence(self, capsys, tmp_path):
+        out_path = tmp_path / "partial.csv"
+        code, _, err = run_cli(capsys, "sweep", "--roots", "0:1,pi:1", "--p", "3",
+                               "--alpha", "1", "--n", "16..64", "--solver", "convex",
+                               "--max-iters", "1", "--tol", "1e-14",
+                               "--out", str(out_path))
+        assert code == 3
+        rows = self.read_rows(out_path)
+        assert [int(r[0]) for r in rows] == [16, 32, 64]
+        assert [r[9] for r in rows] == ["false"] * 3
+        assert "failed to converge" in err
+
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--roots", "0:1", "--p", "2",
                              "--n", "64")
@@ -205,6 +217,13 @@ def assert_classify_cyclic(proc):
     assert proc.stdout.splitlines()[0] == "cyclic"
 
 
+def child_env() -> dict:
+    """Environment for a child interpreter that imports this lpopa package."""
+    package_parent = str(Path(lpopa.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_parent, os.environ.get("PYTHONPATH")])))
+
+
 def test_installed_entry_point():
     """The declared console script and ``python -m lpopa`` run as programs.
 
@@ -217,13 +236,27 @@ def test_installed_entry_point():
         target = tomllib.load(fh)["project"]["scripts"]["lpopa"]
     module, attr = target.split(":")
     wrapper = f"import sys\nfrom {module} import {attr}\nsys.exit({attr}())"
-    package_parent = str(Path(lpopa.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_parent, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     for command in ([sys.executable, "-c", wrapper, *CLASSIFY_ARGS],
                     [sys.executable, "-m", "lpopa", *CLASSIFY_ARGS]):
         assert_classify_cyclic(subprocess.run(command, capture_output=True,
                                               text=True, env=env))
+
+
+def test_cli_compute_does_not_import_scipy_optimize():
+    """A convex compute through the CLI leaves scipy.optimize unloaded.
+
+    Importing it would add about a third to the CLI's cold start and its
+    memory; a route that needs it has to import it lazily.
+    """
+    script = ("import sys\n"
+              "from lpopa.cli import main\n"
+              "code = main(['compute', '--roots', '0:2,pi:1', '--p', '1.5', '--n', '16'])\n"
+              "assert code == 0, code\n"
+              "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("lpopa") is None,

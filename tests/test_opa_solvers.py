@@ -186,6 +186,29 @@ class TestConvex:
         assert not res.converged
 
 
+# (circle zeros, p, n, alpha): repeated zeros up to n = 256, and a p < 1.5
+# case that stalls short of the optimum without the p = 1.5 continuation
+CONVEX_VS_STRUCTURAL = [
+    (((0.0, 2), (PI, 1)), 1.2, 32, 0.0),
+    (((0.0, 4),), 1.5, 32, 0.0),
+    (((0.0, 4),), 3.0, 32, 0.5),
+    (((0.0, 2), (PI, 1)), 1.5, 128, 0.0),
+    (((0.0, 2), (PI, 1)), 3.0, 256, 0.0),
+    (((0.0, 1), (PI / 2, 1), (3 * PI / 2, 1)), 1.2, 16, 0.5),
+]
+
+
+@pytest.mark.parametrize("roots, p, n, alpha", CONVEX_VS_STRUCTURAL)
+def test_convex_converges_to_structural_norm(roots, p, n, alpha):
+    spec = CircleZeroSpec(roots)
+    sp = SpaceParams.power(p, alpha)
+    res = solve_convex(expand(spec), n, sp)
+    ref, _ = solve_structural(spec, n, sp)
+    assert res.converged
+    assert ref.converged
+    assert res.optimal_norm == pytest.approx(ref.optimal_norm, rel=1e-10)
+
+
 class TestClosedForm:
     def test_p2_case(self):
         res = closed_form_one_minus_zd(1, 1, SpaceParams.power(2, 0))
