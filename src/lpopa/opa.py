@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import (IllConditionedError, InexactDivisionError,
@@ -114,7 +115,11 @@ class FlatDiagnostics:
     ``flat_radii[j, 0]`` (resp. ``[j, 1]``) is the largest sampled offset
     along the real (imaginary) direction of coefficient j that keeps the
     objective within ``probe_tol`` of its value at the minimizer; non-unique
-    minimizers show up as strictly positive radii.
+    minimizers show up as strictly positive radii.  The minimizer is the
+    approximant :func:`solve_flat` returns, the zero approximant included
+    when its guard picks it.  Each probe changes deg f + 1 residual entries,
+    and all probes are evaluated from those windows in one vectorized pass,
+    without a :func:`norm` call per probe.
     """
 
     objective: float
@@ -553,7 +558,15 @@ def solve_flat(f: Poly, n: int, sp: SpaceParams,
     convex but not smooth, and its minimizers need not be unique; the solver
     returns one element of the optimal set, warm started from the p = 2
     solution, and the diagnostics report the observed flat directions around
-    it.  Non-uniqueness is a reported diagnostic, never an error.
+    it.  Non-uniqueness is a reported diagnostic, never an error.  When the
+    zero approximant (residual 1, objective w_0) is strictly better than the
+    best iterate, it is returned instead; ``converged`` still reports how the
+    loop ended.
+
+    The flatness probe moves one coefficient of the returned approximant at a
+    time, which changes the residual only in a window of deg f + 1 entries,
+    so every probe value is evaluated from its window in one vectorized pass
+    (no :func:`norm` call per probe).
     """
     opts = opts or SolverOpts()
     if not sp.is_flat:
@@ -575,13 +588,14 @@ def solve_flat(f: Poly, n: int, sp: SpaceParams,
         r[0] += 1.0
         return r
 
-    def objective(x) -> float:
-        a = np.abs(residual_of(split(x)))
-        return float((a * wv).max()) if p == math.inf else float((a * wv).sum())
-
-    def subgrad(x) -> np.ndarray:
+    def objective(x) -> tuple[float, np.ndarray, np.ndarray]:
+        """Objective value with the residual and its moduli, for subgrad."""
         r = residual_of(split(x))
         a = np.abs(r)
+        value = float((a * wv).max()) if p == math.inf else float((a * wv).sum())
+        return value, r, a
+
+    def subgrad(r: np.ndarray, a: np.ndarray) -> np.ndarray:
         u = np.zeros_like(r)
         if p == math.inf:
             k = int(np.argmax(a * wv))
@@ -596,7 +610,7 @@ def solve_flat(f: Poly, n: int, sp: SpaceParams,
 
     c0 = solve_hilbert(f, n, sp.weight).approximant.padded(n + 1) * scale
     x = np.concatenate([c0.real, c0.imag])
-    fx = objective(x)
+    fx, r, a = objective(x)
     best_x, best_f = x.copy(), fx
     improve_eps = opts.flat_tol * 1e-2 * max(1.0, best_f)
     last_improve = 0
@@ -605,7 +619,7 @@ def solve_flat(f: Poly, n: int, sp: SpaceParams,
     converged = False
     k = 0
     for k in range(opts.max_iters):
-        g = subgrad(x)
+        g = subgrad(r, a)
         gg = float(g @ g)
         if gg == 0.0:
             converged = True
@@ -614,7 +628,7 @@ def solve_flat(f: Poly, n: int, sp: SpaceParams,
         margin = 0.05 * max(best_f, 1e-12) / math.sqrt(k + 1.0)
         step = (fx - best_f + margin) / gg
         x = x - step * g
-        fx = objective(x)
+        fx, r, a = objective(x)
         if fx < best_f - improve_eps:
             best_x, best_f = x.copy(), fx
             last_improve = k
@@ -622,7 +636,7 @@ def solve_flat(f: Poly, n: int, sp: SpaceParams,
         acc_count += 1
         if acc_count == 400:
             xa = acc / acc_count
-            fa = objective(xa)
+            fa = objective(xa)[0]
             if fa < best_f - improve_eps:
                 best_x, best_f = xa, fa
                 last_improve = k
@@ -631,6 +645,11 @@ def solve_flat(f: Poly, n: int, sp: SpaceParams,
         if k - last_improve > 600:
             converged = True
             break
+
+    # never return a point worse than the zero approximant (residual 1)
+    zero = np.zeros_like(x)
+    if objective(zero)[0] < best_f:
+        best_x = zero
 
     c = split(best_x) / scale
     approx = Poly(c)
@@ -642,23 +661,38 @@ def solve_flat(f: Poly, n: int, sp: SpaceParams,
     # Flatness probe in original coefficient coordinates.
     offsets = np.linspace(-1.0, 1.0, 17)
     probe_tol = max(opts.flat_tol, 1e-9) * max(1.0, result.optimal_norm)
-    radii = np.zeros((n + 1, 2))
-    base = approx.padded(n + 1)
-    for j in range(n + 1):
-        for comp, delta in enumerate((1.0, 1j)):
-            flat = 0.0
-            for s in offsets:
-                if s == 0.0:
-                    continue
-                cand = base.copy()
-                cand[j] += s * delta
-                val = norm(ONE - Poly(cand) * f, sp)
-                if abs(val - result.optimal_norm) <= probe_tol:
-                    flat = max(flat, abs(s))
-            radii[j, comp] = flat
+    vals = _probe_values(residual.padded(m), f.coeffs, wv, p, offsets)
+    hit = np.abs(vals - result.optimal_norm) <= probe_tol
+    radii = np.where(hit, np.abs(offsets), 0.0).max(axis=-1)
     diag = FlatDiagnostics(objective=result.optimal_norm, probe_offsets=offsets,
                            flat_radii=radii, probe_tol=probe_tol)
     return result, diag
+
+
+def _probe_values(r: np.ndarray, fcoef: np.ndarray, wv: np.ndarray, p: float,
+                  offsets: np.ndarray) -> np.ndarray:
+    """Objective after each flatness probe, all probes in one pass.
+
+    Entry [j, comp, k] is the (p, w) norm of the residual r - s*delta*z^j f
+    for s = offsets[k] and delta = (1, i)[comp], j = 0..n.  The probe changes
+    r only at t = j..j+d, by -s*delta*f_{t-j}, so its norm is the untouched
+    part of |r|*w, known from a total (p = 1) or from prefix and suffix
+    maxima (p = inf), combined with its new window.  Arrays are
+    (n+1, 2, len(offsets), d+1): O(n d).
+    """
+    win = fcoef.size
+    ar = np.abs(r) * wv
+    shift = np.array([1.0, 1j])[:, None] * offsets          # (2, k)
+    moved = (sliding_window_view(r, win)[:, None, None, :]
+             - shift[None, :, :, None] * fcoef)
+    new = np.abs(moved) * sliding_window_view(wv, win)[:, None, None, :]
+    if p == math.inf:
+        zero = np.zeros(1)
+        before = np.concatenate([zero, np.maximum.accumulate(ar)])[: -win]
+        after = np.concatenate([np.maximum.accumulate(ar[::-1])[::-1], zero])[win:]
+        return np.maximum(np.maximum(before, after)[:, None, None], new.max(axis=-1))
+    kept = ar.sum() - sliding_window_view(ar, win).sum(axis=-1)
+    return kept[:, None, None] + new.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

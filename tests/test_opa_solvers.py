@@ -10,10 +10,11 @@ from lpopa import (CircleZeroSpec, IllConditionedError, Poly, SpaceParams,
                    composite_construction, expand, lower_bound, norm,
                    power_weight, solve_convex, solve_flat, solve_hilbert,
                    solve_structural, table_weight)
-from lpopa.opa import SolverOpts, bj_certificate
+from lpopa.opa import SolverOpts, _probe_values, bj_certificate
 
 INF = math.inf
 PI = math.pi
+Z1SQ_ZP1 = expand(CircleZeroSpec(((0.0, 2), (PI, 1))))  # (z-1)^2 (z+1)
 
 
 def one_minus_zd(d):
@@ -253,6 +254,26 @@ class TestClosedForm:
             closed_form_one_minus_zd(1, 1, SpaceParams.power(INF, 0))
 
 
+PROBE_POLYS = [
+    pytest.param(Z1SQ_ZP1, id="(z-1)^2(z+1)"),
+    pytest.param(Poly([1, 0.5 - 1j, -0.5j]), id="cplx"),     # (1 - iz)(1 + z/2)
+    pytest.param(one_minus_zd(2), id="1-z^2"),
+    pytest.param(Poly([1]), id="1"),
+]
+
+
+def per_probe_norms(f, base, sp, offsets):
+    """Objective of each solve_flat probe, one norm evaluation per probe."""
+    vals = np.zeros((base.size, 2, offsets.size))
+    for j in range(base.size):
+        for comp, delta in enumerate((1.0, 1j)):
+            for k, s in enumerate(offsets):
+                cand = base.copy()
+                cand[j] += s * delta
+                vals[j, comp, k] = norm(Poly([1]) - Poly(cand) * f, sp)
+    return vals
+
+
 class TestFlat:
     def test_wiener_example_norm_one(self):
         sp = SpaceParams.power(1, 1)
@@ -294,6 +315,58 @@ class TestFlat:
     def test_smooth_exponent_rejected(self):
         with pytest.raises(UnsupportedExponentError):
             solve_flat(Poly([1, -1]), 1, SpaceParams.power(2, 0))
+
+    @pytest.mark.parametrize("f, alpha", [
+        (Poly([1, -1]), 0.5),
+        (Z1SQ_ZP1, 0.0),
+    ], ids=["1-z,alpha=0.5", "(z-1)^2(z+1),alpha=0"])
+    def test_never_worse_than_zero_approximant(self, f, alpha):
+        # the subgradient loop alone ends above 1 here (1.90 and 1.55)
+        res, _ = solve_flat(f, 16, SpaceParams.power(1, alpha), SolverOpts(max_iters=200))
+        assert res.optimal_norm <= 1.0
+
+    @pytest.mark.parametrize("p", [1, INF])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [0, 1, 5, 16])
+    @pytest.mark.parametrize("f", PROBE_POLYS)
+    def test_flat_radii_match_per_probe_reference(self, f, n, alpha, p):
+        sp = SpaceParams.power(p, alpha)
+        res, diag = solve_flat(f, n, sp, SolverOpts(max_iters=500))
+        vals = per_probe_norms(f, res.approximant.padded(n + 1), sp, diag.probe_offsets)
+        radii = np.zeros((n + 1, 2))
+        for (j, comp, k), val in np.ndenumerate(vals):
+            s = diag.probe_offsets[k]
+            if s != 0.0 and abs(val - res.optimal_norm) <= diag.probe_tol:
+                radii[j, comp] = max(radii[j, comp], abs(s))
+        np.testing.assert_array_equal(diag.flat_radii, radii)
+
+    @pytest.mark.parametrize("p", [1, INF])
+    @pytest.mark.parametrize("n", [0, 1, 5, 16])
+    @pytest.mark.parametrize("f", PROBE_POLYS)
+    def test_probe_values_match_per_probe_reference(self, f, n, p):
+        # away from a minimizer one residual entry is the largest, and probes
+        # whose window holds it can lower the sup norm; radii alone rarely
+        # see an error in the untouched prefix or suffix there
+        rng = np.random.default_rng(n)
+        sp = SpaceParams.power(p, 0.5)
+        base = 0.3 * (rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+        m = n + f.degree + 1
+        r = (Poly([1]) - Poly(base) * f).padded(m)
+        offsets = np.linspace(-1.0, 1.0, 17)
+        got = _probe_values(r, f.coeffs, sp.weight.values_up_to(m - 1), p, offsets)
+        np.testing.assert_allclose(got, per_probe_norms(f, base, sp, offsets),
+                                   rtol=1e3 * np.finfo(float).eps)
+
+    def test_probe_does_not_call_norm_per_probe(self, monkeypatch):
+        calls = []
+
+        def counting_norm(g, sp):
+            calls.append(1)
+            return norm(g, sp)
+
+        monkeypatch.setattr("lpopa.opa.norm", counting_norm)
+        solve_flat(Poly([1, -1]), 64, SpaceParams.power(INF, 0.5))
+        assert len(calls) <= 4
 
 
 class TestComposite:
