@@ -21,7 +21,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,19 +87,6 @@ def _fmt_cell(v) -> str:
 # --------------------------------------------------------------------------
 # Configuration
 # --------------------------------------------------------------------------
-
-@dataclass
-class RunConfig:
-    command: str
-    problem: Poly | CircleZeroSpec | None
-    space: SpaceParams
-    solver: str
-    opts: SolverOpts
-    n: int | None = None
-    n_grid: list[int] | None = None
-    d: int | None = None
-    out: str | None = None
-
 
 def _parse_p(text: str) -> float:
     if text.strip().lower() in ("inf", "infinity", "oo"):
@@ -176,15 +162,13 @@ def _problem_from_args(args):
 
 
 def _opts_from_args(args, sp: SpaceParams) -> SolverOpts:
-    opts = SolverOpts()
-    if getattr(args, "max_iters", None):
-        opts.max_iters = args.max_iters
-    if getattr(args, "tol", None):
-        if sp.is_flat:
-            opts.flat_tol = args.tol
-        else:
-            opts.grad_tol = args.tol
-    return opts
+    """Solver options from --max-iters and --tol; SolverOpts rejects bad values."""
+    given = {}
+    if args.max_iters is not None:
+        given["max_iters"] = args.max_iters
+    if args.tol is not None:
+        given["flat_tol" if sp.is_flat else "grad_tol"] = args.tol
+    return SolverOpts(**given)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -355,9 +339,10 @@ def _add_problem_args(sub) -> None:
 def _add_solver_args(sub) -> None:
     sub.add_argument("--solver", default="auto", choices=SOLVER_CHOICES)
     sub.add_argument("--tol", type=float,
-                     help="gradient tolerance (objective tolerance at p in {1, inf})")
+                     help="gradient tolerance (objective tolerance at p in {1, inf}); "
+                          "finite and > 0")
     sub.add_argument("--max-iters", type=int, dest="max_iters",
-                     help="iteration budget; Newton steps for the convex route")
+                     help="iteration budget, >= 1; Newton steps for the convex route")
 
 
 def build_parser() -> argparse.ArgumentParser:

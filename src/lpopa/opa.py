@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ from .weights import Weight, dilate
 log = logging.getLogger(__name__)
 
 _COND_LIMIT = 1e14
+_SYSTEM_TOL = 1e-9      # solve_structural: sup violation of a converged system
+_DIVISION_TOL = 1e-9    # solve_structural: floor of the relative remainder tolerance
 _CONTINUATION_P = 1.5   # solve_convex seeds p below this from a solve at it
 # solve_convex's damped Newton loop: the Armijo fraction of the predicted
 # decrease, the relative rounding level of phi below which a decrease does
@@ -48,26 +51,29 @@ _STALL_STEPS = 3
 
 @dataclass
 class SolverOpts:
-    """Tolerances and iteration limits shared by the solvers.
+    """Tolerances and iteration limits of the iterative solvers.
 
-    ``max_iters`` bounds the iterations of each route; for
-    :func:`solve_convex` it counts Newton steps, those of its p < 1.5
-    continuation stage included.
+    ``grad_tol`` is the gradient sup-norm of a converged
+    :func:`solve_convex`, ``flat_tol`` the relative objective tolerance of
+    :func:`solve_flat` and its flatness probe.  ``max_iters`` bounds the
+    steps of :func:`solve_convex` (Newton steps, those of its p < 1.5
+    continuation stage included) and of :func:`solve_flat`;
+    :func:`solve_structural` runs a fixed Newton budget.  Construction
+    raises ValueError unless ``max_iters`` is an integer >= 1 and each
+    tolerance is finite and positive.
     """
 
     grad_tol: float = 1e-10
     max_iters: int = 10_000
     flat_tol: float = 1e-6
-    system_tol: float = 1e-9
-    division_tol: float = 1e-9
 
-    @classmethod
-    def from_config(cls, spec: dict) -> "SolverOpts":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(spec) - known
-        if bad:
-            raise ValueError(f"unknown solver options: {sorted(bad)}")
-        return cls(**spec)
+    def __post_init__(self):
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        for name in ("grad_tol", "flat_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass
@@ -216,6 +222,42 @@ def _conv_matrix(fc: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+class _Scaled:
+    """The shared set-up of the descent routes, in real coordinates.
+
+    f is scaled to unit (p, w) norm; x holds the real parts, then the
+    imaginary parts, of the n+1 coefficients of P * |f|, so the residual
+    1 - P f is unchanged by the scaling.
+    """
+
+    def __init__(self, f: Poly, n: int, sp: SpaceParams):
+        self.f, self.n, self.sp = f, n, sp
+        self.scale = norm(f, sp)
+        self.fc = f.coeffs / self.scale
+        self.fcc = np.conj(self.fc)
+        self.wv = sp.weight.values_up_to(n + f.degree)
+
+    def split(self, x: np.ndarray) -> np.ndarray:
+        return x[: self.n + 1] + 1j * x[self.n + 1:]
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        r = -np.convolve(self.split(x), self.fc)
+        r[0] += 1.0
+        return r
+
+    def start(self, init: Poly | None = None) -> np.ndarray:
+        """Coordinates of ``init``, else of the p = 2 approximant."""
+        if init is None:
+            init = solve_hilbert(self.f, self.n, self.sp.weight).approximant
+        c0 = init.padded(self.n + 1) * self.scale
+        return np.concatenate([c0.real, c0.imag])
+
+    def result(self, x: np.ndarray, iterations: int, converged: bool,
+               solver: str) -> OpaResult:
+        return _finalize(self.f, self.split(x) / self.scale, self.sp,
+                         iterations=iterations, converged=converged, solver=solver)
+
+
 def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = None,
                  init: Poly | None = None) -> OpaResult:
     """Order-n approximant for 1 < p < inf by damped Newton descent.
@@ -248,23 +290,11 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     if p < _CONTINUATION_P:
         stage = solve_convex(f, n, SpaceParams(_CONTINUATION_P, sp.weight), opts, init)
         init, iterations = stage.approximant, stage.iterations
-    scale = norm(f, sp)
-    fc = f.coeffs / scale
-    fcc = np.conj(fc)
-    d = f.degree
-    m = n + d + 1
-    wv = sp.weight.values_up_to(m - 1)
-
-    def split(x: np.ndarray) -> np.ndarray:
-        return x[: n + 1] + 1j * x[n + 1:]
-
-    def residual_of(x: np.ndarray) -> np.ndarray:
-        r = -np.convolve(split(x), fc)
-        r[0] += 1.0
-        return r
+    pr = _Scaled(f, n, sp)
+    wv = pr.wv
 
     def phi_grad(x: np.ndarray):
-        r = residual_of(x)
+        r = pr.residual(x)
         a = np.abs(r)
         phi = float((a ** p * wv).sum())
         s = signed_powers(r, p - 1.0)
@@ -274,21 +304,21 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         # of noise^{p-1} under the gradient
         cut = 1e-14 * max(1.0, float(a.max())) if p < 2 else 1e-30
         s[a <= cut] = 0.0
-        pair = np.correlate(s * wv, fcc, mode="valid")
+        pair = np.correlate(s * wv, pr.fcc, mode="valid")
         g = np.concatenate([-p * pair.real, p * pair.imag])
         return phi, g
 
-    F = _conv_matrix(fc, n)
+    F = _conv_matrix(pr.fc, n)
     Fbar = np.conj(F)
 
     def hessian(x: np.ndarray) -> np.ndarray:
-        r = residual_of(x)
+        r = pr.residual(x)
         a = np.abs(r)
         hcut = (1e-14 if p < 2 else 1e-18) * max(1.0, float(a.max()))
         hmask = a > hcut
         am, wm = a[hmask], wv[hmask]
-        beta = np.zeros(m)
-        gamma = np.zeros(m)
+        beta = np.zeros_like(a)
+        gamma = np.zeros_like(a)
         beta[hmask] = p * wm * am ** (p - 2.0)
         gamma[hmask] = p * (p - 2.0) * wm * am ** (p - 4.0)
         K = (Fbar.T * beta) @ F
@@ -296,11 +326,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         W = -np.hstack([V.real, V.imag])
         return np.block([[K.real, -K.imag], [K.imag, K.real]]) + W.T @ (gamma[:, None] * W)
 
-    if init is not None:
-        c0 = init.padded(n + 1) * scale
-    else:
-        c0 = solve_hilbert(f, n, sp.weight).approximant.padded(n + 1) * scale
-    x = np.concatenate([c0.real, c0.imag])
+    x = pr.start(init)
     phi, g = phi_grad(x)
     gmax = float(np.abs(g).max())
     target = min(opts.grad_tol * 1e-2, 1e-12)
@@ -342,9 +368,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     if not converged:
         log.debug("solve_convex: gradient sup %.3e above tolerance %.1e",
                   gmax, opts.grad_tol)
-    c = split(x) / scale
-    return _finalize(f, c, sp, iterations=iterations, converged=converged,
-                     solver="convex")
+    return pr.result(x, iterations, converged, "convex")
 
 
 # ---------------------------------------------------------------------------
@@ -448,18 +472,18 @@ def fit_exp_poly(residual: Poly, spec: CircleZeroSpec, n: int,
 
 
 def solve_structural(spec: CircleZeroSpec, n: int, sp: SpaceParams,
-                     opts: SolverOpts | None = None,
                      init: OpaResult | None = None) -> tuple[OpaResult, ExpPolyFit]:
     """Order-n approximant from the structure constants, by damped Newton.
 
     Initialized from ``init``'s residual when given, else from the p = 2
-    solution.  Falls back to fitting the convex solver's residual if Newton
-    stagnates.  The residual coefficients reconstructed from the solved
-    constants must make 1 - residual exactly divisible by f; a division
+    solution.  The route stands alone: it never calls another iterative
+    route, and a Newton solve that stalls returns its own constants with
+    ``converged=False`` (system residual above 1e-9).  ``iterations`` counts
+    Newton steps, at most 200.  The residual coefficients reconstructed from
+    the constants must make 1 - residual exactly divisible by f; a division
     failure raises InternalConsistencyError since it signals a wrong
     solution.
     """
-    opts = opts or SolverOpts()
     if sp.is_flat:
         raise UnsupportedExponentError("structural solve needs 1 < p < inf")
     if int(n) != n or n < 0:
@@ -479,7 +503,7 @@ def solve_structural(spec: CircleZeroSpec, n: int, sp: SpaceParams,
     iterations = 0
     stale = 0
     for _ in range(200):
-        if enorm <= opts.system_tol * 1e-3:
+        if enorm <= _SYSTEM_TOL * 1e-3:
             break
         J = sys_.jacobian_real(a)
         try:
@@ -508,19 +532,10 @@ def solve_structural(spec: CircleZeroSpec, n: int, sp: SpaceParams,
             stale = 0
         enorm = float(np.abs(e).max())
 
-    converged = enorm <= opts.system_tol
+    converged = enorm <= _SYSTEM_TOL
     if not converged:
-        # Newton stagnated; certify via the convex route instead.
-        log.debug("structural Newton stalled at %.3e, falling back to convex fit", enorm)
-        cv = solve_convex(f, n, sp, opts)
-        A_cv = sys_.fit_from_data(sys_.d_values_of(cv.residual))
-        a_cv = np.concatenate([A_cv.real, A_cv.imag])
-        e_cv = sys_.equations_real(a_cv)
-        if float(np.abs(e_cv).max()) < enorm:
-            a, e = a_cv, e_cv
-            enorm = float(np.abs(e).max())
-        iterations += cv.iterations
-        converged = enorm <= opts.system_tol
+        log.debug("solve_structural: system residual %.3e above tolerance %.1e",
+                  enorm, _SYSTEM_TOL)
 
     A = a[:d] + 1j * a[d:]
     B = sys_.residual_coeffs(A)
@@ -532,7 +547,7 @@ def solve_structural(spec: CircleZeroSpec, n: int, sp: SpaceParams,
     # and enorm cannot drop below ~sqrt(eps); the converged flag reports the
     # strict tolerance honestly in that case.
     try:
-        pn = exact_div(ONE - Poly(B), f, max(opts.division_tol, 50.0 * enorm))
+        pn = exact_div(ONE - Poly(B), f, max(_DIVISION_TOL, 50.0 * enorm))
     except InexactDivisionError as exc:
         raise InternalConsistencyError(
             f"structural residual is not divisible by f: {exc}") from exc
@@ -573,24 +588,12 @@ def solve_flat(f: Poly, n: int, sp: SpaceParams,
         raise UnsupportedExponentError("solve_flat handles p in {1, inf} only")
     _validate(f, n)
     p = sp.p
-    scale = norm(f, sp)
-    fc = f.coeffs / scale
-    fcc = np.conj(fc)
-    d = f.degree
-    m = n + d + 1
-    wv = sp.weight.values_up_to(m - 1)
-
-    def split(x):
-        return x[: n + 1] + 1j * x[n + 1:]
-
-    def residual_of(c):
-        r = -np.convolve(c, fc)
-        r[0] += 1.0
-        return r
+    pr = _Scaled(f, n, sp)
+    wv = pr.wv
 
     def objective(x) -> tuple[float, np.ndarray, np.ndarray]:
         """Objective value with the residual and its moduli, for subgrad."""
-        r = residual_of(split(x))
+        r = pr.residual(x)
         a = np.abs(r)
         value = float((a * wv).max()) if p == math.inf else float((a * wv).sum())
         return value, r, a
@@ -605,11 +608,10 @@ def solve_flat(f: Poly, n: int, sp: SpaceParams,
             u = signed_powers(r, 0.0) * wv
             # 0 is a valid subgradient choice at (numerical) zeros of |r_t|
             u[a <= 1e-14 * max(1.0, float(a.max()))] = 0.0
-        pair = np.correlate(u, fcc, mode="valid")
+        pair = np.correlate(u, pr.fcc, mode="valid")
         return np.concatenate([-pair.real, pair.imag])
 
-    c0 = solve_hilbert(f, n, sp.weight).approximant.padded(n + 1) * scale
-    x = np.concatenate([c0.real, c0.imag])
+    x = pr.start()
     fx, r, a = objective(x)
     best_x, best_f = x.copy(), fx
     improve_eps = opts.flat_tol * 1e-2 * max(1.0, best_f)
@@ -651,17 +653,12 @@ def solve_flat(f: Poly, n: int, sp: SpaceParams,
     if objective(zero)[0] < best_f:
         best_x = zero
 
-    c = split(best_x) / scale
-    approx = Poly(c)
-    residual = ONE - approx * f
-    result = OpaResult(approximant=approx, residual=residual,
-                       optimal_norm=norm(residual, sp), ortho_residual_max=None,
-                       iterations=k + 1, converged=converged, solver="flat")
+    result = pr.result(best_x, k + 1, converged, "flat")
 
     # Flatness probe in original coefficient coordinates.
     offsets = np.linspace(-1.0, 1.0, 17)
     probe_tol = max(opts.flat_tol, 1e-9) * max(1.0, result.optimal_norm)
-    vals = _probe_values(residual.padded(m), f.coeffs, wv, p, offsets)
+    vals = _probe_values(result.residual.padded(wv.size), f.coeffs, wv, p, offsets)
     hit = np.abs(vals - result.optimal_norm) <= probe_tol
     radii = np.where(hit, np.abs(offsets), 0.0).max(axis=-1)
     diag = FlatDiagnostics(objective=result.optimal_norm, probe_offsets=offsets,
@@ -731,22 +728,23 @@ def closed_form_one_minus_zd(d: int, n: int, sp: SpaceParams) -> OpaResult:
                      solver="closed-form")
 
 
-def composite_construction(spec: CircleZeroSpec, n: int, sp: SpaceParams,
-                           opts: SolverOpts | None = None) -> Poly:
+def composite_construction(spec: CircleZeroSpec, n: int, sp: SpaceParams) -> Poly:
     """Near-optimal approximant for repeated circle zeros.
 
-    Builds the simple-zero polynomial g with the same zero set, solves the
-    p = 2 problem for 1/g against the weight w**(1/(p-1)) at the reduced
-    order sigma(n) = floor((n+d)/d0) - m, raises (q_sigma g) to the maximal
-    multiplicity d0 and divides exactly by f.  The result has degree <= n and
-    its residual norm decays at the optimal rate up to a constant factor.
+    Builds the simple-zero polynomial g = prod (z - zeta_i) with the same
+    zero set, solves the p = 2 problem for 1/g against the weight
+    w**(1/(p-1)) at the reduced order sigma(n) = floor((n+d)/d0) - m, and
+    returns (q_sigma g)**d0 / f, with d0 the maximal multiplicity.  With
+    f = lead * prod (z - zeta_i)**b_i that quotient is the product
+    q_sigma**d0 * prod (z - zeta_i)**(d0 - b_i) / lead, which is formed
+    directly, without polynomial division.  Its degree is
+    d0*sigma + sum (d0 - b_i) <= n, and its residual norm decays at the
+    optimal rate up to a constant factor.
     """
-    opts = opts or SolverOpts()
     if sp.is_flat:
         raise UnsupportedExponentError("composite construction needs 1 < p < inf")
     if int(n) != n or n < 0:
         raise ValueError("order n must be a nonnegative integer")
-    f = expand(spec)
     d = spec.degree
     d0 = spec.max_multiplicity
     nroots = len(spec.roots)
@@ -758,19 +756,10 @@ def composite_construction(spec: CircleZeroSpec, n: int, sp: SpaceParams,
     g = expand(spec.with_simple_roots())
     w_phi = sp.weight.pointwise_power(1.0 / (sp.p - 1.0))
     q_sigma = solve_hilbert(g, sigma, w_phi).approximant
-    base = q_sigma * g
-    powered = ONE
+    result = expand(CircleZeroSpec(tuple((a, d0 - b) for a, b in spec.roots if b < d0)))
     for _ in range(d0):
-        powered = powered * base
-    try:
-        result = exact_div(powered, f, opts.division_tol)
-    except InexactDivisionError as exc:
-        raise InternalConsistencyError(
-            f"composite numerator is not divisible by f: {exc}") from exc
-    if result.degree is not None and result.degree > n:
-        raise InternalConsistencyError(
-            f"composite construction produced degree {result.degree} > n = {n}")
-    return result
+        result = result * q_sigma
+    return result * (1.0 / spec.leading_coefficient)
 
 
 def bj_certificate(result: OpaResult, f: Poly, sp: SpaceParams,

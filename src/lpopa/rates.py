@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,29 +151,24 @@ def _dispatch(problem, n: int, sp: SpaceParams, solver: str,
     if solver not in SOLVER_CHOICES:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_CHOICES}")
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
+    match = detect_one_minus_zd(f) if solver in ("auto", "closed") else None
     if solver == "auto":
-        if not sp.is_flat and detect_one_minus_zd(problem) is not None:
-            solver = "closed"
-        elif sp.is_flat:
+        if sp.is_flat:
             solver = "flat"
+        elif match is not None:
+            solver = "closed"
         elif sp.p == 2.0:
             solver = "hilbert"
         else:
             solver = "convex"
     if solver == "closed":
-        match = detect_one_minus_zd(problem)
         if match is None:
             raise ValueError("closed-form solver requires f = c*(1 - z^d)")
         d, lead = match
         res = closed_form_one_minus_zd(d, n, sp)
         if lead != 1.0:
             # f = lead * (1 - z^d): same residual with the approximant rescaled
-            approx = res.approximant * (1.0 / lead)
-            return OpaResult(approximant=approx, residual=res.residual,
-                             optimal_norm=res.optimal_norm,
-                             ortho_residual_max=res.ortho_residual_max,
-                             iterations=res.iterations, converged=res.converged,
-                             solver=res.solver)
+            return replace(res, approximant=res.approximant * (1.0 / lead))
         return res
     if solver == "hilbert":
         if sp.p != 2.0:
@@ -186,7 +181,7 @@ def _dispatch(problem, n: int, sp: SpaceParams, solver: str,
     # structural
     if not isinstance(problem, CircleZeroSpec):
         raise ValueError("the structural solver needs a circle zero spec")
-    return solve_structural(problem, n, sp, opts)[0]
+    return solve_structural(problem, n, sp)[0]
 
 
 def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto",

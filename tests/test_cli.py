@@ -107,6 +107,21 @@ class TestArgumentValidation:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--p", "1.5", "--max-iters", "0"],
+        ["--p", "1.5", "--max-iters", "-5"],
+        ["--p", "1.5", "--tol", "0"],
+        ["--p", "1.5", "--tol", "-1"],
+        ["--p", "1.5", "--tol", "nan"],
+        ["--p", "inf", "--max-iters", "-3"],
+        ["--p", "inf", "--tol", "inf"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_solver_options_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "compute", "--roots", "0:2,pi:1", "--n", "8", *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
+
     def test_hilbert_requires_p2(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--coeffs", "1,-1", "--p", "3",
                                "--n", "1", "--solver", "hilbert")

@@ -7,7 +7,7 @@ import pytest
 
 from lpopa import (CircleZeroSpec, IllConditionedError, Poly, SpaceParams,
                    UnsupportedExponentError, closed_form_one_minus_zd,
-                   composite_construction, expand, lower_bound, norm,
+                   composite_construction, exact_div, expand, lower_bound, norm,
                    power_weight, solve_convex, solve_flat, solve_hilbert,
                    solve_structural, table_weight)
 from lpopa.opa import SolverOpts, _probe_values, bj_certificate
@@ -21,6 +21,16 @@ def one_minus_zd(d):
     c = np.zeros(d + 1)
     c[0], c[d] = 1.0, -1.0
     return Poly(c)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iters": 0}, {"max_iters": -5}, {"max_iters": 2.5},
+    {"grad_tol": 0.0}, {"grad_tol": -1.0}, {"grad_tol": math.nan},
+    {"flat_tol": 0.0}, {"flat_tol": math.inf},
+])
+def test_bad_solver_options_rejected(kwargs):
+    with pytest.raises(ValueError):
+        SolverOpts(**kwargs)
 
 
 class TestHilbert:
@@ -369,7 +379,51 @@ class TestFlat:
         assert len(calls) <= 4
 
 
+def divided_composite(spec, n, sp):
+    """The composite as (q_sigma g)**d0 long-divided by f, the product's reference."""
+    d0 = spec.max_multiplicity
+    sigma = (n + spec.degree) // d0 - len(spec.roots)
+    g = expand(spec.with_simple_roots())
+    q_sigma = solve_hilbert(g, sigma, sp.weight.pointwise_power(1 / (sp.p - 1))).approximant
+    powered = Poly([1])
+    for _ in range(d0):
+        powered = powered * (q_sigma * g)
+    return exact_div(powered, expand(spec))
+
+
 class TestComposite:
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    @pytest.mark.parametrize("p", [1.5, 2, 3])
+    @pytest.mark.parametrize("lead", [1.0, -2 + 1j])
+    @pytest.mark.parametrize("roots", [((0.0, 2),), ((0.0, 2), (PI, 1)), ((0.0, 3), (PI, 1))],
+                             ids=["(z-1)^2", "(z-1)^2(z+1)", "(z-1)^3(z+1)"])
+    def test_product_matches_division_reference(self, monkeypatch, roots, lead, p, n):
+        spec = CircleZeroSpec(roots, leading_coefficient=lead)
+        sp = SpaceParams.power(p, 0)
+        want = divided_composite(spec, n, sp)
+
+        def no_division(*args, **kwargs):
+            raise AssertionError("composite_construction divided by f")
+
+        monkeypatch.setattr("lpopa.opa.exact_div", no_division)
+        got = composite_construction(spec, n, sp)
+        assert got.degree <= n
+        size = max(got.coeffs.size, want.coeffs.size)
+        np.testing.assert_allclose(got.padded(size), want.padded(size), rtol=0,
+                                   atol=1e-8 * np.abs(want.coeffs).max())
+
+    @pytest.mark.parametrize("p", [1.5, 2, 3])
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_quadruple_zero_at_large_order(self, n, p):
+        # dividing (q_sigma g)^4 by (z-1)^4 left a remainder of 8.7e-2 at n = 1024
+        spec = CircleZeroSpec(((0.0, 4),))
+        sp = SpaceParams.power(p, 0)
+        pn = composite_construction(spec, n, sp)
+        assert pn.degree <= n
+        achieved = norm(Poly([1]) - pn * expand(spec), sp)
+        bound = lower_bound(spec, n, sp)
+        assert bound <= achieved <= 10 * bound
+
     def test_simple_zero_collapse(self):
         # with d0 = 1, the construction degenerates to the reduced-order
         # hilbert approximant itself

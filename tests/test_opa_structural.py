@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lpopa import (CircleZeroSpec, SpaceParams, UnsupportedExponentError,
-                   eval_derivative, expand, fit_exp_poly, solve_convex,
+                   eval_derivative, expand, fit_exp_poly, lower_bound, solve_convex,
                    solve_hilbert, solve_structural)
 from lpopa.opa import _StructuralSystem
 
@@ -125,6 +125,25 @@ class TestStructuralInvariants:
     def test_flat_exponent_rejected(self):
         with pytest.raises(UnsupportedExponentError):
             solve_structural(CircleZeroSpec(((0.0, 1),)), 1, SpaceParams.power(1, 0))
+
+    @pytest.mark.parametrize("roots, n", [(((0.0, 2), (PI, 1)), 2), (((0.0, 4),), 128)],
+                             ids=["(z-1)^2(z+1),n=2", "(z-1)^4,n=128"])
+    def test_stalled_newton_stands_alone(self, monkeypatch, roots, n):
+        # Newton stalls just above the 1e-9 system tolerance on both (7.9e-9
+        # and 1.5e-9); the route reports that itself instead of asking the
+        # convex route
+        spec = CircleZeroSpec(roots)
+        sp = SpaceParams.power(3, 0.0)
+        oracle = solve_convex(expand(spec), n, sp)
+
+        def no_convex(*args, **kwargs):
+            raise AssertionError("solve_structural called solve_convex")
+
+        monkeypatch.setattr("lpopa.opa.solve_convex", no_convex)
+        res, _ = solve_structural(spec, n, sp)
+        assert not res.converged
+        assert res.optimal_norm >= lower_bound(spec, n, sp)
+        assert res.optimal_norm == pytest.approx(oracle.optimal_norm, rel=1e-6)
 
 
 class TestJacobian:
