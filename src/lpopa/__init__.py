@@ -13,7 +13,8 @@ from .rates import (RateFit, RatePrediction, SweepPoint, classify, delta,
                     fit_rates, geometric_grid, lower_bound, run_sweep,
                     sweep_and_fit)
 from .space import (SpaceParams, bj_residual, evaluation_bound,
-                    multiplication_bound_check, norm, to_unweighted, wiener_norm)
+                    multiplication_bound_batch, multiplication_bound_check, norm,
+                    to_unweighted, wiener_norm)
 from .weights import (Weight, dilate, doubling_constant_for, power_weight,
                       table_weight, verify_admissibility, weight_at,
                       weight_from_config)
@@ -28,7 +29,8 @@ __all__ = [
     "Weight", "bj_residual", "classify", "closed_form_one_minus_zd",
     "composite_construction", "delta", "dilate", "doubling_constant_for",
     "eval_derivative", "evaluation_bound", "exact_div", "expand", "fit_exp_poly",
-    "fit_rates", "geometric_grid", "lower_bound", "multiplication_bound_check",
+    "fit_rates", "geometric_grid", "lower_bound", "multiplication_bound_batch",
+    "multiplication_bound_check",
     "norm", "parse_angle", "poly_divmod", "poly_from_config", "power_weight",
     "run_sweep", "signed_power", "signed_powers", "solve_convex", "solve_flat",
     "solve_hilbert", "solve_structural", "sweep_and_fit", "table_weight",

@@ -161,8 +161,18 @@ def _problem_from_args(args):
         return poly_from_config(json.load(fh))
 
 
+# routes that take no solver options: --max-iters and --tol are refused there
+_FIXED_BUDGET_SOLVERS = ("structural", "hilbert", "closed")
+
+
 def _opts_from_args(args, sp: SpaceParams) -> SolverOpts:
-    """Solver options from --max-iters and --tol; SolverOpts rejects bad values."""
+    """Solver options from --max-iters and --tol; SolverOpts rejects bad values.
+
+    The options are refused with a solver that would ignore them.
+    """
+    if args.solver in _FIXED_BUDGET_SOLVERS and (args.max_iters is not None
+                                                 or args.tol is not None):
+        raise ValueError(f"--max-iters and --tol do not apply to --solver {args.solver}")
     given = {}
     if args.max_iters is not None:
         given["max_iters"] = args.max_iters
@@ -187,10 +197,16 @@ def _weight_payload(sp: SpaceParams, args) -> dict:
     return {"kind": "power", "alpha": float(args.alpha)}
 
 
-def _result_payload(cfg_cmd: str, f: Poly, res: OpaResult, sp: SpaceParams,
+def _result_payload(cfg_cmd: str, problem, res: OpaResult, sp: SpaceParams,
                     args, n: int) -> dict:
+    """JSON payload of one solve; ``problem`` is a Poly or a CircleZeroSpec.
+
+    The lower bound is taken from the spec when there is one, because the
+    roots of an expanded multiple zero no longer lie on the circle.
+    """
+    f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
     try:
-        bound = lower_bound(f, n, sp)
+        bound = lower_bound(problem, n, sp)
     except (ValueError, UnsupportedExponentError):
         bound = None
     p_out = "inf" if sp.p == math.inf else sp.p
@@ -221,9 +237,8 @@ def _cmd_compute(args) -> int:
     sp = _space_from_args(args)
     problem = _problem_from_args(args)
     opts = _opts_from_args(args, sp)
-    f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
     res = _dispatch(problem, args.n, sp, args.solver, opts)
-    payload = _result_payload("compute", f, res, sp, args, args.n)
+    payload = _result_payload("compute", problem, res, sp, args, args.n)
     _emit(render_json(payload) + "\n", args.out)
     return 0 if res.converged else 3
 
@@ -340,9 +355,11 @@ def _add_solver_args(sub) -> None:
     sub.add_argument("--solver", default="auto", choices=SOLVER_CHOICES)
     sub.add_argument("--tol", type=float,
                      help="gradient tolerance (objective tolerance at p in {1, inf}); "
-                          "finite and > 0")
+                          "finite and > 0; not with --solver structural, hilbert "
+                          "or closed")
     sub.add_argument("--max-iters", type=int, dest="max_iters",
-                     help="iteration budget, >= 1; Newton steps for the convex route")
+                     help="iteration budget, >= 1; Newton steps for the convex route; "
+                          "not with --solver structural, hilbert or closed")
 
 
 def build_parser() -> argparse.ArgumentParser:

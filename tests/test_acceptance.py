@@ -16,10 +16,10 @@ import pytest
 
 from lpopa import (CircleZeroSpec, Poly, SpaceParams, SweepPoint,
                    closed_form_one_minus_zd, delta, dilate, expand, fit_rates,
-                   geometric_grid, lower_bound, multiplication_bound_check, norm,
-                   power_weight, run_sweep, solve_convex, solve_flat,
-                   solve_hilbert, solve_structural)
+                   geometric_grid, lower_bound, norm, power_weight, run_sweep,
+                   solve_convex, solve_flat, solve_hilbert, solve_structural)
 from lpopa.opa import ExpPolyFit, OpaResult, bj_certificate
+from lpopa.verification import MULTIPLICATION_SPACES, multiplication_check
 
 PI = math.pi
 INF = math.inf
@@ -306,21 +306,11 @@ def test_criterion_09_flat_non_uniqueness():
 
 
 def test_criterion_10_multiplication_estimate():
-    rng = np.random.default_rng(123)
-    failures = 0
-    trials = 0
-    for p in (1.0, 1.5, 2.0, INF):
-        for alpha in (-1.0, 0.0, 1.0):
-            sp = SpaceParams.power(p, alpha)
-            for _ in range(1000):
-                df, dg = rng.integers(0, 9, size=2)
-                f = Poly(rng.uniform(-1, 1, df + 1) + 1j * rng.uniform(-1, 1, df + 1))
-                g = Poly(rng.uniform(-1, 1, dg + 1) + 1j * rng.uniform(-1, 1, dg + 1))
-                trials += 1
-                if not multiplication_bound_check(f, g, sp).holds:
-                    failures += 1
-    report(10, "multiplication estimate", failures == 0,
-           f"{trials} trials, {failures} failures")
+    # the check `lpopa verify` runs, at 1000 trials per space
+    result = multiplication_check(seed=123, trials=1000)
+    spaces = len(MULTIPLICATION_SPACES)
+    report(10, "multiplication estimate", spaces == 12 and result.passed,
+           f"{spaces * 1000} trials, {result.detail}")
 
 
 def test_criterion_11_orthogonality_certificates(records):

@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 
 import lpopa
+import lpopa.space
+import lpopa.verification
+from lpopa import CircleZeroSpec, SpaceParams, lower_bound
 from lpopa.cli import main
 
 
@@ -80,6 +83,19 @@ class TestCompute:
         assert code == 3
         assert json.loads(out_path.read_text())["converged"] is False
 
+    @pytest.mark.parametrize("roots, spec", [
+        ("0:3", CircleZeroSpec(((0.0, 3),))),
+        ("0:4", CircleZeroSpec(((0.0, 4),))),
+        ("0:2,pi:3", CircleZeroSpec(((0.0, 2), (np.pi, 3)))),
+    ])
+    def test_lower_bound_for_multiple_zeros(self, capsys, roots, spec):
+        code, out, _ = run_cli(capsys, "compute", "--roots", roots, "--p", "1.5",
+                               "--n", "16")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lower_bound"] == lower_bound(spec, 16, SpaceParams.power(1.5, 0))
+        assert payload["lower_bound"] <= payload["optimal_norm"]
+
 
 class TestArgumentValidation:
     def test_two_problem_sources(self, capsys):
@@ -121,6 +137,21 @@ class TestArgumentValidation:
         assert code == 2
         assert out == ""
         assert "must be" in err
+
+    @pytest.mark.parametrize("option", [["--max-iters", "1"], ["--tol", "1e-3"]],
+                             ids=lambda option: option[0])
+    @pytest.mark.parametrize("solver, problem", [
+        ("structural", ["--roots", "0:2,pi:1", "--p", "1.5"]),
+        ("hilbert", ["--roots", "0:2,pi:1", "--p", "2"]),
+        ("closed", ["--roots", "0:1", "--p", "1.5"]),
+    ])
+    def test_options_refused_where_ignored(self, capsys, solver, problem, option):
+        argv = ["compute", *problem, "--n", "8", "--solver", solver]
+        assert run_cli(capsys, *argv)[0] == 0
+        code, out, err = run_cli(capsys, *argv, *option)
+        assert code == 2
+        assert out == ""
+        assert "do not apply" in err
 
     def test_hilbert_requires_p2(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--coeffs", "1,-1", "--p", "3",
@@ -291,3 +322,30 @@ class TestVerify:
         payload = json.loads(report.read_text())
         assert payload["passed"] is True
         assert all(chk["passed"] for chk in payload["checks"])
+
+    def test_report_is_deterministic(self, capsys, tmp_path):
+        reports = [tmp_path / "first.json", tmp_path / "second.json"]
+        for report in reports:
+            code, _, _ = run_cli(capsys, "verify", "--quick", "--seed", "3",
+                                 "--out", str(report))
+            assert code == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    def test_multiplication_check_is_batched(self, monkeypatch):
+        # one evaluation of the estimate per trial would make 2,400 calls here
+        calls = 0
+
+        def counted(fn):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return fn(*args)
+            return wrapper
+
+        batch = counted(lpopa.space.multiplication_bound_batch)
+        monkeypatch.setattr(lpopa.space, "norm", counted(lpopa.space.norm))
+        monkeypatch.setattr(lpopa.space, "multiplication_bound_batch", batch)
+        monkeypatch.setattr(lpopa.verification, "multiplication_bound_batch", batch)
+        result = lpopa.verification.multiplication_check(seed=0, trials=200)
+        assert result.passed
+        assert calls <= 50

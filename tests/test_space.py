@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import lpopa.space
 from lpopa import (Poly, SpaceParams, UnsupportedExponentError, bj_residual,
-                   evaluation_bound, multiplication_bound_check, norm,
-                   power_weight, to_unweighted, wiener_norm)
-from lpopa.space import split_bound_terms
+                   dilate, evaluation_bound, multiplication_bound_check, norm,
+                   power_weight, table_weight, to_unweighted, wiener_norm)
+from lpopa.space import multiplication_constant, split_bound_terms
 
 INF = math.inf
 
@@ -206,6 +207,62 @@ class TestMultiplicationBound:
                 if p != INF:
                     total = total ** p
                 assert total <= a1 + a2 + 1e-10 * max(1.0, a1 + a2)
+
+
+def scalar_bound_sides(F, G, sp):
+    """Reference for the batch: both sides pair by pair through norm and wiener_norm."""
+    c = multiplication_constant(sp)
+    lhs, rhs = [], []
+    for fr, gr in zip(F, G):
+        f, g = Poly(fr), Poly(gr)
+        lhs.append(norm(f * g, sp))
+        rhs.append(c * (wiener_norm(f) * norm(g, sp) + norm(f, sp) * wiener_norm(g)))
+    return np.array(lhs), np.array(rhs)
+
+
+def batch_rows(rng):
+    """Coefficient rows of width 9 covering the edge cases of the batch."""
+    def coeffs(deg):
+        return rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1)
+
+    degrees = [(8, 2), (1, 8), (0, 0), (0, 5), (None, 3), (6, None), (None, None),
+               (4, 7), (8, 8), (3, 0)]
+    F = np.zeros((len(degrees), 9), dtype=complex)
+    G = np.zeros_like(F)
+    for row, (df, dg) in enumerate(degrees):
+        if df is not None:
+            F[row, :df + 1] = coeffs(df)
+        if dg is not None:
+            G[row, :dg + 1] = coeffs(dg)
+    return F, G
+
+
+BATCH_SPACES = (
+    [SpaceParams.power(p, alpha) for p in (1.0, 1.5, 2.0, 3.0, INF)
+     for alpha in (-1.0, 0.0, 1.0)]
+    + [SpaceParams(p, table_weight([1, 1.5, 2.2, 2.9, 3.1, 4.0], tail="power"))
+       for p in (1.0, 1.5, 2.0, 3.0, INF)]
+    + [SpaceParams(p, dilate(power_weight(0.5), 3)) for p in (1.0, 1.5, 2.0, 3.0, INF)])
+
+
+class TestMultiplicationBoundBatch:
+    @pytest.mark.parametrize("sp", BATCH_SPACES, ids=repr)
+    def test_matches_scalar_reference(self, sp):
+        F, G = batch_rows(np.random.default_rng(61))
+        lhs, rhs = lpopa.space.multiplication_bound_batch(F, G, sp)
+        ref_lhs, ref_rhs = scalar_bound_sides(F, G, sp)
+        np.testing.assert_allclose(lhs, ref_lhs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rhs, ref_rhs, rtol=1e-12, atol=0)
+        zero = ~F.any(axis=1) | ~G.any(axis=1)
+        assert zero.sum() == 3
+        assert (lhs[zero] == 0).all() and (rhs[zero] == 0).all()
+        assert (lhs <= rhs).all()
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (2, 4)), ((3,), (3,)), ((2, 0), (2, 0))])
+    def test_bad_shapes_rejected(self, shapes):
+        F, G = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ValueError):
+            lpopa.space.multiplication_bound_batch(F, G, SpaceParams.power(2, 0))
 
 
 def test_isometry_to_unweighted():
