@@ -310,15 +310,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = run_verification(seed=args.seed, quick=args.quick)
-    all_pass = True
-    lines = []
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        all_pass &= r.passed
         detail = f" ({r.detail})" if r.detail else ""
-        line = f"{status}  {r.name}: max deviation {r.max_dev:.3e}, tol {r.tol:g}{detail}"
-        lines.append(line)
-        print(line)
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: max deviation {r.max_dev:.3e}, "
+              f"tol {r.tol:g}{detail}")
+    all_pass = all(r.passed for r in results)
     print(("all checks passed" if all_pass else "SOME CHECKS FAILED"))
     if args.out:
         payload = {"passed": all_pass,

@@ -406,15 +406,10 @@ class _StructuralSystem:
                 self.pairs.append((i, j))
         self.basis = np.stack(cols, axis=1)            # d_t = basis @ A
         self.T = self.basis / self.wv[:, None]         # y_t = T @ A
-        rows = []
-        self.targets = []
-        for l, (_, mult) in enumerate(spec.roots):
-            zt = zs[l] ** t
-            for s in range(mult):
-                rows.append(t ** s * zt)
-                self.targets.append(1.0 if s == 0 else 0.0)
-        self.S = np.stack(rows, axis=0)
-        self.target = np.array(self.targets, dtype=np.complex128)
+        # row (l, s) of the system is column (l, j = s + 1) of the basis
+        self.S = np.ascontiguousarray(self.basis.T)
+        self.target = np.array([1.0 if j == 1 else 0.0 for _, j in self.pairs],
+                               dtype=np.complex128)
 
     def residual_coeffs(self, A: np.ndarray) -> np.ndarray:
         return signed_powers(self.T @ A, self.q1)
@@ -458,6 +453,12 @@ class _StructuralSystem:
         dv = residual.padded(self.n + self.d + 1)
         return signed_powers(dv, self.sp.p - 1.0) * self.wv
 
+    def fit(self, A: np.ndarray, dv: np.ndarray, system_residual: float) -> ExpPolyFit:
+        """ExpPolyFit of constants A, with their sup deviation from data dv."""
+        return ExpPolyFit(constants={pair: complex(A[k]) for k, pair in enumerate(self.pairs)},
+                          fit_residual=float(np.abs(dv - self.basis @ A).max()),
+                          system_residual=system_residual)
+
 
 def fit_exp_poly(residual: Poly, spec: CircleZeroSpec, n: int,
                  sp: SpaceParams) -> ExpPolyFit:
@@ -465,10 +466,7 @@ def fit_exp_poly(residual: Poly, spec: CircleZeroSpec, n: int,
     sys_ = _StructuralSystem(spec, n, sp)
     dv = sys_.d_values_of(residual)
     A = sys_.fit_from_data(dv)
-    fit_res = float(np.abs(dv - sys_.basis @ A).max())
-    sys_res = float(np.abs(sys_.equations(A)).max())
-    return ExpPolyFit(constants={pair: complex(A[k]) for k, pair in enumerate(sys_.pairs)},
-                      fit_residual=fit_res, system_residual=sys_res)
+    return sys_.fit(A, dv, float(np.abs(sys_.equations(A)).max()))
 
 
 def solve_structural(spec: CircleZeroSpec, n: int, sp: SpaceParams,
@@ -486,9 +484,8 @@ def solve_structural(spec: CircleZeroSpec, n: int, sp: SpaceParams,
     """
     if sp.is_flat:
         raise UnsupportedExponentError("structural solve needs 1 < p < inf")
-    if int(n) != n or n < 0:
-        raise ValueError("order n must be a nonnegative integer")
     f = expand(spec)
+    _validate(f, n)
     sys_ = _StructuralSystem(spec, n, sp)
     d = sys_.d
     if init is not None:
@@ -553,12 +550,7 @@ def solve_structural(spec: CircleZeroSpec, n: int, sp: SpaceParams,
             f"structural residual is not divisible by f: {exc}") from exc
     result = _finalize(f, pn.padded(n + 1), sp, iterations=iterations,
                        converged=converged, solver="structural")
-    dv = sys_.d_values_of(result.residual)
-    fit = ExpPolyFit(
-        constants={pair: complex(A[k]) for k, pair in enumerate(sys_.pairs)},
-        fit_residual=float(np.abs(dv - sys_.basis @ A).max()),
-        system_residual=enorm)
-    return result, fit
+    return result, sys_.fit(A, sys_.d_values_of(result.residual), enorm)
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +705,8 @@ def closed_form_one_minus_zd(d: int, n: int, sp: SpaceParams) -> OpaResult:
     """
     if int(d) != d or d < 1:
         raise ValueError("d must be a positive integer")
-    if int(n) != n or n < 0:
-        raise ValueError("order n must be a nonnegative integer")
+    f = Poly(np.concatenate([[1.0], np.zeros(d - 1), [-1.0]]))
+    _validate(f, n)
     if sp.is_flat:
         raise UnsupportedExponentError(
             "closed form is implemented for 1 < p < inf only")
@@ -723,7 +715,6 @@ def closed_form_one_minus_zd(d: int, n: int, sp: SpaceParams) -> OpaResult:
     s = delta_sums(tilted, big_m + 1)
     coeffs = np.zeros(n + 1, dtype=np.complex128)
     coeffs[:: d][: big_m + 1] = 1.0 - s[: big_m + 1] / s[big_m + 1]
-    f = Poly(np.concatenate([[1.0], np.zeros(d - 1), [-1.0]]))
     return _finalize(f, coeffs, sp, iterations=0, converged=True,
                      solver="closed-form")
 
@@ -743,8 +734,8 @@ def composite_construction(spec: CircleZeroSpec, n: int, sp: SpaceParams) -> Pol
     """
     if sp.is_flat:
         raise UnsupportedExponentError("composite construction needs 1 < p < inf")
-    if int(n) != n or n < 0:
-        raise ValueError("order n must be a nonnegative integer")
+    g = expand(spec.with_simple_roots())
+    _validate(g, n)
     d = spec.degree
     d0 = spec.max_multiplicity
     nroots = len(spec.roots)
@@ -753,7 +744,6 @@ def composite_construction(spec: CircleZeroSpec, n: int, sp: SpaceParams) -> Pol
         raise ValueError(
             f"n={n} too small: the reduced order floor((n+d)/d0) - m = {sigma} "
             "is negative")
-    g = expand(spec.with_simple_roots())
     w_phi = sp.weight.pointwise_power(1.0 / (sp.p - 1.0))
     q_sigma = solve_hilbert(g, sigma, w_phi).approximant
     result = expand(CircleZeroSpec(tuple((a, d0 - b) for a, b in spec.roots if b < d0)))

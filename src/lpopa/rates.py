@@ -108,8 +108,9 @@ def _degree_with_circle_zero(problem) -> int:
         return problem.degree
     if not isinstance(problem, Poly) or problem.is_zero or problem.degree == 0:
         raise ValueError("need a nonconstant polynomial or a circle zero spec")
-    roots = np.roots(problem.coeffs[::-1])
-    if not np.any(np.abs(np.abs(roots) - 1.0) <= 1e-8):
+    # f at a b-fold zero that np.roots moved ~eps**(1/b) off the circle, projected back
+    on_circle = [root / abs(root) for root in np.roots(problem.coeffs[::-1]) if root != 0]
+    if not any(abs(problem(u)) <= 1e-10 * np.abs(problem.coeffs).sum() for u in on_circle):
         raise ValueError("the lower bound applies only to f with a zero on the circle")
     return problem.degree
 

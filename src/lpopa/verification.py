@@ -1,141 +1,151 @@
-"""Built-in cross-oracle and inequality verification suites.
+"""Cross-oracle and inequality checks, shared by ``lpopa verify`` and the tests.
 
-Each check exercises one identity or bound with two independent code paths
-and reports the worst observed deviation against its tolerance.  The battery
-is what ``lpopa verify`` runs; it is deliberately smaller than the test
-suite but covers every solver pairing.
+Each check tests one identity or bound with two independent code paths on the
+cases it is given, and defines each tolerance once, next to its measure.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from itertools import product
+from math import inf, nan, pi
 
 import numpy as np
 
-from .opa import (bj_certificate, closed_form_one_minus_zd, solve_convex,
+from .opa import (OpaResult, bj_certificate, closed_form_one_minus_zd, solve_convex,
                   solve_flat, solve_hilbert, solve_structural)
 from .poly import CircleZeroSpec, Poly, expand
 from .rates import delta, lower_bound
 from .space import SpaceParams, multiplication_bound_batch, norm
 from .weights import dilate
 
-PI = math.pi
+
+@dataclass
+class SolveRecord:
+    """One solve of the order-n problem for f in the space sp."""
+
+    f: Poly
+    n: int
+    sp: SpaceParams
+    result: OpaResult
 
 
 @dataclass
 class CheckResult:
+    """Outcome of one check.  ``measures`` maps each measure's name to (worst value over
+    the cases, NaN for none; tolerance).  ``records`` holds the solves the check made,
+    or for an audit those it audited; ``lpopa verify`` ignores it."""
+
     name: str
     passed: bool
     max_dev: float
     tol: float
     detail: str = ""
+    measures: dict[str, tuple[float, float]] = field(default_factory=dict)
+    records: list[SolveRecord] = field(default_factory=list)
 
 
-def _closed_vs_convex(quick: bool) -> CheckResult:
-    ps = (1.5, 2.0, 3.0) if quick else (1.5, 2.0, 3.0, 4.0)
-    alphas = (-1.0, 0.0, 0.5)
-    orders = (0, 3, 9) if quick else (0, 1, 3, 9, 17)
-    worst_c = 0.0
-    worst_n = 0.0
-    for d in (1, 2):
-        for p in ps:
-            for alpha in alphas:
-                sp = SpaceParams.power(p, alpha)
-                for n in orders:
-                    exact = closed_form_one_minus_zd(d, n, sp)
-                    f = Poly(np.concatenate([[1.0], np.zeros(d - 1), [-1.0]]))
-                    approx = solve_convex(f, n, sp)
-                    worst_c = max(worst_c, float(np.abs(
-                        exact.approximant.padded(n + 1)
-                        - approx.approximant.padded(n + 1)).max()))
-                    worst_n = max(worst_n, abs(approx.optimal_norm ** p
-                                               - exact.optimal_norm ** p)
-                                  / exact.optimal_norm ** p)
-    dev = max(worst_c, worst_n * 1e4)  # scale the tighter norm check into one number
-    return CheckResult("closed-form vs convex", worst_c <= 1e-6 and worst_n <= 1e-10,
-                       dev, 1e-6,
-                       f"coeff dev {worst_c:.2e}, relative norm^p dev {worst_n:.2e}")
+def _worst(values) -> float:
+    return float(np.max(values)) if len(values) else nan
 
 
-def _hilbert_vs_convex(quick: bool) -> CheckResult:
-    cases = [CircleZeroSpec(((0.0, 1),)),
-             CircleZeroSpec(((0.0, 1), (PI, 1))),
-             CircleZeroSpec(((0.0, 2),)),
-             CircleZeroSpec(((PI / 2, 1), (3 * PI / 2, 1)))]
-    orders = (0, 2, 5) if quick else (0, 2, 5, 9, 16)
-    worst = 0.0
-    for spec in cases:
-        f = expand(spec)
-        for alpha in (-1.0, 0.0, 1.0):
-            sp = SpaceParams.power(2.0, alpha)
-            for n in orders:
-                a = solve_hilbert(f, n, sp.weight)
-                b = solve_convex(f, n, sp)
-                worst = max(worst, float(np.abs(a.approximant.padded(n + 1)
-                                                - b.approximant.padded(n + 1)).max()))
-    return CheckResult("hilbert vs convex (p=2)", worst <= 1e-8, worst, 1e-8)
+def _result(name: str, measures: dict, records: list[SolveRecord]) -> CheckResult:
+    """Passes when every measure is within its tolerance; several are listed in the detail."""
+    detail = ", ".join(f"{key} {value:.2e}" if isinstance(value, float) else f"{key} {value}"
+                       for key, (value, _) in measures.items()) if len(measures) > 1 else ""
+    return CheckResult(name, all(value <= tol for value, tol in measures.values()),
+                       _worst([value for value, _ in measures.values()]),
+                       max(tol for _, tol in measures.values()), detail, measures, records)
 
 
-def _structural_triangle(quick: bool) -> CheckResult:
-    specs = [CircleZeroSpec(((0.0, 1), (PI, 1))), CircleZeroSpec(((0.0, 2),))]
-    if not quick:
-        specs.append(CircleZeroSpec(((0.0, 2), (PI, 1))))
-    worst_norm = 0.0
-    worst_sys = 0.0
-    for spec in specs:
-        f = expand(spec)
-        for p in (1.5, 3.0):
-            sp = SpaceParams.power(p, 0.0)
-            for n in ((2, 7) if quick else (2, 7, 15)):
-                st, fit = solve_structural(spec, n, sp)
-                cv = solve_convex(f, n, sp)
-                worst_norm = max(worst_norm,
-                                 abs(st.optimal_norm - cv.optimal_norm)
-                                 / cv.optimal_norm)
-                worst_sys = max(worst_sys, fit.system_residual, fit.fit_residual)
-    dev = max(worst_norm, worst_sys)
-    return CheckResult("structural vs convex", dev <= 1e-6, dev, 1e-6,
-                       f"norm rel {worst_norm:.2e}, system/fit {worst_sys:.2e}")
+def _unconverged(records: list[SolveRecord]) -> int:
+    return sum(not rec.result.converged for rec in records if rec.result.solver == "convex")
 
 
-def _lower_bound_attained(quick: bool) -> CheckResult:
-    worst_slack = 0.0     # violation amount (should be ~0)
-    worst_att = 0.0       # attainment gap for f = 1 - z
-    for p in (1.5, 2.0, 3.0):
-        for alpha in (-1.0, 0.0, 1.0):
-            sp = SpaceParams.power(p, alpha)
-            for n in (0, 4, 16, 64):
-                res = closed_form_one_minus_zd(1, n, sp)
-                bound = lower_bound(Poly([1, -1]), n, sp)
-                worst_slack = max(worst_slack, bound - res.optimal_norm)
-                worst_att = max(worst_att, abs(res.optimal_norm - bound) / bound)
-    ok = worst_slack <= 1e-12 and worst_att <= 1e-10
-    return CheckResult("lower bound attained for 1 - z", ok,
-                       max(worst_slack, worst_att), 1e-10,
-                       f"violation {worst_slack:.2e}, attainment gap {worst_att:.2e}")
+def closed_form_check(cases, convex: bool = True) -> CheckResult:
+    """Criterion 01: norm**p * delta**p = 1 for f = 1 - z^d, (d, n, sp) in cases, and
+    with ``convex`` a converged convex solve matching the closed form's coefficients."""
+    records, identity, coeff, convex_dev = [], [], [], []
+    for d, n, sp in cases:
+        f = Poly(np.concatenate([[1.0], np.zeros(d - 1), [-1.0]]))
+        cf = closed_form_one_minus_zd(d, n, sp)
+        delta_p = delta(n // d + 1, SpaceParams(sp.p, dilate(sp.weight, d))) ** sp.p
+        identity.append(abs(cf.optimal_norm ** sp.p * delta_p - 1.0))
+        records.append(SolveRecord(f, n, sp, cf))
+        if convex:
+            cv = solve_convex(f, n, sp)
+            records.append(SolveRecord(f, n, sp, cv))
+            coeff.append(np.abs(cf.approximant.padded(n + 1)
+                                - cv.approximant.padded(n + 1)).max())
+            convex_dev.append(abs(cv.optimal_norm ** sp.p * delta_p - 1.0))
+    measures = {"closed-form norm^p dev": (_worst(identity), 1e-12)}
+    if not convex:
+        return _result("closed-form delta identity", measures, records)
+    return _result("closed-form vs convex", {
+        "coeff dev": (_worst(coeff), 1e-6), "convex norm^p dev": (_worst(convex_dev), 1e-10),
+        **measures, "unconverged": (_unconverged(records), 0)}, records)
 
 
-def _orthogonality(quick: bool, seed: int) -> CheckResult:
-    cases = [(Poly([1, -1]), 5, SpaceParams.power(2.5, 0.0)),
-             (Poly([1, 0, -1]), 7, SpaceParams.power(1.5, -1.0)),
-             (expand(CircleZeroSpec(((0.0, 2),))), 6, SpaceParams.power(3.0, 0.5))]
-    worst_pair = 0.0
-    worst_probe = 0.0
+def hilbert_check(cases) -> CheckResult:
+    """Criterion 02: banded Cholesky against a converged convex solve at p = 2,
+    coefficient by coefficient, for (f, n, sp) in cases."""
+    records, coeff = [], []
     for f, n, sp in cases:
-        res = solve_convex(f, n, sp)
-        worst_pair = max(worst_pair, res.ortho_residual_max)
-        worst_probe = max(worst_probe,
-                          bj_certificate(res, f, sp, n_probes=50 if quick else 100,
-                                         seed=seed))
-    ok = worst_pair <= 1e-7 and worst_probe <= 1e-8
-    return CheckResult("orthogonality certificates", ok,
-                       max(worst_pair, worst_probe), 1e-7,
-                       f"pairing {worst_pair:.2e}, definitional {worst_probe:.2e}")
+        hb, cv = solve_hilbert(f, n, sp.weight), solve_convex(f, n, sp)
+        records += (SolveRecord(f, n, sp, hb), SolveRecord(f, n, sp, cv))
+        coeff.append(np.abs(hb.approximant.padded(n + 1) - cv.approximant.padded(n + 1)).max())
+    return _result("hilbert vs convex (p=2)", {
+        "coeff dev": (_worst(coeff), 1e-8), "unconverged": (_unconverged(records), 0)}, records)
+
+
+def structural_check(cases) -> CheckResult:
+    """Criteria 03 and 04: structural system and fit residuals, norm against a converged
+    convex solve, and for simple zeros constant sum = norm**p, (spec, n, sp) in cases."""
+    records, norm_rel, system, fit_res, sum_rel, sum_imag = [], [], [], [], [], []
+    for spec, n, sp in cases:
+        f = expand(spec)
+        (st, fit), cv = solve_structural(spec, n, sp), solve_convex(f, n, sp)
+        records += (SolveRecord(f, n, sp, st), SolveRecord(f, n, sp, cv))
+        norm_rel.append(abs(st.optimal_norm - cv.optimal_norm) / cv.optimal_norm)
+        system.append(fit.system_residual)
+        fit_res.append(fit.fit_residual)
+        if spec.simple:
+            total, target = fit.constant_sum(), st.optimal_norm ** sp.p
+            sum_rel.append(abs(total - target) / target)
+            sum_imag.append(abs(total.imag))
+    return _result("structural vs convex", {
+        "norm rel": (_worst(norm_rel), 1e-6), "system": (_worst(system), 1e-6),
+        "fit": (_worst(fit_res), 1e-6), "constant sum rel": (_worst(sum_rel), 1e-8),
+        "constant sum imag": (_worst(sum_imag), 1e-9),
+        "unconverged": (_unconverged(records), 0)}, records)
+
+
+def lower_bound_check(records: list[SolveRecord], sweep_points=()) -> CheckResult:
+    """Criterion 08: no norm of records or sweep points (rates.SweepPoint) is below
+    :func:`lower_bound`, and every f of degree 1, such as 1 - z, attains it."""
+    audit = ([(rec.result.optimal_norm, lower_bound(rec.f, rec.n, rec.sp),
+               rec.f.degree == 1) for rec in records]
+             + [(pt.optimal_norm, pt.lower_bound, pt.d == 1) for pt in sweep_points])
+    norms, bounds, one_minus_z = np.array(audit, dtype=float).reshape(-1, 3).T
+    gaps = (np.abs(norms - bounds) / bounds)[one_minus_z == 1.0]
+    return _result("lower bound attained for 1 - z", {
+        "violation": (_worst(np.maximum(bounds - norms, 0.0)), 1e-12),
+        "attainment gap": (_worst(gaps), 1e-10)}, records)
+
+
+def orthogonality_check(records: list[SolveRecord], n_probes: int, seed: int) -> CheckResult:
+    """Criterion 11: ``ortho_residual_max`` and :func:`bj_certificate` (``n_probes``
+    probes, seed ``seed + i``) of the i-th convex solve in records."""
+    convex = [rec for rec in records if rec.result.solver == "convex"]
+    probes = [bj_certificate(rec.result, rec.f, rec.sp, n_probes=n_probes, seed=seed + i)
+              for i, rec in enumerate(convex)]
+    return _result("orthogonality certificates", {
+        "pairing": (_worst([rec.result.ortho_residual_max for rec in convex]), 1e-7),
+        "definitional": (_worst(probes), 1e-8)}, convex)
 
 
 # (p, alpha) of the power-weight spaces the product estimate is checked in
-MULTIPLICATION_SPACES = tuple((p, alpha) for p in (1.0, 1.5, 2.0, math.inf)
+MULTIPLICATION_SPACES = tuple((p, alpha) for p in (1.0, 1.5, 2.0, inf)
                               for alpha in (-1.0, 0.0, 1.0))
 
 
@@ -160,52 +170,52 @@ def multiplication_check(seed: int, trials: int) -> CheckResult:
         failures += int(np.count_nonzero(~(lhs <= rhs)))
         pos = rhs > 0
         worst_ratio = max(worst_ratio, float((lhs[pos] / rhs[pos]).max(initial=0.0)))
-    return CheckResult("multiplication estimate", failures == 0, float(failures), 0.0,
-                       f"{failures} failures, worst lhs/rhs {worst_ratio:.4f}")
+    return replace(_result("multiplication estimate", {"failures": (failures, 0)}, []),
+                   detail=f"{failures} failures, worst lhs/rhs {worst_ratio:.4f}")
 
 
-def _closed_form_identity(quick: bool) -> CheckResult:
-    worst = 0.0
-    for d in (1, 2, 3):
-        for p in (1.5, 2.0, 4.0):
-            for alpha in (-1.0, 0.0, 0.5):
-                sp = SpaceParams.power(p, alpha)
-                for n in (0, 5, 33):
-                    res = closed_form_one_minus_zd(d, n, sp)
-                    sp_t = SpaceParams(p, dilate(sp.weight, d))
-                    dd = delta(n // d + 1, sp_t)
-                    worst = max(worst, abs(res.optimal_norm ** p * dd ** p - 1.0))
-    return CheckResult("closed-form delta identity", worst <= 1e-12, worst, 1e-12)
-
-
-def _flat_examples(quick: bool) -> CheckResult:
+def flat_check() -> CheckResult:
+    """Criterion 09: at p = 1, f = 1 - z/2 the order-0 norm is 1 on a segment of c;
+    at p = inf, f = 1 - z^2 the norm of 1 - (a + bz) f is flat in b."""
     sp1 = SpaceParams.power(1.0, 1.0)
     f = Poly([1.0, -0.5])
-    res1, _ = solve_flat(f, 0, sp1)
-    dev1 = abs(res1.optimal_norm - 1.0)
-    grid = [abs(norm(Poly([1]) - Poly([c]) * f, sp1) - 1.0)
-            for c in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    spinf = SpaceParams.power(math.inf, 0.0)
+    segment = [abs(norm(1 - c * f, sp1) - 1.0) for c in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    spinf = SpaceParams.power(inf, 0.0)
     g = Poly([1.0, 0.0, -1.0])
-    res2, _ = solve_flat(g, 1, spinf)
-    a = res2.approximant.coeff(0)
-    vals = [norm(Poly([1]) - Poly([a, b]) * g, spinf)
-            for b in np.linspace(-0.5, 0.5, 11)]
-    dev2 = max(vals) - min(vals)
-    dev = max(dev1, max(grid), dev2)
-    return CheckResult("flat-case non-uniqueness", dev <= 1e-9, dev, 1e-9,
-                       f"p=1 norm dev {dev1:.2e}, p=inf spread {dev2:.2e}")
+    a = solve_flat(g, 1, spinf)[0].approximant.coeff(0)
+    vals = [norm(1 - Poly([a, b]) * g, spinf) for b in np.linspace(-0.5, 0.5, 11)]
+    return _result("flat-case non-uniqueness", {
+        "p=1 norm dev": (abs(solve_flat(f, 0, sp1)[0].optimal_norm - 1.0), 1e-9),
+        "p=1 segment dev": (_worst(segment), 0.0),
+        "p=inf spread": (max(vals) - min(vals), 1e-12)}, [])
 
 
 def run_verification(seed: int = 0, quick: bool = False) -> list[CheckResult]:
-    """Run the full battery; returns one result per check."""
+    """Run the battery on its quick or full grids; returns one result per check."""
+    ps = (1.5, 2.0, 3.0) if quick else (1.5, 2.0, 3.0, 4.0)
+    orders = (0, 3, 9) if quick else (0, 1, 3, 9, 17)
+    hilbert_fs = [expand(CircleZeroSpec(roots)) for roots in (
+        ((0.0, 1),), ((0.0, 1), (pi, 1)), ((0.0, 2),), ((pi / 2, 1), (3 * pi / 2, 1)))]
+    structural_specs = [CircleZeroSpec(((0.0, 1), (pi, 1))), CircleZeroSpec(((0.0, 2),)),
+                        CircleZeroSpec(((0.0, 2), (pi, 1)))][: 2 if quick else 3]
+    bound_spaces = [SpaceParams.power(p, alpha) for p in (1.5, 2.0, 3.0)
+                    for alpha in (-1.0, 0.0, 1.0)]
+    certified = [(Poly([1, -1]), 5, SpaceParams.power(2.5, 0.0)),
+                 (Poly([1, 0, -1]), 7, SpaceParams.power(1.5, -1.0)),
+                 (expand(CircleZeroSpec(((0.0, 2),))), 6, SpaceParams.power(3.0, 0.5))]
     return [
-        _closed_vs_convex(quick),
-        _hilbert_vs_convex(quick),
-        _structural_triangle(quick),
-        _lower_bound_attained(quick),
-        _orthogonality(quick, seed),
+        closed_form_check([(d, n, SpaceParams.power(p, alpha)) for d, p, alpha, n
+                           in product((1, 2), ps, (-1.0, 0.0, 0.5), orders)]),
+        hilbert_check([(f, n, SpaceParams.power(2.0, alpha)) for f, alpha, n in product(
+            hilbert_fs, (-1.0, 0.0, 1.0), (0, 2, 5) if quick else (0, 2, 5, 9, 16))]),
+        structural_check([(spec, n, SpaceParams.power(p, 0.0)) for spec, p, n in product(
+            structural_specs, (1.5, 3.0), (2, 7) if quick else (2, 7, 15))]),
+        lower_bound_check([SolveRecord(Poly([1, -1]), n, sp, closed_form_one_minus_zd(1, n, sp))
+                           for sp, n in product(bound_spaces, (0, 4, 16, 64))]),
+        orthogonality_check([SolveRecord(f, n, sp, solve_convex(f, n, sp))
+                             for f, n, sp in certified], 50 if quick else 100, seed),
         multiplication_check(seed, 200 if quick else 1000),
-        _closed_form_identity(quick),
-        _flat_examples(quick),
+        closed_form_check([(d, n, SpaceParams.power(p, alpha)) for d, p, alpha, n in product(
+            (1, 2, 3), (1.5, 2.0, 4.0), (-1.0, 0.0, 0.5), (0, 5, 33))], convex=False),
+        flat_check(),
     ]

@@ -1,44 +1,31 @@
 """Acceptance suite.
 
 One test per criterion, each printing a single PASS/FAIL line (run with
-``pytest -s tests/test_acceptance.py`` to see them).  The solves of
-criteria 1-7 are module-scoped fixtures, so each runs once whichever tests are
-selected and in whatever order; criterion 8 audits every one of them against
-the universal lower bound and criterion 11 re-certifies every convex solve.
+``pytest -s tests/test_acceptance.py`` to see them).  Criteria 1-4 and 8-11
+run the check functions of ``lpopa verify`` (``lpopa.verification``) on
+larger grids and hold each measure, and its tolerance there, to the literal
+threshold here, so a tolerance loosened in ``lpopa.verification`` fails them.
+The solves of criteria 1-7 are module-scoped fixtures, so each runs once
+whichever tests are selected and in whatever order; criterion 8 audits every
+one of them against the universal lower bound and criterion 11 re-certifies
+every convex solve.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from lpopa import (CircleZeroSpec, Poly, SpaceParams, SweepPoint,
-                   closed_form_one_minus_zd, delta, dilate, expand, fit_rates,
-                   geometric_grid, lower_bound, norm, power_weight, run_sweep,
-                   solve_convex, solve_flat, solve_hilbert, solve_structural)
-from lpopa.opa import ExpPolyFit, OpaResult, bj_certificate
-from lpopa.verification import MULTIPLICATION_SPACES, multiplication_check
+                   closed_form_one_minus_zd, expand, fit_rates, geometric_grid, lower_bound,
+                   power_weight, run_sweep, solve_flat, solve_hilbert)
+from lpopa.verification import (MULTIPLICATION_SPACES, CheckResult, SolveRecord,
+                                closed_form_check, flat_check, hilbert_check,
+                                lower_bound_check, multiplication_check,
+                                orthogonality_check, structural_check)
 
 PI = math.pi
 INF = math.inf
-
-
-def one_minus_zd(d: int) -> Poly:
-    c = np.zeros(d + 1)
-    c[0], c[d] = 1.0, -1.0
-    return Poly(c)
-
-
-@dataclass
-class SolveRecord:
-    tag: str
-    problem: object          # Poly or CircleZeroSpec with circle zeros
-    f: Poly
-    n: int
-    sp: SpaceParams
-    result: OpaResult
 
 
 def report(num: int, name: str, passed: bool, detail: str):
@@ -47,26 +34,28 @@ def report(num: int, name: str, passed: bool, detail: str):
     assert passed, line
 
 
-@pytest.fixture(scope="module")
-def closed_form_solves() -> list[tuple[int, SolveRecord, SolveRecord]]:
-    """Criterion 1: (d, closed form, convex solve) for f = 1 - z^d."""
-    solves = []
-    for d, p, alpha in itertools.product((1, 2, 3), (1.5, 2.0, 3.0, 4.0),
-                                         (-1.0, 0.0, 0.5)):
-        sp = SpaceParams.power(p, alpha)
-        f = one_minus_zd(d)
-        for n in (0, 1, 2, 4, 8, 16, 32, 64):
-            solves.append((
-                d,
-                SolveRecord("c1-closed", f, f, n, sp,
-                            closed_form_one_minus_zd(d, n, sp)),
-                SolveRecord("c1-convex", f, f, n, sp, solve_convex(f, n, sp))))
-    return solves
+def report_check(num: int, name: str, result: CheckResult, limits: dict[str, float]):
+    """Report a shared check; each named measure and its tolerance must be within its limit."""
+    measures = {key: result.measures[key] for key in limits}
+    within = all(value <= limits[key] and tol <= limits[key]
+                 for key, (value, tol) in measures.items())
+    report(num, name, result.passed and within,
+           ", ".join(f"{key} {value:.3g} <= {limits[key]:g}"
+                     for key, (value, _) in measures.items()))
 
 
 @pytest.fixture(scope="module")
-def hilbert_solves() -> list[tuple[SolveRecord, SolveRecord]]:
-    """Criterion 2: (Hilbert solve, convex solve) on 50 circle-zero cases at p = 2."""
+def closed_form_result() -> CheckResult:
+    """Criterion 1: f = 1 - z^d against its closed form and a convex solve."""
+    return closed_form_check([(d, n, SpaceParams.power(p, alpha))
+                              for d, p, alpha, n in itertools.product(
+                                  (1, 2, 3), (1.5, 2.0, 3.0, 4.0), (-1.0, 0.0, 0.5),
+                                  (0, 1, 2, 4, 8, 16, 32, 64))])
+
+
+@pytest.fixture(scope="module")
+def hilbert_result() -> CheckResult:
+    """Criterion 2: Hilbert solve against convex on 50 circle-zero cases at p = 2."""
     angle_sets = [
         ((0.0, 1),), ((PI, 1),), ((PI / 2, 1),), ((2 * PI / 3, 1),),
         ((0.0, 1), (PI, 1)), ((PI / 3, 1), (5 * PI / 3, 1)), ((0.0, 2),),
@@ -77,38 +66,20 @@ def hilbert_solves() -> list[tuple[SolveRecord, SolveRecord]]:
         ((PI / 2, 1), (3 * PI / 2, 1)),
     ]
     orders = (0, 1, 2, 3, 5, 8, 16, 32)
-    alphas = (-1.0, 0.0, 1.0)
-    combos = itertools.cycle(itertools.product(angle_sets, alphas))
-    solves = []
-    for idx in range(50):
-        roots, alpha = next(combos)
-        n = orders[idx % len(orders)]
-        spec = CircleZeroSpec(roots)
-        f = expand(spec)
-        sp = SpaceParams.power(2.0, alpha)
-        solves.append((
-            SolveRecord("c2-hilbert", spec, f, n, sp, solve_hilbert(f, n, sp.weight)),
-            SolveRecord("c2-convex", spec, f, n, sp, solve_convex(f, n, sp))))
-    return solves
+    combos = itertools.cycle(itertools.product(angle_sets, (-1.0, 0.0, 1.0)))
+    return hilbert_check([(expand(CircleZeroSpec(roots)), orders[idx % len(orders)],
+                           SpaceParams.power(2.0, alpha))
+                          for idx, (roots, alpha) in zip(range(50), combos)])
 
 
 @pytest.fixture(scope="module")
-def structural_solves() -> list[tuple[SolveRecord, ExpPolyFit, SolveRecord]]:
-    """Criterion 3: (structural solve, its fit, convex solve) per case."""
+def structural_result() -> CheckResult:
+    """Criteria 3 and 4: the structural route against convex."""
     specs = [CircleZeroSpec(((0.0, 1), (PI, 1))),
              CircleZeroSpec(((0.0, 2),)),
              CircleZeroSpec(((0.0, 2), (PI, 1)))]
-    solves = []
-    for spec in specs:
-        f = expand(spec)
-        for p in (1.5, 3.0):
-            sp = SpaceParams.power(p, 0.0)
-            for n in (0, 2, 5, 9, 17, 32):
-                st, fit = solve_structural(spec, n, sp)
-                solves.append((
-                    SolveRecord("c3-structural", spec, f, n, sp, st), fit,
-                    SolveRecord("c3-convex", spec, f, n, sp, solve_convex(f, n, sp))))
-    return solves
+    return structural_check([(spec, n, SpaceParams.power(p, 0.0)) for spec in specs
+                             for p in (1.5, 3.0) for n in (0, 2, 5, 9, 17, 32)])
 
 
 @pytest.fixture(scope="module")
@@ -141,17 +112,15 @@ def stagnation_solves() -> list[SolveRecord]:
     """Criterion 7: closed forms for f = 1 - z, every order 0..1024, alpha > p - 1."""
     f = Poly([1, -1])
     sp = SpaceParams.power(2.0, 3.0)
-    return [SolveRecord("c7-closed", f, f, n, sp, closed_form_one_minus_zd(1, n, sp))
+    return [SolveRecord(f, n, sp, closed_form_one_minus_zd(1, n, sp))
             for n in range(0, 1025)]
 
 
 @pytest.fixture(scope="module")
-def records(closed_form_solves, hilbert_solves, structural_solves,
+def records(closed_form_result, hilbert_result, structural_result,
             stagnation_solves) -> list[SolveRecord]:
     """The solves of criteria 1-3 and 7 that criteria 8 and 11 audit, in order."""
-    return ([rec for _, exact, got in closed_form_solves for rec in (exact, got)]
-            + [rec for pair in hilbert_solves for rec in pair]
-            + [rec for st, _, cv in structural_solves for rec in (st, cv)]
+    return (closed_form_result.records + hilbert_result.records + structural_result.records
             + [rec for rec in stagnation_solves if rec.n in (0, 1, 2, 4, 1024)])
 
 
@@ -163,69 +132,25 @@ def sweep_points(one_minus_z_sweeps, degree_two_sweep,
             + degree_two_sweep + log_boundary_sweep)
 
 
-def test_criterion_01_closed_form_reproduction(closed_form_solves):
-    worst_coeff = 0.0
-    worst_norm = 0.0
-    for d, exact, got in closed_form_solves:
-        n, p = got.n, got.sp.p
-        assert got.result.converged
-        worst_coeff = max(worst_coeff, float(np.abs(
-            got.result.approximant.padded(n + 1)
-            - exact.result.approximant.padded(n + 1)).max()))
-        sp_tilde = SpaceParams(p, dilate(got.sp.weight, d))
-        d_tilde = delta(n // d + 1, sp_tilde)
-        worst_norm = max(worst_norm,
-                         abs(got.result.optimal_norm ** p * d_tilde ** p - 1.0))
-    report(1, "closed-form reproduction",
-           worst_coeff <= 1e-6 and worst_norm <= 1e-10,
-           f"coeff dev {worst_coeff:.2e} <= 1e-6, "
-           f"norm^p rel dev {worst_norm:.2e} <= 1e-10")
+def test_criterion_01_closed_form_reproduction(closed_form_result):
+    report_check(1, "closed-form reproduction", closed_form_result,
+                 {"coeff dev": 1e-6, "convex norm^p dev": 1e-10,
+                  "closed-form norm^p dev": 1e-12, "unconverged": 0})
 
 
-def test_criterion_02_hilbert_oracle(hilbert_solves):
-    worst = 0.0
-    for direct, descent in hilbert_solves:
-        n = descent.n
-        assert descent.result.converged
-        worst = max(worst, float(np.abs(
-            direct.result.approximant.padded(n + 1)
-            - descent.result.approximant.padded(n + 1)).max()))
-    report(2, "hilbert oracle (p=2, 50 cases)", worst <= 1e-8,
-           f"coeff dev {worst:.2e} <= 1e-8")
+def test_criterion_02_hilbert_oracle(hilbert_result):
+    report_check(2, "hilbert oracle (p=2, 50 cases)", hilbert_result,
+                 {"coeff dev": 1e-8, "unconverged": 0})
 
 
-def test_criterion_03_structural_system(structural_solves):
-    worst_sys = 0.0
-    worst_fit = 0.0
-    worst_rel = 0.0
-    for st, fit, cv in structural_solves:
-        assert cv.result.converged
-        worst_sys = max(worst_sys, fit.system_residual)
-        worst_fit = max(worst_fit, fit.fit_residual)
-        worst_rel = max(worst_rel, abs(st.result.optimal_norm - cv.result.optimal_norm)
-                        / cv.result.optimal_norm)
-    report(3, "structural system",
-           worst_sys <= 1e-6 and worst_fit <= 1e-6 and worst_rel <= 1e-6,
-           f"system {worst_sys:.2e} <= 1e-6, fit {worst_fit:.2e} <= 1e-6, "
-           f"norm rel {worst_rel:.2e} <= 1e-6")
+def test_criterion_03_structural_system(structural_result):
+    report_check(3, "structural system", structural_result,
+                 {"system": 1e-6, "fit": 1e-6, "norm rel": 1e-6, "unconverged": 0})
 
 
-def test_criterion_04_constant_sum_identity(structural_solves):
-    checked = 0
-    worst_rel = 0.0
-    worst_imag = 0.0
-    for st, fit, _ in structural_solves:
-        if not st.problem.simple:
-            continue
-        total = fit.constant_sum()
-        target = st.result.optimal_norm ** st.sp.p
-        worst_rel = max(worst_rel, abs(total - target) / target)
-        worst_imag = max(worst_imag, abs(total.imag))
-        checked += 1
-    report(4, "simple-zero constant sum",
-           checked > 0 and worst_rel <= 1e-8 and worst_imag <= 1e-9,
-           f"{checked} cases, rel dev {worst_rel:.2e} <= 1e-8, "
-           f"imag {worst_imag:.2e} <= 1e-9")
+def test_criterion_04_constant_sum_identity(structural_result):
+    report_check(4, "simple-zero constant sum", structural_result,
+                 {"constant sum rel": 1e-8, "constant sum imag": 1e-9})
 
 
 def test_criterion_05_rate_exponents(one_minus_z_sweeps, degree_two_sweep):
@@ -262,70 +187,30 @@ def test_criterion_07_stagnation(stagnation_solves):
 
 
 def test_criterion_08_lower_bound_audit(records, sweep_points):
-    violations = 0
-    attain_worst = 0.0
-    audited = 0
-    for rec in records:
-        bound = lower_bound(rec.problem, rec.n, rec.sp)
-        audited += 1
-        if rec.result.optimal_norm < bound - 1e-12:
-            violations += 1
-        if rec.f == Poly([1, -1]):
-            attain_worst = max(attain_worst,
-                               abs(rec.result.optimal_norm - bound) / bound)
-    for pt in sweep_points:
-        audited += 1
-        if pt.optimal_norm < pt.lower_bound - 1e-12:
-            violations += 1
-        if pt.d == 1:
-            attain_worst = max(attain_worst,
-                               abs(pt.optimal_norm - pt.lower_bound) / pt.lower_bound)
-    report(8, "lower bound audit",
-           audited > 500 and violations == 0 and attain_worst <= 1e-10,
-           f"{audited} solves, {violations} violations (slack 1e-12), "
-           f"1-z attainment gap {attain_worst:.2e} <= 1e-10")
+    audited = len(records) + len(sweep_points)
+    assert audited > 500
+    report_check(8, f"lower bound audit ({audited} solves)",
+                 lower_bound_check(records, sweep_points),
+                 {"violation": 1e-12, "attainment gap": 1e-10})
 
 
 def test_criterion_09_flat_non_uniqueness():
-    sp1 = SpaceParams.power(1.0, 1.0)
-    f = Poly([1.0, -0.5])                   # 1 - z / w_1 at alpha = 1
-    res1, _ = solve_flat(f, 0, sp1)
-    ok = abs(res1.optimal_norm - 1.0) <= 1e-9
-    exact = all(norm(Poly([1]) - Poly([c0]) * f, sp1) == 1.0
-                for c0 in (0.0, 0.25, 0.5, 0.75, 1.0))
-    spinf = SpaceParams.power(INF, 0.0)
-    g = Poly([1.0, 0.0, -1.0])
-    res2, _ = solve_flat(g, 1, spinf)
-    a = res2.approximant.coeff(0)
-    vals = [norm(Poly([1]) - Poly([a, b]) * g, spinf)
-            for b in np.linspace(-0.5, 0.5, 11)]
-    spread = max(vals) - min(vals)
-    report(9, "flat-case non-uniqueness", ok and exact and spread <= 1e-12,
-           f"p=1 segment objective exactly 1: {exact}; "
-           f"p=inf spread over 11 b-samples {spread:.2e}")
+    report_check(9, "flat-case non-uniqueness", flat_check(),
+                 {"p=1 norm dev": 1e-9, "p=1 segment dev": 0.0, "p=inf spread": 1e-12})
 
 
 def test_criterion_10_multiplication_estimate():
     # the check `lpopa verify` runs, at 1000 trials per space
-    result = multiplication_check(seed=123, trials=1000)
-    spaces = len(MULTIPLICATION_SPACES)
-    report(10, "multiplication estimate", spaces == 12 and result.passed,
-           f"{spaces * 1000} trials, {result.detail}")
+    assert len(MULTIPLICATION_SPACES) == 12
+    report_check(10, "multiplication estimate (12000 trials)",
+                 multiplication_check(seed=123, trials=1000), {"failures": 0})
 
 
 def test_criterion_11_orthogonality_certificates(records):
-    convex = [rec for rec in records if rec.result.solver == "convex"
-              and rec.result.converged]
-    worst_pair = max((rec.result.ortho_residual_max for rec in convex), default=0.0)
-    worst_probe = 0.0
-    for i, rec in enumerate(convex):
-        worst_probe = max(worst_probe,
-                          bj_certificate(rec.result, rec.f, rec.sp,
-                                         n_probes=100, seed=i))
-    report(11, "orthogonality certificates",
-           len(convex) > 300 and worst_pair <= 1e-7 and worst_probe <= 1e-8,
-           f"{len(convex)} convex solves, pairing max {worst_pair:.2e} <= 1e-7, "
-           f"probe violation {worst_probe:.2e} <= 1e-8")
+    result = orthogonality_check(records, n_probes=100, seed=0)
+    assert len(result.records) > 300
+    report_check(11, f"orthogonality certificates ({len(result.records)} convex solves)",
+                 result, {"pairing": 1e-7, "definitional": 1e-8})
 
 
 def test_criterion_12_off_circle_sanity():

@@ -83,14 +83,15 @@ class TestCompute:
         assert code == 3
         assert json.loads(out_path.read_text())["converged"] is False
 
-    @pytest.mark.parametrize("roots, spec", [
-        ("0:3", CircleZeroSpec(((0.0, 3),))),
-        ("0:4", CircleZeroSpec(((0.0, 4),))),
-        ("0:2,pi:3", CircleZeroSpec(((0.0, 2), (np.pi, 3)))),
+    @pytest.mark.parametrize("source, spec", [
+        (("--roots", "0:3"), CircleZeroSpec(((0.0, 3),))),
+        (("--roots", "0:4"), CircleZeroSpec(((0.0, 4),))),
+        (("--roots", "0:2,pi:3"), CircleZeroSpec(((0.0, 2), (np.pi, 3)))),
+        (("--coeffs", "1,-3,3,-1"), CircleZeroSpec(((0.0, 3),))),
+        (("--coeffs", "1,-4,6,-4,1"), CircleZeroSpec(((0.0, 4),))),
     ])
-    def test_lower_bound_for_multiple_zeros(self, capsys, roots, spec):
-        code, out, _ = run_cli(capsys, "compute", "--roots", roots, "--p", "1.5",
-                               "--n", "16")
+    def test_lower_bound_for_multiple_zeros(self, capsys, source, spec):
+        code, out, _ = run_cli(capsys, "compute", *source, "--p", "1.5", "--n", "16")
         assert code == 0
         payload = json.loads(out)
         assert payload["lower_bound"] == lower_bound(spec, 16, SpaceParams.power(1.5, 0))
@@ -215,6 +216,16 @@ class TestSweep:
             assert float(r[4]) >= float(r[6]) - 1e-12
             assert r[9] == "true"
         assert "fitted exponent" in err
+
+    def test_lower_bound_column_for_multiple_zero_coeffs(self, capsys, tmp_path):
+        out_path = tmp_path / "rates.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--coeffs", "1,-4,6,-4,1", "--p", "2",
+                             "--n", "16..64", "--out", str(out_path))
+        assert code == 0
+        rows = self.read_rows(out_path)
+        sp = SpaceParams.power(2.0, 0.0)
+        assert [float(r[6]) for r in rows] == [
+            lower_bound(CircleZeroSpec(((0.0, 4),)), n, sp) for n in (16, 32, 64)]
 
     def test_deterministic_apart_from_timing(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -94,11 +94,19 @@ class TestLowerBound:
                 assert res.optimal_norm == pytest.approx(
                     lower_bound(Poly([1, -1]), n, sp), rel=1e-12)
 
+    def test_multiple_circle_zero_from_coefficients(self):
+        # np.roots splits these zeros off the circle; a zero at the origin is skipped
+        sp = SpaceParams.power(2, 0)
+        for coeffs, spec in (([1, -3, 3, -1], ((0.0, 3),)), ([1, -4, 6, -4, 1], ((0.0, 4),)),
+                             (expand(CircleZeroSpec(((PI / 3, 3), (PI, 2)))).coeffs,
+                              ((PI / 3, 3), (PI, 2))),
+                             ([0, 1, -1], ((0.0, 2),))):
+            assert lower_bound(Poly(coeffs), 5, sp) == lower_bound(CircleZeroSpec(spec), 5, sp)
+
     def test_requires_circle_zero(self):
-        with pytest.raises(ValueError):
-            lower_bound(Poly([1, -0.25]), 3, SpaceParams.power(2, 0))
-        with pytest.raises(ValueError):
-            lower_bound(Poly([2]), 3, SpaceParams.power(2, 0))
+        for coeffs in ([1, -0.25], [2, -1], [1.0005 * 0.9995, -2, 1], [2]):
+            with pytest.raises(ValueError):
+                lower_bound(Poly(coeffs), 3, SpaceParams.power(2, 0))
 
 
 class TestDetection:
