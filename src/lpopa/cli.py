@@ -161,24 +161,19 @@ def _problem_from_args(args):
         return poly_from_config(json.load(fh))
 
 
-# routes that take no solver options: --max-iters and --tol are refused there
-_FIXED_BUDGET_SOLVERS = ("structural", "hilbert", "closed")
-
-
 def _opts_from_args(args, sp: SpaceParams) -> SolverOpts:
     """Solver options from --max-iters and --tol; SolverOpts rejects bad values.
 
-    The options are refused with a solver that would ignore them.
+    Only the convex route takes them: after the value checks they are refused
+    with any other solver, and with auto at p in {1, inf}, where it is flat.
     """
-    if args.solver in _FIXED_BUDGET_SOLVERS and (args.max_iters is not None
-                                                 or args.tol is not None):
-        raise ValueError(f"--max-iters and --tol do not apply to --solver {args.solver}")
-    given = {}
-    if args.max_iters is not None:
-        given["max_iters"] = args.max_iters
-    if args.tol is not None:
-        given["flat_tol" if sp.is_flat else "grad_tol"] = args.tol
-    return SolverOpts(**given)
+    given = {key: value for key, value in (("max_iters", args.max_iters), ("grad_tol", args.tol))
+             if value is not None}
+    opts = SolverOpts(**given)
+    solver = "flat" if args.solver == "auto" and sp.is_flat else args.solver
+    if given and solver in ("structural", "hilbert", "closed", "flat"):
+        raise ValueError(f"--max-iters and --tol do not apply to --solver {solver}")
+    return opts
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -207,7 +202,7 @@ def _result_payload(cfg_cmd: str, problem, res: OpaResult, sp: SpaceParams,
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
     try:
         bound = lower_bound(problem, n, sp)
-    except (ValueError, UnsupportedExponentError):
+    except ValueError:
         bound = None
     p_out = "inf" if sp.p == math.inf else sp.p
     npow = res.optimal_norm if sp.p == math.inf else res.optimal_norm ** sp.p
@@ -350,12 +345,13 @@ def _add_problem_args(sub) -> None:
 def _add_solver_args(sub) -> None:
     sub.add_argument("--solver", default="auto", choices=SOLVER_CHOICES)
     sub.add_argument("--tol", type=float,
-                     help="gradient tolerance (objective tolerance at p in {1, inf}); "
-                          "finite and > 0; not with --solver structural, hilbert "
-                          "or closed")
+                     help="gradient tolerance of the convex route, finite and > 0; "
+                          "not with --solver structural, hilbert, closed or flat, "
+                          "nor with auto at p in {1, inf}")
     sub.add_argument("--max-iters", type=int, dest="max_iters",
-                     help="iteration budget, >= 1; Newton steps for the convex route; "
-                          "not with --solver structural, hilbert or closed")
+                     help="Newton step budget of the convex route, >= 1; not with "
+                          "--solver structural, hilbert, closed or flat, nor with "
+                          "auto at p in {1, inf}")
 
 
 def build_parser() -> argparse.ArgumentParser:

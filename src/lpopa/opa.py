@@ -1,8 +1,7 @@
 """Optimal polynomial approximant solvers.
 
 An optimal approximant of order n for a polynomial f is the p_n in the
-degree-n polynomials minimizing the weighted norm of 1 - p_n f.  Four
-independent routes are implemented:
+degree-n polynomials minimizing the weighted norm of 1 - p_n f.  Routes:
 
 * :func:`solve_convex`     damped Newton descent on the p-th power objective
                            (1 < p < inf),
@@ -11,9 +10,10 @@ independent routes are implemented:
                            structure of the residual coefficients for f with
                            all zeros on the unit circle,
 * :func:`closed_form_one_minus_zd`  exact formulas for f = 1 - z^d,
+* :func:`solve_flat`       the linear programs of the endpoints p in {1, inf},
+                           solved exactly and certified by a dual bound,
 
-plus :func:`solve_flat` for the non-smooth endpoints p in {1, inf} and the
-:func:`composite_construction` that builds near-optimal approximants for
+plus the :func:`composite_construction` of near-optimal approximants for
 repeated circle zeros out of a simple-zero Hilbert solve.
 """
 
@@ -25,12 +25,11 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import (IllConditionedError, InexactDivisionError,
                      InternalConsistencyError, UnsupportedExponentError)
-from .poly import ONE, CircleZeroSpec, Poly, exact_div, expand, signed_power, signed_powers
+from .poly import ONE, CircleZeroSpec, Poly, exact_div, expand, lstsq_div, signed_powers
 from .space import SpaceParams, norm
 from .weights import Weight, dilate
 
@@ -47,33 +46,36 @@ _CONTINUATION_P = 1.5   # solve_convex seeds p below this from a solve at it
 _ARMIJO = 0.25
 _PHI_NOISE = 1e-15
 _STALL_STEPS = 3
+_GAP_TOL = 1e-9         # solve_flat: relative duality gap of a converged solve
+_ROUNDING = 1e-12       # solve_flat: relative agreement that counts as exact
+_CLUSTER = 1e-2         # np.roots zeros this close (relative) may be one multiple zero
+_PIVOT_TOL = 1e-11      # simplex: entering-column entries below this (relative) are 0
+_FREE_TOL = 1e-6        # p = inf: dual entries below this (relative) vanish
+# budgets; a solve that exhausts one reports the gap it reached
+_MAX_PIVOTS, _NEWTON_STEPS, _SMOOTHING_STAGES = 5000, 50, 12
 
 
 @dataclass
 class SolverOpts:
-    """Tolerances and iteration limits of the iterative solvers.
+    """Tolerance and iteration limit of :func:`solve_convex`.
 
-    ``grad_tol`` is the gradient sup-norm of a converged
-    :func:`solve_convex`, ``flat_tol`` the relative objective tolerance of
-    :func:`solve_flat` and its flatness probe.  ``max_iters`` bounds the
-    steps of :func:`solve_convex` (Newton steps, those of its p < 1.5
-    continuation stage included) and of :func:`solve_flat`;
-    :func:`solve_structural` runs a fixed Newton budget.  Construction
-    raises ValueError unless ``max_iters`` is an integer >= 1 and each
-    tolerance is finite and positive.
+    ``grad_tol`` is the gradient sup-norm of a converged solve and
+    ``max_iters`` bounds its Newton steps, those of its p < 1.5 continuation
+    stage included.  The other routes take no options: :func:`solve_structural`
+    runs a fixed Newton budget and :func:`solve_flat` solves its linear
+    program exactly, certified by its duality gap.  Construction raises
+    ValueError unless ``max_iters`` is an integer >= 1 and ``grad_tol`` is
+    finite and positive.
     """
 
     grad_tol: float = 1e-10
     max_iters: int = 10_000
-    flat_tol: float = 1e-6
 
     def __post_init__(self):
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        for name in ("grad_tol", "flat_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol!r}")
 
 
 @dataclass
@@ -116,22 +118,22 @@ class ExpPolyFit:
 
 @dataclass
 class FlatDiagnostics:
-    """Flatness probe around a p in {1, inf} minimizer.
+    """Certificate of a :func:`solve_flat` solve.
 
-    ``flat_radii[j, 0]`` (resp. ``[j, 1]``) is the largest sampled offset
-    along the real (imaginary) direction of coefficient j that keeps the
-    objective within ``probe_tol`` of its value at the minimizer; non-unique
-    minimizers show up as strictly positive radii.  The minimizer is the
-    approximant :func:`solve_flat` returns, the zero approximant included
-    when its guard picks it.  Each probe changes deg f + 1 residual entries,
-    and all probes are evaluated from those windows in one vectorized pass,
-    without a :func:`norm` call per probe.
+    ``objective`` is the norm of the returned residual 1 - P f and ``dual``
+    the lower bound of the solver's dual vector, so the optimum lies between;
+    ``rel_gap`` is (objective - dual) / objective, 0 when both vanish.
+    ``face_dim`` is the dimension of the face the certificate leaves free:
+    residuals meeting the constraints on the entries where the dual bound is
+    tight (p = 1, each with the dual's phase) or the dual vanishes (p = inf).
+    It bounds that of the optimal set, so 0 certifies a unique minimizer and
+    non-uniqueness shows as face_dim > 0.
     """
 
     objective: float
-    probe_offsets: np.ndarray
-    flat_radii: np.ndarray
-    probe_tol: float
+    dual: float
+    rel_gap: float
+    face_dim: int
 
 
 def _validate(f: Poly, n: int) -> None:
@@ -222,42 +224,6 @@ def _conv_matrix(fc: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-class _Scaled:
-    """The shared set-up of the descent routes, in real coordinates.
-
-    f is scaled to unit (p, w) norm; x holds the real parts, then the
-    imaginary parts, of the n+1 coefficients of P * |f|, so the residual
-    1 - P f is unchanged by the scaling.
-    """
-
-    def __init__(self, f: Poly, n: int, sp: SpaceParams):
-        self.f, self.n, self.sp = f, n, sp
-        self.scale = norm(f, sp)
-        self.fc = f.coeffs / self.scale
-        self.fcc = np.conj(self.fc)
-        self.wv = sp.weight.values_up_to(n + f.degree)
-
-    def split(self, x: np.ndarray) -> np.ndarray:
-        return x[: self.n + 1] + 1j * x[self.n + 1:]
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        r = -np.convolve(self.split(x), self.fc)
-        r[0] += 1.0
-        return r
-
-    def start(self, init: Poly | None = None) -> np.ndarray:
-        """Coordinates of ``init``, else of the p = 2 approximant."""
-        if init is None:
-            init = solve_hilbert(self.f, self.n, self.sp.weight).approximant
-        c0 = init.padded(self.n + 1) * self.scale
-        return np.concatenate([c0.real, c0.imag])
-
-    def result(self, x: np.ndarray, iterations: int, converged: bool,
-               solver: str) -> OpaResult:
-        return _finalize(self.f, self.split(x) / self.scale, self.sp,
-                         iterations=iterations, converged=converged, solver=solver)
-
-
 def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = None,
                  init: Poly | None = None) -> OpaResult:
     """Order-n approximant for 1 < p < inf by damped Newton descent.
@@ -290,11 +256,19 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     if p < _CONTINUATION_P:
         stage = solve_convex(f, n, SpaceParams(_CONTINUATION_P, sp.weight), opts, init)
         init, iterations = stage.approximant, stage.iterations
-    pr = _Scaled(f, n, sp)
-    wv = pr.wv
+    # f scaled to unit norm; x holds the real, then the imaginary parts of the
+    # coefficients of P |f|, so the residual 1 - P f is unchanged by the scaling
+    scale = norm(f, sp)
+    fc = f.coeffs / scale
+    wv = sp.weight.values_up_to(n + f.degree)
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        r = -np.convolve(x[: n + 1] + 1j * x[n + 1:], fc)
+        r[0] += 1.0
+        return r
 
     def phi_grad(x: np.ndarray):
-        r = pr.residual(x)
+        r = residual(x)
         a = np.abs(r)
         phi = float((a ** p * wv).sum())
         s = signed_powers(r, p - 1.0)
@@ -304,15 +278,15 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         # of noise^{p-1} under the gradient
         cut = 1e-14 * max(1.0, float(a.max())) if p < 2 else 1e-30
         s[a <= cut] = 0.0
-        pair = np.correlate(s * wv, pr.fcc, mode="valid")
+        pair = np.correlate(s * wv, np.conj(fc), mode="valid")
         g = np.concatenate([-p * pair.real, p * pair.imag])
         return phi, g
 
-    F = _conv_matrix(pr.fc, n)
+    F = _conv_matrix(fc, n)
     Fbar = np.conj(F)
 
     def hessian(x: np.ndarray) -> np.ndarray:
-        r = pr.residual(x)
+        r = residual(x)
         a = np.abs(r)
         hcut = (1e-14 if p < 2 else 1e-18) * max(1.0, float(a.max()))
         hmask = a > hcut
@@ -326,7 +300,8 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         W = -np.hstack([V.real, V.imag])
         return np.block([[K.real, -K.imag], [K.imag, K.real]]) + W.T @ (gamma[:, None] * W)
 
-    x = pr.start(init)
+    c0 = (init or solve_hilbert(f, n, sp.weight).approximant).padded(n + 1) * scale
+    x = np.concatenate([c0.real, c0.imag])
     phi, g = phi_grad(x)
     gmax = float(np.abs(g).max())
     target = min(opts.grad_tol * 1e-2, 1e-12)
@@ -368,7 +343,8 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     if not converged:
         log.debug("solve_convex: gradient sup %.3e above tolerance %.1e",
                   gmax, opts.grad_tol)
-    return pr.result(x, iterations, converged, "convex")
+    return _finalize(f, (x[: n + 1] + 1j * x[n + 1:]) / scale, sp, iterations=iterations,
+                     converged=converged, solver="convex")
 
 
 # ---------------------------------------------------------------------------
@@ -554,134 +530,209 @@ def solve_structural(spec: CircleZeroSpec, n: int, sp: SpaceParams,
 
 
 # ---------------------------------------------------------------------------
-# Flat endpoints p in {1, inf}
+# Flat endpoints p in {1, inf}: the residual-form linear programs
 # ---------------------------------------------------------------------------
+#
+# The residuals 1 - P f are the r of degree <= n+d with S r = e: r(zeta) = 1
+# and r^(s)(zeta) = 0 for 0 < s < b at each zero zeta of multiplicity b.  The
+# dual of min ||r||_{p,w} subject to S r = e is max Re(e^H lam) / ||S^H lam||_*,
+# and every lam bounds the optimum from below (Boyd & Vandenberghe, *Convex
+# Optimization*, 5.1).  In real coordinates block A[t] (c x R) maps lam to
+# y_t = (S^H lam)_t and S r = e reads sum_t A[t].T r_t = b; c = 1 for real f.
 
-def solve_flat(f: Poly, n: int, sp: SpaceParams,
-               opts: SolverOpts | None = None) -> tuple[OpaResult, FlatDiagnostics]:
-    """Order-n minimizer at p in {1, inf} by a subgradient method with averaging.
+def _flat_rows(f: Poly, problem, m: int, real: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks A (m x c x R) and right side b of S r = e on residuals of length m.
 
-    The objective (a sum, or weighted max, of moduli of affine forms) is
-    convex but not smooth, and its minimizers need not be unique; the solver
-    returns one element of the optimal set, warm started from the p = 2
-    solution, and the diagnostics report the observed flat directions around
-    it.  Non-uniqueness is a reported diagnostic, never an error.  When the
-    zero approximant (residual 1, objective w_0) is strictly better than the
-    best iterate, it is returned instead; ``converged`` still reports how the
-    loop ended.
-
-    The flatness probe moves one coefficient of the returned approximant at a
-    time, which changes the residual only in a window of deg f + 1 entries,
-    so every probe value is evaluated from its window in one vectorized pass
-    (no :func:`norm` call per probe).
+    A CircleZeroSpec gives exact zeros; those of np.roots are clustered into
+    multiplicities where the clustered product reproduces f to rounding.  Row
+    s of zeta is (t/(m-1))^s zeta^t, times |zeta|^-(m-1) if |zeta| > 1 (phase
+    and modulus apart: (-2)^t overflows); a zero at 0 gives the rows e_s.  An
+    SVD makes the rows orthonormal, keeping d of them for a real f (real r).
     """
-    opts = opts or SolverOpts()
+    if isinstance(problem, CircleZeroSpec):
+        zeros = [(1.0, angle, mult) for angle, mult in problem.roots]
+    else:
+        roots, clusters = np.roots(f.coeffs[::-1]), []
+        for root in roots:
+            near = [c for c in clusters if abs(c[0] - root) <= _CLUSTER * max(1.0, abs(root))]
+            if near:
+                near[0].append(root)
+            else:
+                clusters.append([root])
+        pairs = [(np.mean(c), len(c)) for c in clusters]
+        product = f.coeffs[-1] * np.poly([zeta for zeta, mult in pairs for _ in range(mult)])
+        if np.abs(product[::-1] - f.coeffs).max() > _ROUNDING * np.abs(f.coeffs).max():
+            pairs = [(zeta, 1) for zeta in roots]
+        zeros = [(abs(zeta), np.angle(zeta), mult) for zeta, mult in pairs]
+    t = np.arange(m, dtype=float)
+    rows, rhs = [], []
+    for modulus, angle, mult in zeros:
+        shift = m - 1 if modulus > 1.0 else 0
+        rhs += [modulus ** -shift] + [0.0] * (mult - 1)
+        if modulus == 0.0:
+            rows += [np.eye(1, m, s)[0] for s in range(mult)]
+        else:
+            base = np.exp((t - shift) * math.log(modulus) + 1j * angle * t)
+            rows += [base * (t / (m - 1)) ** s for s in range(mult)]
+    # the real and imaginary parts of S r = e, on (Re r_t) or (Re r_t, Im r_t)
+    S, e = np.array(rows), np.array(rhs, dtype=np.complex128)
+    M = np.concatenate([S.real, S.imag])[:, :, None]
+    if not real:
+        M = np.concatenate([M, np.concatenate([-S.imag, S.real])[:, :, None]], axis=2)
+    u, sv, vh = np.linalg.svd(M.reshape(len(M), -1), full_matrices=False)
+    k = len(rows) * M.shape[2]
+    b = u[:, :k].T @ np.concatenate([e.real, e.imag]) / sv[:k]
+    return vh[:k].reshape(k, m, -1).transpose(1, 2, 0), b
+
+
+def _free_columns(A: np.ndarray, y: np.ndarray, w: np.ndarray, p: float):
+    """Entries a dual y leaves free, and their constraint columns (R x k):
+    at p = 1 those where |y_t| / w_t is largest, each with the phase of y_t;
+    at p = inf those where y_t vanishes (elsewhere r_t is fixed)."""
+    size = np.linalg.norm(y, axis=1)
+    if p == 1.0:
+        free = size / w >= (1.0 - _GAP_TOL) * (size / w).max()
+        return free, np.einsum("tcr,tc->rt", A[free], y[free] / size[free, None])
+    free = size <= _FREE_TOL * size.max()
+    return free, A[free].reshape(-1, A.shape[2]).T
+
+
+def _flat_l1(A: np.ndarray, b: np.ndarray, w: np.ndarray):
+    """Revised simplex for min sum_t w_t |r_t| subject to sum_t A[t].T r_t = b.
+
+    A column is a unit entry u at t with cost w_t; its reduced cost
+    w_t - u . y_t is least at u = y_t / |y_t|, so pricing enters argmax_t
+    |y_t| / w_t, and the solve stops where that is at most 1 (lam is then
+    dual feasible).  It starts at r = e_0, the zero approximant, completed to
+    a basis by Gram-Schmidt with column pivoting.  The weights x are updated,
+    not re-solved, so degenerate pivots leave them exact.  Returns r, lam and
+    the pivots.
+    """
+    m, c, R = A.shape
+    columns = A.reshape(m * c, R).T
+    ts, us, span = [0], [np.eye(c)[0]], b[:, None] / np.linalg.norm(b)
+    for _ in range(R - 1):      # add the column farthest from the span so far
+        rest = columns - span @ (span.T @ columns)
+        k = int(np.argmax((rest * rest).sum(axis=0)))
+        span = np.column_stack([span, rest[:, k] / np.linalg.norm(rest[:, k])])
+        ts, us = ts + [k // c], us + [np.eye(c)[k % c]]
+    ts, us, x, pivots = np.array(ts), np.array(us), np.eye(R)[0], 0
+    while True:
+        basis = np.einsum("jcr,jc->rj", A[ts], us)
+        lam = np.linalg.solve(basis.T, w[ts])
+        y = A @ lam
+        size = np.linalg.norm(y, axis=1)
+        t = int(np.argmax(size / w))
+        if size[t] <= w[t] * (1.0 + _ROUNDING) or pivots == _MAX_PIVOTS:
+            break
+        u = y[t] / size[t]
+        col = np.linalg.solve(basis, u @ A[t])
+        ok = col > _PIVOT_TOL * np.abs(col).max()
+        if not ok.any():
+            break
+        ratio = np.where(ok, np.maximum(x, 0.0) / np.where(ok, col, 1.0), np.inf)
+        j = int(np.argmax(np.where(ratio <= ratio.min(), col, -np.inf)))
+        x = x - ratio[j] * col
+        ts[j], us[j], x[j], pivots = t, u, ratio[j], pivots + 1
+    r = np.zeros((m, c))
+    np.add.at(r, ts, x[:, None] * us)
+    return r, lam, pivots
+
+
+def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
+    """Dual Newton for min max_t w_t |r_t| subject to sum_t A[t].T r_t = b.
+
+    The dual minimizes Phi(lam) = sum_t |y_t| / w_t on the plane b . lam = 1,
+    where 1 / Phi bounds the optimum from below.  Newton's method runs on the
+    smoothed sum_t g_t / w_t, g_t = sqrt(|y_t|^2 + eps^2), from the p = 2
+    dual, with eps falling tenfold per stage from the mean |y_t| to 1e-12 of
+    it.  Complementary slackness fixes r_t = y_t / (|y_t| w_t Phi) where y_t
+    does not vanish; on the set where it does, r solves the same problem
+    against the remaining right side, with fewer entries and rows of lower
+    rank, so the recursion ends.  Returns r, lam and the Newton steps.
+    """
+    m, c, R = A.shape
+    plane = np.linalg.svd(b[None])[2][1:].T
+    start = np.linalg.solve(np.einsum("tcr,tcs->rs", A / w[:, None, None], A), b)
+    lam0 = b / (b @ b)
+    z, y0, Az = plane.T @ (start / (b @ start) - lam0), A @ lam0, A @ plane
+    flat = Az.reshape(m * c, R - 1)
+
+    def smoothed(z, eps):
+        y = y0 + Az @ z
+        g = np.sqrt((y * y).sum(axis=1) + eps * eps)
+        return y, g, float((g / w).sum())
+
+    eps, steps = float(np.linalg.norm(y0 + Az @ z, axis=1).mean()), 0
+    for _ in range(_SMOOTHING_STAGES):
+        eps *= 0.1
+        y, g, phi = smoothed(z, eps)
+        for _ in range(_NEWTON_STEPS):
+            grad = flat.T @ (y / (g * w)[:, None]).ravel()
+            # (g^2 I - y y^T) / g^3, with g^2 - |y|^2 = eps^2 taken exactly
+            yy = (y * y).sum(axis=1)[:, None, None] * np.eye(c) - y[:, :, None] * y[:, None, :]
+            curv = (eps * eps * np.eye(c) + yy) / (g ** 3 * w)[:, None, None]
+            hess = flat.T @ (curv @ Az).reshape(flat.shape)
+            # the shift keeps flat directions of Phi, with curvature eps^2
+            # below the rounding of the rest, from taking over the step
+            dz = -np.linalg.solve(hess + 1e-12 * np.trace(hess) * np.eye(z.size), grad)
+            decrement, step = -float(grad @ dz), 1.0
+            while decrement > 1e-20 * phi and step > 1e-12:
+                yn, gn, phin = smoothed(z + step * dz, eps)
+                if phin <= phi - 0.25 * step * decrement:
+                    break
+                step *= 0.5
+            else:
+                break
+            z, y, g, phi, steps = z + step * dz, yn, gn, phin, steps + 1
+    lam = lam0 + plane @ z
+    y = A @ lam
+    size = np.linalg.norm(y, axis=1)
+    free, cols = _free_columns(A, y, w, math.inf)
+    r = np.zeros((m, c))
+    r[~free] = y[~free] / (size * w)[~free, None] / float((size / w).sum())
+    u, sv, vh = np.linalg.svd(cols, full_matrices=False)
+    k = int((sv > _FREE_TOL * sv[0]).sum()) if sv.size else 0
+    if k:
+        rest = u[:, :k].T @ (b - np.einsum("tcr,tc->r", A[~free], r[~free])) / sv[:k]
+        r[free], _, more = _flat_linf(vh[:k].T.reshape(-1, c, k), rest, w[free])
+        steps += more
+    return r, lam, steps
+
+
+def solve_flat(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, FlatDiagnostics]:
+    """Order-n minimizer at p in {1, inf} from the residual-form linear program.
+
+    ``problem`` is a Poly or a CircleZeroSpec (exact zeros).  p = 1 runs
+    :func:`_flat_l1`, p = inf :func:`_flat_linf`; each gives a residual r and
+    a dual vector lam.  P = (1 - r) / f by banded least squares, and the
+    reported norm is that of 1 - P f, so the gap covers the division too.
+    ``converged`` holds if and only if the relative gap to the dual bound is
+    at most 1e-9.  Minimizers need not be unique; the diagnostics give the
+    dimension of the optimal face.  A constant f has the residual 0.
+    """
     if not sp.is_flat:
         raise UnsupportedExponentError("solve_flat handles p in {1, inf} only")
+    f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
     _validate(f, n)
-    p = sp.p
-    pr = _Scaled(f, n, sp)
-    wv = pr.wv
-
-    def objective(x) -> tuple[float, np.ndarray, np.ndarray]:
-        """Objective value with the residual and its moduli, for subgrad."""
-        r = pr.residual(x)
-        a = np.abs(r)
-        value = float((a * wv).max()) if p == math.inf else float((a * wv).sum())
-        return value, r, a
-
-    def subgrad(r: np.ndarray, a: np.ndarray) -> np.ndarray:
-        u = np.zeros_like(r)
-        if p == math.inf:
-            k = int(np.argmax(a * wv))
-            if r[k] != 0:
-                u[k] = signed_power(r[k], 0.0) * wv[k]
-        else:
-            u = signed_powers(r, 0.0) * wv
-            # 0 is a valid subgradient choice at (numerical) zeros of |r_t|
-            u[a <= 1e-14 * max(1.0, float(a.max()))] = 0.0
-        pair = np.correlate(u, pr.fcc, mode="valid")
-        return np.concatenate([-pair.real, pair.imag])
-
-    x = pr.start()
-    fx, r, a = objective(x)
-    best_x, best_f = x.copy(), fx
-    improve_eps = opts.flat_tol * 1e-2 * max(1.0, best_f)
-    last_improve = 0
-    acc = np.zeros_like(x)
-    acc_count = 0
-    converged = False
-    k = 0
-    for k in range(opts.max_iters):
-        g = subgrad(r, a)
-        gg = float(g @ g)
-        if gg == 0.0:
-            converged = True
-            break
-        # Polyak-style step against the running best with a vanishing margin
-        margin = 0.05 * max(best_f, 1e-12) / math.sqrt(k + 1.0)
-        step = (fx - best_f + margin) / gg
-        x = x - step * g
-        fx, r, a = objective(x)
-        if fx < best_f - improve_eps:
-            best_x, best_f = x.copy(), fx
-            last_improve = k
-        acc += x
-        acc_count += 1
-        if acc_count == 400:
-            xa = acc / acc_count
-            fa = objective(xa)[0]
-            if fa < best_f - improve_eps:
-                best_x, best_f = xa, fa
-                last_improve = k
-            acc[:] = 0.0
-            acc_count = 0
-        if k - last_improve > 600:
-            converged = True
-            break
-
-    # never return a point worse than the zero approximant (residual 1)
-    zero = np.zeros_like(x)
-    if objective(zero)[0] < best_f:
-        best_x = zero
-
-    result = pr.result(best_x, k + 1, converged, "flat")
-
-    # Flatness probe in original coefficient coordinates.
-    offsets = np.linspace(-1.0, 1.0, 17)
-    probe_tol = max(opts.flat_tol, 1e-9) * max(1.0, result.optimal_norm)
-    vals = _probe_values(result.residual.padded(wv.size), f.coeffs, wv, p, offsets)
-    hit = np.abs(vals - result.optimal_norm) <= probe_tol
-    radii = np.where(hit, np.abs(offsets), 0.0).max(axis=-1)
-    diag = FlatDiagnostics(objective=result.optimal_norm, probe_offsets=offsets,
-                           flat_radii=radii, probe_tol=probe_tol)
-    return result, diag
-
-
-def _probe_values(r: np.ndarray, fcoef: np.ndarray, wv: np.ndarray, p: float,
-                  offsets: np.ndarray) -> np.ndarray:
-    """Objective after each flatness probe, all probes in one pass.
-
-    Entry [j, comp, k] is the (p, w) norm of the residual r - s*delta*z^j f
-    for s = offsets[k] and delta = (1, i)[comp], j = 0..n.  The probe changes
-    r only at t = j..j+d, by -s*delta*f_{t-j}, so its norm is the untouched
-    part of |r|*w, known from a total (p = 1) or from prefix and suffix
-    maxima (p = inf), combined with its new window.  Arrays are
-    (n+1, 2, len(offsets), d+1): O(n d).
-    """
-    win = fcoef.size
-    ar = np.abs(r) * wv
-    shift = np.array([1.0, 1j])[:, None] * offsets          # (2, k)
-    moved = (sliding_window_view(r, win)[:, None, None, :]
-             - shift[None, :, :, None] * fcoef)
-    new = np.abs(moved) * sliding_window_view(wv, win)[:, None, None, :]
-    if p == math.inf:
-        zero = np.zeros(1)
-        before = np.concatenate([zero, np.maximum.accumulate(ar)])[: -win]
-        after = np.concatenate([np.maximum.accumulate(ar[::-1])[::-1], zero])[win:]
-        return np.maximum(np.maximum(before, after)[:, None, None], new.max(axis=-1))
-    kept = ar.sum() - sliding_window_view(ar, win).sum(axis=-1)
-    return kept[:, None, None] + new.sum(axis=-1)
+    if f.degree == 0:
+        result = _finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True, "flat")
+        return result, FlatDiagnostics(result.optimal_norm, 0.0, 0.0, 0)
+    m = n + f.degree + 1
+    real = np.abs(f.coeffs.imag).max() <= _ROUNDING * np.abs(f.coeffs).max()
+    A, b = _flat_rows(f, problem, m, real)
+    w = sp.weight.values_up_to(m - 1)
+    r, lam, iterations = (_flat_l1 if sp.p == 1.0 else _flat_linf)(A, b, w)
+    approx = lstsq_div(ONE - Poly(r[:, 0] if real else r[:, 0] + 1j * r[:, 1]), f)[0]
+    primal = norm(ONE - approx * f, sp)
+    y = A @ lam
+    size = np.linalg.norm(y, axis=1) / w
+    dual = float(b @ lam) / float(size.max() if sp.p == 1.0 else size.sum())
+    gap = (primal - dual) / primal if primal > 0 else 0.0
+    cols = _free_columns(A, y, w, sp.p)[1]
+    face_dim = cols.shape[1] - (np.linalg.matrix_rank(cols) if cols.size else 0)
+    result = _finalize(f, approx.padded(n + 1), sp, iterations, bool(gap <= _GAP_TOL), "flat")
+    return result, FlatDiagnostics(primal, dual, gap, int(face_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -756,17 +807,20 @@ def bj_certificate(result: OpaResult, f: Poly, sp: SpaceParams,
                    n_probes: int = 100, seed: int = 0) -> float:
     """Worst definitional-orthogonality violation over random probes.
 
-    Samples n_probes pairs (lambda, j) with |lambda| <= 1, j <= deg of the
-    approximant space, and returns max(norm(residual) - norm(residual +
-    lambda z^j f), 0); a minimizer keeps this at numerical-noise level.
+    Samples n_probes pairs (lambda, j) with |lambda| <= 1e-3 norm(residual) /
+    norm(f), j <= deg of the approximant space, and returns
+    max(norm(residual) - norm(residual + lambda z^j f), 0); a minimizer keeps
+    this at numerical-noise level.  The steps are scaled to the residual
+    because a larger step raises the norm of any near-minimizer too.
     """
     rng = np.random.default_rng(seed)
     base = result.optimal_norm
+    radius = 1e-3 * base / norm(f, sp)
     nmax = max(result.approximant.degree or 0, 0)
     worst = 0.0
     for _ in range(n_probes):
         j = int(rng.integers(0, nmax + 1))
-        lam = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / math.sqrt(2)
+        lam = radius * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / math.sqrt(2)
         shifted = np.zeros(j + f.degree + 1, dtype=np.complex128)
         shifted[j:] = f.coeffs
         trial = norm(result.residual + lam * Poly(shifted), sp)

@@ -178,22 +178,37 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return quotient, num - quotient * den
 
 
-def _lstsq_div(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+def lstsq_div(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Division with the quotient chosen to minimize the remainder 2-norm.
 
-    More stable than long division when the divisor's leading coefficient is
-    small; for exactly divisible inputs the remainder is at rounding level
-    regardless of root locations.
+    Column j of the multiplication-by-den matrix is nonzero in rows j..j+e
+    only (e = deg den), so Householder QR in band storage reflects rows
+    j..j+e and touches columns j..j+e at step j: O(n e^2) time, O(n e)
+    memory.  Unlike long division it is stable for zeros of den outside the
+    disc; for exactly divisible inputs the remainder is at rounding level.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero or num.degree < den.degree:
         return Poly(), num
-    cols = num.degree - den.degree + 1
-    system = np.zeros((num.degree + 1, cols), dtype=np.complex128)
+    e, cols = den.degree, num.degree - den.degree + 1
+    band = np.zeros((num.degree + 1, 2 * e + 1), dtype=np.complex128)  # band[i, k] = A[i, i-e+k]
+    for k in range(e + 1):
+        band[k: k + cols, e - k] = den.coeffs[k]
+    rhs, step = num.coeffs.copy(), np.arange(e + 1)
+    offset = step[None, :] - step[:, None] + e        # A[j+a, j+b] = band[j+a, offset[a, b]]
     for j in range(cols):
-        system[j: j + den.degree + 1, j] = den.coeffs
-    q = np.linalg.lstsq(system, num.coeffs, rcond=None)[0]
+        idx = ((j + step)[:, None], offset[:, : min(e, cols - 1 - j) + 1])
+        block = band[idx]
+        v = block[:, 0].copy()
+        v[0] += np.exp(1j * np.angle(v[0])) * np.linalg.norm(v)
+        v /= np.linalg.norm(v)
+        band[idx] = block - 2.0 * np.outer(v, v.conj() @ block)
+        rhs[j: j + e + 1] -= 2.0 * v * (v.conj() @ rhs[j: j + e + 1])
+    q = np.zeros(cols, dtype=np.complex128)
+    for j in range(cols - 1, -1, -1):                   # back substitution in R
+        k = min(e, cols - 1 - j)
+        q[j] = (rhs[j] - band[j, e + 1: e + 1 + k] @ q[j + 1: j + 1 + k]) / band[j, e]
     quotient = Poly(q)
     return quotient, num - quotient * den
 
@@ -204,15 +219,16 @@ def exact_div(num: Poly, den: Poly, tol: float = 1e-9) -> Poly:
     The remainder must satisfy max|r| <= tol * max|num| in the coefficient
     sup norm; otherwise InexactDivisionError is raised (a large remainder
     signals that den genuinely does not divide num).  Long division is tried
-    first and the least-squares quotient is used as a fallback, so the check
-    is robust to divisors with small leading coefficients.
+    first and the banded least-squares quotient of :func:`lstsq_div` is used
+    as a fallback, so the check is robust to divisors with small leading
+    coefficients or zeros outside the disc.
     """
     scale = float(np.abs(num.coeffs).max()) if not num.is_zero else 0.0
     limit = tol * max(scale, 1e-300)
     q, r = poly_divmod(num, den)
     if r.is_zero or float(np.abs(r.coeffs).max()) <= limit:
         return q
-    q2, r2 = _lstsq_div(num, den)
+    q2, r2 = lstsq_div(num, den)
     if r2.is_zero or float(np.abs(r2.coeffs).max()) <= limit:
         return q2
     rmax = float(np.abs(r.coeffs).max())

@@ -116,11 +116,16 @@ def _degree_with_circle_zero(problem) -> int:
 
 
 def lower_bound(problem, n: int, sp: SpaceParams) -> float:
-    """Universal lower bound (sum_{t<=n+d} w_t**(-q/p))**(-1/q) on the optimal norm."""
-    if sp.is_flat:
-        raise UnsupportedExponentError("the lower bound formula needs 1 < p < inf")
+    """Universal lower bound (sum_{t<=n+d} w_t**(-q/p))**(-1/q) on the optimal norm.
+
+    Its limits are min_{t<=n+d} w_t at p = 1 and (sum_{t<=n+d} 1/w_t)**-1 at
+    p = inf: the dual vector y_t = conj(zeta)**t of a circle zero zeta gives all three.
+    """
     d = _degree_with_circle_zero(problem)
-    return 1.0 / delta(n + d, sp)
+    if not sp.is_flat:
+        return 1.0 / delta(n + d, sp)
+    w = sp.weight.values_up_to(n + d)
+    return float(w.min() if sp.p == 1.0 else 1.0 / (1.0 / w).sum())
 
 
 def predicted_value(p: float, alpha: float, n: int, d: int) -> float:
@@ -178,7 +183,7 @@ def _dispatch(problem, n: int, sp: SpaceParams, solver: str,
     if solver == "convex":
         return solve_convex(f, n, sp, opts)
     if solver == "flat":
-        return solve_flat(f, n, sp, opts)[0]
+        return solve_flat(problem, n, sp)[0]
     # structural
     if not isinstance(problem, CircleZeroSpec):
         raise ValueError("the structural solver needs a circle zero spec")
@@ -203,7 +208,7 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto",
     alpha = sp.alpha if sp.alpha is not None else math.nan
     try:
         bounds = {n: lower_bound(problem, n, sp) for n in n_grid}
-    except (ValueError, UnsupportedExponentError):
+    except ValueError:
         bounds = {n: math.nan for n in n_grid}
 
     points: list[SweepPoint] = []

@@ -87,7 +87,7 @@ def bj_residual(f: Poly, g: Poly, sp: SpaceParams) -> complex:
     A zero value (within tolerance) certifies that f is Birkhoff-James
     orthogonal to g in the (p, w) norm.  Only valid for 1 < p < inf; the
     flat endpoints have no such smooth characterization and their
-    minimizers are certified by direct objective probes instead.
+    minimizers are certified by the duality gap of ``opa.solve_flat``.
     """
     if sp.is_flat:
         raise UnsupportedExponentError(

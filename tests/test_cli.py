@@ -145,6 +145,9 @@ class TestArgumentValidation:
         ("structural", ["--roots", "0:2,pi:1", "--p", "1.5"]),
         ("hilbert", ["--roots", "0:2,pi:1", "--p", "2"]),
         ("closed", ["--roots", "0:1", "--p", "1.5"]),
+        ("flat", ["--roots", "0:2,pi:1", "--p", "1"]),
+        ("auto", ["--roots", "0:2,pi:1", "--p", "1"]),
+        ("auto", ["--coeffs", "1,0.5-1i,-0.5i", "--p", "inf"]),
     ])
     def test_options_refused_where_ignored(self, capsys, solver, problem, option):
         argv = ["compute", *problem, "--n", "8", "--solver", solver]
@@ -227,6 +230,17 @@ class TestSweep:
         assert [float(r[6]) for r in rows] == [
             lower_bound(CircleZeroSpec(((0.0, 4),)), n, sp) for n in (16, 32, 64)]
 
+    @pytest.mark.parametrize("p", ["1", "inf"])
+    def test_flat_sweep_has_lower_bound_column(self, capsys, tmp_path, p):
+        out_path = tmp_path / "rates.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--roots", "0:2,pi:1", "--p", p,
+                             "--alpha", "-0.5", "--n", "16..64", "--out", str(out_path))
+        assert code == 0
+        for row in self.read_rows(out_path):
+            assert np.isfinite(float(row[6]))
+            assert float(row[4]) >= float(row[6]) * (1 - 1e-12)
+            assert row[9] == "true"
+
     def test_deterministic_apart_from_timing(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -300,15 +314,16 @@ def test_installed_entry_point():
                                               text=True, env=env))
 
 
-def test_cli_compute_does_not_import_scipy_optimize():
-    """A convex compute through the CLI leaves scipy.optimize unloaded.
+@pytest.mark.parametrize("p", ["1.5", "1", "inf"])
+def test_cli_compute_does_not_import_scipy_optimize(p):
+    """A convex or flat compute through the CLI leaves scipy.optimize unloaded.
 
     Importing it would add about a third to the CLI's cold start and its
     memory; a route that needs it has to import it lazily.
     """
     script = ("import sys\n"
               "from lpopa.cli import main\n"
-              "code = main(['compute', '--roots', '0:2,pi:1', '--p', '1.5', '--n', '16'])\n"
+              f"code = main(['compute', '--roots', '0:2,pi:1', '--p', '{p}', '--n', '16'])\n"
               "assert code == 0, code\n"
               "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

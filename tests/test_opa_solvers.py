@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from lpopa import (CircleZeroSpec, IllConditionedError, Poly, SpaceParams,
+from lpopa import (CircleZeroSpec, IllConditionedError, OpaResult, Poly, SpaceParams,
                    UnsupportedExponentError, closed_form_one_minus_zd,
                    composite_construction, exact_div, expand, lower_bound, norm,
                    power_weight, solve_convex, solve_flat, solve_hilbert,
                    solve_structural, table_weight)
-from lpopa.opa import SolverOpts, _probe_values, bj_certificate
+from lpopa.opa import SolverOpts, bj_certificate
 
 INF = math.inf
 PI = math.pi
@@ -26,7 +26,6 @@ def one_minus_zd(d):
 @pytest.mark.parametrize("kwargs", [
     {"max_iters": 0}, {"max_iters": -5}, {"max_iters": 2.5},
     {"grad_tol": 0.0}, {"grad_tol": -1.0}, {"grad_tol": math.nan},
-    {"flat_tol": 0.0}, {"flat_tol": math.inf},
 ])
 def test_bad_solver_options_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -272,16 +271,33 @@ PROBE_POLYS = [
 ]
 
 
-def per_probe_norms(f, base, sp, offsets):
-    """Objective of each solve_flat probe, one norm evaluation per probe."""
-    vals = np.zeros((base.size, 2, offsets.size))
-    for j in range(base.size):
-        for comp, delta in enumerate((1.0, 1j)):
-            for k, s in enumerate(offsets):
-                cand = base.copy()
-                cand[j] += s * delta
-                vals[j, comp, k] = norm(Poly([1]) - Poly(cand) * f, sp)
-    return vals
+def coefficient_lp_norm(f, n, p, alpha):
+    """Optimal norm of the coefficient-space LP for a real f, solved by HiGHS.
+
+    The unknowns are the n+1 coefficients of P and one bound per residual
+    entry (p = 1) or a single bound on all of them (p = inf); no roots of f
+    are needed.
+    """
+    from scipy.optimize import linprog
+
+    fc = f.coeffs.real
+    m = n + fc.size
+    F = np.zeros((m, n + 1))
+    for j in range(n + 1):
+        F[j: j + fc.size, j] = fc
+    w = SpaceParams.power(p, alpha).weight.values_up_to(m - 1)
+    e0 = np.eye(1, m)[0]
+    if p == 1:
+        a_ub = np.block([[-F, -np.eye(m)], [F, -np.eye(m)]])
+        b_ub, cost = np.concatenate([-e0, e0]), np.concatenate([np.zeros(n + 1), w])
+    else:
+        a_ub = np.block([[-w[:, None] * F, -np.ones((m, 1))], [w[:, None] * F, -np.ones((m, 1))]])
+        b_ub, cost = np.concatenate([-w * e0, w * e0]), np.eye(1, n + 2, n + 1)[0]
+    bounds = [(None, None)] * (n + 1) + [(0, None)] * (cost.size - n - 1)
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    r = np.abs(e0 - F @ res.x[: n + 1]) * w
+    return float(r.sum() if p == 1 else r.max())
 
 
 class TestFlat:
@@ -294,7 +310,7 @@ class TestFlat:
         # the whole segment c_0 in [0, 1] is optimal
         for c0 in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert norm(Poly([1]) - Poly([c0]) * f, sp) == pytest.approx(1.0)
-        assert diag.flat_radii[0, 0] > 0.0
+        assert diag.face_dim >= 1
 
     def test_unit_function_sup_norm(self):
         res, _ = solve_flat(Poly([1]), 4, SpaceParams.power(INF, 0.3))
@@ -308,8 +324,9 @@ class TestFlat:
         vals = [norm(Poly([1]) - Poly([a, b]) * g, sp)
                 for b in np.linspace(-0.5, 0.5, 11)]
         assert max(vals) - min(vals) <= 1e-12
-        assert diag.flat_radii[1, 0] >= 0.5       # free b direction
-        assert diag.flat_radii[0, 0] == 0.0       # strict minimum in a
+        assert diag.face_dim == 1                 # the free b direction
+        for shift in (-1e-3, 1e-3):               # a strict minimum in a
+            assert norm(Poly([1]) - Poly([a + shift]) * g, sp) > res.optimal_norm + 1e-4
 
     def test_ortho_certificate_not_defined(self):
         res, _ = solve_flat(Poly([1, -1]), 2, SpaceParams.power(1, 0))
@@ -320,7 +337,7 @@ class TestFlat:
         sp = SpaceParams.power(INF, 0)
         for n in (0, 3, 9):
             res, _ = solve_flat(Poly([1, -1]), n, sp)
-            assert res.optimal_norm == pytest.approx(1.0 / (n + 2), rel=1e-6)
+            assert res.optimal_norm == pytest.approx(1.0 / (n + 2), rel=1e-12)
 
     def test_smooth_exponent_rejected(self):
         with pytest.raises(UnsupportedExponentError):
@@ -331,52 +348,55 @@ class TestFlat:
         (Z1SQ_ZP1, 0.0),
     ], ids=["1-z,alpha=0.5", "(z-1)^2(z+1),alpha=0"])
     def test_never_worse_than_zero_approximant(self, f, alpha):
-        # the subgradient loop alone ends above 1 here (1.90 and 1.55)
-        res, _ = solve_flat(f, 16, SpaceParams.power(1, alpha), SolverOpts(max_iters=200))
+        # the zero approximant is optimal here, with norm 1
+        res, _ = solve_flat(f, 16, SpaceParams.power(1, alpha))
         assert res.optimal_norm <= 1.0
 
     @pytest.mark.parametrize("p", [1, INF])
-    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
     @pytest.mark.parametrize("n", [0, 1, 5, 16])
-    @pytest.mark.parametrize("f", PROBE_POLYS)
-    def test_flat_radii_match_per_probe_reference(self, f, n, alpha, p):
-        sp = SpaceParams.power(p, alpha)
-        res, diag = solve_flat(f, n, sp, SolverOpts(max_iters=500))
-        vals = per_probe_norms(f, res.approximant.padded(n + 1), sp, diag.probe_offsets)
-        radii = np.zeros((n + 1, 2))
-        for (j, comp, k), val in np.ndenumerate(vals):
-            s = diag.probe_offsets[k]
-            if s != 0.0 and abs(val - res.optimal_norm) <= diag.probe_tol:
-                radii[j, comp] = max(radii[j, comp], abs(s))
-        np.testing.assert_array_equal(diag.flat_radii, radii)
+    @pytest.mark.parametrize("f", [
+        pytest.param(Poly([1, -1]), id="1-z"),
+        pytest.param(Z1SQ_ZP1, id="(z-1)^2(z+1)"),
+        pytest.param(expand(CircleZeroSpec(((0.0, 1), (PI / 2, 1), (3 * PI / 2, 1)))), id="three"),
+        pytest.param(one_minus_zd(2), id="1-z^2"),
+    ])
+    def test_matches_coefficient_lp(self, f, n, alpha, p):
+        res, _ = solve_flat(f, n, SpaceParams.power(p, alpha))
+        assert res.optimal_norm == pytest.approx(coefficient_lp_norm(f, n, p, alpha), rel=1e-9)
 
     @pytest.mark.parametrize("p", [1, INF])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
     @pytest.mark.parametrize("n", [0, 1, 5, 16])
-    @pytest.mark.parametrize("f", PROBE_POLYS)
-    def test_probe_values_match_per_probe_reference(self, f, n, p):
-        # away from a minimizer one residual entry is the largest, and probes
-        # whose window holds it can lower the sup norm; radii alone rarely
-        # see an error in the untouched prefix or suffix there
-        rng = np.random.default_rng(n)
-        sp = SpaceParams.power(p, 0.5)
-        base = 0.3 * (rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
-        m = n + f.degree + 1
-        r = (Poly([1]) - Poly(base) * f).padded(m)
-        offsets = np.linspace(-1.0, 1.0, 17)
-        got = _probe_values(r, f.coeffs, sp.weight.values_up_to(m - 1), p, offsets)
-        np.testing.assert_allclose(got, per_probe_norms(f, base, sp, offsets),
-                                   rtol=1e3 * np.finfo(float).eps)
+    @pytest.mark.parametrize("f", [*PROBE_POLYS, pytest.param(Poly([0, 1]), id="z")])
+    def test_certificate(self, f, n, alpha, p):
+        res, diag = solve_flat(f, n, SpaceParams.power(p, alpha))
+        assert res.converged
+        assert diag.rel_gap <= 1e-9
+        assert diag.objective == res.optimal_norm
+        # weak duality, up to the rounding of two equal values
+        assert diag.dual <= res.optimal_norm * (1 + 1e-12)
 
-    def test_probe_does_not_call_norm_per_probe(self, monkeypatch):
-        calls = []
+    def test_spec_and_coefficients_agree(self):
+        # exact circle zeros, and np.roots clustered into a fourfold zero
+        spec = CircleZeroSpec(((0.0, 4),))
+        for p in (1, INF):
+            sp = SpaceParams.power(p, -0.5)
+            exact, _ = solve_flat(spec, 64, sp)
+            clustered, _ = solve_flat(expand(spec), 64, sp)
+            assert exact.converged and clustered.converged
+            assert clustered.optimal_norm == pytest.approx(exact.optimal_norm, rel=1e-9)
 
-        def counting_norm(g, sp):
-            calls.append(1)
-            return norm(g, sp)
 
-        monkeypatch.setattr("lpopa.opa.norm", counting_norm)
-        solve_flat(Poly([1, -1]), 64, SpaceParams.power(INF, 0.5))
-        assert len(calls) <= 4
+def test_definitional_probe_sees_a_perturbed_answer():
+    # 1e-2 added to the constant coefficient raises the norm by 3.3e-4
+    f, sp = Poly([1, -1]), SpaceParams.power(2.5, 0.0)
+    res = solve_convex(f, 5, sp)
+    approx = res.approximant + Poly([1e-2])
+    residual = Poly([1]) - approx * f
+    perturbed = OpaResult(approx, residual, norm(residual, sp), None, 0, False, "convex")
+    assert bj_certificate(res, f, sp, n_probes=50, seed=0) <= 1e-8
+    assert bj_certificate(perturbed, f, sp, n_probes=50, seed=0) > 1e-8
 
 
 def divided_composite(spec, n, sp):

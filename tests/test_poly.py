@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -187,6 +188,18 @@ class TestDivision:
             q = exact_div(a * b, b, tol=1e-10)
             scale = max(np.abs((a * b).coeffs).max(), 1.0)
             assert np.abs(q.padded(a.coeffs.size) - a.coeffs).max() <= 1e-9 * scale
+
+
+    def test_banded_fallback_at_large_order(self):
+        # long division leaves a relative remainder of 1.6e-5 here, so the
+        # fallback runs; its dense predecessor took 88 s at this order
+        rng = np.random.default_rng(5)
+        den = expand(CircleZeroSpec(((0.0, 4),)))
+        num = Poly(rng.standard_normal(4097)) * den
+        start = time.perf_counter()
+        q = exact_div(num, den)
+        assert time.perf_counter() - start < 1.0
+        assert np.abs((num - q * den).coeffs).max() <= 1e-9 * np.abs(num.coeffs).max()
 
 
 class TestEvalDerivative:

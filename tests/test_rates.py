@@ -8,7 +8,7 @@ import pytest
 from lpopa import (CircleZeroSpec, Poly, SpaceParams, SweepError,
                    UnsupportedExponentError, classify, closed_form_one_minus_zd,
                    delta, evaluation_bound, expand, fit_rates, geometric_grid,
-                   lower_bound, run_sweep, sweep_and_fit)
+                   lower_bound, run_sweep, solve_flat, sweep_and_fit)
 from lpopa.opa import SolverOpts
 from lpopa.rates import detect_one_minus_zd, log_band_ratio, predicted_value
 
@@ -93,6 +93,17 @@ class TestLowerBound:
                 res = closed_form_one_minus_zd(1, n, sp)
                 assert res.optimal_norm == pytest.approx(
                     lower_bound(Poly([1, -1]), n, sp), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 3, 9, 64])
+    def test_flat_endpoints_attained_by_one_minus_z(self, n):
+        # 1 at p = 1 for alpha >= 0, and 1/(n+2) at p = inf for alpha 0
+        for alpha in (0.0, 0.5, 1.0):
+            sp = SpaceParams.power(1, alpha)
+            assert lower_bound(Poly([1, -1]), n, sp) == 1.0
+            assert solve_flat(Poly([1, -1]), n, sp)[0].optimal_norm == pytest.approx(1.0, rel=1e-12)
+        sp = SpaceParams.power(INF, 0.0)
+        assert lower_bound(Poly([1, -1]), n, sp) == pytest.approx(1 / (n + 2), rel=1e-14)
+        assert solve_flat(Poly([1, -1]), n, sp)[0].optimal_norm == pytest.approx(1 / (n + 2), rel=1e-12)
 
     def test_multiple_circle_zero_from_coefficients(self):
         # np.roots splits these zeros off the circle; a zero at the origin is skipped
