@@ -165,12 +165,15 @@ def _opts_from_args(args, sp: SpaceParams) -> SolverOpts:
     """Solver options from --max-iters and --tol; SolverOpts rejects bad values.
 
     Only the convex route takes them: after the value checks they are refused
-    with any other solver, and with auto at p in {1, inf}, where it is flat.
+    with any other solver, and with auto at p in {1, inf}, where it is flat,
+    and at 1 < p < 2, where it is structural.
     """
     given = {key: value for key, value in (("max_iters", args.max_iters), ("grad_tol", args.tol))
              if value is not None}
     opts = SolverOpts(**given)
-    solver = "flat" if args.solver == "auto" and sp.is_flat else args.solver
+    solver = args.solver
+    if solver == "auto" and (sp.is_flat or sp.p < 2.0):
+        solver = "flat" if sp.is_flat else "structural"
     if given and solver in ("structural", "hilbert", "closed", "flat"):
         raise ValueError(f"--max-iters and --tol do not apply to --solver {solver}")
     return opts
@@ -347,11 +350,11 @@ def _add_solver_args(sub) -> None:
     sub.add_argument("--tol", type=float,
                      help="gradient tolerance of the convex route, finite and > 0; "
                           "not with --solver structural, hilbert, closed or flat, "
-                          "nor with auto at p in {1, inf}")
+                          "nor with auto at p < 2")
     sub.add_argument("--max-iters", type=int, dest="max_iters",
                      help="Newton step budget of the convex route, >= 1; not with "
                           "--solver structural, hilbert, closed or flat, nor with "
-                          "auto at p in {1, inf}")
+                          "auto at p < 2")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,12 +3,12 @@
 An optimal approximant of order n for a polynomial f is the p_n in the
 degree-n polynomials minimizing the weighted norm of 1 - p_n f.  Routes:
 
+* :func:`solve_structural` Newton's method on the dual of the residual form,
+                           d or 2d unknowns whatever n is, certified by its
+                           duality gap (1 < p < inf; auto route for p < 2),
 * :func:`solve_convex`     damped Newton descent on the p-th power objective
-                           (1 < p < inf),
+                           (1 < p < inf; auto route for p > 2),
 * :func:`solve_hilbert`    direct normal equations at p = 2,
-* :func:`solve_structural` Newton iteration on the exponential-polynomial
-                           structure of the residual coefficients for f with
-                           all zeros on the unit circle,
 * :func:`closed_form_one_minus_zd`  exact formulas for f = 1 - z^d,
 * :func:`solve_flat`       the linear programs of the endpoints p in {1, inf},
                            solved exactly and certified by a dual bound,
@@ -27,32 +27,30 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .errors import (IllConditionedError, InexactDivisionError,
-                     InternalConsistencyError, UnsupportedExponentError)
-from .poly import ONE, CircleZeroSpec, Poly, exact_div, expand, lstsq_div, signed_powers
+from .errors import IllConditionedError, UnsupportedExponentError
+from .poly import ONE, CircleZeroSpec, Poly, expand, lstsq_div, signed_powers
 from .space import SpaceParams, norm
 from .weights import Weight, dilate
 
 log = logging.getLogger(__name__)
 
 _COND_LIMIT = 1e14
-_SYSTEM_TOL = 1e-9      # solve_structural: sup violation of a converged system
-_DIVISION_TOL = 1e-9    # solve_structural: floor of the relative remainder tolerance
 _CONTINUATION_P = 1.5   # solve_convex seeds p below this from a solve at it
 # solve_convex's damped Newton loop: the Armijo fraction of the predicted
 # decrease, the relative rounding level of phi below which a decrease does
-# not count, and the number of steps that fail to halve a gradient sup-norm
-# already within tolerance before it returns
+# not count, and the number of consecutive steps without progress (halving
+# the gradient sup-norm, or above tolerance lowering phi) before it returns
 _ARMIJO = 0.25
 _PHI_NOISE = 1e-15
 _STALL_STEPS = 3
 _GAP_TOL = 1e-9         # solve_flat: relative duality gap of a converged solve
+_DUAL_GAP_TOL = 1e-10   # solve_structural: |relative duality gap| of a converged solve
 _ROUNDING = 1e-12       # solve_flat: relative agreement that counts as exact
 _CLUSTER = 1e-2         # np.roots zeros this close (relative) may be one multiple zero
 _PIVOT_TOL = 1e-11      # simplex: entering-column entries below this (relative) are 0
 _FREE_TOL = 1e-6        # p = inf: dual entries below this (relative) vanish
 # budgets; a solve that exhausts one reports the gap it reached
-_MAX_PIVOTS, _NEWTON_STEPS, _SMOOTHING_STAGES = 5000, 50, 12
+_MAX_PIVOTS, _NEWTON_STEPS, _SMOOTHING_STAGES, _DUAL_STEPS = 5000, 50, 12, 200
 
 
 @dataclass
@@ -62,8 +60,7 @@ class SolverOpts:
     ``grad_tol`` is the gradient sup-norm of a converged solve and
     ``max_iters`` bounds its Newton steps, those of its p < 1.5 continuation
     stage included.  The other routes take no options: :func:`solve_structural`
-    runs a fixed Newton budget and :func:`solve_flat` solves its linear
-    program exactly, certified by its duality gap.  Construction raises
+    and :func:`solve_flat` stop on their duality gaps.  Construction raises
     ValueError unless ``max_iters`` is an integer >= 1 and ``grad_tol`` is
     finite and positive.
     """
@@ -95,25 +92,6 @@ class OpaResult:
     iterations: int
     converged: bool
     solver: str
-
-
-@dataclass
-class ExpPolyFit:
-    """Constants of the residual representation d_t = sum A[i,j] t**(j-1) z_i**t.
-
-    Keys are (root index, power j) with the root index 0-based in spec order
-    and j running from 1 to the root's multiplicity.  ``fit_residual`` is the
-    sup deviation of the representation from the actual residual data;
-    ``system_residual`` is the sup violation of the interpolation system the
-    constants must satisfy.
-    """
-
-    constants: dict[tuple[int, int], complex]
-    fit_residual: float
-    system_residual: float
-
-    def constant_sum(self) -> complex:
-        return sum(self.constants.values())
 
 
 @dataclass
@@ -243,7 +221,8 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     with a Levenberg shift.  Newton steps, the continuation stage's
     included, count against ``opts.max_iters``.  The loop drives the
     gradient sup-norm towards min(grad_tol / 100, 1e-12) and returns early
-    once it is at or below ``opts.grad_tol`` and has stopped improving.
+    after three consecutive steps that neither halve it nor, while it is
+    above ``opts.grad_tol``, lower phi beyond rounding.
     ``converged`` means the sup-norm is at or below ``opts.grad_tol``.  f is
     scaled to unit norm internally; results are reported for the original f.
     """
@@ -306,7 +285,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     gmax = float(np.abs(g).max())
     target = min(opts.grad_tol * 1e-2, 1e-12)
     ident = np.eye(2 * (n + 1))
-    stalled = 0
+    stalled, best = 0, (phi, gmax)
     while iterations < opts.max_iters and gmax > target:
         H = hessian(x)
         hscale = max(float(np.abs(np.diag(H)).max()), 1e-30)
@@ -334,8 +313,14 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         if not accepted:
             break
         x = x + t * dx
-        stalled = stalled + 1 if gmax <= opts.grad_tol and gnmax > 0.5 * gmax else 0
+        # progress halves the least gmax so far or, above tolerance, lowers
+        # the least phi so far beyond rounding; steps that raise phi while
+        # lowering gmax otherwise let a Newton cycle run the whole budget
+        progress = gnmax <= 0.5 * best[1] or (gmax > opts.grad_tol
+                                             and best[0] - phin > _PHI_NOISE * best[0])
+        stalled = 0 if progress else stalled + 1
         phi, g, gmax = phin, gn, gnmax
+        best = (min(best[0], phi), min(best[1], gmax))
         if stalled >= _STALL_STEPS:
             break
 
@@ -348,189 +333,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
 
 
 # ---------------------------------------------------------------------------
-# Structural nonlinear system for Z(f) on the circle
-# ---------------------------------------------------------------------------
-
-class _StructuralSystem:
-    """Interpolation system determining the residual structure constants.
-
-    With z_i the circle zeros (multiplicities b_i) and w the weight, the
-    residual coefficients of 1 - p_n f obey B_t = (y_t)^{<q-1>} where
-    y_t = sum_{i,j} A[i,j] t**(j-1) z_i**t / w_t, and the constants A solve
-
-        sum_t (y_t)^{<q-1>} t**s z_l**t = 1 if s = 0 else 0,
-
-    for every root l and 0 <= s < b_l (value 1 and derivatives 0 at each
-    zero).  d = sum b_i complex unknowns, d complex equations.
-    """
-
-    def __init__(self, spec: CircleZeroSpec, n: int, sp: SpaceParams):
-        self.spec = spec
-        self.sp = sp
-        self.n = n
-        self.d = spec.degree
-        self.q1 = sp.q - 1.0
-        t = np.arange(n + self.d + 1, dtype=float)
-        self.wv = sp.weight.values_up_to(n + self.d)
-        zs = spec.points()
-        cols = []
-        self.pairs = []
-        for i, (_, mult) in enumerate(spec.roots):
-            zt = zs[i] ** t
-            for j in range(1, mult + 1):
-                cols.append(t ** (j - 1) * zt)
-                self.pairs.append((i, j))
-        self.basis = np.stack(cols, axis=1)            # d_t = basis @ A
-        self.T = self.basis / self.wv[:, None]         # y_t = T @ A
-        # row (l, s) of the system is column (l, j = s + 1) of the basis
-        self.S = np.ascontiguousarray(self.basis.T)
-        self.target = np.array([1.0 if j == 1 else 0.0 for _, j in self.pairs],
-                               dtype=np.complex128)
-
-    def residual_coeffs(self, A: np.ndarray) -> np.ndarray:
-        return signed_powers(self.T @ A, self.q1)
-
-    def equations(self, A: np.ndarray) -> np.ndarray:
-        return self.S @ self.residual_coeffs(A) - self.target
-
-    def equations_real(self, a: np.ndarray) -> np.ndarray:
-        e = self.equations(a[: self.d] + 1j * a[self.d:])
-        return np.concatenate([e.real, e.imag])
-
-    def jacobian_real(self, a: np.ndarray) -> np.ndarray:
-        A = a[: self.d] + 1j * a[self.d:]
-        y = self.T @ A
-        rho = np.abs(y)
-        mask = rho > 1e-18 * max(1.0, float(rho.max()) if rho.size else 1.0)
-        sig = np.zeros_like(rho)
-        cub = np.zeros_like(rho)
-        sig[mask] = rho[mask] ** (self.q1 - 1.0)
-        cub[mask] = (self.q1 - 1.0) * rho[mask] ** (self.q1 - 3.0)
-        ar, ai = y.real, y.imag
-
-        def push(dy: np.ndarray) -> np.ndarray:
-            da, db = dy.real, dy.imag
-            du = sig * da + cub * ar * (ar * da + ai * db)
-            dv = -sig * db - cub * ai * (ar * da + ai * db)
-            return du + 1j * dv
-
-        cols = []
-        for comp in (1.0, 1j):
-            for k in range(self.d):
-                de = self.S @ push(self.T[:, k] * comp)
-                cols.append(np.concatenate([de.real, de.imag]))
-        return np.stack(cols, axis=1)
-
-    def fit_from_data(self, d_values: np.ndarray) -> np.ndarray:
-        """Least-squares constants for given residual data d_t."""
-        return np.linalg.lstsq(self.basis, d_values, rcond=None)[0]
-
-    def d_values_of(self, residual: Poly) -> np.ndarray:
-        dv = residual.padded(self.n + self.d + 1)
-        return signed_powers(dv, self.sp.p - 1.0) * self.wv
-
-    def fit(self, A: np.ndarray, dv: np.ndarray, system_residual: float) -> ExpPolyFit:
-        """ExpPolyFit of constants A, with their sup deviation from data dv."""
-        return ExpPolyFit(constants={pair: complex(A[k]) for k, pair in enumerate(self.pairs)},
-                          fit_residual=float(np.abs(dv - self.basis @ A).max()),
-                          system_residual=system_residual)
-
-
-def fit_exp_poly(residual: Poly, spec: CircleZeroSpec, n: int,
-                 sp: SpaceParams) -> ExpPolyFit:
-    """Fit structure constants to an existing residual and report deviations."""
-    sys_ = _StructuralSystem(spec, n, sp)
-    dv = sys_.d_values_of(residual)
-    A = sys_.fit_from_data(dv)
-    return sys_.fit(A, dv, float(np.abs(sys_.equations(A)).max()))
-
-
-def solve_structural(spec: CircleZeroSpec, n: int, sp: SpaceParams,
-                     init: OpaResult | None = None) -> tuple[OpaResult, ExpPolyFit]:
-    """Order-n approximant from the structure constants, by damped Newton.
-
-    Initialized from ``init``'s residual when given, else from the p = 2
-    solution.  The route stands alone: it never calls another iterative
-    route, and a Newton solve that stalls returns its own constants with
-    ``converged=False`` (system residual above 1e-9).  ``iterations`` counts
-    Newton steps, at most 200.  The residual coefficients reconstructed from
-    the constants must make 1 - residual exactly divisible by f; a division
-    failure raises InternalConsistencyError since it signals a wrong
-    solution.
-    """
-    if sp.is_flat:
-        raise UnsupportedExponentError("structural solve needs 1 < p < inf")
-    f = expand(spec)
-    _validate(f, n)
-    sys_ = _StructuralSystem(spec, n, sp)
-    d = sys_.d
-    if init is not None:
-        seed = init.residual
-    else:
-        seed = solve_hilbert(f, n, sp.weight).residual
-    A = sys_.fit_from_data(sys_.d_values_of(seed))
-    a = np.concatenate([A.real, A.imag])
-
-    e = sys_.equations_real(a)
-    enorm = float(np.abs(e).max())
-    iterations = 0
-    stale = 0
-    for _ in range(200):
-        if enorm <= _SYSTEM_TOL * 1e-3:
-            break
-        J = sys_.jacobian_real(a)
-        try:
-            step = np.linalg.solve(J, -e)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -e, rcond=None)[0]
-        if not np.isfinite(step).all():
-            break
-        t = 1.0
-        improved = False
-        e2 = float(e @ e)
-        for _ in range(40):
-            an = a + t * step
-            en = sys_.equations_real(an)
-            if float(en @ en) < e2 * (1 - 1e-4 * t):
-                a, e = an, en
-                improved = True
-                break
-            t *= 0.5
-        iterations += 1
-        if not improved:
-            stale += 1
-            if stale >= 2:
-                break
-        else:
-            stale = 0
-        enorm = float(np.abs(e).max())
-
-    converged = enorm <= _SYSTEM_TOL
-    if not converged:
-        log.debug("solve_structural: system residual %.3e above tolerance %.1e",
-                  enorm, _SYSTEM_TOL)
-
-    A = a[:d] + 1j * a[d:]
-    B = sys_.residual_coeffs(A)
-    # The divisibility defect of 1 - residual is proportional to the achieved
-    # system residual (it vanishes for the exact constants), so the division
-    # tolerance scales with it.  A residual far above that scale still means
-    # a wrong solution.  Note that when the true residual has a vanishing
-    # coefficient and q < 2, the system map has square-root character there
-    # and enorm cannot drop below ~sqrt(eps); the converged flag reports the
-    # strict tolerance honestly in that case.
-    try:
-        pn = exact_div(ONE - Poly(B), f, max(_DIVISION_TOL, 50.0 * enorm))
-    except InexactDivisionError as exc:
-        raise InternalConsistencyError(
-            f"structural residual is not divisible by f: {exc}") from exc
-    result = _finalize(f, pn.padded(n + 1), sp, iterations=iterations,
-                       converged=converged, solver="structural")
-    return result, sys_.fit(A, sys_.d_values_of(result.residual), enorm)
-
-
-# ---------------------------------------------------------------------------
-# Flat endpoints p in {1, inf}: the residual-form linear programs
+# The residual form, shared by solve_structural and solve_flat
 # ---------------------------------------------------------------------------
 #
 # The residuals 1 - P f are the r of degree <= n+d with S r = e: r(zeta) = 1
@@ -540,7 +343,7 @@ def solve_structural(spec: CircleZeroSpec, n: int, sp: SpaceParams,
 # Optimization*, 5.1).  In real coordinates block A[t] (c x R) maps lam to
 # y_t = (S^H lam)_t and S r = e reads sum_t A[t].T r_t = b; c = 1 for real f.
 
-def _flat_rows(f: Poly, problem, m: int, real: bool) -> tuple[np.ndarray, np.ndarray]:
+def _residual_rows(f: Poly, problem, m: int, real: bool) -> tuple[np.ndarray, np.ndarray]:
     """Blocks A (m x c x R) and right side b of S r = e on residuals of length m.
 
     A CircleZeroSpec gives exact zeros; those of np.roots are clustered into
@@ -584,6 +387,195 @@ def _flat_rows(f: Poly, problem, m: int, real: bool) -> tuple[np.ndarray, np.nda
     b = u[:, :k].T @ np.concatenate([e.real, e.imag]) / sv[:k]
     return vh[:k].reshape(k, m, -1).transpose(1, 2, 0), b
 
+
+def _setup(problem, n: int):
+    """f, the residual length m, whether f is real, and the rows of S r = e."""
+    f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
+    _validate(f, n)
+    m = n + f.degree + 1
+    real = np.abs(f.coeffs.imag).max() <= _ROUNDING * np.abs(f.coeffs).max()
+    return f, m, real, (_residual_rows(f, problem, m, real) if f.degree else None)
+
+
+def _hilbert_dual(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The p = 2 dual: (sum_t A[t].T A[t] / w_t) lam = b; its residual is A lam / w."""
+    return np.linalg.solve(np.einsum("tcr,tcs->rs", A / w[:, None, None], A), b)
+
+
+def _complex(r: np.ndarray) -> Poly:
+    """The residual polynomial of real coordinates r (m x c)."""
+    return Poly(r[:, 0] if r.shape[1] == 1 else r[:, 0] + 1j * r[:, 1])
+
+
+def _coords(residual: Poly, m: int, real: bool) -> np.ndarray:
+    """The real coordinates (m x c) of a residual polynomial."""
+    r = residual.padded(m)
+    return r.real[:, None] if real else np.stack([r.real, r.imag], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# 1 < p < inf: Newton's method on the dual
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ExpPolyFit:
+    """Constants of the residual representation d_t = sum A[i,j] t**(j-1) z_i**t.
+
+    Keys are (root index, power j) with the root index 0-based in spec order
+    and j running from 1 to the root's multiplicity.  ``fit_residual`` is the
+    sup deviation of the representation from the actual residual data;
+    ``system_residual`` is the sup violation of the interpolation system the
+    constants must satisfy.  ``dual`` is a lower bound on the optimal norm and
+    ``rel_gap`` is (norm of the residual - dual) / norm, 0 when both vanish.
+    """
+
+    constants: dict[tuple[int, int], complex]
+    fit_residual: float
+    system_residual: float
+    dual: float
+    rel_gap: float
+
+    def constant_sum(self) -> complex:
+        return sum(self.constants.values())
+
+
+def _dual_value(A: np.ndarray, b: np.ndarray, w: np.ndarray, q: float, lam: np.ndarray):
+    """h(lam) = b . lam - (1/q) sum_t w_t^(1-q) |y_t|^q, with y = A lam and the |y_t|."""
+    y = A @ lam
+    size = np.linalg.norm(y, axis=1)
+    return float(b @ lam - (w ** (1.0 - q) * size ** q).sum() / q), y, size
+
+
+def _dual_slopes(A: np.ndarray, b: np.ndarray, w: np.ndarray, q: float,
+                 y: np.ndarray, size: np.ndarray):
+    """Gradient and negated Hessian of h at y = A lam, and the primal residual
+    r_t = w_t^(1-q) |y_t|^(q-2) y_t, the minimizer of the Lagrangian."""
+    a, unit, live = np.zeros_like(size), np.zeros_like(y), size > 0
+    a[live] = w[live] ** (1.0 - q) * size[live] ** (q - 2.0)
+    unit[live] = y[live] / size[live, None]
+    r, along = y * a[:, None], np.einsum("tcr,tc->tr", A, unit)
+    # dr_t/dy_t = a_t (I + (q - 2) u_t u_t^T) with u_t = y_t / |y_t|
+    hess = np.einsum("tcr,t,tcs->rs", A, a, A) + (q - 2.0) * (along.T * a) @ along
+    return b - np.einsum("tcr,tc->r", A, r), hess, r
+
+
+def _dual_candidate(A: np.ndarray, w: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:
+    """Least-squares fit of w_t |r_t|^(p-2) r_t, the dual data of a residual r
+    (m x c), onto the orthonormal rows: A.T applied to it."""
+    size = np.linalg.norm(r, axis=1)
+    scale, live = np.zeros_like(size), size > 0
+    scale[live] = w[live] * size[live] ** (p - 2.0)
+    return np.einsum("tcr,tc->r", A, r * scale[:, None])
+
+
+def _dual_bound(A: np.ndarray, b: np.ndarray, w: np.ndarray, q: float, lam: np.ndarray) -> float:
+    """b . lam / ||A lam||_*, the scale-free lower bound on the optimal norm."""
+    size = np.linalg.norm(A @ lam, axis=1)
+    return float(b @ lam) / float((w ** (1.0 - q) * size ** q).sum()) ** (1.0 / q)
+
+
+def _exp_poly_fit(spec: CircleZeroSpec, n: int, sp: SpaceParams, residual: Poly,
+                  dual: float, source: Poly) -> ExpPolyFit:
+    """Constants fitted to the data of ``source`` (a solver's own residual, where
+    the division defect of P does not enter), their deviation from those of
+    ``residual``, and the gap of ``residual`` to ``dual``."""
+    m = n + spec.degree + 1
+    t = np.arange(m, dtype=float)
+    wv = sp.weight.values_up_to(m - 1)
+    pairs = [(i, j) for i, (_, mult) in enumerate(spec.roots) for j in range(1, mult + 1)]
+    zs = spec.points()
+    basis = np.stack([t ** (j - 1) * zs[i] ** t for i, j in pairs], axis=1)
+    data = signed_powers(residual.padded(m), sp.p - 1.0) * wv
+    A = np.linalg.lstsq(basis, signed_powers(source.padded(m), sp.p - 1.0) * wv, rcond=None)[0]
+    # the residual the constants represent, (basis A / w)^<q-1>, must take
+    # the value 1 with derivatives 0 below the multiplicity at each zero
+    system = basis.T @ signed_powers(basis @ A / wv, sp.q - 1.0)
+    system[[k for k, (_, j) in enumerate(pairs) if j == 1]] -= 1.0
+    primal = norm(residual, sp)
+    return ExpPolyFit(constants={pair: complex(A[k]) for k, pair in enumerate(pairs)},
+                      fit_residual=float(np.abs(data - basis @ A).max()),
+                      system_residual=float(np.abs(system).max()), dual=dual,
+                      rel_gap=(primal - dual) / primal if primal > 0 else 0.0)
+
+
+def fit_exp_poly(residual: Poly, spec: CircleZeroSpec, n: int,
+                 sp: SpaceParams) -> ExpPolyFit:
+    """Fit structure constants to an existing residual and report deviations.
+
+    ``dual`` is the bound of the residual's own dual candidate, so the gap
+    checks a residual from any route; it is tight for an optimal residual
+    whose vanishing entries rounding has left at 0.
+    """
+    _, m, real, (A, b) = _setup(spec, n)
+    w = sp.weight.values_up_to(m - 1)
+    dual = _dual_bound(A, b, w, sp.q, _dual_candidate(A, w, _coords(residual, m, real), sp.p))
+    return _exp_poly_fit(spec, n, sp, residual, dual, residual)
+
+
+def solve_structural(problem, n: int, sp: SpaceParams, init: OpaResult | None = None
+                     ) -> tuple[OpaResult, ExpPolyFit | None]:
+    """Order-n approximant for 1 < p < inf by Newton's method on the dual.
+
+    ``problem`` is a Poly or a CircleZeroSpec (exact zeros).  The unknowns are
+    the R = d (real f) or 2d dual coordinates lam of the residual-form rows,
+    whatever n is.  Newton's method maximizes the concave dual
+    h(lam) = b . lam - (1/q) sum_t w_t^(1-q) |y_t|^q, y = A lam, whose
+    maximizer gives the optimal residual r_t = w_t^(1-q) |y_t|^(q-2) y_t; the
+    Hessian is shifted by 1e-13 of its trace, for the entries where y
+    vanishes.  Steps pass an Armijo test on h, and once the Newton decrement
+    is at or below 1e-14 |h| (rounding level, where no Armijo test can pass)
+    the full step ends the solve; at most 200 steps.  The start is the
+    least-squares fit of w |r|^(p-2) r onto the rows, with r the residual of
+    ``init`` when given, else the p = 2 residual.
+
+    P = (1 - r) / f by banded least squares, and the reported norm is that of
+    1 - P f.  ``converged`` holds if and only if its relative gap to the dual
+    bound b . lam / (sum_t w_t^(1-q) |y_t|^q)^(1/q) is at most 1e-10 in
+    absolute value.  The structure constants come back for a spec (None for a
+    Poly or a constant f), with the solve's dual bound and gap.
+    """
+    if sp.is_flat:
+        raise UnsupportedExponentError("structural solve needs 1 < p < inf")
+    f, m, real, rows = _setup(problem, n)
+    if rows is None:
+        return _finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True, "structural"), None
+    A, b = rows
+    w, q = sp.weight.values_up_to(m - 1), sp.q
+    r = A @ _hilbert_dual(A, b, w) / w[:, None] if init is None else _coords(init.residual, m, real)
+    lam = _dual_candidate(A, w, r, sp.p)
+    h, y, size = _dual_value(A, b, w, q, lam)
+    iterations = 0
+    while iterations < _DUAL_STEPS:
+        grad, hess, _ = _dual_slopes(A, b, w, q, y, size)
+        step = np.linalg.solve(hess + 1e-13 * np.trace(hess) * np.eye(b.size), grad)
+        decrement, t, iterations = float(grad @ step), 1.0, iterations + 1
+        if decrement <= 1e-14 * abs(h):
+            lam = lam + step
+            break
+        while t > 1e-12:
+            hn, yn, sn = _dual_value(A, b, w, q, lam + t * step)
+            if hn >= h + _ARMIJO * t * decrement:
+                break
+            t *= 0.5
+        else:
+            break
+        lam, h, y, size = lam + t * step, hn, yn, sn
+    own = _complex(_dual_slopes(A, b, w, q, *_dual_value(A, b, w, q, lam)[1:])[2])
+    approx = lstsq_div(ONE - own, f)[0]
+    result = _finalize(f, approx.padded(n + 1), sp, iterations, False, "structural")
+    dual = _dual_bound(A, b, w, q, lam)
+    gap = (result.optimal_norm - dual) / result.optimal_norm if result.optimal_norm > 0 else 0.0
+    result.converged = bool(abs(gap) <= _DUAL_GAP_TOL)
+    if not result.converged:
+        log.debug("solve_structural: relative gap %.3e above %.0e", gap, _DUAL_GAP_TOL)
+    fit = _exp_poly_fit(problem, n, sp, result.residual, dual, own) \
+        if isinstance(problem, CircleZeroSpec) else None
+    return result, fit
+
+
+# ---------------------------------------------------------------------------
+# Flat endpoints p in {1, inf}: the residual-form linear programs
+# ---------------------------------------------------------------------------
 
 def _free_columns(A: np.ndarray, y: np.ndarray, w: np.ndarray, p: float):
     """Entries a dual y leaves free, and their constraint columns (R x k):
@@ -653,7 +645,7 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
     """
     m, c, R = A.shape
     plane = np.linalg.svd(b[None])[2][1:].T
-    start = np.linalg.solve(np.einsum("tcr,tcs->rs", A / w[:, None, None], A), b)
+    start = _hilbert_dual(A, b, w)
     lam0 = b / (b @ b)
     z, y0, Az = plane.T @ (start / (b @ start) - lam0), A @ lam0, A @ plane
     flat = Az.reshape(m * c, R - 1)
@@ -713,25 +705,22 @@ def solve_flat(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, FlatDiagnos
     """
     if not sp.is_flat:
         raise UnsupportedExponentError("solve_flat handles p in {1, inf} only")
-    f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
-    _validate(f, n)
-    if f.degree == 0:
+    f, m, real, rows = _setup(problem, n)
+    if rows is None:
         result = _finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True, "flat")
         return result, FlatDiagnostics(result.optimal_norm, 0.0, 0.0, 0)
-    m = n + f.degree + 1
-    real = np.abs(f.coeffs.imag).max() <= _ROUNDING * np.abs(f.coeffs).max()
-    A, b = _flat_rows(f, problem, m, real)
+    A, b = rows
     w = sp.weight.values_up_to(m - 1)
     r, lam, iterations = (_flat_l1 if sp.p == 1.0 else _flat_linf)(A, b, w)
-    approx = lstsq_div(ONE - Poly(r[:, 0] if real else r[:, 0] + 1j * r[:, 1]), f)[0]
-    primal = norm(ONE - approx * f, sp)
-    y = A @ lam
+    approx = lstsq_div(ONE - _complex(r), f)[0]
+    result = _finalize(f, approx.padded(n + 1), sp, iterations, False, "flat")
+    primal, y = result.optimal_norm, A @ lam
     size = np.linalg.norm(y, axis=1) / w
     dual = float(b @ lam) / float(size.max() if sp.p == 1.0 else size.sum())
     gap = (primal - dual) / primal if primal > 0 else 0.0
+    result.converged = bool(gap <= _GAP_TOL)
     cols = _free_columns(A, y, w, sp.p)[1]
     face_dim = cols.shape[1] - (np.linalg.matrix_rank(cols) if cols.size else 0)
-    result = _finalize(f, approx.padded(n + 1), sp, iterations, bool(gap <= _GAP_TOL), "flat")
     return result, FlatDiagnostics(primal, dual, gap, int(face_dim))
 
 

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import InexactDivisionError
 
@@ -178,38 +179,42 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return quotient, num - quotient * den
 
 
-def lstsq_div(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+def lstsq_div(num: Poly, den: Poly, block: int = 64) -> tuple[Poly, Poly]:
     """Division with the quotient chosen to minimize the remainder 2-norm.
 
     Column j of the multiplication-by-den matrix is nonzero in rows j..j+e
-    only (e = deg den), so Householder QR in band storage reflects rows
-    j..j+e and touches columns j..j+e at step j: O(n e^2) time, O(n e)
-    memory.  Unlike long division it is stable for zeros of den outside the
-    disc; for exactly divisible inputs the remainder is at rounding level.
+    only (e = deg den), so its Householder QR runs by blocks: one
+    ``np.linalg.qr`` of the ``block`` + e rows a block of columns touches,
+    with the next e columns and num appended (the triangle then holds
+    Q^H num), leaves e rows for the next block.  R has upper bandwidth e, so
+    one banded back substitution ends it: O(n (block + e)^2) time, O(n e)
+    memory; ``block`` = 1 is plain column-by-column QR.  Unlike long
+    division it is stable for zeros of den outside the disc; for exactly
+    divisible inputs the remainder is at rounding level.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero or num.degree < den.degree:
         return Poly(), num
     e, cols = den.degree, num.degree - den.degree + 1
-    band = np.zeros((num.degree + 1, 2 * e + 1), dtype=np.complex128)  # band[i, k] = A[i, i-e+k]
+    size = min(block, cols) + e
+    fresh = np.zeros((size, size), dtype=np.complex128)     # a block's columns, untouched
     for k in range(e + 1):
-        band[k: k + cols, e - k] = den.coeffs[k]
-    rhs, step = num.coeffs.copy(), np.arange(e + 1)
-    offset = step[None, :] - step[:, None] + e        # A[j+a, j+b] = band[j+a, offset[a, b]]
-    for j in range(cols):
-        idx = ((j + step)[:, None], offset[:, : min(e, cols - 1 - j) + 1])
-        block = band[idx]
-        v = block[:, 0].copy()
-        v[0] += np.exp(1j * np.angle(v[0])) * np.linalg.norm(v)
-        v /= np.linalg.norm(v)
-        band[idx] = block - 2.0 * np.outer(v, v.conj() @ block)
-        rhs[j: j + e + 1] -= 2.0 * v * (v.conj() @ rhs[j: j + e + 1])
-    q = np.zeros(cols, dtype=np.complex128)
-    for j in range(cols - 1, -1, -1):                   # back substitution in R
-        k = min(e, cols - 1 - j)
-        q[j] = (rhs[j] - band[j, e + 1: e + 1 + k] @ q[j + 1: j + 1 + k]) / band[j, e]
-    quotient = Poly(q)
+        fresh[np.arange(k, size), np.arange(size - k)] = den.coeffs[k]
+    band = np.zeros((e + 1, cols + e), dtype=np.complex128)  # band[e + i - j, j] = R[i, j]
+    rhs = np.zeros(cols, dtype=np.complex128)
+    for j in range(0, cols, block):
+        width = min(block, cols - j)
+        work = np.zeros((width + e, width + e + 1), dtype=np.complex128)
+        work[:, :-1], work[:, -1] = fresh[: width + e, : width + e], num.coeffs[j: j + width + e]
+        work[:, cols - j: -1] = 0.0                         # no columns past the last
+        if j:
+            work[:e, np.r_[:e, -1]] = carry                 # the rows the block before left
+        r = np.linalg.qr(work, mode="r")
+        for k in range(e + 1):
+            band[e - k, j + k: j + k + width] = np.diagonal(r, k)[:width]
+        rhs[j: j + width], carry = r[:width, -1], r[width:, width:]
+    quotient = Poly(solve_banded((0, e), band[:, :cols], rhs))
     return quotient, num - quotient * den
 
 

@@ -166,7 +166,7 @@ def _dispatch(problem, n: int, sp: SpaceParams, solver: str,
         elif sp.p == 2.0:
             solver = "hilbert"
         else:
-            solver = "convex"
+            solver = "structural" if sp.p < 2.0 else "convex"
     if solver == "closed":
         if match is None:
             raise ValueError("closed-form solver requires f = c*(1 - z^d)")
@@ -184,9 +184,6 @@ def _dispatch(problem, n: int, sp: SpaceParams, solver: str,
         return solve_convex(f, n, sp, opts)
     if solver == "flat":
         return solve_flat(problem, n, sp)[0]
-    # structural
-    if not isinstance(problem, CircleZeroSpec):
-        raise ValueError("the structural solver needs a circle zero spec")
     return solve_structural(problem, n, sp)[0]
 
 

@@ -52,6 +52,15 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["solver"] == "structural"
 
+    def test_structural_solver_takes_coefficients(self, capsys):
+        norms = {}
+        for solver in ("structural", "convex"):
+            code, out, _ = run_cli(capsys, "compute", "--coeffs", "1,0.5-1i,-0.5i", "--p", "1.5",
+                                   "--n", "16", "--solver", solver)
+            assert code == 0
+            norms[solver] = json.loads(out)["optimal_norm"]
+        assert norms["structural"] == pytest.approx(norms["convex"], rel=1e-12)
+
     def test_flat_solver_json_has_null_ortho(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--coeffs", "1,-1", "--p", "inf",
                                "--n", "2")
@@ -148,6 +157,8 @@ class TestArgumentValidation:
         ("flat", ["--roots", "0:2,pi:1", "--p", "1"]),
         ("auto", ["--roots", "0:2,pi:1", "--p", "1"]),
         ("auto", ["--coeffs", "1,0.5-1i,-0.5i", "--p", "inf"]),
+        ("auto", ["--roots", "0:2,pi:1", "--p", "1.5"]),
+        ("auto", ["--coeffs", "1,0.5-1i,-0.5i", "--p", "1.2"]),
     ])
     def test_options_refused_where_ignored(self, capsys, solver, problem, option):
         argv = ["compute", *problem, "--n", "8", "--solver", solver]

@@ -1,6 +1,7 @@
 """Tests for the hilbert, convex, closed-form, flat and composite solvers."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -194,6 +195,21 @@ class TestConvex:
         res = solve_convex(Poly([1, -1]), 24, SpaceParams.power(3, 0), opts,
                            init=Poly(np.zeros(25)))
         assert not res.converged
+
+    @pytest.mark.parametrize("roots, p", [(((0.0, 4),), 1.2), (((0.0, 2), (PI, 1)), 1.1)],
+                             ids=["(z-1)^4,p=1.2", "(z-1)^2(z+1),p=1.1"])
+    def test_stall_returns_early(self, roots, p):
+        # both used to run all 10,000 Newton steps (11 s and 50 s) without
+        # reaching the gradient tolerance; the stall rule ends them
+        spec = CircleZeroSpec(roots)
+        sp = SpaceParams.power(p, 0.0)
+        start = time.perf_counter()
+        res = solve_convex(expand(spec), 64, sp)
+        assert time.perf_counter() - start < 1.0
+        assert res.iterations < SolverOpts().max_iters
+        ref, _ = solve_structural(spec, 64, sp)
+        assert ref.converged
+        assert res.optimal_norm == pytest.approx(ref.optimal_norm, rel=1e-6)
 
 
 # (circle zeros, p, n, alpha): repeated zeros up to n = 256, and a p < 1.5
@@ -425,7 +441,7 @@ class TestComposite:
         def no_division(*args, **kwargs):
             raise AssertionError("composite_construction divided by f")
 
-        monkeypatch.setattr("lpopa.opa.exact_div", no_division)
+        monkeypatch.setattr("lpopa.opa.lstsq_div", no_division)   # opa's only division
         got = composite_construction(spec, n, sp)
         assert got.degree <= n
         size = max(got.coeffs.size, want.coeffs.size)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from lpopa import (CircleZeroSpec, SpaceParams, UnsupportedExponentError,
+from lpopa import (CircleZeroSpec, Poly, SolverOpts, SpaceParams, UnsupportedExponentError,
                    eval_derivative, expand, fit_exp_poly, lower_bound, solve_convex,
                    solve_hilbert, solve_structural)
-from lpopa.opa import _StructuralSystem
+from lpopa.opa import _dual_slopes, _dual_value, _residual_rows
+from lpopa.rates import _dispatch
 
 PI = math.pi
 
@@ -129,9 +130,7 @@ class TestStructuralInvariants:
     @pytest.mark.parametrize("roots, n", [(((0.0, 2), (PI, 1)), 2), (((0.0, 4),), 128)],
                              ids=["(z-1)^2(z+1),n=2", "(z-1)^4,n=128"])
     def test_stalled_newton_stands_alone(self, monkeypatch, roots, n):
-        # Newton stalls just above the 1e-9 system tolerance on both (7.9e-9
-        # and 1.5e-9); the route reports that itself instead of asking the
-        # convex route
+        # the route certifies both on its own, without asking the convex route
         spec = CircleZeroSpec(roots)
         sp = SpaceParams.power(3, 0.0)
         oracle = solve_convex(expand(spec), n, sp)
@@ -140,26 +139,38 @@ class TestStructuralInvariants:
             raise AssertionError("solve_structural called solve_convex")
 
         monkeypatch.setattr("lpopa.opa.solve_convex", no_convex)
-        res, _ = solve_structural(spec, n, sp)
-        assert not res.converged
+        res, fit = solve_structural(spec, n, sp)
+        assert res.converged
+        assert abs(fit.rel_gap) <= 1e-10
         assert res.optimal_norm >= lower_bound(spec, n, sp)
-        assert res.optimal_norm == pytest.approx(oracle.optimal_norm, rel=1e-6)
+        assert res.optimal_norm == pytest.approx(oracle.optimal_norm, rel=1e-10)
 
 
-class TestJacobian:
-    def test_matches_finite_differences(self):
-        spec = CircleZeroSpec(((0.0, 2), (PI / 2, 1)))
-        sp = SpaceParams.power(2.5, 0.3)
-        system = _StructuralSystem(spec, 4, sp)
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal(2 * system.d) * 0.2
-        jac = system.jacobian_real(a)
-        h = 1e-7
-        for k in range(2 * system.d):
-            e = np.zeros_like(a)
-            e[k] = h
-            fd = (system.equations_real(a + e) - system.equations_real(a - e)) / (2 * h)
-            np.testing.assert_allclose(jac[:, k], fd, rtol=1e-4, atol=1e-6)
+class TestDualDerivatives:
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.5])
+    @pytest.mark.parametrize("f", [expand(CircleZeroSpec(((0.0, 2), (PI / 2, 1)))),
+                                   Poly([1, 0.5 - 1j, -0.5j])], ids=["circle", "cplx"])
+    def test_match_finite_differences(self, f, p):
+        # gradient and Hessian of h(lam) = b . lam - (1/q) sum w^(1-q) |A lam|^q
+        sp = SpaceParams.power(p, 0.3)
+        m = 5 + f.degree
+        real = not np.abs(f.coeffs.imag).any()
+        A, b = _residual_rows(f, f, m, real)
+        w, q = sp.weight.values_up_to(m - 1), sp.q
+        lam = np.random.default_rng(9).standard_normal(b.size)
+        grad, hess, r = _dual_slopes(A, b, w, q, *_dual_value(A, b, w, q, lam)[1:])
+        eps = 1e-6
+        for k in range(b.size):
+            e = np.zeros_like(lam)
+            e[k] = eps
+            slope = (_dual_value(A, b, w, q, lam + e)[0]
+                     - _dual_value(A, b, w, q, lam - e)[0]) / (2 * eps)
+            assert slope == pytest.approx(grad[k], rel=1e-6, abs=1e-8)
+            curve = (_dual_slopes(A, b, w, q, *_dual_value(A, b, w, q, lam + e)[1:])[0]
+                     - _dual_slopes(A, b, w, q, *_dual_value(A, b, w, q, lam - e)[1:])[0])
+            np.testing.assert_allclose(-curve / (2 * eps), hess[:, k], rtol=1e-5, atol=1e-7)
+        # the Lagrangian minimizer: its constraint defect is the gradient
+        np.testing.assert_allclose(b - np.einsum("tcr,tc->r", A, r), grad, atol=1e-12)
 
 
 def test_oracle_triangle_across_weights():
@@ -193,3 +204,31 @@ def test_fit_exp_poly_on_hilbert_solution():
     assert fit.fit_residual <= 1e-10
     assert fit.system_residual <= 1e-10
     assert len(fit.constants) == 3
+
+
+CERTIFIED = {"z1sq_zp1": CircleZeroSpec(((0.0, 2), (PI, 1))),
+             "three": CircleZeroSpec(((0.0, 1), (PI / 2, 1), (3 * PI / 2, 1))),
+             "cplx": Poly([1, 0.5 - 1j, -0.5j]),
+             "z1_4": CircleZeroSpec(((0.0, 4),))}
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+@pytest.mark.parametrize("p", [1.1, 1.2, 1.5])
+@pytest.mark.parametrize("name", list(CERTIFIED))
+def test_auto_route_certifies(name, p, alpha):
+    # auto sends 1 < p < 2 to the dual Newton, whose gap certifies every order;
+    # a spec reports the gap itself, a Poly through converged (the same test)
+    problem, sp = CERTIFIED[name], SpaceParams.power(p, alpha)
+    f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
+    for n in (0, 3, 16, 64, 256) + (() if name == "z1_4" else (1024,)):
+        res = _dispatch(problem, n, sp, "auto", SolverOpts())
+        assert res.solver == "structural" and res.converged, n
+        direct, fit = solve_structural(problem, n, sp)
+        assert direct.optimal_norm == res.optimal_norm
+        if fit is not None:
+            assert abs(fit.rel_gap) <= 1e-10
+            assert fit.dual <= res.optimal_norm * (1 + 1e-10)
+        if n <= 64:
+            oracle = solve_convex(f, n, sp)
+            if oracle.converged:
+                assert res.optimal_norm == pytest.approx(oracle.optimal_norm, rel=1e-10), n

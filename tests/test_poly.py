@@ -10,6 +10,7 @@ import pytest
 from lpopa import (CircleZeroSpec, InexactDivisionError, Poly, eval_derivative,
                    exact_div, expand, parse_angle, poly_divmod, poly_from_config,
                    signed_power, signed_powers)
+from lpopa.poly import lstsq_div
 
 
 def rand_complex(rng, size=None, scale=1.0):
@@ -200,6 +201,58 @@ class TestDivision:
         q = exact_div(num, den)
         assert time.perf_counter() - start < 1.0
         assert np.abs((num - q * den).coeffs).max() <= 1e-9 * np.abs(num.coeffs).max()
+
+
+DIVISORS = {"z-2": [-2.0, 1.0],                                   # zero outside the disc
+            "cplx2": [1.0, 0.3 + 0.2j, -0.1j],
+            "cplx4": [0.4 - 0.1j, -0.3j, 1.0 + 0.2j, 0.5, -0.25 + 0.5j]}
+
+
+class TestBlockedLstsqDiv:
+    BLOCK = 64      # the default block size of lstsq_div
+
+    @staticmethod
+    def dense(num, den, cols):
+        matrix = np.zeros((num.coeffs.size, cols), dtype=np.complex128)
+        for j in range(cols):
+            matrix[j: j + den.coeffs.size, j] = den.coeffs
+        return np.linalg.lstsq(matrix, num.coeffs, rcond=None)[0]
+
+    @pytest.mark.parametrize("cols", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("name", list(DIVISORS))
+    def test_matches_dense_least_squares(self, name, cols):
+        rng = np.random.default_rng(cols)
+        den = Poly(DIVISORS[name])
+        num = Poly(rand_complex(rng, cols + den.degree))
+        q, r = lstsq_div(num, den)
+        want = self.dense(num, den, cols)
+        assert np.abs(q.padded(cols) - want).max() <= 1e-12 * np.abs(want).max()
+        assert r == num - q * den
+
+    @pytest.mark.parametrize("cols", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("name", list(DIVISORS))
+    def test_remainder_no_larger_than_unblocked(self, name, cols):
+        # block = 1 is plain column-by-column Householder QR
+        rng = np.random.default_rng(cols + 7)
+        den = Poly(DIVISORS[name])
+        num = Poly(rand_complex(rng, cols + den.degree))
+        blocked = np.linalg.norm(lstsq_div(num, den)[1].coeffs)
+        unblocked = np.linalg.norm(lstsq_div(num, den, block=1)[1].coeffs)
+        assert blocked <= unblocked * (1 + 1e-12)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 64])
+    def test_exact_quotient_for_any_block(self, block):
+        rng = np.random.default_rng(block)
+        den = Poly(DIVISORS["cplx4"])
+        a = Poly(rand_complex(rng, 150))
+        q, r = lstsq_div(a * den, den, block=block)
+        assert np.abs(q.padded(150) - a.coeffs).max() <= 1e-12 * np.abs(a.coeffs).max()
+        assert np.abs(r.coeffs).max() <= 1e-13 * np.abs((a * den).coeffs).max()
+
+    def test_constant_divisor_and_short_numerator(self):
+        num = Poly([2.0, 4.0, 6.0])
+        assert lstsq_div(num, Poly([2.0]))[0] == Poly([1.0, 2.0, 3.0])
+        assert lstsq_div(Poly([1.0]), Poly([1.0, 1.0])) == (Poly(), Poly([1.0]))
 
 
 class TestEvalDerivative:
