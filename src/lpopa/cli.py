@@ -29,7 +29,7 @@ from .errors import (IllConditionedError, InternalConsistencyError, LpopaError,
 from .opa import OpaResult, SolverOpts, closed_form_one_minus_zd
 from .poly import CircleZeroSpec, Poly, expand, parse_angle, poly_from_config
 from .rates import (SOLVER_CHOICES, classify, fit_rates, geometric_grid,
-                    log_band_ratio, lower_bound, run_sweep, _dispatch)
+                    log_band_ratio, lower_bound, run_sweep, _dispatch, _route)
 from .space import SpaceParams
 from .verification import run_verification
 from .weights import power_weight, weight_from_config
@@ -161,21 +161,18 @@ def _problem_from_args(args):
         return poly_from_config(json.load(fh))
 
 
-def _opts_from_args(args, sp: SpaceParams) -> SolverOpts:
+def _opts_from_args(args, sp: SpaceParams, problem) -> SolverOpts:
     """Solver options from --max-iters and --tol; SolverOpts rejects bad values.
 
     Only the convex route takes them: after the value checks they are refused
-    with any other solver, and with auto at p in {1, inf}, where it is flat,
-    and at 1 < p < 2, where it is structural.
+    wherever the solver, or the route auto picks for this problem, is another.
     """
     given = {key: value for key, value in (("max_iters", args.max_iters), ("grad_tol", args.tol))
              if value is not None}
     opts = SolverOpts(**given)
-    solver = args.solver
-    if solver == "auto" and (sp.is_flat or sp.p < 2.0):
-        solver = "flat" if sp.is_flat else "structural"
-    if given and solver in ("structural", "hilbert", "closed", "flat"):
-        raise ValueError(f"--max-iters and --tol do not apply to --solver {solver}")
+    solver = _route(problem, sp, args.solver)
+    if given and solver != "convex":
+        raise ValueError(f"--max-iters and --tol do not apply to the {solver} route")
     return opts
 
 
@@ -234,7 +231,7 @@ def _result_payload(cfg_cmd: str, problem, res: OpaResult, sp: SpaceParams,
 def _cmd_compute(args) -> int:
     sp = _space_from_args(args)
     problem = _problem_from_args(args)
-    opts = _opts_from_args(args, sp)
+    opts = _opts_from_args(args, sp, problem)
     res = _dispatch(problem, args.n, sp, args.solver, opts)
     payload = _result_payload("compute", problem, res, sp, args, args.n)
     _emit(render_json(payload) + "\n", args.out)
@@ -274,7 +271,7 @@ _CSV_COLUMNS = ["n", "d", "p", "alpha", "optimal_norm", "norm_p_power",
 def _cmd_sweep(args) -> int:
     sp = _space_from_args(args)
     problem = _problem_from_args(args)
-    opts = _opts_from_args(args, sp)
+    opts = _opts_from_args(args, sp, problem)
     grid = _parse_n_range(args.n)
     try:
         points = run_sweep(problem, sp, grid, solver=args.solver, opts=opts)
@@ -349,12 +346,10 @@ def _add_solver_args(sub) -> None:
     sub.add_argument("--solver", default="auto", choices=SOLVER_CHOICES)
     sub.add_argument("--tol", type=float,
                      help="gradient tolerance of the convex route, finite and > 0; "
-                          "not with --solver structural, hilbert, closed or flat, "
-                          "nor with auto at p < 2")
+                          "refused on every other route, auto's too")
     sub.add_argument("--max-iters", type=int, dest="max_iters",
-                     help="Newton step budget of the convex route, >= 1; not with "
-                          "--solver structural, hilbert, closed or flat, nor with "
-                          "auto at p < 2")
+                     help="Newton step budget of the convex route, >= 1; refused "
+                          "on every other route, auto's too")
 
 
 def build_parser() -> argparse.ArgumentParser:

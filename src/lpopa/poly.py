@@ -20,6 +20,7 @@ from .errors import InexactDivisionError
 MAX_DEGREE = 1 << 16
 
 TWO_PI = 2.0 * math.pi
+_BLOCK = 64              # columns per np.linalg.qr call in lstsq_div
 
 
 def signed_power(z: complex, s: float) -> complex:
@@ -179,16 +180,16 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return quotient, num - quotient * den
 
 
-def lstsq_div(num: Poly, den: Poly, block: int = 64) -> tuple[Poly, Poly]:
+def lstsq_div(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Division with the quotient chosen to minimize the remainder 2-norm.
 
     Column j of the multiplication-by-den matrix is nonzero in rows j..j+e
     only (e = deg den), so its Householder QR runs by blocks: one
-    ``np.linalg.qr`` of the ``block`` + e rows a block of columns touches,
+    ``np.linalg.qr`` of the ``_BLOCK`` + e rows a block of columns touches,
     with the next e columns and num appended (the triangle then holds
     Q^H num), leaves e rows for the next block.  R has upper bandwidth e, so
-    one banded back substitution ends it: O(n (block + e)^2) time, O(n e)
-    memory; ``block`` = 1 is plain column-by-column QR.  Unlike long
+    one banded back substitution ends it: O(n (_BLOCK + e)^2) time, O(n e)
+    memory; a block of 1 is plain column-by-column QR.  Unlike long
     division it is stable for zeros of den outside the disc; for exactly
     divisible inputs the remainder is at rounding level.
     """
@@ -197,14 +198,14 @@ def lstsq_div(num: Poly, den: Poly, block: int = 64) -> tuple[Poly, Poly]:
     if num.is_zero or num.degree < den.degree:
         return Poly(), num
     e, cols = den.degree, num.degree - den.degree + 1
-    size = min(block, cols) + e
+    size = min(_BLOCK, cols) + e
     fresh = np.zeros((size, size), dtype=np.complex128)     # a block's columns, untouched
     for k in range(e + 1):
         fresh[np.arange(k, size), np.arange(size - k)] = den.coeffs[k]
     band = np.zeros((e + 1, cols + e), dtype=np.complex128)  # band[e + i - j, j] = R[i, j]
     rhs = np.zeros(cols, dtype=np.complex128)
-    for j in range(0, cols, block):
-        width = min(block, cols - j)
+    for j in range(0, cols, _BLOCK):
+        width = min(_BLOCK, cols - j)
         work = np.zeros((width + e, width + e + 1), dtype=np.complex128)
         work[:, :-1], work[:, -1] = fresh[: width + e, : width + e], num.coeffs[j: j + width + e]
         work[:, cols - j: -1] = 0.0                         # no columns past the last

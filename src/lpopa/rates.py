@@ -152,22 +152,29 @@ def detect_one_minus_zd(problem) -> tuple[int, complex] | None:
     return f.degree, complex(lead)
 
 
-def _dispatch(problem, n: int, sp: SpaceParams, solver: str,
-              opts: SolverOpts) -> OpaResult:
+def _route(problem, sp: SpaceParams, solver: str) -> str:
+    """The solver that runs for ``solver`` on this problem: auto picks flat at
+    p in {1, inf}, closed for c*(1 - z^d), hilbert at p = 2, structural at
+    1 < p < 2 and convex at p > 2."""
     if solver not in SOLVER_CHOICES:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_CHOICES}")
+    if solver != "auto":
+        return solver
+    if sp.is_flat:
+        return "flat"
+    if detect_one_minus_zd(problem) is not None:
+        return "closed"
+    if sp.p == 2.0:
+        return "hilbert"
+    return "structural" if sp.p < 2.0 else "convex"
+
+
+def _dispatch(problem, n: int, sp: SpaceParams, solver: str,
+              opts: SolverOpts) -> OpaResult:
+    solver = _route(problem, sp, solver)
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
-    match = detect_one_minus_zd(f) if solver in ("auto", "closed") else None
-    if solver == "auto":
-        if sp.is_flat:
-            solver = "flat"
-        elif match is not None:
-            solver = "closed"
-        elif sp.p == 2.0:
-            solver = "hilbert"
-        else:
-            solver = "structural" if sp.p < 2.0 else "convex"
     if solver == "closed":
+        match = detect_one_minus_zd(f)
         if match is None:
             raise ValueError("closed-form solver requires f = c*(1 - z^d)")
         d, lead = match

@@ -159,6 +159,8 @@ class TestArgumentValidation:
         ("auto", ["--coeffs", "1,0.5-1i,-0.5i", "--p", "inf"]),
         ("auto", ["--roots", "0:2,pi:1", "--p", "1.5"]),
         ("auto", ["--coeffs", "1,0.5-1i,-0.5i", "--p", "1.2"]),
+        ("auto", ["--roots", "0:2,pi:1", "--p", "2"]),           # hilbert
+        ("auto", ["--roots", "0:1,pi:1", "--p", "3"]),           # 1 - z^2: closed
     ])
     def test_options_refused_where_ignored(self, capsys, solver, problem, option):
         argv = ["compute", *problem, "--n", "8", "--solver", solver]
@@ -167,6 +169,14 @@ class TestArgumentValidation:
         assert code == 2
         assert out == ""
         assert "do not apply" in err
+
+    def test_auto_passes_options_to_convex(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "--roots", "0:2,pi:1", "--p", "3",
+                               "--n", "8", "--max-iters", "1", "--tol", "1e-14")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["solver"] == "convex"
+        assert payload["iterations"] == 1
 
     def test_hilbert_requires_p2(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--coeffs", "1,-1", "--p", "3",

@@ -1,7 +1,6 @@
 """Tests for the hilbert, convex, closed-form, flat and composite solvers."""
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -203,10 +202,8 @@ class TestConvex:
         # reaching the gradient tolerance; the stall rule ends them
         spec = CircleZeroSpec(roots)
         sp = SpaceParams.power(p, 0.0)
-        start = time.perf_counter()
         res = solve_convex(expand(spec), 64, sp)
-        assert time.perf_counter() - start < 1.0
-        assert res.iterations < SolverOpts().max_iters
+        assert res.iterations <= 100          # 52 and 49 steps on this code
         ref, _ = solve_structural(spec, 64, sp)
         assert ref.converged
         assert res.optimal_norm == pytest.approx(ref.optimal_norm, rel=1e-6)

@@ -209,7 +209,7 @@ DIVISORS = {"z-2": [-2.0, 1.0],                                   # zero outside
 
 
 class TestBlockedLstsqDiv:
-    BLOCK = 64      # the default block size of lstsq_div
+    BLOCK = 64      # lpopa.poly._BLOCK, the block size of lstsq_div
 
     @staticmethod
     def dense(num, den, cols):
@@ -231,21 +231,23 @@ class TestBlockedLstsqDiv:
 
     @pytest.mark.parametrize("cols", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     @pytest.mark.parametrize("name", list(DIVISORS))
-    def test_remainder_no_larger_than_unblocked(self, name, cols):
-        # block = 1 is plain column-by-column Householder QR
+    def test_remainder_no_larger_than_unblocked(self, name, cols, monkeypatch):
+        # a block of 1 is plain column-by-column Householder QR
         rng = np.random.default_rng(cols + 7)
         den = Poly(DIVISORS[name])
         num = Poly(rand_complex(rng, cols + den.degree))
         blocked = np.linalg.norm(lstsq_div(num, den)[1].coeffs)
-        unblocked = np.linalg.norm(lstsq_div(num, den, block=1)[1].coeffs)
+        monkeypatch.setattr("lpopa.poly._BLOCK", 1)
+        unblocked = np.linalg.norm(lstsq_div(num, den)[1].coeffs)
         assert blocked <= unblocked * (1 + 1e-12)
 
     @pytest.mark.parametrize("block", [1, 2, 5, 64])
-    def test_exact_quotient_for_any_block(self, block):
+    def test_exact_quotient_for_any_block(self, block, monkeypatch):
+        monkeypatch.setattr("lpopa.poly._BLOCK", block)
         rng = np.random.default_rng(block)
         den = Poly(DIVISORS["cplx4"])
         a = Poly(rand_complex(rng, 150))
-        q, r = lstsq_div(a * den, den, block=block)
+        q, r = lstsq_div(a * den, den)
         assert np.abs(q.padded(150) - a.coeffs).max() <= 1e-12 * np.abs(a.coeffs).max()
         assert np.abs(r.coeffs).max() <= 1e-13 * np.abs((a * den).coeffs).max()
 
