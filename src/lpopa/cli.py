@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -38,7 +39,13 @@ from .weights import power_weight, weight_from_config
 # Deterministic serialization (floats with 17 significant digits)
 # --------------------------------------------------------------------------
 
+def _fmt_float(x) -> str:
+    """A float with 17 significant digits; null for NaN and +-inf."""
+    return format(float(x), ".17g") if math.isfinite(x) else "null"
+
+
 def render_json(obj, indent: int = 0) -> str:
+    """Deterministic JSON; a list is inline under 60 characters, its floats formatted in place."""
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -47,10 +54,7 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x) or math.isinf(x):
-            return "null"
-        return format(x, ".17g")
+        return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -60,8 +64,9 @@ def render_json(obj, indent: int = 0) -> str:
                            for k, v in obj.items())
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [render_json(v, indent + 1) for v in obj]
-        if sum(len(s) for s in items) < 60 and all("\n" not in s for s in items):
+        items = [_fmt_float(v) if isinstance(v, float) else render_json(v, indent + 1)
+                 for v in obj]
+        if sum(map(len, items)) < 60 and not any("\n" in s for s in items):
             return "[" + ", ".join(items) + "]"
         inner = ",\n".join(pad + "  " + s for s in items)
         return "[\n" + inner + "\n" + pad + "]"
@@ -352,7 +357,9 @@ def _add_solver_args(sub) -> None:
                           "on every other route, auto's too")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lpopa`` parser, built once; each parse_args gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="lpopa",
         description="Optimal polynomial approximants in weighted l^p spaces")

@@ -25,7 +25,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import IllConditionedError, UnsupportedExponentError
 from .poly import ONE, CircleZeroSpec, Poly, expand, lstsq_div, signed_powers
@@ -150,6 +149,12 @@ def _finalize(f: Poly, c: np.ndarray, sp: SpaceParams, iterations: int,
 # p = 2: normal equations
 # ---------------------------------------------------------------------------
 
+def cholesky_banded(ab: np.ndarray) -> np.ndarray:
+    """Upper banded Cholesky factor; module-level so perfbench/tracer.py can wrap it."""
+    from scipy.linalg import cholesky_banded as factor   # scipy on first use
+    return factor(ab, lower=False)
+
+
 def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
     """Order-n approximant at p = 2 by solving the Gram system directly.
 
@@ -157,7 +162,9 @@ def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
     Hermitian positive definite and banded with bandwidth deg f, so a banded
     Cholesky factorization solves it in O(n d^2).  Raises
     IllConditionedError when the factor suggests condition beyond 1e14.
+    scipy.linalg is imported at the first call, not with the module.
     """
+    from scipy.linalg import cho_solve_banded
     _validate(f, n)
     fc = f.coeffs
     d = f.degree
@@ -173,7 +180,7 @@ def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
         ab[u - r, r: n + 1] = corr[r: n + 1]
 
     try:
-        cb = cholesky_banded(ab, lower=False)
+        cb = cholesky_banded(ab)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"Gram factorization failed: {exc}") from exc
     diag = np.abs(cb[-1, :])

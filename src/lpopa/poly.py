@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import InexactDivisionError
 
@@ -191,7 +190,8 @@ def lstsq_div(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     one banded back substitution ends it: O(n (_BLOCK + e)^2) time, O(n e)
     memory; a block of 1 is plain column-by-column QR.  Unlike long
     division it is stable for zeros of den outside the disc; for exactly
-    divisible inputs the remainder is at rounding level.
+    divisible inputs the remainder is at rounding level.  The back
+    substitution is scipy's, imported the first time one runs.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -215,6 +215,7 @@ def lstsq_div(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         for k in range(e + 1):
             band[e - k, j + k: j + k + width] = np.diagonal(r, k)[:width]
         rhs[j: j + width], carry = r[:width, -1], r[width:, width:]
+    from scipy.linalg import solve_banded
     quotient = Poly(solve_banded((0, e), band[:, :cols], rhs))
     return quotient, num - quotient * den
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,10 +13,11 @@ import numpy as np
 import pytest
 
 import lpopa
+import lpopa.cli
 import lpopa.space
 import lpopa.verification
 from lpopa import CircleZeroSpec, SpaceParams, lower_bound
-from lpopa.cli import main
+from lpopa.cli import build_parser, main, render_json
 
 
 def run_cli(capsys, *argv):
@@ -350,6 +352,156 @@ def test_cli_compute_does_not_import_scipy_optimize(p):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["classify", "--p", "1.5", "--alpha", "0"],
+    ["closed-form", "--d", "2", "--p", "1.5", "--n", "64"],
+    ["compute", "--coeffs", "1,-1", "--p", "3", "--n", "16"],
+    ["compute", "--coeffs", "1,-1", "--p", "1", "--n", "16"],      # zero approximant: no division
+], ids=lambda argv: " ".join(argv or ["import"]))
+def test_cli_leaves_scipy_unloaded(argv):
+    """Importing the CLI, and requests that neither factor nor divide, load no scipy."""
+    script = "import sys\nfrom lpopa.cli import main\n"
+    if argv:
+        script += f"assert main({argv!r}) == 0\n"
+    script += ("loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+               "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("p, n", [("2", "16"), ("inf", "64")])
+def test_cli_imports_scipy_on_first_use(p, n):
+    """The Hilbert route and a flat solve that divides import scipy themselves."""
+    script = ("import sys\n"
+              "from lpopa.cli import main\n"
+              f"assert main(['compute', '--roots', '0:2,pi:1', '--p', '{p}', '--n', '{n}']) == 0\n"
+              "assert 'scipy.linalg' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_parser_is_built_once_and_shared(capsys, tmp_path):
+    """In-process main calls share one parser; no option leaks between calls.
+
+    Each call's exit code, stdout (sweeps without the wall_ms column) and
+    --out file must match a fresh interpreter running the same argv.
+    """
+    assert build_parser() is build_parser()
+    out_path = tmp_path / "first.json"
+    first = ["compute", "--roots", "0:2,pi:1", "--p", "1.5", "--alpha", "0.5", "--n", "8",
+             "--out", str(out_path)]
+    sequence = [first,
+                ["compute", "--coeffs", "1,-1", "--p", "inf", "--n", "4"],
+                ["sweep", "--roots", "0:1", "--p", "2", "--n", "8..32"],
+                ["verify", "--quick", "--seed", "0"],
+                ["compute", "--roots", "0:1", "--p", "2", "--n", "many"],
+                first]
+
+    def comparable(code, out, argv):
+        if argv[0] == "sweep":
+            out = [row.rsplit(",", 1)[0] for row in out.splitlines()]
+        written = out_path.read_text() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        return code, out, written
+
+    fresh = []
+    for argv in sequence:
+        proc = subprocess.run([sys.executable, "-m", "lpopa", *argv], capture_output=True,
+                              text=True, env=child_env())
+        fresh.append(comparable(proc.returncode, proc.stdout, argv))
+    assert [entry[0] for entry in fresh] == [0, 0, 0, 0, 2, 0]
+    for argv, expected in zip(sequence, fresh):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert comparable(code, capsys.readouterr().out, argv) == expected, argv
+
+
+def reference_render_json(obj, indent: int = 0) -> str:
+    """The one-recursive-call-per-value renderer that render_json must match."""
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x) or math.isinf(x):
+            return "null"
+        return format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(f"{pad}  {json.dumps(str(k))}: {reference_render_json(v, indent + 1)}"
+                           for k, v in obj.items())
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        items = [reference_render_json(v, indent + 1) for v in obj]
+        if sum(len(s) for s in items) < 60 and all("\n" not in s for s in items):
+            return "[" + ", ".join(items) + "]"
+        inner = ",\n".join(pad + "  " + s for s in items)
+        return "[\n" + inner + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+@pytest.fixture
+def rendered(monkeypatch):
+    """Every object main hands to render_json, recorded as it passes."""
+    seen = []
+
+    def recording(obj, indent=0):
+        if not indent:                      # not render_json's own recursive calls
+            seen.append(obj)
+        return render_json(obj, indent)
+
+    monkeypatch.setattr(lpopa.cli, "render_json", recording)
+    return seen
+
+
+@pytest.mark.parametrize("p", ["1", "1.5", "2", "3", "inf"])
+@pytest.mark.parametrize("source", [["--coeffs", "1,-1"], ["--roots", "0:2,pi:1"],
+                                    ["--coeffs", "1,0.5-1i,-0.5i"]],
+                         ids=["1-z", "z1sq_zp1", "cplx"])
+def test_render_json_matches_reference_on_payloads(capsys, rendered, source, p):
+    for n in (0, 1, 5, 32, 128):
+        main(["compute", *source, "--p", p, "--n", str(n)])
+        assert capsys.readouterr().out == reference_render_json(rendered[-1]) + "\n"
+    assert len(rendered) == 5
+
+
+def test_render_json_matches_reference_on_verify_report(capsys, rendered, tmp_path):
+    report = tmp_path / "verify.json"
+    assert main(["verify", "--quick", "--seed", "0", "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert report.read_text() == reference_render_json(rendered[-1]) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    math.nan, math.inf, -math.inf, np.float64(0.1), np.float32(0.1), np.int64(-7), True, False,
+    None, 0, "text", [], {}, (), np.array([]),
+    [math.nan, math.inf, -math.inf, np.float64(1 / 3), np.float32(1 / 3), np.int64(3), 2.5],
+    [True, False, None, 1, 1.0, "a"],
+    [0.25] * 14,                            # 56 characters: inline
+    [0.25] * 15,                            # 60 characters: one item per line
+    [0.25] * 13 + [math.nan],               # 56 with a null
+    [0.25] * 14 + [math.inf],               # 60 with a null
+    [[0.1, 0.2], [0.3, math.nan], []] * 4,
+    np.linspace(0.0, 1.0, 7),
+    (1.5, -2.5),
+    {"a": {"b": {"c": [1.0, {"d": []}], "e": {}}}, "f": [[{"g": math.nan}]]},
+], ids=repr)
+def test_render_json_matches_reference(obj):
+    assert render_json(obj) == reference_render_json(obj)
 
 
 @pytest.mark.skipif(shutil.which("lpopa") is None,
