@@ -1,8 +1,8 @@
 """Optimal polynomial approximants in weighted l^p analytic sequence spaces."""
 
-from .errors import (AdmissibilityError, IllConditionedError, InexactDivisionError,
-                     InternalConsistencyError, LpopaError, SweepError,
-                     UnsupportedExponentError)
+from .errors import (AdmissibilityError, DegreeCapError, IllConditionedError,
+                     InexactDivisionError, InternalConsistencyError, LpopaError,
+                     SweepError, UnsupportedExponentError)
 from .opa import (ExpPolyFit, FlatDiagnostics, OpaResult, SolverOpts,
                   closed_form_one_minus_zd, composite_construction, fit_exp_poly,
                   solve_convex, solve_flat, solve_hilbert, solve_structural)
@@ -22,7 +22,8 @@ from .weights import (Weight, dilate, doubling_constant_for, power_weight,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityError", "CircleZeroSpec", "ExpPolyFit", "FlatDiagnostics",
+    "AdmissibilityError", "CircleZeroSpec", "DegreeCapError", "ExpPolyFit",
+    "FlatDiagnostics",
     "IllConditionedError", "InexactDivisionError", "InternalConsistencyError",
     "LpopaError", "OpaResult", "Poly", "RateFit", "RatePrediction", "SolverOpts",
     "SpaceParams", "SweepError", "SweepPoint", "UnsupportedExponentError",

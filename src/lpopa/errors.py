@@ -22,6 +22,10 @@ class InexactDivisionError(LpopaError):
         self.relative = relative
 
 
+class DegreeCapError(LpopaError, ValueError):
+    """An order n whose residual 1 - P f would pass the polynomial degree cap."""
+
+
 class IllConditionedError(LpopaError):
     """A linear system is too ill-conditioned to solve reliably."""
 

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedError, UnsupportedExponentError
-from .poly import ONE, CircleZeroSpec, Poly, expand, lstsq_div, signed_powers
+from .errors import DegreeCapError, IllConditionedError, UnsupportedExponentError
+from .poly import (MAX_DEGREE, ONE, CircleZeroSpec, Poly, expand, lstsq_div,
+                   signed_powers)
 from .space import SpaceParams, norm
 from .weights import Weight, dilate
 
@@ -38,7 +39,8 @@ _CONTINUATION_P = 1.5   # solve_convex seeds p below this from a solve at it
 # solve_convex's damped Newton loop: the Armijo fraction of the predicted
 # decrease, the relative rounding level of phi below which a decrease does
 # not count, and the number of consecutive steps without progress (halving
-# the gradient sup-norm, or above tolerance lowering phi) before it returns
+# the gradient sup-norm, or above tolerance lowering phi) before it returns;
+# _flat_linf ends a smoothing stage after as many stalled steps
 _ARMIJO = 0.25
 _PHI_NOISE = 1e-15
 _STALL_STEPS = 3
@@ -120,6 +122,9 @@ def _validate(f: Poly, n: int) -> None:
         raise ValueError("f must not be the zero polynomial")
     if int(n) != n or n < 0:
         raise ValueError("order n must be a nonnegative integer")
+    if n + f.degree > MAX_DEGREE:
+        raise DegreeCapError(f"order n = {n} plus deg f = {f.degree} exceeds "
+                             f"the degree cap {MAX_DEGREE}")
 
 
 def _ortho_residuals(residual: Poly, f: Poly, sp: SpaceParams, n: int) -> np.ndarray:
@@ -164,8 +169,8 @@ def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
     IllConditionedError when the factor suggests condition beyond 1e14.
     scipy.linalg is imported at the first call, not with the module.
     """
-    from scipy.linalg import cho_solve_banded
     _validate(f, n)
+    from scipy.linalg import cho_solve_banded
     fc = f.coeffs
     d = f.degree
     m = n + d + 1
@@ -645,7 +650,12 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
     where 1 / Phi bounds the optimum from below.  Newton's method runs on the
     smoothed sum_t g_t / w_t, g_t = sqrt(|y_t|^2 + eps^2), from the p = 2
     dual, with eps falling tenfold per stage from the mean |y_t| to 1e-12 of
-    it.  Complementary slackness fixes r_t = y_t / (|y_t| w_t Phi) where y_t
+    it.  A stage ends when the Newton decrement falls to 1e-20 phi, after
+    50 steps, or after _STALL_STEPS consecutive stalls: steps whose
+    decrement is at phi's rounding level, 1e-14 phi, without falling below
+    half the previous one.  Steps that still halve it go on, because the
+    direction of y, which fixes r, improves after phi stops moving.
+    Complementary slackness fixes r_t = y_t / (|y_t| w_t Phi) where y_t
     does not vanish; on the set where it does, r solves the same problem
     against the remaining right side, with fewer entries and rows of lower
     rank, so the recursion ends.  Returns r, lam and the Newton steps.
@@ -663,19 +673,25 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
         return y, g, float((g / w).sum())
 
     eps, steps = float(np.linalg.norm(y0 + Az @ z, axis=1).mean()), 0
+    eye_c, eye_z = np.eye(c), np.eye(z.size)
     for _ in range(_SMOOTHING_STAGES):
         eps *= 0.1
         y, g, phi = smoothed(z, eps)
+        stalls, last = 0, math.inf
         for _ in range(_NEWTON_STEPS):
             grad = flat.T @ (y / (g * w)[:, None]).ravel()
             # (g^2 I - y y^T) / g^3, with g^2 - |y|^2 = eps^2 taken exactly
-            yy = (y * y).sum(axis=1)[:, None, None] * np.eye(c) - y[:, :, None] * y[:, None, :]
-            curv = (eps * eps * np.eye(c) + yy) / (g ** 3 * w)[:, None, None]
+            yy = (y * y).sum(axis=1)[:, None, None] * eye_c - y[:, :, None] * y[:, None, :]
+            curv = (eps * eps * eye_c + yy) / (g ** 3 * w)[:, None, None]
             hess = flat.T @ (curv @ Az).reshape(flat.shape)
             # the shift keeps flat directions of Phi, with curvature eps^2
             # below the rounding of the rest, from taking over the step
-            dz = -np.linalg.solve(hess + 1e-12 * np.trace(hess) * np.eye(z.size), grad)
+            dz = -np.linalg.solve(hess + 1e-12 * np.trace(hess) * eye_z, grad)
             decrement, step = -float(grad @ dz), 1.0
+            stalled = 0.5 * last <= decrement <= 1e-14 * phi
+            stalls, last = stalls + 1 if stalled else 0, decrement
+            if stalls >= _STALL_STEPS:
+                break
             while decrement > 1e-20 * phi and step > 1e-12:
                 yn, gn, phin = smoothed(z + step * dz, eps)
                 if phin <= phi - 0.25 * step * decrement:

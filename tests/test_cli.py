@@ -130,6 +130,14 @@ class TestArgumentValidation:
                              "--n", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("roots, p, n", [("0:4", "1.5", "65536"), ("0:2,pi:1", "2", "70000"),
+                                             ("0:2,pi:1", "inf", "65534")])
+    def test_order_past_degree_cap(self, capsys, roots, p, n):
+        code, out, err = run_cli(capsys, "compute", "--roots", roots, "--p", p, "--n", n)
+        assert code == 2 and out == ""
+        deg = sum(int(r.split(":")[1]) for r in roots.split(","))
+        assert f"error: order n = {n} plus deg f = {deg} exceeds the degree cap 65536" in err
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

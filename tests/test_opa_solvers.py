@@ -5,16 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from lpopa import (CircleZeroSpec, IllConditionedError, OpaResult, Poly, SpaceParams,
-                   UnsupportedExponentError, closed_form_one_minus_zd,
-                   composite_construction, exact_div, expand, lower_bound, norm,
-                   power_weight, solve_convex, solve_flat, solve_hilbert,
-                   solve_structural, table_weight)
+from lpopa import (CircleZeroSpec, DegreeCapError, IllConditionedError, OpaResult, Poly,
+                   SpaceParams, UnsupportedExponentError, Weight,
+                   closed_form_one_minus_zd, composite_construction, exact_div, expand,
+                   lower_bound, norm, opa, power_weight, solve_convex, solve_flat,
+                   solve_hilbert, solve_structural, table_weight)
 from lpopa.opa import SolverOpts, bj_certificate
+from lpopa.poly import MAX_DEGREE
 
 INF = math.inf
 PI = math.pi
 Z1SQ_ZP1 = expand(CircleZeroSpec(((0.0, 2), (PI, 1))))  # (z-1)^2 (z+1)
+THREE = expand(CircleZeroSpec(((0.0, 1), (PI / 2, 1), (3 * PI / 2, 1))))
+CPLX = Poly([1, 0.5 - 1j, -0.5j])                        # (1 - iz)(1 + z/2)
 
 
 def one_minus_zd(d):
@@ -278,7 +281,7 @@ class TestClosedForm:
 
 PROBE_POLYS = [
     pytest.param(Z1SQ_ZP1, id="(z-1)^2(z+1)"),
-    pytest.param(Poly([1, 0.5 - 1j, -0.5j]), id="cplx"),     # (1 - iz)(1 + z/2)
+    pytest.param(CPLX, id="cplx"),
     pytest.param(one_minus_zd(2), id="1-z^2"),
     pytest.param(Poly([1]), id="1"),
 ]
@@ -371,12 +374,38 @@ class TestFlat:
     @pytest.mark.parametrize("f", [
         pytest.param(Poly([1, -1]), id="1-z"),
         pytest.param(Z1SQ_ZP1, id="(z-1)^2(z+1)"),
-        pytest.param(expand(CircleZeroSpec(((0.0, 1), (PI / 2, 1), (3 * PI / 2, 1)))), id="three"),
+        pytest.param(THREE, id="three"),
         pytest.param(one_minus_zd(2), id="1-z^2"),
     ])
     def test_matches_coefficient_lp(self, f, n, alpha, p):
         res, _ = solve_flat(f, n, SpaceParams.power(p, alpha))
         assert res.optimal_norm == pytest.approx(coefficient_lp_norm(f, n, p, alpha), rel=1e-9)
+
+    # the orders where smoothing stages of the p = inf dual Newton sit at
+    # the rounding floor for many steps
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("f", [pytest.param(Z1SQ_ZP1, id="(z-1)^2(z+1)"),
+                                   pytest.param(THREE, id="three")])
+    def test_sup_norm_matches_coefficient_lp_at_larger_order(self, f, n, alpha):
+        res, _ = solve_flat(f, n, SpaceParams.power(INF, alpha))
+        assert res.optimal_norm == pytest.approx(coefficient_lp_norm(f, n, INF, alpha), rel=1e-9)
+
+    def test_sup_norm_stage_ends_at_rounding_floor(self):
+        # four smoothing stages used to spend their whole step budget here
+        res, diag = solve_flat(CPLX, 16, SpaceParams.power(INF, 0.5))
+        assert res.converged and diag.rel_gap <= 1e-9
+        assert res.iterations <= 120
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("f", [pytest.param(Z1SQ_ZP1, id="(z-1)^2(z+1)"),
+                                   pytest.param(THREE, id="three"),
+                                   pytest.param(CPLX, id="cplx")])
+    def test_sup_norm_step_count(self, f, n, alpha):
+        res, _ = solve_flat(f, n, SpaceParams.power(INF, alpha))
+        assert res.converged
+        assert res.iterations <= 200
 
     @pytest.mark.parametrize("p", [1, INF])
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
@@ -501,6 +530,36 @@ class TestComposite:
             pn = composite_construction(spec, n, sp)
             ratios.append(norm(Poly([1]) - pn * f, sp) / lower_bound(spec, n, sp))
         assert max(ratios) <= 10.0
+
+
+CAPPED_ROUTES = {
+    "hilbert": lambda n: solve_hilbert(Z1SQ_ZP1, n, power_weight(0.0)),
+    "convex": lambda n: solve_convex(Z1SQ_ZP1, n, SpaceParams.power(1.2, 0.0)),
+    "structural": lambda n: solve_structural(CircleZeroSpec(((0.0, 2), (PI, 1))), n,
+                                             SpaceParams.power(1.5, 0.0)),
+    "closed": lambda n: closed_form_one_minus_zd(3, n, SpaceParams.power(3, 0.0)),
+    "flat-1": lambda n: solve_flat(Z1SQ_ZP1, n, SpaceParams.power(1, 0.0)),
+    "flat-inf": lambda n: solve_flat(CircleZeroSpec(((0.0, 2), (PI, 1))), n,
+                                     SpaceParams.power(INF, 0.0)),
+}
+
+
+@pytest.mark.parametrize("route", CAPPED_ROUTES)
+def test_degree_cap_raises_before_any_work(monkeypatch, route):
+    def work(*args, **kwargs):
+        raise AssertionError("a capped order reached the solver's work")
+
+    for name in ("values_up_to", "at_indices"):
+        monkeypatch.setattr(Weight, name, work)
+    monkeypatch.setattr(opa, "_residual_rows", work)
+    with pytest.raises(DegreeCapError, match=f"n = {MAX_DEGREE - 2} plus deg f = 3 .* "
+                                             f"cap {MAX_DEGREE}"):
+        CAPPED_ROUTES[route](MAX_DEGREE - 2)
+
+
+def test_degree_cap_admits_the_cap_itself():
+    res = solve_hilbert(Poly([1, -1]), MAX_DEGREE - 1, power_weight(0.0))
+    assert res.residual.degree == MAX_DEGREE
 
 
 def test_solvers_agree_pairwise_smoke():
