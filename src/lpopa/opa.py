@@ -7,14 +7,17 @@ degree-n polynomials minimizing the weighted norm of 1 - p_n f.  Routes:
                            d or 2d unknowns whatever n is, certified by its
                            duality gap (1 < p < inf; auto route for p < 2),
 * :func:`solve_convex`     damped Newton descent on the p-th power objective
-                           (1 < p < inf; auto route for p > 2),
+                           (1 < p < inf; auto route for p > 2), started from
+                           the banded p = 2 coefficients,
 * :func:`solve_hilbert`    direct normal equations at p = 2,
 * :func:`closed_form_one_minus_zd`  exact formulas for f = 1 - z^d,
 * :func:`solve_flat`       the linear programs of the endpoints p in {1, inf},
                            solved exactly and certified by a dual bound,
 
 plus the :func:`composite_construction` of near-optimal approximants for
-repeated circle zeros out of a simple-zero Hilbert solve.
+repeated circle zeros out of a simple-zero Hilbert solve.  Every route ends
+in one :func:`_finalize`, which forms the residual, its norm and its
+orthogonality pairing from a single weight table.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import DegreeCapError, IllConditionedError, UnsupportedExponentError
 from .poly import (MAX_DEGREE, ONE, CircleZeroSpec, Poly, expand, lstsq_div,
                    signed_powers)
-from .space import SpaceParams, norm
+from .space import SpaceParams, _row_norms, norm
 from .weights import Weight, dilate
 
 log = logging.getLogger(__name__)
@@ -122,30 +125,56 @@ def _validate(f: Poly, n: int) -> None:
         raise ValueError("f must not be the zero polynomial")
     if int(n) != n or n < 0:
         raise ValueError("order n must be a nonnegative integer")
-    if n + f.degree > MAX_DEGREE:
-        raise DegreeCapError(f"order n = {n} plus deg f = {f.degree} exceeds "
+    check_degree_cap(n, f.degree)
+
+
+def check_degree_cap(n: int, d: int) -> None:
+    """Raise DegreeCapError if order n of a degree-d problem passes the cap."""
+    if n + d > MAX_DEGREE:
+        raise DegreeCapError(f"order n = {n} plus deg f = {d} exceeds "
                              f"the degree cap {MAX_DEGREE}")
 
 
-def _ortho_residuals(residual: Poly, f: Poly, sp: SpaceParams, n: int) -> np.ndarray:
-    """|pairing(residual, z^j f/|f|)| for j = 0..n, vectorized."""
-    m = n + f.degree + 1
-    wv = sp.weight.values_up_to(m - 1)
-    dv = signed_powers(residual.padded(m), sp.p - 1.0) * wv
-    fc_unit = f.coeffs / norm(f, sp)
-    pair = np.correlate(dv, np.conj(fc_unit), mode="valid")
-    return np.abs(pair)
+def _table_norm(c: np.ndarray, wv: np.ndarray, p: float) -> float:
+    """:func:`space.norm` of coefficients c against a weight table wv from
+    index 0 on, at least as long as c: the same formula, so the same bits."""
+    return float(_row_norms(np.abs(c), wv[: c.size], p)) if c.size else 0.0
 
 
 def _finalize(f: Poly, c: np.ndarray, sp: SpaceParams, iterations: int,
-              converged: bool, solver: str) -> OpaResult:
+              converged: bool, solver: str, wv: np.ndarray | None = None) -> OpaResult:
+    """The result of approximant coefficients c: its residual, norm and pairing.
+
+    The residual 1 - P f comes from one convolution.  The norm, norm(f) and
+    the pairing |sum_t w_t r_t^<p-1> conj(z^j f / norm(f))_t| for j <= n
+    (None at the flat endpoints) all read one weight table: ``wv``, the
+    caller's table from index 0 up to at least n + deg f, else one built
+    here.  The norms are :func:`_table_norm`, so they are the bits
+    :func:`space.norm` gives.  The warm start of :func:`solve_convex` does
+    not pass through here: it takes the banded p = 2 coefficients alone.
+    """
     approx = Poly(c)
-    residual = ONE - approx * f
+    fc = f.coeffs
+    m = len(c) + f.degree
+    if wv is None:
+        wv = sp.weight.values_up_to(m - 1)
+    if approx.is_zero:
+        residual = ONE
+    else:
+        conv = np.convolve(approx.coeffs, fc)
+        # 1 - conv entrywise, as ONE - approx * f forms it: -conv with 1
+        # added to entry 0 would turn +0.0 entries into -0.0
+        r = np.zeros(conv.size, dtype=np.complex128)
+        r[0] = 1.0
+        r -= conv
+        residual = Poly(r)
     ortho = None
     if not sp.is_flat:
-        ortho = float(_ortho_residuals(residual, f, sp, len(c) - 1).max())
+        dv = signed_powers(residual.padded(m), sp.p - 1.0) * wv[:m]
+        fc_unit = fc / _table_norm(fc, wv, sp.p)
+        ortho = float(np.abs(np.correlate(dv, np.conj(fc_unit), mode="valid")).max())
     return OpaResult(approximant=approx, residual=residual,
-                     optimal_norm=norm(residual, sp),
+                     optimal_norm=_table_norm(residual.coeffs, wv, sp.p),
                      ortho_residual_max=ortho, iterations=iterations,
                      converged=converged, solver=solver)
 
@@ -160,22 +189,12 @@ def cholesky_banded(ab: np.ndarray) -> np.ndarray:
     return factor(ab, lower=False)
 
 
-def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
-    """Order-n approximant at p = 2 by solving the Gram system directly.
-
-    The Gram matrix of z^j f (j = 0..n) in the weighted inner product is
-    Hermitian positive definite and banded with bandwidth deg f, so a banded
-    Cholesky factorization solves it in O(n d^2).  Raises
-    IllConditionedError when the factor suggests condition beyond 1e14.
-    scipy.linalg is imported at the first call, not with the module.
-    """
-    _validate(f, n)
+def _hilbert_coeffs(fc: np.ndarray, n: int, wv: np.ndarray) -> np.ndarray:
+    """Coefficients of the order-n p = 2 approximant of the polynomial with
+    coefficients fc, against the weight table wv (indices 0..n + deg f):
+    banded Gram assembly, Cholesky, condition check and solve."""
     from scipy.linalg import cho_solve_banded
-    fc = f.coeffs
-    d = f.degree
-    m = n + d + 1
-    wv = w.values_up_to(m - 1)
-
+    d = fc.size - 1
     u = min(d, n)
     ab = np.zeros((u + 1, n + 1), dtype=np.complex128)
     for r in range(u + 1):
@@ -196,9 +215,22 @@ def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
 
     rhs = np.zeros(n + 1, dtype=np.complex128)
     rhs[0] = np.conj(fc[0])
-    c = cho_solve_banded((cb, False), rhs)
-    return _finalize(f, c, SpaceParams(2.0, w), iterations=0, converged=True,
-                     solver="hilbert")
+    return cho_solve_banded((cb, False), rhs)
+
+
+def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
+    """Order-n approximant at p = 2 by solving the Gram system directly.
+
+    The Gram matrix of z^j f (j = 0..n) in the weighted inner product is
+    Hermitian positive definite and banded with bandwidth deg f, so a banded
+    Cholesky factorization solves it in O(n d^2).  Raises
+    IllConditionedError when the factor suggests condition beyond 1e14.
+    scipy.linalg is imported at the first call, not with the module.
+    """
+    _validate(f, n)
+    wv = w.values_up_to(n + f.degree)
+    return _finalize(f, _hilbert_coeffs(f.coeffs, n, wv), SpaceParams(2.0, w),
+                     iterations=0, converged=True, solver="hilbert", wv=wv)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +256,11 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     convex and differentiable; residual entries at convolution-noise level
     are exact zeros of the minimizer and drop out of the gradient (p < 2)
     and the Hessian.  The start is ``init`` when given, else the p = 2
-    approximant; for p < 1.5 that start seeds a p = 1.5 solve whose result
-    seeds the p solve (one continuation stage).
+    approximant's coefficients from the banded Gram solve of
+    :func:`solve_hilbert`, against the weight table this solve uses, with
+    no second OpaResult formed (IllConditionedError from it propagates);
+    for p < 1.5 that start seeds a p = 1.5 solve whose result seeds the p
+    solve (one continuation stage).
 
     A step is accepted when it passes the Armijo test on phi or lowers the
     gradient sup-norm: at the precision floor phi can no longer fall but the
@@ -249,9 +284,9 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         init, iterations = stage.approximant, stage.iterations
     # f scaled to unit norm; x holds the real, then the imaginary parts of the
     # coefficients of P |f|, so the residual 1 - P f is unchanged by the scaling
-    scale = norm(f, sp)
-    fc = f.coeffs / scale
     wv = sp.weight.values_up_to(n + f.degree)
+    scale = _table_norm(f.coeffs, wv, p)
+    fc = f.coeffs / scale
 
     def residual(x: np.ndarray) -> np.ndarray:
         r = -np.convolve(x[: n + 1] + 1j * x[n + 1:], fc)
@@ -289,9 +324,19 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         K = (Fbar.T * beta) @ F
         V = Fbar * r[:, None]
         W = -np.hstack([V.real, V.imag])
-        return np.block([[K.real, -K.imag], [K.imag, K.real]]) + W.T @ (gamma[:, None] * W)
+        # [[Re K, -Im K], [Im K, Re K]] added in place; addition commutes, so
+        # this is the same sum as forming the block matrix first
+        H = W.T @ (gamma[:, None] * W)
+        k = n + 1
+        H[:k, :k] += K.real
+        H[:k, k:] -= K.imag
+        H[k:, :k] += K.imag
+        H[k:, k:] += K.real
+        return H
 
-    c0 = (init or solve_hilbert(f, n, sp.weight).approximant).padded(n + 1) * scale
+    if init is None:
+        init = Poly(_hilbert_coeffs(f.coeffs, n, wv))
+    c0 = init.padded(n + 1) * scale
     x = np.concatenate([c0.real, c0.imag])
     phi, g = phi_grad(x)
     gmax = float(np.abs(g).max())
@@ -341,7 +386,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         log.debug("solve_convex: gradient sup %.3e above tolerance %.1e",
                   gmax, opts.grad_tol)
     return _finalize(f, (x[: n + 1] + 1j * x[n + 1:]) / scale, sp, iterations=iterations,
-                     converged=converged, solver="convex")
+                     converged=converged, solver="convex", wv=wv)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +619,7 @@ def solve_structural(problem, n: int, sp: SpaceParams, init: OpaResult | None = 
         lam, h, y, size = lam + t * step, hn, yn, sn
     own = _complex(_dual_slopes(A, b, w, q, *_dual_value(A, b, w, q, lam)[1:])[2])
     approx = lstsq_div(ONE - own, f)[0]
-    result = _finalize(f, approx.padded(n + 1), sp, iterations, False, "structural")
+    result = _finalize(f, approx.padded(n + 1), sp, iterations, False, "structural", w)
     dual = _dual_bound(A, b, w, q, lam)
     gap = (result.optimal_norm - dual) / result.optimal_norm if result.optimal_norm > 0 else 0.0
     result.converged = bool(abs(gap) <= _DUAL_GAP_TOL)
@@ -736,7 +781,7 @@ def solve_flat(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, FlatDiagnos
     w = sp.weight.values_up_to(m - 1)
     r, lam, iterations = (_flat_l1 if sp.p == 1.0 else _flat_linf)(A, b, w)
     approx = lstsq_div(ONE - _complex(r), f)[0]
-    result = _finalize(f, approx.padded(n + 1), sp, iterations, False, "flat")
+    result = _finalize(f, approx.padded(n + 1), sp, iterations, False, "flat", w)
     primal, y = result.optimal_norm, A @ lam
     size = np.linalg.norm(y, axis=1) / w
     dual = float(b @ lam) / float(size.max() if sp.p == 1.0 else size.sum())
@@ -823,18 +868,20 @@ def bj_certificate(result: OpaResult, f: Poly, sp: SpaceParams,
     norm(f), j <= deg of the approximant space, and returns
     max(norm(residual) - norm(residual + lambda z^j f), 0); a minimizer keeps
     this at numerical-noise level.  The steps are scaled to the residual
-    because a larger step raises the norm of any near-minimizer too.
+    because a larger step raises the norm of any near-minimizer too.  The
+    trial residuals are the rows of one matrix, whose norms are taken
+    together.
     """
     rng = np.random.default_rng(seed)
     base = result.optimal_norm
     radius = 1e-3 * base / norm(f, sp)
     nmax = max(result.approximant.degree or 0, 0)
-    worst = 0.0
-    for _ in range(n_probes):
+    d = f.degree
+    size = max(result.residual.coeffs.size, nmax + d + 1)
+    trials = np.tile(result.residual.padded(size), (n_probes, 1))
+    for row in trials:
         j = int(rng.integers(0, nmax + 1))
         lam = radius * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / math.sqrt(2)
-        shifted = np.zeros(j + f.degree + 1, dtype=np.complex128)
-        shifted[j:] = f.coeffs
-        trial = norm(result.residual + lam * Poly(shifted), sp)
-        worst = max(worst, base - trial)
-    return worst
+        row[j: j + d + 1] += f.coeffs * lam
+    norms = _row_norms(np.abs(trials), sp.weight.values_up_to(size - 1), sp.p)
+    return float(np.max(base - norms, initial=0.0))

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InternalConsistencyError, SweepError, UnsupportedExponentError
-from .opa import (OpaResult, SolverOpts, closed_form_one_minus_zd, delta_sums,
-                  solve_convex, solve_flat, solve_hilbert, solve_structural)
+from .opa import (OpaResult, SolverOpts, check_degree_cap, closed_form_one_minus_zd,
+                  delta_sums, solve_convex, solve_flat, solve_hilbert, solve_structural)
 from .poly import CircleZeroSpec, Poly, expand
 from .space import SpaceParams
 
@@ -200,7 +200,9 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto",
 
     Raises SweepError listing the failing orders, and carrying every point,
     if any solve does not converge, and InternalConsistencyError if a
-    computed norm undercuts the universal lower bound.
+    computed norm undercuts the universal lower bound.  A grid with orders
+    past the degree cap raises DegreeCapError for the first of them before
+    any solve.
     """
     opts = opts or SolverOpts()
     n_grid = [int(n) for n in n_grid]
@@ -209,6 +211,8 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto",
     d = (problem.degree if isinstance(problem, (CircleZeroSpec, Poly)) else None)
     if d is None or d == 0:
         raise ValueError("problem must be a nonconstant polynomial or root spec")
+    for n in n_grid:        # a capped order fails before any bound or solve
+        check_degree_cap(n, d)
     alpha = sp.alpha if sp.alpha is not None else math.nan
     try:
         bounds = {n: lower_bound(problem, n, sp) for n in n_grid}

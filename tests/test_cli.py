@@ -14,6 +14,7 @@ import pytest
 
 import lpopa
 import lpopa.cli
+import lpopa.rates
 import lpopa.space
 import lpopa.verification
 from lpopa import CircleZeroSpec, SpaceParams, lower_bound
@@ -137,6 +138,16 @@ class TestArgumentValidation:
         assert code == 2 and out == ""
         deg = sum(int(r.split(":")[1]) for r in roots.split(","))
         assert f"error: order n = {n} plus deg f = {deg} exceeds the degree cap 65536" in err
+
+    def test_over_cap_sweep_exits_2_before_any_solve(self, capsys, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("an over-cap sweep reached a solve")
+
+        monkeypatch.setattr(lpopa.rates, "_dispatch", work)
+        code, out, err = run_cli(capsys, "sweep", "--roots", "0:2,pi:1", "--p", "inf",
+                                 "--n", "64..131072")
+        assert code == 2 and out == ""
+        assert "error: order n = 65536 plus deg f = 3 exceeds the degree cap 65536" in err
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import lpopa.space
 from lpopa import (CircleZeroSpec, DegreeCapError, IllConditionedError, OpaResult, Poly,
                    SpaceParams, UnsupportedExponentError, Weight,
                    closed_form_one_minus_zd, composite_construction, exact_div, expand,
                    lower_bound, norm, opa, power_weight, solve_convex, solve_flat,
                    solve_hilbert, solve_structural, table_weight)
 from lpopa.opa import SolverOpts, bj_certificate
-from lpopa.poly import MAX_DEGREE
+from lpopa.poly import MAX_DEGREE, monomial
+from lpopa.space import bj_residual
 
 INF = math.inf
 PI = math.pi
@@ -434,11 +436,116 @@ def test_definitional_probe_sees_a_perturbed_answer():
     # 1e-2 added to the constant coefficient raises the norm by 3.3e-4
     f, sp = Poly([1, -1]), SpaceParams.power(2.5, 0.0)
     res = solve_convex(f, 5, sp)
-    approx = res.approximant + Poly([1e-2])
-    residual = Poly([1]) - approx * f
-    perturbed = OpaResult(approx, residual, norm(residual, sp), None, 0, False, "convex")
+    perturbed = shifted_answer(res, f, sp, 1e-2)
     assert bj_certificate(res, f, sp, n_probes=50, seed=0) <= 1e-8
     assert bj_certificate(perturbed, f, sp, n_probes=50, seed=0) > 1e-8
+
+
+def per_probe_certificate(result, f, sp, n_probes, seed):
+    """bj_certificate's definition, one probe and one norm at a time."""
+    rng = np.random.default_rng(seed)
+    base = result.optimal_norm
+    radius = 1e-3 * base / norm(f, sp)
+    nmax = max(result.approximant.degree or 0, 0)
+    worst = 0.0
+    for _ in range(n_probes):
+        j = int(rng.integers(0, nmax + 1))
+        lam = radius * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / math.sqrt(2)
+        worst = max(worst, base - norm(result.residual + lam * monomial(j) * f, sp))
+    return worst
+
+
+def shifted_answer(res, f, sp, shift):
+    """The result with ``shift`` added to the approximant's constant coefficient."""
+    approx = res.approximant + Poly([shift])
+    residual = Poly([1]) - approx * f
+    return OpaResult(approx, residual, norm(residual, sp), None, 0, False, res.solver)
+
+
+@pytest.mark.parametrize("f, p, alpha, n", [
+    (Poly([1, -1]), 2.5, 0.0, 5), (THREE, 1.5, -0.5, 12), (CPLX, 3.0, 1.0, 17),
+    (Z1SQ_ZP1, 1.2, 0.5, 0), (CPLX, INF, 0.5, 16)])
+@pytest.mark.parametrize("shift", [0.0, 1e-2])
+def test_batched_certificate_matches_per_probe_loop(f, p, alpha, n, shift):
+    sp = SpaceParams.power(p, alpha)
+    res = solve_flat(f, n, sp)[0] if sp.is_flat else solve_convex(f, n, sp)
+    if shift:
+        res = shifted_answer(res, f, sp, shift)
+    for seed in range(3):
+        got = bj_certificate(res, f, sp, n_probes=50, seed=seed)
+        want = per_probe_certificate(res, f, sp, 50, seed)
+        assert abs(got - want) <= 1e-15 * res.optimal_norm
+    assert bj_certificate(res, f, sp, n_probes=0) == 0.0
+
+
+def test_certificate_takes_one_norm_call(monkeypatch):
+    # one norm per probe would make 50 calls here
+    f, sp = THREE, SpaceParams.power(3.0, 0.5)
+    res = shifted_answer(solve_convex(f, 12, sp), f, sp, 1e-2)
+    calls = 0
+
+    def counted(g, space):
+        nonlocal calls
+        calls += 1
+        return norm(g, space)
+
+    monkeypatch.setattr(lpopa.space, "norm", counted)
+    monkeypatch.setattr(opa, "norm", counted)
+    assert bj_certificate(res, f, sp, n_probes=50, seed=0) > 1e-8
+    assert calls <= 1
+
+
+FINALIZE_ROUTES = {
+    "closed": (one_minus_zd(3), lambda n, sp: closed_form_one_minus_zd(3, n, sp)),
+    "hilbert": (CPLX, lambda n, sp: solve_hilbert(CPLX, n, sp.weight)),
+    "convex": (THREE, lambda n, sp: solve_convex(THREE, n, sp)),
+    "structural": (Z1SQ_ZP1, lambda n, sp: solve_structural(Z1SQ_ZP1, n, sp)[0]),
+}
+
+
+@pytest.mark.parametrize("route, p, alpha, n", [
+    (route, p, alpha, n) for route in FINALIZE_ROUTES
+    for p in ((2.0,) if route == "hilbert" else (1.5, 2.0, 3.0))
+    for alpha in (-0.5, 1.0) for n in (0, 5, 17)])
+def test_finalize_matches_separate_evaluation(route, p, alpha, n):
+    # one convolution and one weight table give what Poly arithmetic,
+    # space.norm and space.bj_residual give one at a time
+    f, solve = FINALIZE_ROUTES[route]
+    sp = SpaceParams.power(p, alpha)
+    res = solve(n, sp)
+    assert res.optimal_norm == norm(res.residual, sp)
+    unit = f * (1.0 / norm(f, sp))
+    pairing = max(abs(bj_residual(res.residual, monomial(j) * unit, sp)) for j in range(n + 1))
+    # both sum the same terms in different orders; the pairing is at rounding
+    # level of its Hoelder bound norm(residual)^(p-1), so that is the scale
+    assert abs(res.ortho_residual_max - pairing) <= 1e-15 * res.optimal_norm ** (p - 1)
+    got, want = res.residual.coeffs, (Poly([1]) - res.approximant * f).coeffs
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
+
+@pytest.mark.parametrize("f, p, n", [(THREE, 3.0, 12), (CPLX, 1.2, 9), (Z1SQ_ZP1, 2.5, 20)])
+def test_convex_warm_start_is_the_banded_seed(monkeypatch, f, p, n):
+    sp = SpaceParams.power(p, 0.5)
+    seeded = solve_convex(f, n, sp, init=solve_hilbert(f, n, sp.weight).approximant)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_convex formed a whole p = 2 result for its seed")
+
+    monkeypatch.setattr(opa, "solve_hilbert", refuse)
+    res = solve_convex(f, n, sp)
+    for field in ("approximant", "residual"):
+        assert getattr(res, field).coeffs.tobytes() == getattr(seeded, field).coeffs.tobytes()
+    assert ((res.optimal_norm, res.ortho_residual_max, res.iterations, res.converged)
+            == (seeded.optimal_norm, seeded.ortho_residual_max, seeded.iterations,
+                seeded.converged))
+
+
+def test_convex_seed_keeps_ill_conditioned_error():
+    # the banded p = 2 factorization of (z-1)^4 fails from n = 843 on
+    with pytest.raises(IllConditionedError, match="leading minor"):
+        solve_convex(expand(CircleZeroSpec(((0.0, 4),))), 1024, SpaceParams.power(3.0, 0.0))
 
 
 def divided_composite(spec, n, sp):

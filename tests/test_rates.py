@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from lpopa import (CircleZeroSpec, Poly, SpaceParams, SweepError,
+from lpopa import (CircleZeroSpec, DegreeCapError, Poly, SpaceParams, SweepError,
                    UnsupportedExponentError, classify, closed_form_one_minus_zd,
                    delta, evaluation_bound, expand, fit_rates, geometric_grid,
-                   lower_bound, run_sweep, solve_flat, sweep_and_fit)
+                   lower_bound, rates, run_sweep, solve_flat, sweep_and_fit)
 from lpopa.opa import SolverOpts
 from lpopa.rates import detect_one_minus_zd, log_band_ratio, predicted_value
 
@@ -135,6 +135,17 @@ class TestDetection:
 
 
 class TestSweep:
+    def test_over_cap_grid_refused_before_any_solve(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("an over-cap sweep reached a bound or a solve")
+
+        monkeypatch.setattr(rates, "_dispatch", work)
+        monkeypatch.setattr(rates, "lower_bound", work)
+        spec = CircleZeroSpec(((0.0, 2), (PI, 1)))
+        with pytest.raises(DegreeCapError, match="^order n = 65536 plus deg f = 3 exceeds "
+                                                 "the degree cap 65536$"):
+            run_sweep(spec, SpaceParams.power(INF, 0), geometric_grid(64, 131072))
+
     def test_hardy_exponent(self):
         sp = SpaceParams.power(2, 0)
         fit = sweep_and_fit(Poly([1, -1]), sp, geometric_grid(64, 1024))
