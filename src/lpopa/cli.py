@@ -27,10 +27,10 @@ import numpy as np
 
 from .errors import (IllConditionedError, InternalConsistencyError, LpopaError,
                      SweepError, UnsupportedExponentError)
-from .opa import OpaResult, SolverOpts, closed_form_one_minus_zd
+from .opa import OpaResult, closed_form_one_minus_zd
 from .poly import CircleZeroSpec, Poly, expand, parse_angle, poly_from_config
 from .rates import (SOLVER_CHOICES, classify, fit_rates, geometric_grid,
-                    log_band_ratio, lower_bound, run_sweep, _dispatch, _route)
+                    log_band_ratio, lower_bound, run_sweep, _dispatch)
 from .space import SpaceParams
 from .verification import run_verification
 from .weights import power_weight, weight_from_config
@@ -166,21 +166,6 @@ def _problem_from_args(args):
         return poly_from_config(json.load(fh))
 
 
-def _opts_from_args(args, sp: SpaceParams, problem) -> SolverOpts:
-    """Solver options from --max-iters and --tol; SolverOpts rejects bad values.
-
-    Only the convex route takes them: after the value checks they are refused
-    wherever the solver, or the route auto picks for this problem, is another.
-    """
-    given = {key: value for key, value in (("max_iters", args.max_iters), ("grad_tol", args.tol))
-             if value is not None}
-    opts = SolverOpts(**given)
-    solver = _route(problem, sp, args.solver)
-    if given and solver != "convex":
-        raise ValueError(f"--max-iters and --tol do not apply to the {solver} route")
-    return opts
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -236,8 +221,7 @@ def _result_payload(cfg_cmd: str, problem, res: OpaResult, sp: SpaceParams,
 def _cmd_compute(args) -> int:
     sp = _space_from_args(args)
     problem = _problem_from_args(args)
-    opts = _opts_from_args(args, sp, problem)
-    res = _dispatch(problem, args.n, sp, args.solver, opts)
+    res = _dispatch(problem, args.n, sp, args.solver)
     payload = _result_payload("compute", problem, res, sp, args, args.n)
     _emit(render_json(payload) + "\n", args.out)
     return 0 if res.converged else 3
@@ -276,10 +260,9 @@ _CSV_COLUMNS = ["n", "d", "p", "alpha", "optimal_norm", "norm_p_power",
 def _cmd_sweep(args) -> int:
     sp = _space_from_args(args)
     problem = _problem_from_args(args)
-    opts = _opts_from_args(args, sp, problem)
     grid = _parse_n_range(args.n)
     try:
-        points = run_sweep(problem, sp, grid, solver=args.solver, opts=opts)
+        points = run_sweep(problem, sp, grid, solver=args.solver)
     except SweepError as exc:
         # write the partial artifact: every row, converged=false on failures
         print(f"error: {exc}", file=sys.stderr)
@@ -347,16 +330,6 @@ def _add_problem_args(sub) -> None:
     sub.add_argument("--config", help="JSON problem spec (coeffs or circle_roots)")
 
 
-def _add_solver_args(sub) -> None:
-    sub.add_argument("--solver", default="auto", choices=SOLVER_CHOICES)
-    sub.add_argument("--tol", type=float,
-                     help="gradient tolerance of the convex route, finite and > 0; "
-                          "refused on every other route, auto's too")
-    sub.add_argument("--max-iters", type=int, dest="max_iters",
-                     help="Newton step budget of the convex route, >= 1; refused "
-                          "on every other route, auto's too")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``lpopa`` parser, built once; each parse_args gets a fresh namespace."""
@@ -368,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc = subs.add_parser("compute", help="compute one approximant, emit JSON")
     _add_space_args(sc)
     _add_problem_args(sc)
-    _add_solver_args(sc)
+    sc.add_argument("--solver", default="auto", choices=SOLVER_CHOICES)
     sc.add_argument("--n", type=int, required=True, help="approximant order")
     sc.add_argument("--out", help="output path (stdout when omitted)")
     sc.set_defaults(func=_cmd_compute)
@@ -376,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = subs.add_parser("sweep", help="sweep orders and emit a decay CSV")
     _add_space_args(sw)
     _add_problem_args(sw)
-    _add_solver_args(sw)
+    sw.add_argument("--solver", default="auto", choices=SOLVER_CHOICES)
     sw.add_argument("--n", required=True,
                     help="order range a..b, expanded to the doubling grid a,2a,...,b")
     sw.add_argument("--fit-min-n", type=int, default=32, dest="fit_min_n")

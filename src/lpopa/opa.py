@@ -5,10 +5,11 @@ degree-n polynomials minimizing the weighted norm of 1 - p_n f.  Routes:
 
 * :func:`solve_structural` Newton's method on the dual of the residual form,
                            d or 2d unknowns whatever n is, certified by its
-                           duality gap (1 < p < inf; auto route for p < 2),
+                           duality gap (1 < p < inf; auto route for p != 2),
 * :func:`solve_convex`     damped Newton descent on the p-th power objective
-                           (1 < p < inf; auto route for p > 2), started from
-                           the banded p = 2 coefficients,
+                           (1 < p < inf), started from the banded p = 2
+                           coefficients; the oracle of ``lpopa verify`` and
+                           of ``--solver convex``, never picked by auto,
 * :func:`solve_hilbert`    direct normal equations at p = 2,
 * :func:`closed_form_one_minus_zd`  exact formulas for f = 1 - z^d,
 * :func:`solve_flat`       the linear programs of the endpoints p in {1, inf},
@@ -59,12 +60,12 @@ _MAX_PIVOTS, _NEWTON_STEPS, _SMOOTHING_STAGES, _DUAL_STEPS = 5000, 50, 12, 200
 
 @dataclass
 class SolverOpts:
-    """Tolerance and iteration limit of :func:`solve_convex`.
+    """Tolerance and iteration limit of :func:`solve_convex`, its own parameter.
 
     ``grad_tol`` is the gradient sup-norm of a converged solve and
     ``max_iters`` bounds its Newton steps, those of its p < 1.5 continuation
-    stage included.  The other routes take no options: :func:`solve_structural`
-    and :func:`solve_flat` stop on their duality gaps.  Construction raises
+    stage included.  No other route and no CLI option takes them: the routes
+    auto picks stop on their duality gaps or are direct.  Construction raises
     ValueError unless ``max_iters`` is an integer >= 1 and ``grad_tol`` is
     finite and positive.
     """
@@ -249,6 +250,13 @@ def _conv_matrix(fc: np.ndarray, n: int) -> np.ndarray:
 def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = None,
                  init: Poly | None = None) -> OpaResult:
     """Order-n approximant for 1 < p < inf by damped Newton descent.
+
+    An oracle: ``lpopa verify`` checks the other routes against it, and it
+    runs from the CLI only as ``--solver convex``.  Its gradient test is
+    absolute, so at large p it can hold short of the optimum and a wrong
+    point comes back converged (at p = 10 already at the p = 2 seed); the
+    auto route uses :func:`solve_structural`, whose duality gap certifies
+    the optimum.
 
     Minimizes phi = sum_t w_t |(1 - Pf)_t|^p over the 2(n+1) real coordinates
     of P's complex coefficients with the analytic gradient and Hessian

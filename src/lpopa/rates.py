@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InternalConsistencyError, SweepError, UnsupportedExponentError
-from .opa import (OpaResult, SolverOpts, check_degree_cap, closed_form_one_minus_zd,
-                  delta_sums, solve_convex, solve_flat, solve_hilbert, solve_structural)
+from .opa import (OpaResult, check_degree_cap, closed_form_one_minus_zd, delta_sums,
+                  solve_convex, solve_flat, solve_hilbert, solve_structural)
 from .poly import CircleZeroSpec, Poly, expand
 from .space import SpaceParams
 
@@ -154,8 +154,8 @@ def detect_one_minus_zd(problem) -> tuple[int, complex] | None:
 
 def _route(problem, sp: SpaceParams, solver: str) -> str:
     """The solver that runs for ``solver`` on this problem: auto picks flat at
-    p in {1, inf}, closed for c*(1 - z^d), hilbert at p = 2, structural at
-    1 < p < 2 and convex at p > 2."""
+    p in {1, inf}, closed for c*(1 - z^d), hilbert at p = 2 and structural at
+    every other 1 < p < inf.  Convex runs only when named; it is an oracle."""
     if solver not in SOLVER_CHOICES:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_CHOICES}")
     if solver != "auto":
@@ -164,13 +164,10 @@ def _route(problem, sp: SpaceParams, solver: str) -> str:
         return "flat"
     if detect_one_minus_zd(problem) is not None:
         return "closed"
-    if sp.p == 2.0:
-        return "hilbert"
-    return "structural" if sp.p < 2.0 else "convex"
+    return "hilbert" if sp.p == 2.0 else "structural"
 
 
-def _dispatch(problem, n: int, sp: SpaceParams, solver: str,
-              opts: SolverOpts) -> OpaResult:
+def _dispatch(problem, n: int, sp: SpaceParams, solver: str) -> OpaResult:
     solver = _route(problem, sp, solver)
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
     if solver == "closed":
@@ -188,14 +185,13 @@ def _dispatch(problem, n: int, sp: SpaceParams, solver: str,
             raise ValueError("the hilbert solver applies only at p = 2")
         return solve_hilbert(f, n, sp.weight)
     if solver == "convex":
-        return solve_convex(f, n, sp, opts)
+        return solve_convex(f, n, sp)
     if solver == "flat":
         return solve_flat(problem, n, sp)[0]
     return solve_structural(problem, n, sp)[0]
 
 
-def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto",
-              opts: SolverOpts | None = None) -> list[SweepPoint]:
+def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto") -> list[SweepPoint]:
     """Solve at every order in n_grid and assemble per-point records.
 
     Raises SweepError listing the failing orders, and carrying every point,
@@ -204,7 +200,6 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto",
     past the degree cap raises DegreeCapError for the first of them before
     any solve.
     """
-    opts = opts or SolverOpts()
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
@@ -223,7 +218,7 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto",
     failed = []
     for n in n_grid:
         t0 = time.perf_counter()
-        res = _dispatch(problem, n, sp, solver, opts)
+        res = _dispatch(problem, n, sp, solver)
         wall = (time.perf_counter() - t0) * 1e3
         if not res.converged:
             failed.append(n)
@@ -274,9 +269,9 @@ def fit_rates(points: list[SweepPoint], sp: SpaceParams, fit_min_n: int = 32) ->
 
 
 def sweep_and_fit(problem, sp: SpaceParams, n_grid, solver: str = "auto",
-                  opts: SolverOpts | None = None, fit_min_n: int = 32) -> RateFit:
+                  fit_min_n: int = 32) -> RateFit:
     """Run a sweep and fit the decay exponent in one call."""
-    return fit_rates(run_sweep(problem, sp, n_grid, solver, opts), sp, fit_min_n)
+    return fit_rates(run_sweep(problem, sp, n_grid, solver), sp, fit_min_n)
 
 
 def log_band_ratio(points: list[SweepPoint], sp: SpaceParams,

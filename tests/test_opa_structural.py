@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lpopa import (CircleZeroSpec, Poly, SolverOpts, SpaceParams, UnsupportedExponentError,
+from lpopa import (CircleZeroSpec, Poly, SpaceParams, UnsupportedExponentError,
                    eval_derivative, expand, fit_exp_poly, lower_bound, solve_convex,
                    solve_hilbert, solve_structural)
 from lpopa.opa import _dual_slopes, _dual_value, _residual_rows
@@ -213,15 +213,15 @@ CERTIFIED = {"z1sq_zp1": CircleZeroSpec(((0.0, 2), (PI, 1))),
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
-@pytest.mark.parametrize("p", [1.1, 1.2, 1.5])
+@pytest.mark.parametrize("p", [1.1, 1.2, 1.5, 2.5, 3.0, 4.0])
 @pytest.mark.parametrize("name", list(CERTIFIED))
 def test_auto_route_certifies(name, p, alpha):
-    # auto sends 1 < p < 2 to the dual Newton, whose gap certifies every order;
+    # auto sends 1 < p < inf, p != 2, to the dual Newton, whose gap certifies every order;
     # a spec reports the gap itself, a Poly through converged (the same test)
     problem, sp = CERTIFIED[name], SpaceParams.power(p, alpha)
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
     for n in (0, 3, 16, 64, 256) + (() if name == "z1_4" else (1024,)):
-        res = _dispatch(problem, n, sp, "auto", SolverOpts())
+        res = _dispatch(problem, n, sp, "auto")
         assert res.solver == "structural" and res.converged, n
         direct, fit = solve_structural(problem, n, sp)
         assert direct.optimal_norm == res.optimal_norm
@@ -232,3 +232,11 @@ def test_auto_route_certifies(name, p, alpha):
             oracle = solve_convex(f, n, sp)
             if oracle.converged:
                 assert res.optimal_norm == pytest.approx(oracle.optimal_norm, rel=1e-10), n
+
+
+def test_auto_route_certifies_where_convex_stops_at_its_seed():
+    # at p = 10 solve_convex's gradient test holds at its p = 2 seed and
+    # reports a norm 36% high as converged; the dual route certifies the optimum
+    res = _dispatch(CircleZeroSpec(((0.0, 2), (PI, 1))), 128, SpaceParams.power(10, 0), "auto")
+    assert res.solver == "structural" and res.converged
+    assert res.optimal_norm == pytest.approx(0.03250531689303854, rel=1e-10)

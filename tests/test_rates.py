@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import lpopa.opa
 from lpopa import (CircleZeroSpec, DegreeCapError, Poly, SpaceParams, SweepError,
                    UnsupportedExponentError, classify, closed_form_one_minus_zd,
                    delta, evaluation_bound, expand, fit_rates, geometric_grid,
                    lower_bound, rates, run_sweep, solve_flat, sweep_and_fit)
-from lpopa.opa import SolverOpts
 from lpopa.rates import detect_one_minus_zd, log_band_ratio, predicted_value
 
 INF = math.inf
@@ -179,18 +179,15 @@ class TestSweep:
 
     def test_lower_bound_never_violated(self):
         sp = SpaceParams.power(1.5, 0)
-        for pt in run_sweep(Poly([1, -1]), sp, [4, 16, 64], solver="convex",
-                            opts=SolverOpts()):
+        for pt in run_sweep(Poly([1, -1]), sp, [4, 16, 64], solver="convex"):
             assert pt.optimal_norm >= pt.lower_bound * (1 - 1e-12)
 
-    def test_failing_solver_raises_sweep_error(self):
-        # alpha != 0 keeps the warm start away from the true minimizer, so a
-        # one-iteration budget cannot reach the tight gradient tolerance
+    def test_failing_solver_raises_sweep_error(self, monkeypatch):
+        # one dual Newton step cannot close the gap of the auto route at p = 3
+        monkeypatch.setattr(lpopa.opa, "_DUAL_STEPS", 1)
         sp = SpaceParams.power(3, 1)
-        opts = SolverOpts(max_iters=1, grad_tol=1e-14)
         with pytest.raises(SweepError) as err:
-            run_sweep(expand(CircleZeroSpec(((0.0, 1), (PI, 1)))), sp,
-                      [16, 32], solver="convex", opts=opts)
+            run_sweep(CircleZeroSpec(((0.0, 2), (PI, 1))), sp, [16, 32])
         assert err.value.failed_orders
 
     def test_grid_must_increase(self):
