@@ -19,6 +19,12 @@ plus the :func:`composite_construction` of near-optimal approximants for
 repeated circle zeros out of a simple-zero Hilbert solve.  Every route ends
 in one :func:`_finalize`, which forms the residual, its norm and its
 orthogonality pairing from a single weight table.
+
+The Hilbert route and the closed form are the one-order case of
+:func:`prepare_hilbert` and :func:`prepare_closed_form`: a sweep prepares
+them once, at its largest order (one Gram factorization, one set of
+cumulative sums), and each order reads the leading part, with the bits of a
+solve at that order alone.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ _CONTINUATION_P = 1.5   # solve_convex seeds p below this from a solve at it
 _ARMIJO = 0.25
 _PHI_NOISE = 1e-15
 _STALL_STEPS = 3
+_CONVEX_MAX_ORDER = 1024  # solve_convex: its dense Hessian is 2(n+1) x 2(n+1)
 _GAP_TOL = 1e-9         # solve_flat: relative duality gap of a converged solve
 _DUAL_GAP_TOL = 1e-10   # solve_structural: |relative duality gap| of a converged solve
 _ROUNDING = 1e-12       # solve_flat: relative agreement that counts as exact
@@ -183,40 +190,91 @@ def _finalize(f: Poly, c: np.ndarray, sp: SpaceParams, iterations: int,
 # ---------------------------------------------------------------------------
 # p = 2: normal equations
 # ---------------------------------------------------------------------------
+#
+# The Gram matrix of z^j f (j = 0..n) is the leading (n+1) x (n+1) block of
+# that of every larger order, and the Cholesky factor of a leading block is
+# the leading block of the factor, so one factorization at the largest order
+# of a sweep serves them all.  LAPACK's pbtrf factors a band narrower than
+# its block size (32) column by column, and a column sees only the columns
+# before it, so for deg f < 32 the leading columns carry the bits of a
+# factorization at order n itself.  A wider band may take the blocked path,
+# whose leading columns agree with that to rounding only.
 
-def cholesky_banded(ab: np.ndarray) -> np.ndarray:
-    """Upper banded Cholesky factor; module-level so perfbench/tracer.py can wrap it."""
-    from scipy.linalg import cholesky_banded as factor   # scipy on first use
-    return factor(ab, lower=False)
+def cholesky_banded(ab: np.ndarray) -> tuple[np.ndarray, int]:
+    """Upper banded Cholesky factor of ab by LAPACK pbtrf, and pbtrf's info.
+
+    info is 0, or k > 0 when the k-th leading minor is not positive
+    definite; columns 1 .. k-1 are factored all the same.  No finiteness
+    check: the caller checks the leading block it reads.  Module-level so
+    perfbench/tracer.py can wrap it; scipy is imported at the first call.
+    """
+    from scipy.linalg import get_lapack_funcs
+    pbtrf, = get_lapack_funcs(("pbtrf",), (ab,))
+    return pbtrf(ab, lower=0)
 
 
-def _hilbert_coeffs(fc: np.ndarray, n: int, wv: np.ndarray) -> np.ndarray:
-    """Coefficients of the order-n p = 2 approximant of the polynomial with
-    coefficients fc, against the weight table wv (indices 0..n + deg f):
-    banded Gram assembly, Cholesky, condition check and solve."""
-    from scipy.linalg import cho_solve_banded
+def _hilbert_factor(fc: np.ndarray, n_max: int, wv: np.ndarray):
+    """The p = 2 approximant coefficients of every order n <= n_max.
+
+    fc are the coefficients of f and wv its weight table, indices 0 ..
+    n_max + deg f.  The Gram matrix of z^j f is assembled in band form and
+    factored once, at n_max.  The returned function gives the order-n
+    coefficients from the first n + 1 columns of both: the finiteness
+    check scipy makes of a Gram matrix, the factorization's failure when
+    its failing minor lies among them, the condition check and LAPACK
+    pbtrs's two triangular solves.
+    """
+    from scipy.linalg import get_lapack_funcs
     d = fc.size - 1
-    u = min(d, n)
-    ab = np.zeros((u + 1, n + 1), dtype=np.complex128)
-    for r in range(u + 1):
-        prods = fc[: d - r + 1] * np.conj(fc[r:])
-        corr = (np.correlate(wv, prods.real, mode="valid")
-                + 1j * np.correlate(wv, prods.imag, mode="valid"))
-        ab[u - r, r: n + 1] = corr[r: n + 1]
+    u = min(d, n_max)
+    ab = np.zeros((u + 1, n_max + 1), dtype=np.complex128)
+    # columns that overflow are refused by the orders that read them, so
+    # they must not warn for the orders that do not
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(u + 1):
+            prods = fc[: d - r + 1] * np.conj(fc[r:])
+            corr = (np.correlate(wv, prods.real, mode="valid")
+                    + 1j * np.correlate(wv, prods.imag, mode="valid"))
+            ab[u - r, r: n_max + 1] = corr[r: n_max + 1]
+    finite = np.logical_and.accumulate(np.isfinite(ab).all(axis=0))
+    cb, info = cholesky_banded(ab)
+    pbtrs, = get_lapack_funcs(("pbtrs",), (cb,))
 
-    try:
-        cb = cholesky_banded(ab)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(f"Gram factorization failed: {exc}") from exc
-    diag = np.abs(cb[-1, :])
-    cond_est = (diag.max() / diag.min()) ** 2
-    if not np.isfinite(cond_est) or cond_est > _COND_LIMIT:
-        raise IllConditionedError(
-            f"Gram matrix condition estimate {cond_est:.3e} beyond {_COND_LIMIT:.0e}")
+    def coeffs(n: int) -> np.ndarray:
+        if not 0 <= n <= n_max:
+            raise ValueError(f"order {n} outside the prepared orders 0..{n_max}")
+        if not finite[n]:      # what scipy's check of the order-n matrix raises
+            raise ValueError("array must not contain infs or NaNs")
+        if 0 < info <= n + 1:
+            raise IllConditionedError("Gram factorization failed: "
+                                      f"{info}-th leading minor not positive definite")
+        diag = np.abs(cb[-1, : n + 1])
+        cond_est = (diag.max() / diag.min()) ** 2
+        if not np.isfinite(cond_est) or cond_est > _COND_LIMIT:
+            raise IllConditionedError(
+                f"Gram matrix condition estimate {cond_est:.3e} beyond {_COND_LIMIT:.0e}")
+        rhs = np.zeros(n + 1, dtype=np.complex128)
+        rhs[0] = np.conj(fc[0])
+        # the order-n band keeps min(d, n) superdiagonals, the last rows of cb
+        return pbtrs(cb[u - min(d, n):, : n + 1], rhs, lower=0)[0]
 
-    rhs = np.zeros(n + 1, dtype=np.complex128)
-    rhs[0] = np.conj(fc[0])
-    return cho_solve_banded((cb, False), rhs)
+    return coeffs
+
+
+def prepare_hilbert(f: Poly, n_max: int, w: Weight):
+    """The order-n solve of :func:`solve_hilbert` for every n <= n_max.
+
+    One weight table and one banded Gram factorization at n_max serve every
+    order: each reads the leading n + 1 columns (see the section comment),
+    then forms its result with :func:`_finalize`.  n_max is validated; an
+    order outside 0..n_max raises ValueError.
+    """
+    _validate(f, n_max)
+    wv = w.values_up_to(n_max + f.degree)
+    coeffs = _hilbert_factor(f.coeffs, n_max, wv)
+    sp = SpaceParams(2.0, w)
+    return lambda n: _finalize(f, coeffs(n), sp, iterations=0, converged=True,
+                               solver="hilbert", wv=wv)
 
 
 def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
@@ -225,13 +283,12 @@ def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
     The Gram matrix of z^j f (j = 0..n) in the weighted inner product is
     Hermitian positive definite and banded with bandwidth deg f, so a banded
     Cholesky factorization solves it in O(n d^2).  Raises
-    IllConditionedError when the factor suggests condition beyond 1e14.
-    scipy.linalg is imported at the first call, not with the module.
+    IllConditionedError when the factorization fails or the factor suggests
+    condition beyond 1e14.  The one-order case of :func:`prepare_hilbert`,
+    which a sweep prepares once at its largest order.  scipy.linalg is
+    imported at the first call, not with the module.
     """
-    _validate(f, n)
-    wv = w.values_up_to(n + f.degree)
-    return _finalize(f, _hilbert_coeffs(f.coeffs, n, wv), SpaceParams(2.0, w),
-                     iterations=0, converged=True, solver="hilbert", wv=wv)
+    return prepare_hilbert(f, n, w)(n)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +337,17 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     above ``opts.grad_tol``, lower phi beyond rounding.
     ``converged`` means the sup-norm is at or below ``opts.grad_tol``.  f is
     scaled to unit norm internally; results are reported for the original f.
+    Orders above 1024 raise DegreeCapError before any array is built: the
+    dense Hessian and multiplication matrices would take about 537 MB at
+    n = 4096.
     """
     opts = opts or SolverOpts()
     if sp.is_flat:
         raise UnsupportedExponentError("solve_convex needs 1 < p < inf; use solve_flat")
     _validate(f, n)
+    if n > _CONVEX_MAX_ORDER:
+        raise DegreeCapError(f"order n = {n} exceeds the convex oracle's cap "
+                             f"{_CONVEX_MAX_ORDER} (dense Newton on 2(n+1) unknowns)")
     p = sp.p
     iterations = 0
     if p < _CONTINUATION_P:
@@ -343,7 +406,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         return H
 
     if init is None:
-        init = Poly(_hilbert_coeffs(f.coeffs, n, wv))
+        init = Poly(_hilbert_factor(f.coeffs, n, wv)(n))
     c0 = init.padded(n + 1) * scale
     x = np.concatenate([c0.real, c0.imag])
     phi, g = phi_grad(x)
@@ -811,28 +874,47 @@ def delta_sums(sp: SpaceParams, last: int) -> np.ndarray:
     return np.cumsum(sp.weight.values_up_to(last) ** (-sp.q / sp.p))
 
 
+def prepare_closed_form(d: int, n_max: int, sp: SpaceParams):
+    """The order-n solve of :func:`closed_form_one_minus_zd` for every n <= n_max.
+
+    The sums s_k of the order-n formula are the first M + 2 of those at
+    n_max, and np.cumsum adds in sequence, so one :func:`delta_sums` and one
+    weight table at n_max serve every order with the bits of its own.
+    n_max is validated; an order outside 0..n_max raises ValueError.
+    """
+    if int(d) != d or d < 1:
+        raise ValueError("d must be a positive integer")
+    f = Poly(np.concatenate([[1.0], np.zeros(d - 1), [-1.0]]))
+    _validate(f, n_max)
+    if sp.is_flat:
+        raise UnsupportedExponentError(
+            "closed form is implemented for 1 < p < inf only")
+    s = delta_sums(SpaceParams(sp.p, dilate(sp.weight, d)), n_max // d + 1)
+    wv = sp.weight.values_up_to(n_max + d)
+
+    def solve(n: int) -> OpaResult:
+        if not 0 <= n <= n_max:
+            raise ValueError(f"order {n} outside the prepared orders 0..{n_max}")
+        big_m = n // d
+        coeffs = np.zeros(n + 1, dtype=np.complex128)
+        coeffs[:: d][: big_m + 1] = 1.0 - s[: big_m + 1] / s[big_m + 1]
+        return _finalize(f, coeffs, sp, iterations=0, converged=True,
+                         solver="closed-form", wv=wv)
+
+    return solve
+
+
 def closed_form_one_minus_zd(d: int, n: int, sp: SpaceParams) -> OpaResult:
     """Exact order-n approximant for f = 1 - z^d.
 
     The problem reduces to f = 1 - z against the dilated weight w~_t = w_{dt}:
     the approximant is Q(z^d) with Q_t = 1 - s_t/s_{M+1} built from the
     cumulative sums s of w~**(-q/p), M = floor(n/d), and the optimal norm to
-    the p-th power equals s_{M+1}**(1-p).
+    the p-th power equals s_{M+1}**(1-p).  The one-order case of
+    :func:`prepare_closed_form`, which a sweep prepares once at its largest
+    order.
     """
-    if int(d) != d or d < 1:
-        raise ValueError("d must be a positive integer")
-    f = Poly(np.concatenate([[1.0], np.zeros(d - 1), [-1.0]]))
-    _validate(f, n)
-    if sp.is_flat:
-        raise UnsupportedExponentError(
-            "closed form is implemented for 1 < p < inf only")
-    big_m = n // d
-    tilted = SpaceParams(sp.p, dilate(sp.weight, d))
-    s = delta_sums(tilted, big_m + 1)
-    coeffs = np.zeros(n + 1, dtype=np.complex128)
-    coeffs[:: d][: big_m + 1] = 1.0 - s[: big_m + 1] / s[big_m + 1]
-    return _finalize(f, coeffs, sp, iterations=0, converged=True,
-                     solver="closed-form")
+    return prepare_closed_form(d, n, sp)(n)
 
 
 def composite_construction(spec: CircleZeroSpec, n: int, sp: SpaceParams) -> Poly:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InternalConsistencyError, SweepError, UnsupportedExponentError
-from .opa import (OpaResult, check_degree_cap, closed_form_one_minus_zd, delta_sums,
-                  solve_convex, solve_flat, solve_hilbert, solve_structural)
+from .opa import (OpaResult, check_degree_cap, delta_sums, prepare_closed_form,
+                  prepare_hilbert, solve_convex, solve_flat, solve_structural)
 from .poly import CircleZeroSpec, Poly, expand
 from .space import SpaceParams
 
@@ -121,11 +121,27 @@ def lower_bound(problem, n: int, sp: SpaceParams) -> float:
     Its limits are min_{t<=n+d} w_t at p = 1 and (sum_{t<=n+d} 1/w_t)**-1 at
     p = inf: the dual vector y_t = conj(zeta)**t of a circle zero zeta gives all three.
     """
+    return lower_bounds(problem, [n], sp)[0]
+
+
+def lower_bounds(problem, orders, sp: SpaceParams) -> list[float]:
+    """:func:`lower_bound` at each of ``orders`` (nonempty) from one weight table.
+
+    For 1 < p < inf one cumulative sum to the largest order serves all:
+    np.cumsum adds in sequence, so each bound has the bits of its own.  At
+    p in {1, inf} each order takes the min or the sum of its own slice,
+    because numpy sums pairwise and a cumulative sum would change the bits.
+    """
     d = _degree_with_circle_zero(problem)
+    last = [n + d for n in orders]
     if not sp.is_flat:
-        return 1.0 / delta(n + d, sp)
-    w = sp.weight.values_up_to(n + d)
-    return float(w.min() if sp.p == 1.0 else 1.0 / (1.0 / w).sum())
+        s = delta_sums(sp, max(last))
+        return [1.0 / float(s[k] ** (1.0 / sp.q)) for k in last]
+    w = sp.weight.values_up_to(max(last))
+    if sp.p == 1.0:
+        return [float(w[: k + 1].min()) for k in last]
+    inv = 1.0 / w
+    return [float(1.0 / inv[: k + 1].sum()) for k in last]
 
 
 def predicted_value(p: float, alpha: float, n: int, d: int) -> float:
@@ -167,38 +183,58 @@ def _route(problem, sp: SpaceParams, solver: str) -> str:
     return "hilbert" if sp.p == 2.0 else "structural"
 
 
-def _dispatch(problem, n: int, sp: SpaceParams, solver: str) -> OpaResult:
-    solver = _route(problem, sp, solver)
+def _prepare(problem, n_max: int, sp: SpaceParams, solver: str):
+    """The solve of every order n <= n_max on the route ``solver`` picks.
+
+    f is expanded and routed once.  The closed form and the Hilbert route
+    prepare once at n_max and each order reads the leading part (see
+    :func:`prepare_closed_form` and :func:`prepare_hilbert`); the other
+    routes have no such prefix and solve each order on its own.
+    """
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
+    solver = _route(f, sp, solver)
     if solver == "closed":
         match = detect_one_minus_zd(f)
         if match is None:
             raise ValueError("closed-form solver requires f = c*(1 - z^d)")
         d, lead = match
-        res = closed_form_one_minus_zd(d, n, sp)
-        if lead != 1.0:
+        solve = prepare_closed_form(d, n_max, sp)
+        if lead == 1.0:
+            return solve
+
+        def rescaled(n: int) -> OpaResult:
             # f = lead * (1 - z^d): same residual with the approximant rescaled
+            res = solve(n)
             return replace(res, approximant=res.approximant * (1.0 / lead))
-        return res
+        return rescaled
     if solver == "hilbert":
         if sp.p != 2.0:
             raise ValueError("the hilbert solver applies only at p = 2")
-        return solve_hilbert(f, n, sp.weight)
+        return prepare_hilbert(f, n_max, sp.weight)
     if solver == "convex":
-        return solve_convex(f, n, sp)
+        return lambda n: solve_convex(f, n, sp)
     if solver == "flat":
-        return solve_flat(problem, n, sp)[0]
-    return solve_structural(problem, n, sp)[0]
+        return lambda n: solve_flat(problem, n, sp)[0]
+    return lambda n: solve_structural(problem, n, sp)[0]
+
+
+def _dispatch(problem, n: int, sp: SpaceParams, solver: str) -> OpaResult:
+    """The order-n solve on the route ``solver`` picks: the one-order :func:`_prepare`."""
+    return _prepare(problem, n, sp, solver)(n)
 
 
 def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto") -> list[SweepPoint]:
     """Solve at every order in n_grid and assemble per-point records.
 
-    Raises SweepError listing the failing orders, and carrying every point,
-    if any solve does not converge, and InternalConsistencyError if a
-    computed norm undercuts the universal lower bound.  A grid with orders
-    past the degree cap raises DegreeCapError for the first of them before
-    any solve.
+    The lower bounds come from one weight table, and the solves from one
+    :func:`_prepare` at the largest order: on the closed-form and Hilbert
+    routes that is the one delta_sums or Gram factorization of the sweep,
+    and its time counts in the ``wall_ms`` of the largest order, whose own
+    solve it is.  Raises SweepError listing the failing orders, and
+    carrying every point, if any solve does not converge, and
+    InternalConsistencyError if a computed norm undercuts the universal
+    lower bound.  A grid with orders past the degree cap raises
+    DegreeCapError for the first of them before any bound or preparation.
     """
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -208,21 +244,25 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto") -> list[Sw
         raise ValueError("problem must be a nonconstant polynomial or root spec")
     for n in n_grid:        # a capped order fails before any bound or solve
         check_degree_cap(n, d)
+    if not n_grid:
+        return []
     alpha = sp.alpha if sp.alpha is not None else math.nan
     try:
-        bounds = {n: lower_bound(problem, n, sp) for n in n_grid}
+        bounds = lower_bounds(problem, n_grid, sp)
     except ValueError:
-        bounds = {n: math.nan for n in n_grid}
+        bounds = [math.nan] * len(n_grid)
 
+    t0 = time.perf_counter()
+    solve = _prepare(problem, n_grid[-1], sp, solver)
+    shared = time.perf_counter() - t0
     points: list[SweepPoint] = []
     failed = []
-    for n in n_grid:
+    for n, bound in zip(n_grid, bounds):
         t0 = time.perf_counter()
-        res = _dispatch(problem, n, sp, solver)
-        wall = (time.perf_counter() - t0) * 1e3
+        res = solve(n)
+        wall = (time.perf_counter() - t0 + (shared if n == n_grid[-1] else 0.0)) * 1e3
         if not res.converged:
             failed.append(n)
-        bound = bounds[n]
         if math.isfinite(bound) and res.optimal_norm < bound * (1 - 1e-12) - 1e-15:
             raise InternalConsistencyError(
                 f"optimal norm {res.optimal_norm!r} violates the lower bound "

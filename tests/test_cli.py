@@ -18,6 +18,7 @@ import lpopa.opa
 import lpopa.rates
 import lpopa.space
 import lpopa.verification
+import lpopa.weights
 from lpopa import CircleZeroSpec, SpaceParams, lower_bound
 from lpopa.cli import build_parser, main, render_json
 
@@ -142,13 +143,27 @@ class TestArgumentValidation:
 
     def test_over_cap_sweep_exits_2_before_any_solve(self, capsys, monkeypatch):
         def work(*args, **kwargs):
-            raise AssertionError("an over-cap sweep reached a solve")
+            raise AssertionError("an over-cap sweep reached a preparation or a solve")
 
-        monkeypatch.setattr(lpopa.rates, "_dispatch", work)
-        code, out, err = run_cli(capsys, "sweep", "--roots", "0:2,pi:1", "--p", "inf",
-                                 "--n", "64..131072")
+        for name in ("_dispatch", "_prepare", "lower_bounds", "prepare_hilbert"):
+            monkeypatch.setattr(lpopa.rates, name, work)
+        monkeypatch.setattr(lpopa.opa, "cholesky_banded", work)
+        for p in ("inf", "2"):      # the flat and the Hilbert route
+            code, out, err = run_cli(capsys, "sweep", "--roots", "0:2,pi:1", "--p", p,
+                                     "--n", "64..131072")
+            assert code == 2 and out == ""
+            assert "error: order n = 65536 plus deg f = 3 exceeds the degree cap 65536" in err
+
+    def test_convex_past_its_cap_exits_2_before_any_work(self, capsys, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("a capped convex order reached the solver's work")
+
+        for name in ("values_up_to", "at_indices"):
+            monkeypatch.setattr(lpopa.weights.Weight, name, work)
+        code, out, err = run_cli(capsys, "compute", "--roots", "0:2,pi:1", "--p", "3",
+                                 "--n", "4096", "--solver", "convex")
         assert code == 2 and out == ""
-        assert "error: order n = 65536 plus deg f = 3 exceeds the degree cap 65536" in err
+        assert "error: order n = 4096 exceeds the convex oracle's cap 1024" in err
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -542,6 +542,19 @@ def test_convex_warm_start_is_the_banded_seed(monkeypatch, f, p, n):
                 seeded.converged))
 
 
+@pytest.mark.parametrize("p", [1.2, 3.0])
+def test_convex_cap_refuses_before_any_array(monkeypatch, p):
+    def work(*args, **kwargs):
+        raise AssertionError("a capped convex order reached the solver's work")
+
+    for name in ("values_up_to", "at_indices"):
+        monkeypatch.setattr(Weight, name, work)
+    monkeypatch.setattr(opa, "_conv_matrix", work)
+    monkeypatch.setattr(opa, "_hilbert_factor", work)
+    with pytest.raises(DegreeCapError, match="^order n = 1025 exceeds the convex oracle's cap 1024"):
+        solve_convex(Z1SQ_ZP1, 1025, SpaceParams.power(p, 0.0))
+
+
 def test_convex_seed_keeps_ill_conditioned_error():
     # the banded p = 2 factorization of (z-1)^4 fails from n = 843 on
     with pytest.raises(IllConditionedError, match="leading minor"):

@@ -137,14 +137,21 @@ class TestDetection:
 class TestSweep:
     def test_over_cap_grid_refused_before_any_solve(self, monkeypatch):
         def work(*args, **kwargs):
-            raise AssertionError("an over-cap sweep reached a bound or a solve")
+            raise AssertionError("an over-cap sweep reached a bound, a preparation or a solve")
 
-        monkeypatch.setattr(rates, "_dispatch", work)
-        monkeypatch.setattr(rates, "lower_bound", work)
+        # every bound, shared preparation, factorization, sum and solve of a sweep
+        for name in ("_dispatch", "_prepare", "lower_bound", "lower_bounds", "delta_sums",
+                     "prepare_hilbert", "prepare_closed_form"):
+            monkeypatch.setattr(rates, name, work)
+        for name in ("cholesky_banded", "delta_sums"):
+            monkeypatch.setattr(lpopa.opa, name, work)
         spec = CircleZeroSpec(((0.0, 2), (PI, 1)))
-        with pytest.raises(DegreeCapError, match="^order n = 65536 plus deg f = 3 exceeds "
-                                                 "the degree cap 65536$"):
-            run_sweep(spec, SpaceParams.power(INF, 0), geometric_grid(64, 131072))
+        # the flat route, the Hilbert route and the closed form with lead != 1
+        for problem, p in ((spec, INF), (spec, 2.0), (Poly([2, -2]), 1.5)):
+            with pytest.raises(DegreeCapError, match=f"^order n = 65536 plus deg f = "
+                                                     f"{problem.degree} exceeds the degree "
+                                                     "cap 65536$"):
+                run_sweep(problem, SpaceParams.power(p, 0), geometric_grid(64, 131072))
 
     def test_hardy_exponent(self):
         sp = SpaceParams.power(2, 0)
