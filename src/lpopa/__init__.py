@@ -3,7 +3,7 @@
 from .errors import (AdmissibilityError, DegreeCapError, IllConditionedError,
                      InexactDivisionError, InternalConsistencyError, LpopaError,
                      SweepError, UnsupportedExponentError)
-from .opa import (ExpPolyFit, FlatDiagnostics, OpaResult, SolverOpts,
+from .opa import (ExpPolyFit, OpaResult, SolverOpts,
                   closed_form_one_minus_zd, composite_construction, fit_exp_poly,
                   solve_convex, solve_flat, solve_hilbert, solve_structural)
 from .poly import (CircleZeroSpec, Poly, eval_derivative, exact_div, expand,
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError", "CircleZeroSpec", "DegreeCapError", "ExpPolyFit",
-    "FlatDiagnostics",
     "IllConditionedError", "InexactDivisionError", "InternalConsistencyError",
     "LpopaError", "OpaResult", "Poly", "RateFit", "RatePrediction", "SolverOpts",
     "SpaceParams", "SweepError", "SweepPoint", "UnsupportedExponentError",

@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,6 +95,9 @@ class OpaResult:
     ``ortho_residual_max`` is the largest orthogonality pairing of the
     residual against z^j f for j <= n, evaluated with f scaled to unit norm
     (None at the flat endpoints, which the pairing does not cover).
+    ``dual`` (a lower bound on the optimum) and ``rel_gap``, (optimal_norm -
+    dual) / optimal_norm or 0 when both vanish, certify the structural and
+    flat routes (:func:`_certify`); they are None on the others.
     """
 
     approximant: Poly
@@ -104,26 +107,8 @@ class OpaResult:
     iterations: int
     converged: bool
     solver: str
-
-
-@dataclass
-class FlatDiagnostics:
-    """Certificate of a :func:`solve_flat` solve.
-
-    ``objective`` is the norm of the returned residual 1 - P f and ``dual``
-    the lower bound of the solver's dual vector, so the optimum lies between;
-    ``rel_gap`` is (objective - dual) / objective, 0 when both vanish.
-    ``face_dim`` is the dimension of the face the certificate leaves free:
-    residuals meeting the constraints on the entries where the dual bound is
-    tight (p = 1, each with the dual's phase) or the dual vanishes (p = inf).
-    It bounds that of the optimal set, so 0 certifies a unique minimizer and
-    non-uniqueness shows as face_dim > 0.
-    """
-
-    objective: float
-    dual: float
-    rel_gap: float
-    face_dim: int
+    dual: float | None = None
+    rel_gap: float | None = None
 
 
 def _validate(f: Poly, n: int) -> None:
@@ -516,13 +501,16 @@ def _residual_rows(f: Poly, problem, m: int, real: bool) -> tuple[np.ndarray, np
     return vh[:k].reshape(k, m, -1).transpose(1, 2, 0), b
 
 
-def _setup(problem, n: int):
-    """f, the residual length m, whether f is real, and the rows of S r = e."""
+def _setup(problem, n: int, sp: SpaceParams):
+    """f, the weight table w of its residuals, and the rows of S r = e (None if f is constant)."""
+    if isinstance(problem, CircleZeroSpec):     # the cap before the O(d^2) expansion
+        check_degree_cap(n, problem.degree)
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
     _validate(f, n)
     m = n + f.degree + 1
     real = np.abs(f.coeffs.imag).max() <= _ROUNDING * np.abs(f.coeffs).max()
-    return f, m, real, (_residual_rows(f, problem, m, real) if f.degree else None)
+    rows = _residual_rows(f, problem, m, real) if f.degree else None
+    return f, sp.weight.values_up_to(m - 1), rows
 
 
 def _hilbert_dual(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -535,10 +523,32 @@ def _complex(r: np.ndarray) -> Poly:
     return Poly(r[:, 0] if r.shape[1] == 1 else r[:, 0] + 1j * r[:, 1])
 
 
-def _coords(residual: Poly, m: int, real: bool) -> np.ndarray:
-    """The real coordinates (m x c) of a residual polynomial."""
-    r = residual.padded(m)
-    return r.real[:, None] if real else np.stack([r.real, r.imag], axis=1)
+def _coords(residual: Poly, A: np.ndarray) -> np.ndarray:
+    """The real coordinates (m x c) of a residual polynomial, for rows A (m x c x R)."""
+    r = residual.padded(len(A))
+    return r.real[:, None] if A.shape[1] == 1 else np.stack([r.real, r.imag], axis=1)
+
+
+def _certify(result: OpaResult, A: np.ndarray, b: np.ndarray, w: np.ndarray,
+             sp: SpaceParams, lam: np.ndarray) -> OpaResult:
+    """Set dual, rel_gap and converged of a residual-form result from lam: the
+    bound b . lam / ||A lam||_* under the dual norm (sum_t w_t^(1-q) |y_t|^q)^(1/q),
+    or max_t (p = 1) and sum_t (p = inf) of |y_t| / w_t; converged means
+    |rel_gap| <= 1e-10, or rel_gap <= 1e-9 at the flat endpoints."""
+    size = np.linalg.norm(A @ lam, axis=1)
+    if sp.is_flat:
+        size = size / w
+        dual = float(b @ lam) / float(size.max() if sp.p == 1.0 else size.sum())
+    else:
+        dual = float(b @ lam) / float((w ** (1.0 - sp.q) * size ** sp.q).sum()) ** (1.0 / sp.q)
+    primal = result.optimal_norm
+    gap = (primal - dual) / primal if primal > 0 else 0.0
+    tol = _GAP_TOL if sp.is_flat else _DUAL_GAP_TOL
+    result.dual, result.rel_gap = dual, gap
+    result.converged = bool((gap if sp.is_flat else abs(gap)) <= tol)
+    if not result.converged:
+        log.debug("solve_%s: relative gap %.3e above %.0e", result.solver, gap, tol)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +563,12 @@ class ExpPolyFit:
     and j running from 1 to the root's multiplicity.  ``fit_residual`` is the
     sup deviation of the representation from the actual residual data;
     ``system_residual`` is the sup violation of the interpolation system the
-    constants must satisfy.  ``dual`` is a lower bound on the optimal norm and
-    ``rel_gap`` is (norm of the residual - dual) / norm, 0 when both vanish.
+    constants must satisfy.  The certificate of a solve is on its OpaResult.
     """
 
     constants: dict[tuple[int, int], complex]
     fit_residual: float
     system_residual: float
-    dual: float
-    rel_gap: float
 
     def constant_sum(self) -> complex:
         return sum(self.constants.values())
@@ -596,20 +603,13 @@ def _dual_candidate(A: np.ndarray, w: np.ndarray, r: np.ndarray, p: float) -> np
     return np.einsum("tcr,tc->r", A, r * scale[:, None])
 
 
-def _dual_bound(A: np.ndarray, b: np.ndarray, w: np.ndarray, q: float, lam: np.ndarray) -> float:
-    """b . lam / ||A lam||_*, the scale-free lower bound on the optimal norm."""
-    size = np.linalg.norm(A @ lam, axis=1)
-    return float(b @ lam) / float((w ** (1.0 - q) * size ** q).sum()) ** (1.0 / q)
-
-
-def _exp_poly_fit(spec: CircleZeroSpec, n: int, sp: SpaceParams, residual: Poly,
-                  dual: float, source: Poly) -> ExpPolyFit:
+def _exp_poly_fit(spec: CircleZeroSpec, sp: SpaceParams, wv: np.ndarray, residual: Poly,
+                  source: Poly) -> ExpPolyFit:
     """Constants fitted to the data of ``source`` (a solver's own residual, where
-    the division defect of P does not enter), their deviation from those of
-    ``residual``, and the gap of ``residual`` to ``dual``."""
-    m = n + spec.degree + 1
+    the division defect of P does not enter) and their deviation from those of
+    ``residual``; wv is the weight table of the residual's indices 0 .. n + d."""
+    m = wv.size
     t = np.arange(m, dtype=float)
-    wv = sp.weight.values_up_to(m - 1)
     pairs = [(i, j) for i, (_, mult) in enumerate(spec.roots) for j in range(1, mult + 1)]
     zs = spec.points()
     basis = np.stack([t ** (j - 1) * zs[i] ** t for i, j in pairs], axis=1)
@@ -619,25 +619,17 @@ def _exp_poly_fit(spec: CircleZeroSpec, n: int, sp: SpaceParams, residual: Poly,
     # the value 1 with derivatives 0 below the multiplicity at each zero
     system = basis.T @ signed_powers(basis @ A / wv, sp.q - 1.0)
     system[[k for k, (_, j) in enumerate(pairs) if j == 1]] -= 1.0
-    primal = norm(residual, sp)
     return ExpPolyFit(constants={pair: complex(A[k]) for k, pair in enumerate(pairs)},
                       fit_residual=float(np.abs(data - basis @ A).max()),
-                      system_residual=float(np.abs(system).max()), dual=dual,
-                      rel_gap=(primal - dual) / primal if primal > 0 else 0.0)
+                      system_residual=float(np.abs(system).max()))
 
 
 def fit_exp_poly(residual: Poly, spec: CircleZeroSpec, n: int,
                  sp: SpaceParams) -> ExpPolyFit:
-    """Fit structure constants to an existing residual and report deviations.
-
-    ``dual`` is the bound of the residual's own dual candidate, so the gap
-    checks a residual from any route; it is tight for an optimal residual
-    whose vanishing entries rounding has left at 0.
-    """
-    _, m, real, (A, b) = _setup(spec, n)
-    w = sp.weight.values_up_to(m - 1)
-    dual = _dual_bound(A, b, w, sp.q, _dual_candidate(A, w, _coords(residual, m, real), sp.p))
-    return _exp_poly_fit(spec, n, sp, residual, dual, residual)
+    """Fit structure constants to an order-n residual from any route and
+    report deviations.  It certifies nothing: the residual-form routes carry
+    their certificate on their OpaResult."""
+    return _exp_poly_fit(spec, sp, sp.weight.values_up_to(n + spec.degree), residual, residual)
 
 
 def solve_structural(problem, n: int, sp: SpaceParams, init: OpaResult | None = None
@@ -657,19 +649,18 @@ def solve_structural(problem, n: int, sp: SpaceParams, init: OpaResult | None = 
     ``init`` when given, else the p = 2 residual.
 
     P = (1 - r) / f by banded least squares, and the reported norm is that of
-    1 - P f.  ``converged`` holds if and only if its relative gap to the dual
-    bound b . lam / (sum_t w_t^(1-q) |y_t|^q)^(1/q) is at most 1e-10 in
-    absolute value.  The structure constants come back for a spec (None for a
-    Poly or a constant f), with the solve's dual bound and gap.
+    1 - P f, certified by lam (:func:`_certify`; a constant f has dual bound
+    and gap 0).  The structure constants come back for a spec (None for a
+    Poly or a constant f).
     """
     if sp.is_flat:
         raise UnsupportedExponentError("structural solve needs 1 < p < inf")
-    f, m, real, rows = _setup(problem, n)
+    f, w, rows = _setup(problem, n, sp)
     if rows is None:
-        return _finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True, "structural"), None
-    A, b = rows
-    w, q = sp.weight.values_up_to(m - 1), sp.q
-    r = A @ _hilbert_dual(A, b, w) / w[:, None] if init is None else _coords(init.residual, m, real)
+        return replace(_finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True,
+                                 "structural", w), dual=0.0, rel_gap=0.0), None
+    (A, b), q = rows, sp.q
+    r = A @ _hilbert_dual(A, b, w) / w[:, None] if init is None else _coords(init.residual, A)
     lam = _dual_candidate(A, w, r, sp.p)
     h, y, size = _dual_value(A, b, w, q, lam)
     iterations = 0
@@ -689,16 +680,11 @@ def solve_structural(problem, n: int, sp: SpaceParams, init: OpaResult | None = 
             break
         lam, h, y, size = lam + t * step, hn, yn, sn
     own = _complex(_dual_slopes(A, b, w, q, *_dual_value(A, b, w, q, lam)[1:])[2])
-    approx = lstsq_div(ONE - own, f)[0]
-    result = _finalize(f, approx.padded(n + 1), sp, iterations, False, "structural", w)
-    dual = _dual_bound(A, b, w, q, lam)
-    gap = (result.optimal_norm - dual) / result.optimal_norm if result.optimal_norm > 0 else 0.0
-    result.converged = bool(abs(gap) <= _DUAL_GAP_TOL)
-    if not result.converged:
-        log.debug("solve_structural: relative gap %.3e above %.0e", gap, _DUAL_GAP_TOL)
-    fit = _exp_poly_fit(problem, n, sp, result.residual, dual, own) \
+    approx = lstsq_div(ONE - own, f)[0].padded(n + 1)
+    result = _finalize(f, approx, sp, iterations, False, "structural", w)
+    fit = _exp_poly_fit(problem, sp, w, result.residual, own) \
         if isinstance(problem, CircleZeroSpec) else None
-    return result, fit
+    return _certify(result, A, b, w, sp, lam), fit
 
 
 # ---------------------------------------------------------------------------
@@ -831,36 +817,32 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
     return r, lam, steps
 
 
-def solve_flat(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, FlatDiagnostics]:
+def solve_flat(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, int]:
     """Order-n minimizer at p in {1, inf} from the residual-form linear program.
 
     ``problem`` is a Poly or a CircleZeroSpec (exact zeros).  p = 1 runs
     :func:`_flat_l1`, p = inf :func:`_flat_linf`; each gives a residual r and
     a dual vector lam.  P = (1 - r) / f by banded least squares, and the
-    reported norm is that of 1 - P f, so the gap covers the division too.
-    ``converged`` holds if and only if the relative gap to the dual bound is
-    at most 1e-9.  Minimizers need not be unique; the diagnostics give the
-    dimension of the optimal face.  A constant f has the residual 0.
+    reported norm is that of 1 - P f, certified by lam (:func:`_certify`; a
+    constant f has the residual 0, dual bound and gap 0).  Minimizers need
+    not be unique: the second value is the dimension of the face the
+    certificate leaves free, residuals meeting the constraints where the
+    dual bound is tight (p = 1, with the dual's phase) or the dual vanishes
+    (p = inf).  It bounds that of the optimal set, so 0 certifies a unique
+    minimizer.
     """
     if not sp.is_flat:
         raise UnsupportedExponentError("solve_flat handles p in {1, inf} only")
-    f, m, real, rows = _setup(problem, n)
+    f, w, rows = _setup(problem, n, sp)
     if rows is None:
-        result = _finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True, "flat")
-        return result, FlatDiagnostics(result.optimal_norm, 0.0, 0.0, 0)
+        return replace(_finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True, "flat", w),
+                       dual=0.0, rel_gap=0.0), 0
     A, b = rows
-    w = sp.weight.values_up_to(m - 1)
     r, lam, iterations = (_flat_l1 if sp.p == 1.0 else _flat_linf)(A, b, w)
-    approx = lstsq_div(ONE - _complex(r), f)[0]
-    result = _finalize(f, approx.padded(n + 1), sp, iterations, False, "flat", w)
-    primal, y = result.optimal_norm, A @ lam
-    size = np.linalg.norm(y, axis=1) / w
-    dual = float(b @ lam) / float(size.max() if sp.p == 1.0 else size.sum())
-    gap = (primal - dual) / primal if primal > 0 else 0.0
-    result.converged = bool(gap <= _GAP_TOL)
-    cols = _free_columns(A, y, w, sp.p)[1]
-    face_dim = cols.shape[1] - (np.linalg.matrix_rank(cols) if cols.size else 0)
-    return result, FlatDiagnostics(primal, dual, gap, int(face_dim))
+    approx = lstsq_div(ONE - _complex(r), f)[0].padded(n + 1)
+    result = _certify(_finalize(f, approx, sp, iterations, False, "flat", w), A, b, w, sp, lam)
+    cols = _free_columns(A, A @ lam, w, sp.p)[1]
+    return result, int(cols.shape[1] - (np.linalg.matrix_rank(cols) if cols.size else 0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InexactDivisionError
+from .errors import DegreeCapError, InexactDivisionError
 
 # Degree cap bounds memory in sweeps; anything larger is almost surely a bug.
 MAX_DEGREE = 1 << 16
@@ -61,6 +61,8 @@ class Poly:
         c = c[: nz[-1] + 1].copy() if nz.size else np.empty(0, dtype=np.complex128)
         if c.size > MAX_DEGREE + 1:
             raise ValueError(f"degree {c.size - 1} exceeds cap {MAX_DEGREE}")
+        if not np.isfinite(c).all():
+            raise ValueError("polynomial coefficients must be finite")
         c.flags.writeable = False
         self._c = c
 
@@ -161,7 +163,7 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Long division num = q*den + r with deg r < deg den.
 
     The remainder is recomputed as num - q*den so it reflects the actual
-    floating-point defect of the quotient.
+    floating-point defect of the quotient; one that overflows raises ValueError.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -232,7 +234,10 @@ def exact_div(num: Poly, den: Poly, tol: float = 1e-9) -> Poly:
     """
     scale = float(np.abs(num.coeffs).max()) if not num.is_zero else 0.0
     limit = tol * max(scale, 1e-300)
-    q, r = poly_divmod(num, den)
+    try:
+        q, r = poly_divmod(num, den)
+    except ValueError:      # the quotient overflowed: zeros of den outside the disc
+        q, r = lstsq_div(num, den)
     if r.is_zero or float(np.abs(r.coeffs).max()) <= limit:
         return q
     q2, r2 = lstsq_div(num, den)
@@ -268,7 +273,8 @@ class CircleZeroSpec:
 
     Roots are specified by angle so |z_i| = 1 holds by construction; a
     floating root value would drift off the circle.  Angles are normalized
-    into [0, 2*pi) and must be pairwise distinct.
+    into [0, 2*pi) and must be finite and pairwise distinct; a degree above
+    the cap raises DegreeCapError before anything expands the product.
     """
 
     roots: tuple[tuple[float, int], ...]
@@ -279,13 +285,19 @@ class CircleZeroSpec:
         for angle, mult in self.roots:
             if int(mult) != mult or mult < 1:
                 raise ValueError("multiplicity must be a positive integer")
+            if not math.isfinite(float(angle)):
+                raise ValueError(f"root angle must be finite, got {angle!r}")
             norm.append((float(angle) % TWO_PI, int(mult)))
         if len({a for a, _ in norm}) != len(norm):
             raise ValueError("duplicate root angles")
-        if complex(self.leading_coefficient) == 0:
-            raise ValueError("leading coefficient must be nonzero")
+        lead = complex(self.leading_coefficient)
+        if lead == 0 or not np.isfinite(lead):
+            raise ValueError("leading coefficient must be finite and nonzero")
         object.__setattr__(self, "roots", tuple(norm))
-        object.__setattr__(self, "leading_coefficient", complex(self.leading_coefficient))
+        object.__setattr__(self, "leading_coefficient", lead)
+        if self.degree > MAX_DEGREE:
+            raise DegreeCapError(f"circle zero spec of degree {self.degree} "
+                                 f"exceeds the degree cap {MAX_DEGREE}")
 
     @property
     def degree(self) -> int:

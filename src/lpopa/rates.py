@@ -75,6 +75,8 @@ def classify(p: float, alpha: float) -> RatePrediction:
     """Decay regime and cyclicity for the power weight (k+1)**alpha."""
     if not p >= 1:
         raise ValueError("p must satisfy p >= 1")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     if p == math.inf:
         if alpha < 1:
             return RatePrediction("power", alpha - 1.0, cyclic=True)
@@ -191,6 +193,8 @@ def _prepare(problem, n_max: int, sp: SpaceParams, solver: str):
     :func:`prepare_closed_form` and :func:`prepare_hilbert`); the other
     routes have no such prefix and solve each order on its own.
     """
+    if isinstance(problem, CircleZeroSpec):     # the cap before the O(d^2) expansion
+        check_degree_cap(n_max, problem.degree)
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
     solver = _route(f, sp, solver)
     if solver == "closed":

@@ -101,7 +101,9 @@ class Weight:
 
 
 def power_weight(alpha: float) -> Weight:
-    """The weight w_k = (k+1)**alpha."""
+    """The weight w_k = (k+1)**alpha; alpha must be finite."""
+    if not math.isfinite(float(alpha)):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     return Weight(kind="power", alpha=float(alpha))
 
 
@@ -117,8 +119,8 @@ def table_weight(values, tail: str = "constant",
     vals = tuple(float(v) for v in values)
     if not vals:
         raise ValueError("table weight needs at least one value")
-    if any(v <= 0 for v in vals):
-        raise ValueError("weight values must be strictly positive")
+    if not all(0 < v < math.inf for v in vals):
+        raise ValueError("weight values must be finite and strictly positive")
     if abs(vals[0] - 1.0) > 1e-12:
         raise ValueError("weight must start at w_0 = 1")
     if tail not in _TAIL_RULES:

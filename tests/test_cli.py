@@ -141,6 +141,44 @@ class TestArgumentValidation:
         deg = sum(int(r.split(":")[1]) for r in roots.split(","))
         assert f"error: order n = {n} plus deg f = {deg} exceeds the degree cap 65536" in err
 
+    @pytest.mark.parametrize("roots, n, message", [
+        ("0:70000", "1", "circle zero spec of degree 70000 exceeds the degree cap 65536"),
+        ("0:20000", "50000", "order n = 50000 plus deg f = 20000 exceeds the degree cap 65536"),
+    ])
+    def test_over_cap_spec_exits_2_before_expanding(self, capsys, monkeypatch, roots, n,
+                                                    message):
+        def work(*args, **kwargs):
+            raise AssertionError("an over-cap spec reached expand")
+
+        for module in (lpopa.cli, lpopa.rates, lpopa.opa):
+            monkeypatch.setattr(module, "expand", work)
+        code, out, err = run_cli(capsys, "compute", "--roots", roots, "--p", "1.5", "--n", n)
+        assert code == 2 and out == ""
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--coeffs", "1,-1", "--p", "2", "--alpha", "nan", "--n", "3"],
+        ["compute", "--coeffs", "1,-1", "--p", "1.5", "--alpha", "inf", "--n", "3"],
+        ["compute", "--coeffs", "1,nan", "--p", "2", "--n", "3"],
+        ["compute", "--coeffs", "1,nan", "--p", "1.5", "--n", "3"],
+        ["compute", "--roots", "nan:1", "--p", "2", "--n", "3"],
+        ["compute", "--roots", "0:1,nan:1", "--p", "1.5", "--n", "3"],
+        ["sweep", "--coeffs", "1,1e400", "--p", "inf", "--n", "4..8"],
+        ["classify", "--p", "2", "--alpha", "nan"],
+    ], ids=lambda argv: " ".join(argv[:4]))
+    def test_non_finite_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "must be finite" in err
+
+    def test_non_finite_weight_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text('{"kind": "table", "values": [NaN, 2, 3]}')
+        code, out, err = run_cli(capsys, "compute", "--coeffs", "1,-1", "--p", "2",
+                                 "--weight-file", str(path), "--n", "3")
+        assert code == 2 and out == ""
+        assert "must be finite" in err
+
     def test_over_cap_sweep_exits_2_before_any_solve(self, capsys, monkeypatch):
         def work(*args, **kwargs):
             raise AssertionError("an over-cap sweep reached a preparation or a solve")

@@ -9,7 +9,7 @@ import lpopa.space
 from lpopa import (CircleZeroSpec, DegreeCapError, IllConditionedError, OpaResult, Poly,
                    SpaceParams, UnsupportedExponentError, Weight,
                    closed_form_one_minus_zd, composite_construction, exact_div, expand,
-                   lower_bound, norm, opa, power_weight, solve_convex, solve_flat,
+                   lower_bound, norm, opa, power_weight, rates, solve_convex, solve_flat,
                    solve_hilbert, solve_structural, table_weight)
 from lpopa.opa import SolverOpts, bj_certificate
 from lpopa.poly import MAX_DEGREE, monomial
@@ -322,13 +322,13 @@ class TestFlat:
     def test_wiener_example_norm_one(self):
         sp = SpaceParams.power(1, 1)
         f = Poly([1, -0.5])                    # 1 - z / w_1
-        res, diag = solve_flat(f, 0, sp)
+        res, face_dim = solve_flat(f, 0, sp)
         assert res.optimal_norm == pytest.approx(1.0, abs=1e-12)
         assert res.converged
         # the whole segment c_0 in [0, 1] is optimal
         for c0 in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert norm(Poly([1]) - Poly([c0]) * f, sp) == pytest.approx(1.0)
-        assert diag.face_dim >= 1
+        assert face_dim >= 1
 
     def test_unit_function_sup_norm(self):
         res, _ = solve_flat(Poly([1]), 4, SpaceParams.power(INF, 0.3))
@@ -337,12 +337,12 @@ class TestFlat:
     def test_sup_norm_flat_direction(self):
         sp = SpaceParams.power(INF, 0)
         g = Poly([1, 0, -1])
-        res, diag = solve_flat(g, 1, sp)
+        res, face_dim = solve_flat(g, 1, sp)
         a = res.approximant.coeff(0)
         vals = [norm(Poly([1]) - Poly([a, b]) * g, sp)
                 for b in np.linspace(-0.5, 0.5, 11)]
         assert max(vals) - min(vals) <= 1e-12
-        assert diag.face_dim == 1                 # the free b direction
+        assert face_dim == 1                      # the free b direction
         for shift in (-1e-3, 1e-3):               # a strict minimum in a
             assert norm(Poly([1]) - Poly([a + shift]) * g, sp) > res.optimal_norm + 1e-4
 
@@ -395,8 +395,8 @@ class TestFlat:
 
     def test_sup_norm_stage_ends_at_rounding_floor(self):
         # four smoothing stages used to spend their whole step budget here
-        res, diag = solve_flat(CPLX, 16, SpaceParams.power(INF, 0.5))
-        assert res.converged and diag.rel_gap <= 1e-9
+        res, _ = solve_flat(CPLX, 16, SpaceParams.power(INF, 0.5))
+        assert res.converged and res.rel_gap <= 1e-9
         assert res.iterations <= 120
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -414,12 +414,11 @@ class TestFlat:
     @pytest.mark.parametrize("n", [0, 1, 5, 16])
     @pytest.mark.parametrize("f", [*PROBE_POLYS, pytest.param(Poly([0, 1]), id="z")])
     def test_certificate(self, f, n, alpha, p):
-        res, diag = solve_flat(f, n, SpaceParams.power(p, alpha))
+        res, _ = solve_flat(f, n, SpaceParams.power(p, alpha))
         assert res.converged
-        assert diag.rel_gap <= 1e-9
-        assert diag.objective == res.optimal_norm
+        assert res.rel_gap <= 1e-9
         # weak duality, up to the rounding of two equal values
-        assert diag.dual <= res.optimal_norm * (1 + 1e-12)
+        assert res.dual <= res.optimal_norm * (1 + 1e-12)
 
     def test_spec_and_coefficients_agree(self):
         # exact circle zeros, and np.roots clustered into a fourfold zero
@@ -430,6 +429,50 @@ class TestFlat:
             clustered, _ = solve_flat(expand(spec), 64, sp)
             assert exact.converged and clustered.converged
             assert clustered.optimal_norm == pytest.approx(exact.optimal_norm, rel=1e-9)
+
+
+RECORD_PROBLEMS = {"spec": CircleZeroSpec(((0.0, 2), (PI, 1))), "poly": CPLX,
+                   "constant": Poly([3.0])}
+
+
+def gap_rule(res: OpaResult, sp: SpaceParams) -> bool:
+    """The converged rule of a residual-form route: a one-sided relative gap of
+    at most 1e-9 at the flat endpoints, |gap| at most 1e-10 otherwise."""
+    return res.rel_gap <= 1e-9 if sp.is_flat else abs(res.rel_gap) <= 1e-10
+
+
+class TestCertificateRecord:
+    @pytest.mark.parametrize("p", [1, 1.5, 3, INF])
+    @pytest.mark.parametrize("name", list(RECORD_PROBLEMS))
+    def test_residual_form_routes_carry_it(self, name, p):
+        sp = SpaceParams.power(p, 0.5)
+        solve = solve_flat if sp.is_flat else solve_structural
+        for n in (0, 3, 16):
+            res = solve(RECORD_PROBLEMS[name], n, sp)[0]
+            assert res.converged and res.converged == gap_rule(res, sp)
+            # weak duality, up to the rounding of two equal values
+            assert res.dual <= res.optimal_norm * (1 + 1e-12)
+            if name == "constant":
+                assert (res.dual, res.rel_gap, res.optimal_norm) == (0.0, 0.0, 0.0)
+            else:
+                assert res.rel_gap == (res.optimal_norm - res.dual) / res.optimal_norm
+
+    # the (z-1)^4 orders where the division defect of P holds the gap above
+    # its tolerance, next to certified ones: converged follows the gap alone
+    @pytest.mark.parametrize("p, alpha, n", [(1.2, 0.0, 1024), (1.5, 0.0, 64),
+                                             (INF, -0.5, 256), (1, -0.5, 512), (1, 0.0, 64)])
+    def test_converged_is_the_gap_rule(self, p, alpha, n):
+        sp = SpaceParams.power(p, alpha)
+        solve = solve_flat if sp.is_flat else solve_structural
+        res = solve(CircleZeroSpec(((0.0, 4),)), n, sp)[0]
+        assert res.converged == gap_rule(res, sp)
+
+    def test_direct_routes_leave_it_empty(self):
+        sp = SpaceParams.power(2, 0.5)
+        for res in (solve_hilbert(Z1SQ_ZP1, 8, sp.weight), solve_convex(Z1SQ_ZP1, 8, sp),
+                    closed_form_one_minus_zd(2, 8, sp),
+                    rates._dispatch(Poly([2, -2]), 8, sp, "auto")):
+            assert res.dual is None and res.rel_gap is None
 
 
 def test_definitional_probe_sees_a_perturbed_answer():
@@ -674,6 +717,31 @@ def test_degree_cap_raises_before_any_work(monkeypatch, route):
     monkeypatch.setattr(opa, "_residual_rows", work)
     with pytest.raises(DegreeCapError, match=f"n = {MAX_DEGREE - 2} plus deg f = 3 .* "
                                              f"cap {MAX_DEGREE}"):
+        CAPPED_ROUTES[route](MAX_DEGREE - 2)
+
+
+def refuse_expand(monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("a capped spec reached expand")
+
+    monkeypatch.setattr(opa, "expand", work)
+    monkeypatch.setattr(rates, "expand", work)
+
+
+# expand convolves once per unit of multiplicity, O(d^2), so a spec is checked
+# against the cap first, both when it is routed and by the residual form
+@pytest.mark.parametrize("solver", ["auto", "structural", "flat", "convex", "hilbert"])
+def test_degree_cap_raises_before_routing_expands_a_spec(monkeypatch, solver):
+    refuse_expand(monkeypatch)
+    p = 1.0 if solver == "flat" else 2.0 if solver == "hilbert" else 1.5
+    with pytest.raises(DegreeCapError, match="n = 50000 plus deg f = 20000 .* cap"):
+        rates._dispatch(CircleZeroSpec(((0.0, 20000),)), 50000, SpaceParams.power(p, 0.0), solver)
+
+
+@pytest.mark.parametrize("route", ["structural", "flat-inf"])
+def test_degree_cap_raises_before_the_residual_form_expands_a_spec(monkeypatch, route):
+    refuse_expand(monkeypatch)
+    with pytest.raises(DegreeCapError, match=f"n = {MAX_DEGREE - 2} plus deg f = 3"):
         CAPPED_ROUTES[route](MAX_DEGREE - 2)
 
 

@@ -139,9 +139,9 @@ class TestStructuralInvariants:
             raise AssertionError("solve_structural called solve_convex")
 
         monkeypatch.setattr("lpopa.opa.solve_convex", no_convex)
-        res, fit = solve_structural(spec, n, sp)
+        res, _ = solve_structural(spec, n, sp)
         assert res.converged
-        assert abs(fit.rel_gap) <= 1e-10
+        assert abs(res.rel_gap) <= 1e-10
         assert res.optimal_norm >= lower_bound(spec, n, sp)
         assert res.optimal_norm == pytest.approx(oracle.optimal_norm, rel=1e-10)
 
@@ -216,18 +216,17 @@ CERTIFIED = {"z1sq_zp1": CircleZeroSpec(((0.0, 2), (PI, 1))),
 @pytest.mark.parametrize("p", [1.1, 1.2, 1.5, 2.5, 3.0, 4.0])
 @pytest.mark.parametrize("name", list(CERTIFIED))
 def test_auto_route_certifies(name, p, alpha):
-    # auto sends 1 < p < inf, p != 2, to the dual Newton, whose gap certifies every order;
-    # a spec reports the gap itself, a Poly through converged (the same test)
+    # auto sends 1 < p < inf, p != 2, to the dual Newton, whose gap certifies every order,
+    # for a spec and a Poly alike
     problem, sp = CERTIFIED[name], SpaceParams.power(p, alpha)
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
     for n in (0, 3, 16, 64, 256) + (() if name == "z1_4" else (1024,)):
         res = _dispatch(problem, n, sp, "auto")
         assert res.solver == "structural" and res.converged, n
-        direct, fit = solve_structural(problem, n, sp)
+        direct, _ = solve_structural(problem, n, sp)
         assert direct.optimal_norm == res.optimal_norm
-        if fit is not None:
-            assert abs(fit.rel_gap) <= 1e-10
-            assert fit.dual <= res.optimal_norm * (1 + 1e-10)
+        assert abs(res.rel_gap) <= 1e-10
+        assert res.dual <= res.optimal_norm * (1 + 1e-10)
         if n <= 64:
             oracle = solve_convex(f, n, sp)
             if oracle.converged:

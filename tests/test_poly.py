@@ -7,10 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from lpopa import (CircleZeroSpec, InexactDivisionError, Poly, eval_derivative,
+from lpopa import (CircleZeroSpec, DegreeCapError, InexactDivisionError, Poly, eval_derivative,
                    exact_div, expand, parse_angle, poly_divmod, poly_from_config,
                    signed_power, signed_powers)
-from lpopa.poly import lstsq_div
+from lpopa.poly import MAX_DEGREE, lstsq_div
 
 
 def rand_complex(rng, size=None, scale=1.0):
@@ -123,6 +123,11 @@ class TestPolyBasics:
         with pytest.raises(ValueError):
             Poly(np.ones((1 << 16) + 2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            Poly([1.0, bad, 2.0])
+
 
 class TestExpand:
     def test_single_root(self):
@@ -139,6 +144,19 @@ class TestExpand:
     def test_duplicate_angles_rejected(self):
         with pytest.raises(ValueError):
             CircleZeroSpec(((0.0, 1), (2 * math.pi, 1)))
+
+    @pytest.mark.parametrize("roots, lead", [
+        (((math.nan, 1),), 1.0), (((0.0, 1), (math.inf, 1)), 1.0),
+        (((0.0, 1),), math.nan), (((0.0, 1),), complex(1, math.inf)),
+    ], ids=["nan angle", "inf angle", "nan leading", "inf leading"])
+    def test_non_finite_spec_rejected(self, roots, lead):
+        with pytest.raises(ValueError, match="must be finite"):
+            CircleZeroSpec(roots, leading_coefficient=lead)
+
+    def test_over_cap_spec_rejected(self):
+        CircleZeroSpec(((0.0, MAX_DEGREE - 1), (math.pi, 1)))      # the cap itself
+        with pytest.raises(DegreeCapError, match=f"degree {MAX_DEGREE + 1} exceeds"):
+            CircleZeroSpec(((0.0, MAX_DEGREE), (math.pi, 1)))
 
     def test_vanishing_orders_match_multiplicity(self):
         theta = 2 * math.pi / 3
@@ -169,6 +187,19 @@ class TestDivision:
         with pytest.raises(InexactDivisionError) as err:
             exact_div(Poly([1, 0, 1]), Poly([-1, 1]))
         assert err.value.remainder == Poly([2])
+
+    def test_exact_div_past_a_long_division_overflow(self):
+        # long division by z - 2 amplifies rounding by 2 per step and
+        # overflows; the banded least-squares quotient takes over
+        rng = np.random.default_rng(0)
+        a = Poly(rng.standard_normal(3000))
+        den = Poly([-2.0, 1.0])
+        with pytest.raises(ValueError, match="must be finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            poly_divmod(a * den, den)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = exact_div(a * den, den)
+        assert np.abs(q.padded(3000) - a.coeffs).max() <= 1e-12
 
     def test_divmod_remainder(self):
         q, r = poly_divmod(Poly([1, 0, 1]), Poly([-1, 1]))

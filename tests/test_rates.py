@@ -52,6 +52,12 @@ class TestClassify:
         assert not classify(1, 0).cyclic
         assert not classify(1, 0.5).cyclic
 
+    @pytest.mark.parametrize("p", [1, 2, INF])
+    @pytest.mark.parametrize("alpha", [math.nan, INF, -INF])
+    def test_non_finite_alpha_rejected(self, p, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            classify(p, alpha)
+
 
 class TestDelta:
     def test_first_value(self):

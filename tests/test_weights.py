@@ -92,6 +92,12 @@ class TestDilate:
         assert weight_at(w, 4) == weight_at(power_weight(1.0), 24)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_power_weight_needs_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        power_weight(alpha)
+
+
 def test_power_inverse_product():
     idx = np.arange(0, 3000, 17)
     for alpha in (0.25, 1.0, 2.5):
@@ -118,6 +124,11 @@ class TestTableWeights:
     def test_positive_values_required(self):
         with pytest.raises(ValueError):
             table_weight([1.0, -1.0])
+
+    @pytest.mark.parametrize("values", [[np.nan, 2.0, 3.0], [1.0, np.nan], [1.0, np.inf]])
+    def test_finite_values_required(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            table_weight(values)
 
     def test_declared_doubling_violation(self):
         w = table_weight([1.0, 8.0, 1.0, 1.0], declared_doubling=2.0)
