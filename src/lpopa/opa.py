@@ -17,8 +17,9 @@ degree-n polynomials minimizing the weighted norm of 1 - p_n f.  Routes:
 
 plus the :func:`composite_construction` of near-optimal approximants for
 repeated circle zeros out of a simple-zero Hilbert solve.  Every route ends
-in one :func:`_finalize`, which forms the residual, its norm and its
-orthogonality pairing from a single weight table.
+in one :func:`_finalize`, which forms the residual and its norm from a
+single weight table, and leaves the orthogonality pairing to be formed from
+that table on its first read.  A sweep never reads it, so never forms it.
 
 The Hilbert route and the closed form are the one-order case of
 :func:`prepare_hilbert` and :func:`prepare_closed_form`: a sweep prepares
@@ -32,7 +33,9 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -97,18 +100,31 @@ class OpaResult:
     (None at the flat endpoints, which the pairing does not cover).
     ``dual`` (a lower bound on the optimum) and ``rel_gap``, (optimal_norm -
     dual) / optimal_norm or 0 when both vanish, certify the structural and
-    flat routes (:func:`_certify`); they are None on the others.
+    flat routes (:func:`_certify`); they are None on the others, and on a
+    residual-form result whose dual vector bounds nothing.
+
+    The fourth field holds the pairing: a float, None, or the thunk
+    :func:`_finalize` leaves, which the first read of ``ortho_residual_max``
+    runs and replaces by its value.  A sweep never reads it, so never forms
+    it; ``dataclasses.replace`` carries it over, formed or not.  ``repr``
+    and ``==`` leave it out.
     """
 
     approximant: Poly
     residual: Poly
     optimal_norm: float
-    ortho_residual_max: float | None
+    _pairing: float | Callable[[], float] | None = field(repr=False, compare=False)
     iterations: int
     converged: bool
     solver: str
     dual: float | None = None
     rel_gap: float | None = None
+
+    @property
+    def ortho_residual_max(self) -> float | None:
+        if callable(self._pairing):
+            self._pairing = self._pairing()
+        return self._pairing
 
 
 def _validate(f: Poly, n: int) -> None:
@@ -139,12 +155,15 @@ def _finalize(f: Poly, c: np.ndarray, sp: SpaceParams, iterations: int,
     """The result of approximant coefficients c: its residual, norm and pairing.
 
     The residual 1 - P f comes from one convolution.  The norm, norm(f) and
-    the pairing |sum_t w_t r_t^<p-1> conj(z^j f / norm(f))_t| for j <= n
-    (None at the flat endpoints) all read one weight table: ``wv``, the
-    caller's table from index 0 up to at least n + deg f, else one built
-    here.  The norms are :func:`_table_norm`, so they are the bits
-    :func:`space.norm` gives.  The warm start of :func:`solve_convex` does
-    not pass through here: it takes the banded p = 2 coefficients alone.
+    the pairing (:func:`_ortho_pairing`; None at the flat endpoints) all
+    read one weight table: ``wv``, the caller's table from index 0 up to at
+    least n + deg f, else one built here.  The norm is formed here; the
+    pairing is a thunk over the residual, the table, f and p, run on the
+    first read of ``ortho_residual_max``, which no sweep makes.  The norms
+    are :func:`_table_norm`, so they are the bits :func:`space.norm`
+    gives.  The warm start of
+    :func:`solve_convex` does not pass through here: it takes the banded
+    p = 2 coefficients alone.
     """
     approx = Poly(c)
     fc = f.coeffs
@@ -161,15 +180,17 @@ def _finalize(f: Poly, c: np.ndarray, sp: SpaceParams, iterations: int,
         r[0] = 1.0
         r -= conv
         residual = Poly(r)
-    ortho = None
-    if not sp.is_flat:
-        dv = signed_powers(residual.padded(m), sp.p - 1.0) * wv[:m]
-        fc_unit = fc / _table_norm(fc, wv, sp.p)
-        ortho = float(np.abs(np.correlate(dv, np.conj(fc_unit), mode="valid")).max())
-    return OpaResult(approximant=approx, residual=residual,
-                     optimal_norm=_table_norm(residual.coeffs, wv, sp.p),
-                     ortho_residual_max=ortho, iterations=iterations,
-                     converged=converged, solver=solver)
+    pairing = None if sp.is_flat else partial(_ortho_pairing, residual, wv[:m], fc, sp.p)
+    return OpaResult(approx, residual, _table_norm(residual.coeffs, wv, sp.p), pairing,
+                     iterations=iterations, converged=converged, solver=solver)
+
+
+def _ortho_pairing(residual: Poly, wv: np.ndarray, fc: np.ndarray, p: float) -> float:
+    """max_j |sum_t w_t r_t^<p-1> conj(z^j f / norm(f))_t| over the orders j
+    whose z^j f fits in the m = len(wv) entries of the table wv."""
+    dv = signed_powers(residual.padded(wv.size), p - 1.0) * wv
+    fc_unit = fc / _table_norm(fc, wv, p)
+    return float(np.abs(np.correlate(dv, np.conj(fc_unit), mode="valid")).max())
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +555,21 @@ def _certify(result: OpaResult, A: np.ndarray, b: np.ndarray, w: np.ndarray,
     """Set dual, rel_gap and converged of a residual-form result from lam: the
     bound b . lam / ||A lam||_* under the dual norm (sum_t w_t^(1-q) |y_t|^q)^(1/q),
     or max_t (p = 1) and sum_t (p = inf) of |y_t| / w_t; converged means
-    |rel_gap| <= 1e-10, or rel_gap <= 1e-9 at the flat endpoints."""
+    |rel_gap| <= 1e-10, or rel_gap <= 1e-9 at the flat endpoints.  A dual
+    norm that is zero or not finite (weights that leave the float range)
+    bounds nothing: dual and rel_gap stay None and the result is not
+    converged."""
     size = np.linalg.norm(A @ lam, axis=1)
     if sp.is_flat:
         size = size / w
-        dual = float(b @ lam) / float(size.max() if sp.p == 1.0 else size.sum())
+        dual_norm = float(size.max() if sp.p == 1.0 else size.sum())
     else:
-        dual = float(b @ lam) / float((w ** (1.0 - sp.q) * size ** sp.q).sum()) ** (1.0 / sp.q)
+        dual_norm = float((w ** (1.0 - sp.q) * size ** sp.q).sum()) ** (1.0 / sp.q)
+    dual = float(b @ lam) / dual_norm if 0.0 < dual_norm < math.inf else math.nan
+    if not math.isfinite(dual):
+        result.converged = False
+        log.debug("solve_%s: dual norm %.3e bounds nothing", result.solver, dual_norm)
+        return result
     primal = result.optimal_norm
     gap = (primal - dual) / primal if primal > 0 else 0.0
     tol = _GAP_TOL if sp.is_flat else _DUAL_GAP_TOL

@@ -321,13 +321,21 @@ class CircleZeroSpec:
 
 
 def expand(spec: CircleZeroSpec) -> Poly:
-    """Coefficient expansion of leading * prod (z - exp(i*theta_i))**b_i."""
+    """Coefficient expansion of leading * prod (z - exp(i*theta_i))**b_i.
+
+    One convolution per unit of multiplicity; the first one whose product
+    leaves the float range raises the ValueError of a non-finite Poly, so
+    a single root of multiplicity 20000 (its coefficients overflow from
+    about 1030 on) is refused at once rather than after 20000 convolutions.
+    """
     c = np.array([spec.leading_coefficient], dtype=np.complex128)
     for angle, mult in spec.roots:
         root = complex(math.cos(angle), math.sin(angle))
         factor = np.array([-root, 1.0], dtype=np.complex128)
         for _ in range(mult):
             c = np.convolve(c, factor)
+            if not np.isfinite(c).all():
+                raise ValueError("polynomial coefficients must be finite")
     return Poly(c)
 
 

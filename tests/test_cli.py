@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,25 @@ class TestArgumentValidation:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "must be finite" in err
+
+    def test_overflowing_expansion_exits_2_at_once(self, capsys):
+        # a single root's binomial coefficients overflow from multiplicity ~1030
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "compute", "--roots", "0:20000", "--p", "1.5",
+                                 "--n", "0")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "error: polynomial coefficients must be finite" in err
+
+    @pytest.mark.parametrize("alpha, n", [("-1000", "0"), ("-300", "3")])
+    def test_weights_out_of_range_leave_the_flat_solve_uncertified(self, alpha, n):
+        # the weights underflow, the dual norm with them: no bound, exit 3
+        proc = subprocess.run([sys.executable, "-m", "lpopa", "compute", "--coeffs", "1,-1",
+                               "--p", "1", "--alpha", alpha, "--n", n],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["converged"] is False
 
     def test_non_finite_weight_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "w.json"

@@ -1,6 +1,7 @@
 """Tests for the hilbert, convex, closed-form, flat and composite solvers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from lpopa import (CircleZeroSpec, DegreeCapError, IllConditionedError, OpaResul
                    lower_bound, norm, opa, power_weight, rates, solve_convex, solve_flat,
                    solve_hilbert, solve_structural, table_weight)
 from lpopa.opa import SolverOpts, bj_certificate
-from lpopa.poly import MAX_DEGREE, monomial
+from lpopa.poly import MAX_DEGREE, monomial, signed_powers
 from lpopa.space import bj_residual
 
 INF = math.inf
@@ -350,6 +351,12 @@ class TestFlat:
         res, _ = solve_flat(Poly([1, -1]), 2, SpaceParams.power(1, 0))
         assert res.ortho_residual_max is None
 
+    @pytest.mark.parametrize("alpha, n", [(-1000.0, 0), (-300.0, 3)])
+    def test_dual_norm_out_of_range_certifies_nothing(self, alpha, n):
+        # w_t underflows past t = 1 and the dual norm ||A lam||_* to 0 with it
+        res, _ = solve_flat(Poly([1, -1]), n, SpaceParams.power(1, alpha))
+        assert (res.converged, res.dual, res.rel_gap) == (False, None, None)
+
     def test_sup_norm_decay_for_one_minus_z(self):
         # optimal sup-norm value is exactly 1/(n+2) for the flat weight
         sp = SpaceParams.power(INF, 0)
@@ -566,6 +573,42 @@ def test_finalize_matches_separate_evaluation(route, p, alpha, n):
     assert np.array_equal(got, want)
     for part in ("real", "imag"):
         assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
+
+def direct_pairing(res, f, n, sp):
+    """The orthogonality pairing of an order-n result, formed from its
+    residual against a fresh weight table: max_j |sum_t w_t r_t^<p-1>
+    conj(z^j f / norm(f))_t|."""
+    m = n + 1 + f.degree
+    dv = signed_powers(res.residual.padded(m), sp.p - 1.0) * sp.weight.values_up_to(m - 1)
+    unit = f.coeffs / norm(f, sp)
+    return float(np.abs(np.correlate(dv, np.conj(unit), mode="valid")).max())
+
+
+@pytest.mark.parametrize("route, p, n", [
+    (route, p, n) for route in FINALIZE_ROUTES
+    for p in ((2.0,) if route == "hilbert" else (1.5, 3.0)) for n in (0, 17)])
+def test_pairing_is_formed_on_first_read_and_kept(route, p, n):
+    f, solve = FINALIZE_ROUTES[route]
+    sp = SpaceParams.power(p, 0.5)
+    want = direct_pairing(solve(n, sp), f, n, sp).hex()
+    res = solve(n, sp)
+    unread = replace(res, iterations=res.iterations + 1)    # carries the unformed pairing
+    assert res.ortho_residual_max.hex() == want
+    assert res.ortho_residual_max.hex() == want
+    assert unread.ortho_residual_max.hex() == want
+    assert replace(res, converged=False).ortho_residual_max.hex() == want
+    # repr and == read the other fields only, formed pairing or not
+    assert res == solve(n, sp) and "partial" not in repr(solve(n, sp))
+
+
+def test_positional_result_holds_its_pairing():
+    approx, residual = Poly([1.0]), Poly([0.0, -1.0])
+    for pairing in (0.25, None):
+        res = OpaResult(approx, residual, 1.0, pairing, 0, True, "test")
+        assert res.ortho_residual_max == pairing and replace(res).ortho_residual_max == pairing
+    flat = solve_flat(CPLX, 4, SpaceParams.power(INF, 0.5))[0]
+    assert flat.ortho_residual_max is None and replace(flat).ortho_residual_max is None
 
 
 @pytest.mark.parametrize("f, p, n", [(THREE, 3.0, 12), (CPLX, 1.2, 9), (Z1SQ_ZP1, 2.5, 20)])

@@ -141,6 +141,31 @@ class TestExpand:
         f = expand(CircleZeroSpec(((0.0, 2),)))
         np.testing.assert_allclose(f.coeffs, [1, -2, 1], atol=1e-15)
 
+    @pytest.mark.parametrize("roots, lead", [
+        (((0.0, 3), (math.pi / 3, 2)), 1.0), (((1.0, 40), (4.0, 7)), 0.5 - 2j),
+        (((0.0, 1000),), 1.0)])
+    def test_one_convolution_per_unit_of_multiplicity(self, roots, lead):
+        spec = CircleZeroSpec(roots, leading_coefficient=lead)
+        want = np.array([lead], dtype=np.complex128)
+        for angle, mult in roots:
+            factor = np.array([-complex(math.cos(angle), math.sin(angle)), 1.0])
+            for _ in range(mult):
+                want = np.convolve(want, factor)
+        assert expand(spec).coeffs.tobytes() == want.tobytes()
+
+    def test_overflow_stops_the_expansion(self, monkeypatch):
+        # the binomial coefficients of (z - 1)^k leave the float range from
+        # k of about 1030 on: the product that first does raises
+        c, first = np.ones(1, dtype=np.complex128), 0
+        while np.isfinite(c).all():
+            c, first = np.convolve(c, [-1.0, 1.0]), first + 1
+        calls = []
+        convolve = np.convolve
+        monkeypatch.setattr(np, "convolve", lambda *a: calls.append(1) or convolve(*a))
+        with pytest.raises(ValueError, match="polynomial coefficients must be finite"):
+            expand(CircleZeroSpec(((0.0, 20000), (math.pi, 1))))
+        assert len(calls) == first
+
     def test_duplicate_angles_rejected(self):
         with pytest.raises(ValueError):
             CircleZeroSpec(((0.0, 1), (2 * math.pi, 1)))

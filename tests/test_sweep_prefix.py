@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from lpopa import (CircleZeroSpec, IllConditionedError, Poly, SpaceParams,
-                   closed_form_one_minus_zd, dilate, expand, geometric_grid, lower_bound,
+                   closed_form_one_minus_zd, dilate, expand, geometric_grid, lower_bound, opa,
                    power_weight, rates, run_sweep, solve_hilbert, table_weight)
 from lpopa.cli import main
 from lpopa.opa import prepare_closed_form, prepare_hilbert
@@ -169,3 +169,25 @@ def test_order_outside_the_prepared_range():
         prepare_hilbert(CPLX, 8, power_weight(0.0))(9)
     with pytest.raises(ValueError, match="outside"):
         prepare_closed_form(2, 8, SpaceParams.power(2, 0))(9)
+
+
+@pytest.mark.parametrize("problem, p, route", [(Z1SQ_ZP1, 2.0, "hilbert"),
+                                               (Poly([1, -1]), 1.5, "closed-form"),
+                                               (Poly([2, -2]), 1.5, "closed-form")],
+                         ids=["z1sq_zp1", "1-z", "2(1-z)"])
+def test_sweep_forms_no_pairing(monkeypatch, problem, p, route):
+    # a sweep reports norms only: the orthogonality pairing of its results,
+    # the one signed_powers call of these routes, must never be formed
+    sp, grid = SpaceParams.power(p, 0.5), geometric_grid(64, 4096)
+    want = run_sweep(problem, sp, grid)
+
+    def poisoned(*args, **kwargs):
+        raise AssertionError("a sweep formed an orthogonality pairing")
+
+    monkeypatch.setattr(opa, "signed_powers", poisoned)
+    got = run_sweep(problem, sp, grid)
+    assert [pt.n for pt in got] == grid
+    assert {pt.solver for pt in got} == {route}
+    assert [pt.optimal_norm.hex() for pt in got] == [pt.optimal_norm.hex() for pt in want]
+    with pytest.raises(AssertionError, match="pairing"):
+        rates._dispatch(problem, 64, sp, "auto").ortho_residual_max
