@@ -176,20 +176,20 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _weight_payload(sp: SpaceParams, args) -> dict:
+def _weight_payload(args) -> dict:
     if getattr(args, "weight_file", None):
         return {"kind": "file", "path": args.weight_file}
     return {"kind": "power", "alpha": float(args.alpha)}
 
 
-def _result_payload(cfg_cmd: str, problem, res: OpaResult, sp: SpaceParams,
-                    args, n: int) -> dict:
+def _result_payload(cfg_cmd: str, problem, res: OpaResult, args) -> dict:
     """JSON payload of one solve; ``problem`` is a Poly or a CircleZeroSpec.
 
     The lower bound is taken from the spec when there is one, because the
     roots of an expanded multiple zero no longer lie on the circle.
     """
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
+    sp, n = res.sp, res.n
     try:
         bound = lower_bound(problem, n, sp)
     except ValueError:
@@ -199,7 +199,7 @@ def _result_payload(cfg_cmd: str, problem, res: OpaResult, sp: SpaceParams,
     return {
         "command": cfg_cmd,
         "p": p_out,
-        "weight": _weight_payload(sp, args),
+        "weight": _weight_payload(args),
         "n": n,
         "f": _pairs(f),
         "solver": res.solver,
@@ -222,16 +222,14 @@ def _cmd_compute(args) -> int:
     sp = _space_from_args(args)
     problem = _problem_from_args(args)
     res = _dispatch(problem, args.n, sp, args.solver)
-    payload = _result_payload("compute", problem, res, sp, args, args.n)
+    payload = _result_payload("compute", problem, res, args)
     _emit(render_json(payload) + "\n", args.out)
     return 0 if res.converged else 3
 
 
 def _cmd_closed_form(args) -> int:
-    sp = _space_from_args(args)
-    res = closed_form_one_minus_zd(args.d, args.n, sp)
-    f = Poly(np.concatenate([[1.0], np.zeros(args.d - 1), [-1.0]]))
-    payload = _result_payload("closed-form", f, res, sp, args, args.n)
+    res = closed_form_one_minus_zd(args.d, args.n, _space_from_args(args))
+    payload = _result_payload("closed-form", res.f, res, args)
     payload["d"] = args.d
     _emit(render_json(payload) + "\n", args.out)
     return 0

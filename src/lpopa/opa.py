@@ -18,8 +18,9 @@ degree-n polynomials minimizing the weighted norm of 1 - p_n f.  Routes:
 plus the :func:`composite_construction` of near-optimal approximants for
 repeated circle zeros out of a simple-zero Hilbert solve.  Every route ends
 in one :func:`_finalize`, which forms the residual and its norm from a
-single weight table, and leaves the orthogonality pairing to be formed from
-that table on its first read.  A sweep never reads it, so never forms it.
+single weight table and returns one :class:`OpaResult` holding the problem
+(f, n, sp) with its answer.  The orthogonality pairing is formed from those
+fields when it is read; a sweep never reads it, so never forms it.
 
 The Hilbert route and the closed form are the one-order case of
 :func:`prepare_hilbert` and :func:`prepare_closed_form`: a sweep prepares
@@ -33,9 +34,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,28 +91,27 @@ class SolverOpts:
 
 @dataclass
 class OpaResult:
-    """Approximant plus diagnostics.
+    """The order-n approximant of f in the space sp, plus diagnostics.
 
+    ``f``, ``n`` and ``sp`` are the problem solved: f the polynomial (a
+    CircleZeroSpec expanded), n the order of ``approximant``.
     ``optimal_norm`` is the weighted norm of the residual 1 - p_n f;
     ``ortho_residual_max`` is the largest orthogonality pairing of the
     residual against z^j f for j <= n, evaluated with f scaled to unit norm
-    (None at the flat endpoints, which the pairing does not cover).
+    (None at the flat endpoints, which the pairing does not cover).  It is
+    formed from the fields each time it is read, and a sweep never reads it.
     ``dual`` (a lower bound on the optimum) and ``rel_gap``, (optimal_norm -
     dual) / optimal_norm or 0 when both vanish, certify the structural and
     flat routes (:func:`_certify`); they are None on the others, and on a
     residual-form result whose dual vector bounds nothing.
-
-    The fourth field holds the pairing: a float, None, or the thunk
-    :func:`_finalize` leaves, which the first read of ``ortho_residual_max``
-    runs and replaces by its value.  A sweep never reads it, so never forms
-    it; ``dataclasses.replace`` carries it over, formed or not.  ``repr``
-    and ``==`` leave it out.
     """
 
+    f: Poly
+    n: int
+    sp: SpaceParams
     approximant: Poly
     residual: Poly
     optimal_norm: float
-    _pairing: float | Callable[[], float] | None = field(repr=False, compare=False)
     iterations: int
     converged: bool
     solver: str
@@ -122,9 +120,13 @@ class OpaResult:
 
     @property
     def ortho_residual_max(self) -> float | None:
-        if callable(self._pairing):
-            self._pairing = self._pairing()
-        return self._pairing
+        """max_j |sum_t w_t r_t^<p-1> conj(z^j f / norm(f))_t| over j <= n."""
+        if self.sp.is_flat:
+            return None
+        wv = self.sp.weight.values_up_to(self.n + self.f.degree)
+        dv = signed_powers(self.residual.padded(wv.size), self.sp.p - 1.0) * wv
+        unit = self.f.coeffs / _table_norm(self.f.coeffs, wv, self.sp.p)
+        return float(np.abs(np.correlate(dv, np.conj(unit), mode="valid")).max())
 
 
 def _validate(f: Poly, n: int) -> None:
@@ -151,46 +153,28 @@ def _table_norm(c: np.ndarray, wv: np.ndarray, p: float) -> float:
 
 
 def _finalize(f: Poly, c: np.ndarray, sp: SpaceParams, iterations: int,
-              converged: bool, solver: str, wv: np.ndarray | None = None) -> OpaResult:
-    """The result of approximant coefficients c: its residual, norm and pairing.
+              converged: bool, solver: str, wv: np.ndarray) -> OpaResult:
+    """The result of order-n approximant coefficients c (n = len(c) - 1).
 
-    The residual 1 - P f comes from one convolution.  The norm, norm(f) and
-    the pairing (:func:`_ortho_pairing`; None at the flat endpoints) all
-    read one weight table: ``wv``, the caller's table from index 0 up to at
-    least n + deg f, else one built here.  The norm is formed here; the
-    pairing is a thunk over the residual, the table, f and p, run on the
-    first read of ``ortho_residual_max``, which no sweep makes.  The norms
-    are :func:`_table_norm`, so they are the bits :func:`space.norm`
-    gives.  The warm start of
-    :func:`solve_convex` does not pass through here: it takes the banded
-    p = 2 coefficients alone.
+    The residual 1 - P f comes from one convolution, and its norm reads
+    ``wv``, the caller's weight table from index 0 up to at least n + deg f,
+    by :func:`_table_norm`, so it has the bits :func:`space.norm` gives.
+    The warm start of :func:`solve_convex` does not pass through here: it
+    takes the banded p = 2 coefficients alone.
     """
     approx = Poly(c)
-    fc = f.coeffs
-    m = len(c) + f.degree
-    if wv is None:
-        wv = sp.weight.values_up_to(m - 1)
     if approx.is_zero:
         residual = ONE
     else:
-        conv = np.convolve(approx.coeffs, fc)
+        conv = np.convolve(approx.coeffs, f.coeffs)
         # 1 - conv entrywise, as ONE - approx * f forms it: -conv with 1
         # added to entry 0 would turn +0.0 entries into -0.0
         r = np.zeros(conv.size, dtype=np.complex128)
         r[0] = 1.0
         r -= conv
         residual = Poly(r)
-    pairing = None if sp.is_flat else partial(_ortho_pairing, residual, wv[:m], fc, sp.p)
-    return OpaResult(approx, residual, _table_norm(residual.coeffs, wv, sp.p), pairing,
-                     iterations=iterations, converged=converged, solver=solver)
-
-
-def _ortho_pairing(residual: Poly, wv: np.ndarray, fc: np.ndarray, p: float) -> float:
-    """max_j |sum_t w_t r_t^<p-1> conj(z^j f / norm(f))_t| over the orders j
-    whose z^j f fits in the m = len(wv) entries of the table wv."""
-    dv = signed_powers(residual.padded(wv.size), p - 1.0) * wv
-    fc_unit = fc / _table_norm(fc, wv, p)
-    return float(np.abs(np.correlate(dv, np.conj(fc_unit), mode="valid")).max())
+    return OpaResult(f, len(c) - 1, sp, approx, residual,
+                     _table_norm(residual.coeffs, wv, sp.p), iterations, converged, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +528,6 @@ def _complex(r: np.ndarray) -> Poly:
     return Poly(r[:, 0] if r.shape[1] == 1 else r[:, 0] + 1j * r[:, 1])
 
 
-def _coords(residual: Poly, A: np.ndarray) -> np.ndarray:
-    """The real coordinates (m x c) of a residual polynomial, for rows A (m x c x R)."""
-    r = residual.padded(len(A))
-    return r.real[:, None] if A.shape[1] == 1 else np.stack([r.real, r.imag], axis=1)
-
-
 def _certify(result: OpaResult, A: np.ndarray, b: np.ndarray, w: np.ndarray,
              sp: SpaceParams, lam: np.ndarray) -> OpaResult:
     """Set dual, rel_gap and converged of a residual-form result from lam: the
@@ -661,8 +639,7 @@ def fit_exp_poly(residual: Poly, spec: CircleZeroSpec, n: int,
     return _exp_poly_fit(spec, sp, sp.weight.values_up_to(n + spec.degree), residual, residual)
 
 
-def solve_structural(problem, n: int, sp: SpaceParams, init: OpaResult | None = None
-                     ) -> tuple[OpaResult, ExpPolyFit | None]:
+def solve_structural(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, ExpPolyFit | None]:
     """Order-n approximant for 1 < p < inf by Newton's method on the dual.
 
     ``problem`` is a Poly or a CircleZeroSpec (exact zeros).  The unknowns are
@@ -674,8 +651,8 @@ def solve_structural(problem, n: int, sp: SpaceParams, init: OpaResult | None = 
     vanishes.  Steps pass an Armijo test on h, and once the Newton decrement
     is at or below 1e-14 |h| (rounding level, where no Armijo test can pass)
     the full step ends the solve; at most 200 steps.  The start is the
-    least-squares fit of w |r|^(p-2) r onto the rows, with r the residual of
-    ``init`` when given, else the p = 2 residual.
+    least-squares fit of w |r|^(p-2) r onto the rows, with r the p = 2
+    residual.
 
     P = (1 - r) / f by banded least squares, and the reported norm is that of
     1 - P f, certified by lam (:func:`_certify`; a constant f has dual bound
@@ -689,8 +666,7 @@ def solve_structural(problem, n: int, sp: SpaceParams, init: OpaResult | None = 
         return replace(_finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True,
                                  "structural", w), dual=0.0, rel_gap=0.0), None
     (A, b), q = rows, sp.q
-    r = A @ _hilbert_dual(A, b, w) / w[:, None] if init is None else _coords(init.residual, A)
-    lam = _dual_candidate(A, w, r, sp.p)
+    lam = _dual_candidate(A, w, A @ _hilbert_dual(A, b, w) / w[:, None], sp.p)
     h, y, size = _dual_value(A, b, w, q, lam)
     iterations = 0
     while iterations < _DUAL_STEPS:
@@ -846,7 +822,7 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
     return r, lam, steps
 
 
-def solve_flat(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, int]:
+def solve_flat(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, int | None]:
     """Order-n minimizer at p in {1, inf} from the residual-form linear program.
 
     ``problem`` is a Poly or a CircleZeroSpec (exact zeros).  p = 1 runs
@@ -858,7 +834,8 @@ def solve_flat(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, int]:
     certificate leaves free, residuals meeting the constraints where the
     dual bound is tight (p = 1, with the dual's phase) or the dual vanishes
     (p = inf).  It bounds that of the optimal set, so 0 certifies a unique
-    minimizer.
+    minimizer.  An unconverged result gets None: its dual vector need not
+    bound the optimum, so the face it leaves free says nothing.
     """
     if not sp.is_flat:
         raise UnsupportedExponentError("solve_flat handles p in {1, inf} only")
@@ -870,6 +847,8 @@ def solve_flat(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, int]:
     r, lam, iterations = (_flat_l1 if sp.p == 1.0 else _flat_linf)(A, b, w)
     approx = lstsq_div(ONE - _complex(r), f)[0].padded(n + 1)
     result = _certify(_finalize(f, approx, sp, iterations, False, "flat", w), A, b, w, sp, lam)
+    if not result.converged:
+        return result, None
     cols = _free_columns(A, A @ lam, w, sp.p)[1]
     return result, int(cols.shape[1] - (np.linalg.matrix_rank(cols) if cols.size else 0))
 
@@ -961,18 +940,19 @@ def composite_construction(spec: CircleZeroSpec, n: int, sp: SpaceParams) -> Pol
     return result * (1.0 / spec.leading_coefficient)
 
 
-def bj_certificate(result: OpaResult, f: Poly, sp: SpaceParams,
-                   n_probes: int = 100, seed: int = 0) -> float:
-    """Worst definitional-orthogonality violation over random probes.
+def bj_certificate(result: OpaResult, n_probes: int = 100, seed: int = 0) -> float:
+    """Worst definitional-orthogonality violation of a result over random probes.
 
-    Samples n_probes pairs (lambda, j) with |lambda| <= 1e-3 norm(residual) /
-    norm(f), j <= deg of the approximant space, and returns
+    With f and sp those of the result, samples n_probes pairs (lambda, j)
+    with |lambda| <= 1e-3 norm(residual) / norm(f), j <= deg of the
+    approximant space, and returns
     max(norm(residual) - norm(residual + lambda z^j f), 0); a minimizer keeps
     this at numerical-noise level.  The steps are scaled to the residual
     because a larger step raises the norm of any near-minimizer too.  The
     trial residuals are the rows of one matrix, whose norms are taken
     together.
     """
+    f, sp = result.f, result.sp
     rng = np.random.default_rng(seed)
     base = result.optimal_norm
     radius = 1e-3 * base / norm(f, sp)

@@ -209,7 +209,7 @@ def _prepare(problem, n_max: int, sp: SpaceParams, solver: str):
         def rescaled(n: int) -> OpaResult:
             # f = lead * (1 - z^d): same residual with the approximant rescaled
             res = solve(n)
-            return replace(res, approximant=res.approximant * (1.0 / lead))
+            return replace(res, f=f, approximant=res.approximant * (1.0 / lead))
         return rescaled
     if solver == "hilbert":
         if sp.p != 2.0:

@@ -1,7 +1,9 @@
 """Cross-oracle and inequality checks, shared by ``lpopa verify`` and the tests.
 
 Each check tests one identity or bound with two independent code paths on the
-cases it is given, and defines each tolerance once, next to its measure.
+cases it is given, and defines each tolerance once, next to its measure.  The
+solves a check makes or audits are OpaResults, each holding its own f, n and
+sp, so an audit such as :func:`lower_bound_check` takes the results alone.
 """
 
 from __future__ import annotations
@@ -12,22 +14,13 @@ from math import inf, nan, pi
 
 import numpy as np
 
-from .opa import (OpaResult, bj_certificate, closed_form_one_minus_zd, solve_convex,
-                  solve_flat, solve_hilbert, solve_structural)
+from .opa import (OpaResult, _complex, _hilbert_dual, _setup, bj_certificate,
+                  closed_form_one_minus_zd, solve_convex, solve_flat, solve_hilbert,
+                  solve_structural)
 from .poly import CircleZeroSpec, Poly, expand
 from .rates import delta, lower_bound
 from .space import SpaceParams, multiplication_bound_batch, norm
 from .weights import dilate
-
-
-@dataclass
-class SolveRecord:
-    """One solve of the order-n problem for f in the space sp."""
-
-    f: Poly
-    n: int
-    sp: SpaceParams
-    result: OpaResult
 
 
 @dataclass
@@ -42,14 +35,14 @@ class CheckResult:
     tol: float
     detail: str = ""
     measures: dict[str, tuple[float, float]] = field(default_factory=dict)
-    records: list[SolveRecord] = field(default_factory=list)
+    records: list[OpaResult] = field(default_factory=list)
 
 
 def _worst(values) -> float:
     return float(np.max(values)) if len(values) else nan
 
 
-def _result(name: str, measures: dict, records: list[SolveRecord]) -> CheckResult:
+def _result(name: str, measures: dict, records: list[OpaResult]) -> CheckResult:
     """Passes when every measure is within its tolerance; several are listed in the detail."""
     detail = ", ".join(f"{key} {value:.2e}" if isinstance(value, float) else f"{key} {value}"
                        for key, (value, _) in measures.items()) if len(measures) > 1 else ""
@@ -58,8 +51,8 @@ def _result(name: str, measures: dict, records: list[SolveRecord]) -> CheckResul
                        max(tol for _, tol in measures.values()), detail, measures, records)
 
 
-def _unconverged(records: list[SolveRecord]) -> int:
-    return sum(not rec.result.converged for rec in records if rec.result.solver == "convex")
+def _unconverged(records: list[OpaResult]) -> int:
+    return sum(not res.converged for res in records if res.solver == "convex")
 
 
 def closed_form_check(cases, convex: bool = True) -> CheckResult:
@@ -71,10 +64,10 @@ def closed_form_check(cases, convex: bool = True) -> CheckResult:
         cf = closed_form_one_minus_zd(d, n, sp)
         delta_p = delta(n // d + 1, SpaceParams(sp.p, dilate(sp.weight, d))) ** sp.p
         identity.append(abs(cf.optimal_norm ** sp.p * delta_p - 1.0))
-        records.append(SolveRecord(f, n, sp, cf))
+        records.append(cf)
         if convex:
             cv = solve_convex(f, n, sp)
-            records.append(SolveRecord(f, n, sp, cv))
+            records.append(cv)
             coeff.append(np.abs(cf.approximant.padded(n + 1)
                                 - cv.approximant.padded(n + 1)).max())
             convex_dev.append(abs(cv.optimal_norm ** sp.p * delta_p - 1.0))
@@ -87,15 +80,18 @@ def closed_form_check(cases, convex: bool = True) -> CheckResult:
 
 
 def hilbert_check(cases) -> CheckResult:
-    """Criterion 02: banded Cholesky against a converged convex solve at p = 2,
-    coefficient by coefficient, for (f, n, sp) in cases."""
-    records, coeff = [], []
+    """Criterion 02: the banded Cholesky residual against the residual-form p = 2
+    optimum A lam / w, lam the p = 2 dual on the rows of S r = e, entry by entry,
+    for (f, n, sp) in cases.  The reference forms neither a Gram matrix nor P."""
+    records, dev = [], []
     for f, n, sp in cases:
-        hb, cv = solve_hilbert(f, n, sp.weight), solve_convex(f, n, sp)
-        records += (SolveRecord(f, n, sp, hb), SolveRecord(f, n, sp, cv))
-        coeff.append(np.abs(hb.approximant.padded(n + 1) - cv.approximant.padded(n + 1)).max())
-    return _result("hilbert vs convex (p=2)", {
-        "coeff dev": (_worst(coeff), 1e-8), "unconverged": (_unconverged(records), 0)}, records)
+        hb = solve_hilbert(f, n, sp.weight)
+        _, w, (A, b) = _setup(f, n, sp)
+        optimum = _complex(A @ _hilbert_dual(A, b, w) / w[:, None])
+        records.append(hb)
+        dev.append(np.abs(hb.residual.padded(w.size) - optimum.padded(w.size)).max())
+    return _result("hilbert vs residual form (p=2)",
+                   {"residual dev": (_worst(dev), 1e-8)}, records)
 
 
 def structural_check(cases) -> CheckResult:
@@ -105,7 +101,7 @@ def structural_check(cases) -> CheckResult:
     for spec, n, sp in cases:
         f = expand(spec)
         (st, fit), cv = solve_structural(spec, n, sp), solve_convex(f, n, sp)
-        records += (SolveRecord(f, n, sp, st), SolveRecord(f, n, sp, cv))
+        records += (st, cv)
         norm_rel.append(abs(st.optimal_norm - cv.optimal_norm) / cv.optimal_norm)
         system.append(fit.system_residual)
         fit_res.append(fit.fit_residual)
@@ -120,11 +116,11 @@ def structural_check(cases) -> CheckResult:
         "unconverged": (_unconverged(records), 0)}, records)
 
 
-def lower_bound_check(records: list[SolveRecord], sweep_points=()) -> CheckResult:
+def lower_bound_check(records: list[OpaResult], sweep_points=()) -> CheckResult:
     """Criterion 08: no norm of records or sweep points (rates.SweepPoint) is below
     :func:`lower_bound`, and every f of degree 1, such as 1 - z, attains it."""
-    audit = ([(rec.result.optimal_norm, lower_bound(rec.f, rec.n, rec.sp),
-               rec.f.degree == 1) for rec in records]
+    audit = ([(res.optimal_norm, lower_bound(res.f, res.n, res.sp), res.f.degree == 1)
+              for res in records]
              + [(pt.optimal_norm, pt.lower_bound, pt.d == 1) for pt in sweep_points])
     norms, bounds, one_minus_z = np.array(audit, dtype=float).reshape(-1, 3).T
     gaps = (np.abs(norms - bounds) / bounds)[one_minus_z == 1.0]
@@ -133,14 +129,14 @@ def lower_bound_check(records: list[SolveRecord], sweep_points=()) -> CheckResul
         "attainment gap": (_worst(gaps), 1e-10)}, records)
 
 
-def orthogonality_check(records: list[SolveRecord], n_probes: int, seed: int) -> CheckResult:
+def orthogonality_check(records: list[OpaResult], n_probes: int, seed: int) -> CheckResult:
     """Criterion 11: ``ortho_residual_max`` and :func:`bj_certificate` (``n_probes``
     probes, seed ``seed + i``) of the i-th convex solve in records."""
-    convex = [rec for rec in records if rec.result.solver == "convex"]
-    probes = [bj_certificate(rec.result, rec.f, rec.sp, n_probes=n_probes, seed=seed + i)
-              for i, rec in enumerate(convex)]
+    convex = [res for res in records if res.solver == "convex"]
+    probes = [bj_certificate(res, n_probes=n_probes, seed=seed + i)
+              for i, res in enumerate(convex)]
     return _result("orthogonality certificates", {
-        "pairing": (_worst([rec.result.ortho_residual_max for rec in convex]), 1e-7),
+        "pairing": (_worst([res.ortho_residual_max for res in convex]), 1e-7),
         "definitional": (_worst(probes), 1e-8)}, convex)
 
 
@@ -210,10 +206,10 @@ def run_verification(seed: int = 0, quick: bool = False) -> list[CheckResult]:
             hilbert_fs, (-1.0, 0.0, 1.0), (0, 2, 5) if quick else (0, 2, 5, 9, 16))]),
         structural_check([(spec, n, SpaceParams.power(p, 0.0)) for spec, p, n in product(
             structural_specs, (1.5, 3.0), (2, 7) if quick else (2, 7, 15))]),
-        lower_bound_check([SolveRecord(Poly([1, -1]), n, sp, closed_form_one_minus_zd(1, n, sp))
+        lower_bound_check([closed_form_one_minus_zd(1, n, sp)
                            for sp, n in product(bound_spaces, (0, 4, 16, 64))]),
-        orthogonality_check([SolveRecord(f, n, sp, solve_convex(f, n, sp))
-                             for f, n, sp in certified], 50 if quick else 100, seed),
+        orthogonality_check([solve_convex(f, n, sp) for f, n, sp in certified],
+                            50 if quick else 100, seed),
         multiplication_check(seed, 200 if quick else 1000),
         closed_form_check([(d, n, SpaceParams.power(p, alpha)) for d, p, alpha, n in product(
             (1, 2, 3), (1.5, 2.0, 4.0), (-1.0, 0.0, 0.5), (0, 5, 33))], convex=False),

@@ -16,11 +16,10 @@ import math
 
 import pytest
 
-from lpopa import (CircleZeroSpec, Poly, SpaceParams, SweepPoint,
+from lpopa import (CircleZeroSpec, OpaResult, Poly, SpaceParams, SweepPoint,
                    closed_form_one_minus_zd, expand, fit_rates, geometric_grid, lower_bound,
                    power_weight, run_sweep, solve_flat, solve_hilbert)
-from lpopa.verification import (MULTIPLICATION_SPACES, CheckResult, SolveRecord,
-                                closed_form_check, flat_check, hilbert_check,
+from lpopa.verification import (MULTIPLICATION_SPACES, CheckResult, closed_form_check, flat_check, hilbert_check,
                                 lower_bound_check, multiplication_check,
                                 orthogonality_check, structural_check)
 
@@ -55,7 +54,7 @@ def closed_form_result() -> CheckResult:
 
 @pytest.fixture(scope="module")
 def hilbert_result() -> CheckResult:
-    """Criterion 2: Hilbert solve against convex on 50 circle-zero cases at p = 2."""
+    """Criterion 2: Hilbert residual against the residual-form optimum, 50 cases at p = 2."""
     angle_sets = [
         ((0.0, 1),), ((PI, 1),), ((PI / 2, 1),), ((2 * PI / 3, 1),),
         ((0.0, 1), (PI, 1)), ((PI / 3, 1), (5 * PI / 3, 1)), ((0.0, 2),),
@@ -108,20 +107,18 @@ def log_boundary_sweep() -> list[SweepPoint]:
 
 
 @pytest.fixture(scope="module")
-def stagnation_solves() -> list[SolveRecord]:
+def stagnation_solves() -> list[OpaResult]:
     """Criterion 7: closed forms for f = 1 - z, every order 0..1024, alpha > p - 1."""
-    f = Poly([1, -1])
     sp = SpaceParams.power(2.0, 3.0)
-    return [SolveRecord(f, n, sp, closed_form_one_minus_zd(1, n, sp))
-            for n in range(0, 1025)]
+    return [closed_form_one_minus_zd(1, n, sp) for n in range(0, 1025)]
 
 
 @pytest.fixture(scope="module")
 def records(closed_form_result, hilbert_result, structural_result,
-            stagnation_solves) -> list[SolveRecord]:
+            stagnation_solves) -> list[OpaResult]:
     """The solves of criteria 1-3 and 7 that criteria 8 and 11 audit, in order."""
     return (closed_form_result.records + hilbert_result.records + structural_result.records
-            + [rec for rec in stagnation_solves if rec.n in (0, 1, 2, 4, 1024)])
+            + [res for res in stagnation_solves if res.n in (0, 1, 2, 4, 1024)])
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +137,7 @@ def test_criterion_01_closed_form_reproduction(closed_form_result):
 
 def test_criterion_02_hilbert_oracle(hilbert_result):
     report_check(2, "hilbert oracle (p=2, 50 cases)", hilbert_result,
-                 {"coeff dev": 1e-8, "unconverged": 0})
+                 {"residual dev": 1e-8})
 
 
 def test_criterion_03_structural_system(structural_result):
@@ -178,10 +175,10 @@ def test_criterion_06_log_boundary(log_boundary_sweep):
 def test_criterion_07_stagnation(stagnation_solves):
     worst = INF
     bound_ok = True
-    for rec in stagnation_solves:
-        worst = min(worst, rec.result.optimal_norm ** 2)
-        bound = lower_bound(rec.f, rec.n, rec.sp)
-        bound_ok &= rec.result.optimal_norm >= bound - 1e-12
+    for res in stagnation_solves:
+        worst = min(worst, res.optimal_norm ** 2)
+        bound = lower_bound(res.f, res.n, res.sp)
+        bound_ok &= res.optimal_norm >= bound - 1e-12
     report(7, "stagnation (alpha > p-1)", worst >= 0.01 and bound_ok,
            f"min norm^2 {worst:.4f} >= 0.01 over n <= 1024")
 

@@ -188,7 +188,8 @@ class TestArgumentValidation:
                                "--p", "1", "--alpha", alpha, "--n", n],
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 3, proc.stderr
-        assert "Traceback" not in proc.stderr
+        # nor a warning: no face dimension is formed from a dual that bounds nothing
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert json.loads(proc.stdout)["converged"] is False
 
     def test_non_finite_weight_file_exits_2(self, capsys, tmp_path):

@@ -1,7 +1,9 @@
 """Tests for the hilbert, convex, closed-form, flat and composite solvers."""
 
 import math
-from dataclasses import replace
+import types
+from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -162,7 +164,7 @@ class TestConvex:
             res = solve_convex(f, 6, sp)
             assert res.converged
             assert res.ortho_residual_max <= 1e-7
-            assert bj_certificate(res, f, sp, n_probes=100, seed=1) <= 1e-8
+            assert bj_certificate(res, n_probes=100, seed=1) <= 1e-8
 
     def test_norm_consistency(self):
         sp = SpaceParams.power(1.5, 0.0)
@@ -354,8 +356,8 @@ class TestFlat:
     @pytest.mark.parametrize("alpha, n", [(-1000.0, 0), (-300.0, 3)])
     def test_dual_norm_out_of_range_certifies_nothing(self, alpha, n):
         # w_t underflows past t = 1 and the dual norm ||A lam||_* to 0 with it
-        res, _ = solve_flat(Poly([1, -1]), n, SpaceParams.power(1, alpha))
-        assert (res.converged, res.dual, res.rel_gap) == (False, None, None)
+        res, face_dim = solve_flat(Poly([1, -1]), n, SpaceParams.power(1, alpha))
+        assert (res.converged, res.dual, res.rel_gap, face_dim) == (False, None, None, None)
 
     def test_sup_norm_decay_for_one_minus_z(self):
         # optimal sup-norm value is exactly 1/(n+2) for the flat weight
@@ -471,8 +473,10 @@ class TestCertificateRecord:
     def test_converged_is_the_gap_rule(self, p, alpha, n):
         sp = SpaceParams.power(p, alpha)
         solve = solve_flat if sp.is_flat else solve_structural
-        res = solve(CircleZeroSpec(((0.0, 4),)), n, sp)[0]
+        res, second = solve(CircleZeroSpec(((0.0, 4),)), n, sp)
         assert res.converged == gap_rule(res, sp)
+        if sp.is_flat:      # a face dimension only where the dual bounds the optimum
+            assert (second is None) == (not res.converged)
 
     def test_direct_routes_leave_it_empty(self):
         sp = SpaceParams.power(2, 0.5)
@@ -487,8 +491,8 @@ def test_definitional_probe_sees_a_perturbed_answer():
     f, sp = Poly([1, -1]), SpaceParams.power(2.5, 0.0)
     res = solve_convex(f, 5, sp)
     perturbed = shifted_answer(res, f, sp, 1e-2)
-    assert bj_certificate(res, f, sp, n_probes=50, seed=0) <= 1e-8
-    assert bj_certificate(perturbed, f, sp, n_probes=50, seed=0) > 1e-8
+    assert bj_certificate(res, n_probes=50, seed=0) <= 1e-8
+    assert bj_certificate(perturbed, n_probes=50, seed=0) > 1e-8
 
 
 def per_probe_certificate(result, f, sp, n_probes, seed):
@@ -509,7 +513,7 @@ def shifted_answer(res, f, sp, shift):
     """The result with ``shift`` added to the approximant's constant coefficient."""
     approx = res.approximant + Poly([shift])
     residual = Poly([1]) - approx * f
-    return OpaResult(approx, residual, norm(residual, sp), None, 0, False, res.solver)
+    return OpaResult(f, res.n, sp, approx, residual, norm(residual, sp), 0, False, res.solver)
 
 
 @pytest.mark.parametrize("f, p, alpha, n", [
@@ -522,10 +526,10 @@ def test_batched_certificate_matches_per_probe_loop(f, p, alpha, n, shift):
     if shift:
         res = shifted_answer(res, f, sp, shift)
     for seed in range(3):
-        got = bj_certificate(res, f, sp, n_probes=50, seed=seed)
+        got = bj_certificate(res, n_probes=50, seed=seed)
         want = per_probe_certificate(res, f, sp, 50, seed)
         assert abs(got - want) <= 1e-15 * res.optimal_norm
-    assert bj_certificate(res, f, sp, n_probes=0) == 0.0
+    assert bj_certificate(res, n_probes=0) == 0.0
 
 
 def test_certificate_takes_one_norm_call(monkeypatch):
@@ -541,7 +545,7 @@ def test_certificate_takes_one_norm_call(monkeypatch):
 
     monkeypatch.setattr(lpopa.space, "norm", counted)
     monkeypatch.setattr(opa, "norm", counted)
-    assert bj_certificate(res, f, sp, n_probes=50, seed=0) > 1e-8
+    assert bj_certificate(res, n_probes=50, seed=0) > 1e-8
     assert calls <= 1
 
 
@@ -588,27 +592,62 @@ def direct_pairing(res, f, n, sp):
 @pytest.mark.parametrize("route, p, n", [
     (route, p, n) for route in FINALIZE_ROUTES
     for p in ((2.0,) if route == "hilbert" else (1.5, 3.0)) for n in (0, 17)])
-def test_pairing_is_formed_on_first_read_and_kept(route, p, n):
+def test_pairing_is_formed_from_the_fields_on_every_read(route, p, n):
     f, solve = FINALIZE_ROUTES[route]
     sp = SpaceParams.power(p, 0.5)
     want = direct_pairing(solve(n, sp), f, n, sp).hex()
     res = solve(n, sp)
-    unread = replace(res, iterations=res.iterations + 1)    # carries the unformed pairing
     assert res.ortho_residual_max.hex() == want
     assert res.ortho_residual_max.hex() == want
-    assert unread.ortho_residual_max.hex() == want
+    assert replace(res, iterations=res.iterations + 1).ortho_residual_max.hex() == want
     assert replace(res, converged=False).ortho_residual_max.hex() == want
-    # repr and == read the other fields only, formed pairing or not
+    # the record holds data only, and == compares all of it
+    assert not any(isinstance(getattr(res, name), (types.FunctionType, partial))
+                   for name in (fld.name for fld in fields(res)))
     assert res == solve(n, sp) and "partial" not in repr(solve(n, sp))
 
 
-def test_positional_result_holds_its_pairing():
-    approx, residual = Poly([1.0]), Poly([0.0, -1.0])
-    for pairing in (0.25, None):
-        res = OpaResult(approx, residual, 1.0, pairing, 0, True, "test")
-        assert res.ortho_residual_max == pairing and replace(res).ortho_residual_max == pairing
+def test_positional_result_forms_its_pairing():
+    f, n, sp = Poly([1.0, -1.0]), 1, SpaceParams.power(1.5, 0.5)
+    approx = Poly([0.5, 0.25])
+    residual = Poly([1.0]) - approx * f
+    res = OpaResult(f, n, sp, approx, residual, norm(residual, sp), 0, True, "test")
+    want = direct_pairing(res, f, n, sp)
+    assert res.ortho_residual_max == want and replace(res).ortho_residual_max == want
     flat = solve_flat(CPLX, 4, SpaceParams.power(INF, 0.5))[0]
     assert flat.ortho_residual_max is None and replace(flat).ortho_residual_max is None
+
+
+PROBLEM_ROUTES = {
+    # route: (problem, the f the result holds, p, solve)
+    "hilbert": (CPLX, CPLX, 2.0, lambda n, sp: solve_hilbert(CPLX, n, sp.weight)),
+    "closed": (one_minus_zd(2), one_minus_zd(2), 1.5,
+               lambda n, sp: closed_form_one_minus_zd(2, n, sp)),
+    "rescaled closed": (Poly([2, -2]), Poly([2, -2]), 1.5,
+                        lambda n, sp: rates._dispatch(Poly([2, -2]), n, sp, "auto")),
+    "convex": (THREE, THREE, 3.0, lambda n, sp: solve_convex(THREE, n, sp)),
+    "structural": (CircleZeroSpec(((0.0, 2), (PI, 1))), Z1SQ_ZP1, 3.0,
+                   lambda n, sp: solve_structural(CircleZeroSpec(((0.0, 2), (PI, 1))),
+                                                  n, sp)[0]),
+    "flat": (CPLX, CPLX, INF, lambda n, sp: solve_flat(CPLX, n, sp)[0]),
+    "constant structural": (Poly([2]), Poly([2]), 1.5,
+                            lambda n, sp: solve_structural(Poly([2]), n, sp)[0]),
+    "constant flat": (Poly([2]), Poly([2]), 1.0,
+                      lambda n, sp: solve_flat(Poly([2]), n, sp)[0]),
+}
+
+
+@pytest.mark.parametrize("route", PROBLEM_ROUTES)
+@pytest.mark.parametrize("n", [0, 9])
+def test_result_holds_its_problem(route, n):
+    problem, f, p, solve = PROBLEM_ROUTES[route]
+    sp = SpaceParams.power(p, -0.5)
+    res = solve(n, sp)
+    assert (res.f, res.n, res.sp) == (f, n, sp)
+    assert res.approximant.coeffs.size <= n + 1
+    if route == "rescaled closed":
+        # the user's f, whose residual is that of the closed form's 1 - z
+        assert res.residual == Poly([1]) - res.approximant * f
 
 
 @pytest.mark.parametrize("f, p, n", [(THREE, 3.0, 12), (CPLX, 1.2, 9), (Z1SQ_ZP1, 2.5, 20)])

@@ -115,14 +115,6 @@ class TestStructuralInvariants:
         assert res.approximant.degree <= 5
         assert res.residual.degree <= 5 + 3
 
-    def test_init_from_prior_solution(self):
-        spec = CircleZeroSpec(((0.0, 2),))
-        sp = SpaceParams.power(3, 0)
-        first, _ = solve_structural(spec, 6, sp)
-        seeded, fit = solve_structural(spec, 6, sp, init=first)
-        assert fit.system_residual <= 1e-12
-        assert seeded.optimal_norm == pytest.approx(first.optimal_norm, rel=1e-12)
-
     def test_flat_exponent_rejected(self):
         with pytest.raises(UnsupportedExponentError):
             solve_structural(CircleZeroSpec(((0.0, 1),)), 1, SpaceParams.power(1, 0))
