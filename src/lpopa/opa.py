@@ -757,7 +757,8 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
     where 1 / Phi bounds the optimum from below.  Newton's method runs on the
     smoothed sum_t g_t / w_t, g_t = sqrt(|y_t|^2 + eps^2), from the p = 2
     dual, with eps falling tenfold per stage from the mean |y_t| to 1e-12 of
-    it.  A stage ends when the Newton decrement falls to 1e-20 phi, after
+    it; a plane of dimension 0 is the point b / (b . b), and no stage runs.
+    A stage ends when the Newton decrement falls to 1e-20 phi, after
     50 steps, or after _STALL_STEPS consecutive stalls: steps whose
     decrement is at phi's rounding level, 1e-14 phi, without falling below
     half the previous one.  Steps that still halve it go on, because the
@@ -781,7 +782,7 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
 
     eps, steps = float(np.linalg.norm(y0 + Az @ z, axis=1).mean()), 0
     eye_c, eye_z = np.eye(c), np.eye(z.size)
-    for _ in range(_SMOOTHING_STAGES):
+    for _ in range(_SMOOTHING_STAGES if z.size else 0):
         eps *= 0.1
         y, g, phi = smoothed(z, eps)
         stalls, last = 0, math.inf
@@ -944,8 +945,8 @@ def bj_certificate(result: OpaResult, n_probes: int = 100, seed: int = 0) -> flo
     """Worst definitional-orthogonality violation of a result over random probes.
 
     With f and sp those of the result, samples n_probes pairs (lambda, j)
-    with |lambda| <= 1e-3 norm(residual) / norm(f), j <= deg of the
-    approximant space, and returns
+    with |lambda| <= 1e-3 norm(residual) / norm(f), j <= n, the order of
+    the result, and returns
     max(norm(residual) - norm(residual + lambda z^j f), 0); a minimizer keeps
     this at numerical-noise level.  The steps are scaled to the residual
     because a larger step raises the norm of any near-minimizer too.  The
@@ -956,12 +957,11 @@ def bj_certificate(result: OpaResult, n_probes: int = 100, seed: int = 0) -> flo
     rng = np.random.default_rng(seed)
     base = result.optimal_norm
     radius = 1e-3 * base / norm(f, sp)
-    nmax = max(result.approximant.degree or 0, 0)
-    d = f.degree
-    size = max(result.residual.coeffs.size, nmax + d + 1)
+    n, d = result.n, f.degree
+    size = max(result.residual.coeffs.size, n + d + 1)
     trials = np.tile(result.residual.padded(size), (n_probes, 1))
     for row in trials:
-        j = int(rng.integers(0, nmax + 1))
+        j = int(rng.integers(0, n + 1))
         lam = radius * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / math.sqrt(2)
         row[j: j + d + 1] += f.coeffs * lam
     norms = _row_norms(np.abs(trials), sp.weight.values_up_to(size - 1), sp.p)

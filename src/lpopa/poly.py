@@ -20,6 +20,7 @@ MAX_DEGREE = 1 << 16
 
 TWO_PI = 2.0 * math.pi
 _BLOCK = 64              # columns per np.linalg.qr call in lstsq_div
+_SOLVE_BLOCK = 32        # unknowns per np.linalg.solve call in its back substitution
 
 
 def signed_power(z: complex, s: float) -> complex:
@@ -188,12 +189,17 @@ def lstsq_div(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     only (e = deg den), so its Householder QR runs by blocks: one
     ``np.linalg.qr`` of the ``_BLOCK`` + e rows a block of columns touches,
     with the next e columns and num appended (the triangle then holds
-    Q^H num), leaves e rows for the next block.  R has upper bandwidth e, so
-    one banded back substitution ends it: O(n (_BLOCK + e)^2) time, O(n e)
-    memory; a block of 1 is plain column-by-column QR.  Unlike long
-    division it is stable for zeros of den outside the disc; for exactly
-    divisible inputs the remainder is at rounding level.  The back
-    substitution is scipy's, imported the first time one runs.
+    Q^H num), leaves e rows for the next block.  R has upper bandwidth e and
+    is kept as its e + 1 diagonals.  Back substitution runs by blocks of
+    ``_SOLVE_BLOCK`` unknowns, last first: a block's rows of R, a
+    ``_SOLVE_BLOCK`` x (``_SOLVE_BLOCK`` + e) strip, are rebuilt from the
+    diagonals, and ``np.linalg.solve`` takes its leading square against
+    Q^H num less the coupling columns times the next block's first e
+    unknowns.  The QR pass takes O(n (_BLOCK + e)^2) time, the substitution
+    O(n _SOLVE_BLOCK^2), and both O(n e) memory; blocks of 1 are plain
+    column-by-column QR and substitution.  Unlike long division it is
+    stable for zeros of den outside the disc; for exactly divisible inputs
+    the remainder is at rounding level.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -203,22 +209,33 @@ def lstsq_div(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     size = min(_BLOCK, cols) + e
     fresh = np.zeros((size, size), dtype=np.complex128)     # a block's columns, untouched
     for k in range(e + 1):
-        fresh[np.arange(k, size), np.arange(size - k)] = den.coeffs[k]
+        fresh.reshape(-1)[k * size:: size + 1] = den.coeffs[k]
     band = np.zeros((e + 1, cols + e), dtype=np.complex128)  # band[e + i - j, j] = R[i, j]
     rhs = np.zeros(cols, dtype=np.complex128)
+    upper = np.triu(np.ones((e, e + 1), dtype=bool))
     for j in range(0, cols, _BLOCK):
         width = min(_BLOCK, cols - j)
         work = np.zeros((width + e, width + e + 1), dtype=np.complex128)
         work[:, :-1], work[:, -1] = fresh[: width + e, : width + e], num.coeffs[j: j + width + e]
         work[:, cols - j: -1] = 0.0                         # no columns past the last
-        if j:
-            work[:e, np.r_[:e, -1]] = carry                 # the rows the block before left
-        r = np.linalg.qr(work, mode="r")
+        if j:                                               # the rows the block before left
+            work[:e, :e], work[:e, -1] = carry[:, :-1], carry[:, -1]
+        # mode "raw" leaves reflectors below R's diagonal; the carry is the
+        # only read there and masks them, cheaper than mode "r"'s triu
+        r = np.linalg.qr(work, mode="raw")[0].T
         for k in range(e + 1):
             band[e - k, j + k: j + k + width] = np.diagonal(r, k)[:width]
-        rhs[j: j + width], carry = r[:width, -1], r[width:, width:]
-    from scipy.linalg import solve_banded
-    quotient = Poly(solve_banded((0, e), band[:, :cols], rhs))
+        rhs[j: j + width], carry = r[:width, -1], np.where(upper, r[width:, width:], 0)
+    x = np.zeros(cols + e, dtype=np.complex128)             # the quotient, then e zeros
+    for j in range((cols - 1) // _SOLVE_BLOCK * _SOLVE_BLOCK, -1, -_SOLVE_BLOCK):
+        width = min(_SOLVE_BLOCK, cols - j)
+        tri = np.zeros((width, width + e), dtype=np.complex128)  # R[j:j+width, j:j+width+e]
+        flat = tri.reshape(-1)
+        for k in range(e + 1):
+            flat[k:: width + e + 1] = band[e - k, j + k: j + k + width]
+        x[j: j + width] = np.linalg.solve(
+            tri[:, :width], rhs[j: j + width] - tri[:, width:] @ x[j + width: j + width + e])
+    quotient = Poly(x[:cols])
     return quotient, num - quotient * den
 
 

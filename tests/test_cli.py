@@ -419,9 +419,13 @@ def test_cli_compute_does_not_import_scipy_optimize(p):
     ["closed-form", "--d", "2", "--p", "1.5", "--n", "64"],
     ["compute", "--coeffs", "1,-1", "--p", "3", "--n", "16"],
     ["compute", "--coeffs", "1,-1", "--p", "1", "--n", "16"],      # zero approximant: no division
+    ["compute", "--roots", "0:2,pi:1", "--p", "inf", "--n", "64"],  # flat, divides by f
+    ["compute", "--roots", "0:2,pi:1", "--p", "1.5", "--n", "16"],  # structural, divides by f
 ], ids=lambda argv: " ".join(argv or ["import"]))
 def test_cli_leaves_scipy_unloaded(argv):
-    """Importing the CLI, and requests that neither factor nor divide, load no scipy."""
+    """Importing the CLI, and requests that factor no Gram matrix, load no scipy.
+
+    Flat and structural solves divide by f with numpy alone."""
     script = "import sys\nfrom lpopa.cli import main\n"
     if argv:
         script += f"assert main({argv!r}) == 0\n"
@@ -432,12 +436,13 @@ def test_cli_leaves_scipy_unloaded(argv):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("p, n", [("2", "16"), ("inf", "64")])
-def test_cli_imports_scipy_on_first_use(p, n):
-    """The Hilbert route and a flat solve that divides import scipy themselves."""
+@pytest.mark.parametrize("extra", [[], ["--solver", "convex"]], ids=["hilbert", "convex"])
+def test_cli_imports_scipy_on_first_use(extra):
+    """The Hilbert route and the convex oracle's banded seed import scipy themselves."""
+    argv = ["compute", "--roots", "0:2,pi:1", "--p", "2", "--n", "16", *extra]
     script = ("import sys\n"
               "from lpopa.cli import main\n"
-              f"assert main(['compute', '--roots', '0:2,pi:1', '--p', '{p}', '--n', '{n}']) == 0\n"
+              f"assert main({argv!r}) == 0\n"
               "assert 'scipy.linalg' in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=child_env())

@@ -359,6 +359,45 @@ class TestFlat:
         res, face_dim = solve_flat(Poly([1, -1]), n, SpaceParams.power(1, alpha))
         assert (res.converged, res.dual, res.rel_gap, face_dim) == (False, None, None, None)
 
+    @pytest.mark.parametrize("f, n, alpha, norm_before, dual_before, steps", [
+        (Poly([1, -1]), 0, 0.0, 0.5000000000000002, 0.4999999999999999, 0),
+        (Poly([1, -1]), 16, 0.0, 0.055555555555556024, 0.05555555555555555, 0),
+        (Poly([1, -1]), 128, 0.0, 0.007692307692307998, 0.007692307692307693, 0),
+        (CircleZeroSpec(((0.0, 2), (PI, 1))), 64, 0.5,
+         0.14413036170932284, 0.1441303617093129, 114),
+    ], ids=["1-z,n=0", "1-z,n=16", "1-z,n=128", "(z-1)^2(z+1),n=64"])
+    def test_point_dual_plane_runs_no_newton_stage(self, f, n, alpha, norm_before,
+                                                   dual_before, steps, monkeypatch):
+        # One dual unknown leaves the plane b . lam = 1 a point: _flat_linf
+        # returns lam = b / (b . b) and solves no Newton system.  1 - z is
+        # such a level, and so is the last level of (z-1)^2(z+1) (plane
+        # dimensions 2 -> 1 -> 0).  The *_before values were recorded with
+        # all 12 smoothing stages running on such points: dual and steps
+        # must not move, the norm (from the division) only at rounding level.
+        levels, shapes = [], []
+        flat_linf, solve = opa._flat_linf, np.linalg.solve
+
+        def recorded_flat_linf(A, b, w):
+            r, lam, more = flat_linf(A, b, w)
+            levels.append((b.size, lam, b / (b @ b), more))
+            return r, lam, more
+
+        def recorded_solve(a, rhs):
+            shapes.append(np.shape(a))
+            return solve(a, rhs)
+
+        monkeypatch.setattr(opa, "_flat_linf", recorded_flat_linf)
+        monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+        res, _ = solve_flat(f, n, SpaceParams.power(INF, alpha))
+        assert res.converged and res.iterations == steps
+        assert res.dual == pytest.approx(dual_before, rel=1e-13)
+        assert res.optimal_norm == pytest.approx(norm_before, rel=1e-12)
+        points = [level for level in levels if level[0] == 1]
+        assert len(points) == 1
+        _, lam, lam0, more = points[0]
+        assert lam.tobytes() == lam0.tobytes() and more == 0
+        assert (0, 0) not in shapes
+
     def test_sup_norm_decay_for_one_minus_z(self):
         # optimal sup-norm value is exactly 1/(n+2) for the flat weight
         sp = SpaceParams.power(INF, 0)
@@ -500,10 +539,9 @@ def per_probe_certificate(result, f, sp, n_probes, seed):
     rng = np.random.default_rng(seed)
     base = result.optimal_norm
     radius = 1e-3 * base / norm(f, sp)
-    nmax = max(result.approximant.degree or 0, 0)
     worst = 0.0
     for _ in range(n_probes):
-        j = int(rng.integers(0, nmax + 1))
+        j = int(rng.integers(0, result.n + 1))
         lam = radius * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / math.sqrt(2)
         worst = max(worst, base - norm(result.residual + lam * monomial(j) * f, sp))
     return worst
@@ -547,6 +585,29 @@ def test_certificate_takes_one_norm_call(monkeypatch):
     monkeypatch.setattr(opa, "norm", counted)
     assert bj_certificate(res, n_probes=50, seed=0) > 1e-8
     assert calls <= 1
+
+
+def test_certificate_probes_every_order_up_to_n(monkeypatch):
+    # the closed form for 1 - z^2 at n = 9 has coefficient 0 at z^9, so its
+    # approximant has degree 8; the probes still reach the order j = 9
+    res = closed_form_one_minus_zd(2, 9, SpaceParams.power(1.5, 0))
+    assert (res.n, res.approximant.degree) == (9, 8)
+    orders, default_rng = [], np.random.default_rng
+
+    class Recorded:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def integers(self, low, high):
+            orders.append(int(self.rng.integers(low, high)))
+            return orders[-1]
+
+        def uniform(self, low, high):
+            return self.rng.uniform(low, high)
+
+    monkeypatch.setattr(np.random, "default_rng", Recorded)
+    bj_certificate(res, n_probes=100, seed=0)
+    assert len(orders) == 100 and max(orders) == 9
 
 
 FINALIZE_ROUTES = {
