@@ -4,7 +4,7 @@ from .errors import (AdmissibilityError, DegreeCapError, IllConditionedError,
                      InexactDivisionError, InternalConsistencyError, LpopaError,
                      SweepError, UnsupportedExponentError)
 from .opa import (ExpPolyFit, OpaResult, SolverOpts,
-                  closed_form_one_minus_zd, composite_construction, fit_exp_poly,
+                  closed_form_one_minus_zd, composite_construction,
                   solve_convex, solve_flat, solve_hilbert, solve_structural)
 from .poly import (CircleZeroSpec, Poly, eval_derivative, exact_div, expand,
                    parse_angle, poly_divmod, poly_from_config, signed_power,
@@ -28,7 +28,7 @@ __all__ = [
     "SpaceParams", "SweepError", "SweepPoint", "UnsupportedExponentError",
     "Weight", "bj_residual", "classify", "closed_form_one_minus_zd",
     "composite_construction", "delta", "dilate", "doubling_constant_for",
-    "eval_derivative", "evaluation_bound", "exact_div", "expand", "fit_exp_poly",
+    "eval_derivative", "evaluation_bound", "exact_div", "expand",
     "fit_rates", "geometric_grid", "lower_bound", "multiplication_bound_batch",
     "multiplication_bound_check",
     "norm", "parse_angle", "poly_divmod", "poly_from_config", "power_weight",

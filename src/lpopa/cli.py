@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (IllConditionedError, InternalConsistencyError, LpopaError,
                      SweepError, UnsupportedExponentError)
 from .opa import OpaResult, closed_form_one_minus_zd
-from .poly import CircleZeroSpec, Poly, expand, parse_angle, poly_from_config
+from .poly import CircleZeroSpec, Poly, parse_angle, poly_from_config
 from .rates import (SOLVER_CHOICES, classify, fit_rates, geometric_grid,
                     log_band_ratio, lower_bound, run_sweep, _dispatch)
 from .space import SpaceParams
@@ -188,7 +188,6 @@ def _result_payload(cfg_cmd: str, problem, res: OpaResult, args) -> dict:
     The lower bound is taken from the spec when there is one, because the
     roots of an expanded multiple zero no longer lie on the circle.
     """
-    f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
     sp, n = res.sp, res.n
     try:
         bound = lower_bound(problem, n, sp)
@@ -201,7 +200,7 @@ def _result_payload(cfg_cmd: str, problem, res: OpaResult, args) -> dict:
         "p": p_out,
         "weight": _weight_payload(args),
         "n": n,
-        "f": _pairs(f),
+        "f": _pairs(res.f),
         "solver": res.solver,
         "coefficients": _pairs(res.approximant),
         "residual": _pairs(res.residual),

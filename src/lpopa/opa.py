@@ -11,7 +11,7 @@ degree-n polynomials minimizing the weighted norm of 1 - p_n f.  Routes:
                            coefficients; the oracle of ``lpopa verify`` and
                            of ``--solver convex``, never picked by auto,
 * :func:`solve_hilbert`    direct normal equations at p = 2,
-* :func:`closed_form_one_minus_zd`  exact formulas for f = 1 - z^d,
+* :func:`prepare_closed_form`  exact formulas for f = c(1 - z^d),
 * :func:`solve_flat`       the linear programs of the endpoints p in {1, inf},
                            solved exactly and certified by a dual bound,
 
@@ -19,8 +19,8 @@ plus the :func:`composite_construction` of near-optimal approximants for
 repeated circle zeros out of a simple-zero Hilbert solve.  Every route ends
 in one :func:`_finalize`, which forms the residual and its norm from a
 single weight table and returns one :class:`OpaResult` holding the problem
-(f, n, sp) with its answer.  The orthogonality pairing is formed from those
-fields when it is read; a sweep never reads it, so never forms it.
+(f, n, sp) as given, with its answer.  The orthogonality pairing and the
+structure constants (:class:`ExpPolyFit`) are formed from those when read.
 
 The Hilbert route and the closed form are the one-order case of
 :func:`prepare_hilbert` and :func:`prepare_closed_form`: a sweep prepares
@@ -562,25 +562,6 @@ def _certify(result: OpaResult, A: np.ndarray, b: np.ndarray, w: np.ndarray,
 # 1 < p < inf: Newton's method on the dual
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExpPolyFit:
-    """Constants of the residual representation d_t = sum A[i,j] t**(j-1) z_i**t.
-
-    Keys are (root index, power j) with the root index 0-based in spec order
-    and j running from 1 to the root's multiplicity.  ``fit_residual`` is the
-    sup deviation of the representation from the actual residual data;
-    ``system_residual`` is the sup violation of the interpolation system the
-    constants must satisfy.  The certificate of a solve is on its OpaResult.
-    """
-
-    constants: dict[tuple[int, int], complex]
-    fit_residual: float
-    system_residual: float
-
-    def constant_sum(self) -> complex:
-        return sum(self.constants.values())
-
-
 def _dual_value(A: np.ndarray, b: np.ndarray, w: np.ndarray, q: float, lam: np.ndarray):
     """h(lam) = b . lam - (1/q) sum_t w_t^(1-q) |y_t|^q, with y = A lam and the |y_t|."""
     y = A @ lam
@@ -610,33 +591,53 @@ def _dual_candidate(A: np.ndarray, w: np.ndarray, r: np.ndarray, p: float) -> np
     return np.einsum("tcr,tc->r", A, r * scale[:, None])
 
 
-def _exp_poly_fit(spec: CircleZeroSpec, sp: SpaceParams, wv: np.ndarray, residual: Poly,
-                  source: Poly) -> ExpPolyFit:
-    """Constants fitted to the data of ``source`` (a solver's own residual, where
-    the division defect of P does not enter) and their deviation from those of
-    ``residual``; wv is the weight table of the residual's indices 0 .. n + d."""
-    m = wv.size
-    t = np.arange(m, dtype=float)
-    pairs = [(i, j) for i, (_, mult) in enumerate(spec.roots) for j in range(1, mult + 1)]
-    zs = spec.points()
-    basis = np.stack([t ** (j - 1) * zs[i] ** t for i, j in pairs], axis=1)
-    data = signed_powers(residual.padded(m), sp.p - 1.0) * wv
-    A = np.linalg.lstsq(basis, signed_powers(source.padded(m), sp.p - 1.0) * wv, rcond=None)[0]
-    # the residual the constants represent, (basis A / w)^<q-1>, must take
-    # the value 1 with derivatives 0 below the multiplicity at each zero
-    system = basis.T @ signed_powers(basis @ A / wv, sp.q - 1.0)
-    system[[k for k, (_, j) in enumerate(pairs) if j == 1]] -= 1.0
-    return ExpPolyFit(constants={pair: complex(A[k]) for k, pair in enumerate(pairs)},
-                      fit_residual=float(np.abs(data - basis @ A).max()),
-                      system_residual=float(np.abs(system).max()))
+@dataclass
+class ExpPolyFit:
+    """Constants of the residual representation d_t = sum A[i,j] t**(j-1) z_i**t.
 
+    A record of the zeros (``spec``), the solve (``result``) and the residual
+    whose data d_t = w_t r_t^<p-1> the constants are fitted to (``source``: a
+    solver's own, free of the division defect of P, or ``result.residual``).
+    Keys are (root index in spec order, power j <= multiplicity).  Each field
+    is formed when read, and :meth:`form` gives all three from one fit:
+    ``fit_residual`` is the sup deviation from the data of ``result.residual``,
+    ``system_residual`` the sup violation of the system the constants must
+    satisfy.  If the basis overflows, a read raises ValueError naming the
+    multiplicity.
+    """
 
-def fit_exp_poly(residual: Poly, spec: CircleZeroSpec, n: int,
-                 sp: SpaceParams) -> ExpPolyFit:
-    """Fit structure constants to an order-n residual from any route and
-    report deviations.  It certifies nothing: the residual-form routes carry
-    their certificate on their OpaResult."""
-    return _exp_poly_fit(spec, sp, sp.weight.values_up_to(n + spec.degree), residual, residual)
+    spec: CircleZeroSpec
+    result: OpaResult
+    source: Poly
+
+    def form(self) -> tuple[dict[tuple[int, int], complex], float, float]:
+        """``constants``, ``fit_residual`` and ``system_residual`` from one fit."""
+        spec, res = self.spec, self.result
+        wv = res.sp.weight.values_up_to(res.n + spec.degree)
+        t = np.arange(wv.size, dtype=float)
+        pairs = [(i, j) for i, (_, mult) in enumerate(spec.roots) for j in range(1, mult + 1)]
+        zs = spec.points()
+        with np.errstate(over="ignore", invalid="ignore"):
+            basis = np.stack([t ** (j - 1) * zs[i] ** t for i, j in pairs], axis=1)
+        if not np.isfinite(basis).all():
+            raise ValueError(f"the structure basis t**(j-1) z**t overflows at multiplicity "
+                             f"{spec.max_multiplicity} and order {res.n}")
+        data = signed_powers(res.residual.padded(wv.size), res.sp.p - 1.0) * wv
+        A = np.linalg.lstsq(basis, signed_powers(self.source.padded(wv.size), res.sp.p - 1.0) * wv,
+                            rcond=None)[0]
+        # the residual the constants represent, (basis A / w)^<q-1>, must take
+        # the value 1 with derivatives 0 below the multiplicity at each zero
+        system = basis.T @ signed_powers(basis @ A / wv, res.sp.q - 1.0)
+        system[[k for k, (_, j) in enumerate(pairs) if j == 1]] -= 1.0
+        return ({pair: complex(A[k]) for k, pair in enumerate(pairs)},
+                float(np.abs(data - basis @ A).max()), float(np.abs(system).max()))
+
+    constants = property(lambda self: self.form()[0])
+    fit_residual = property(lambda self: self.form()[1])
+    system_residual = property(lambda self: self.form()[2])
+
+    def constant_sum(self) -> complex:
+        return sum(self.constants.values())
 
 
 def solve_structural(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, ExpPolyFit | None]:
@@ -656,8 +657,8 @@ def solve_structural(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, ExpPo
 
     P = (1 - r) / f by banded least squares, and the reported norm is that of
     1 - P f, certified by lam (:func:`_certify`; a constant f has dual bound
-    and gap 0).  The structure constants come back for a spec (None for a
-    Poly or a constant f).
+    and gap 0).  For a spec the second value is the :class:`ExpPolyFit` of
+    the solver's own residual, formed when read (None for a Poly or a constant f).
     """
     if sp.is_flat:
         raise UnsupportedExponentError("structural solve needs 1 < p < inf")
@@ -686,10 +687,10 @@ def solve_structural(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, ExpPo
         lam, h, y, size = lam + t * step, hn, yn, sn
     own = _complex(_dual_slopes(A, b, w, q, *_dual_value(A, b, w, q, lam)[1:])[2])
     approx = lstsq_div(ONE - own, f)[0].padded(n + 1)
-    result = _finalize(f, approx, sp, iterations, False, "structural", w)
-    fit = _exp_poly_fit(problem, sp, w, result.residual, own) \
-        if isinstance(problem, CircleZeroSpec) else None
-    return _certify(result, A, b, w, sp, lam), fit
+    result = _certify(_finalize(f, approx, sp, iterations, False, "structural", w),
+                      A, b, w, sp, lam)
+    return result, (ExpPolyFit(problem, result, own)
+                    if isinstance(problem, CircleZeroSpec) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -865,17 +866,33 @@ def delta_sums(sp: SpaceParams, last: int) -> np.ndarray:
     return np.cumsum(sp.weight.values_up_to(last) ** (-sp.q / sp.p))
 
 
-def prepare_closed_form(d: int, n_max: int, sp: SpaceParams):
-    """The order-n solve of :func:`closed_form_one_minus_zd` for every n <= n_max.
+def detect_one_minus_zd(f: Poly) -> tuple[int, complex] | None:
+    """Recognize f = c*(1 - z^d) to 1e-12 relative; returns (d, c) or None."""
+    if not isinstance(f, Poly) or f.is_zero or f.degree == 0:
+        return None
+    c = f.coeffs
+    lead = c[0]
+    if lead == 0 or abs(c[-1] + lead) > 1e-12 * abs(lead):
+        return None
+    if c.size > 2 and np.abs(c[1:-1]).max() > 1e-12 * abs(lead):
+        return None
+    return f.degree, complex(lead)
 
-    The sums s_k of the order-n formula are the first M + 2 of those at
-    n_max, and np.cumsum adds in sequence, so one :func:`delta_sums` and one
-    weight table at n_max serve every order with the bits of its own.
-    n_max is validated; an order outside 0..n_max raises ValueError.
+
+def prepare_closed_form(f: Poly, n_max: int, sp: SpaceParams):
+    """The order-n closed-form solve of f = c*(1 - z^d) for every n <= n_max.
+
+    Q(z^d) * (1 / c), Q that of :func:`closed_form_one_minus_zd`, is finalized
+    against the given f, a match to rounding included.  The sums s_k of the
+    order-n formula are the first M + 2 of those at n_max, and np.cumsum adds
+    in sequence, so one :func:`delta_sums` and one weight table at n_max serve
+    every order with the bits of its own.  A ValueError if f is not c*(1 - z^d),
+    and for an order outside 0..n_max; n_max is validated.
     """
-    if int(d) != d or d < 1:
-        raise ValueError("d must be a positive integer")
-    f = Poly(np.concatenate([[1.0], np.zeros(d - 1), [-1.0]]))
+    match = detect_one_minus_zd(f)
+    if match is None:
+        raise ValueError("closed-form solver requires f = c*(1 - z^d)")
+    d, lead = match
     _validate(f, n_max)
     if sp.is_flat:
         raise UnsupportedExponentError(
@@ -889,7 +906,7 @@ def prepare_closed_form(d: int, n_max: int, sp: SpaceParams):
         big_m = n // d
         coeffs = np.zeros(n + 1, dtype=np.complex128)
         coeffs[:: d][: big_m + 1] = 1.0 - s[: big_m + 1] / s[big_m + 1]
-        return _finalize(f, coeffs, sp, iterations=0, converged=True,
+        return _finalize(f, coeffs * (1.0 / lead), sp, iterations=0, converged=True,
                          solver="closed-form", wv=wv)
 
     return solve
@@ -902,10 +919,11 @@ def closed_form_one_minus_zd(d: int, n: int, sp: SpaceParams) -> OpaResult:
     the approximant is Q(z^d) with Q_t = 1 - s_t/s_{M+1} built from the
     cumulative sums s of w~**(-q/p), M = floor(n/d), and the optimal norm to
     the p-th power equals s_{M+1}**(1-p).  The one-order case of
-    :func:`prepare_closed_form`, which a sweep prepares once at its largest
-    order.
+    :func:`prepare_closed_form` on 1 - z^d.
     """
-    return prepare_closed_form(d, n, sp)(n)
+    if int(d) != d or d < 1:
+        raise ValueError("d must be a positive integer")
+    return prepare_closed_form(Poly(np.concatenate([[1.0], np.zeros(d - 1), [-1.0]])), n, sp)(n)
 
 
 def composite_construction(spec: CircleZeroSpec, n: int, sp: SpaceParams) -> Poly:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalConsistencyError, SweepError, UnsupportedExponentError
-from .opa import (OpaResult, check_degree_cap, delta_sums, prepare_closed_form,
-                  prepare_hilbert, solve_convex, solve_flat, solve_structural)
+from .opa import (OpaResult, check_degree_cap, delta_sums, detect_one_minus_zd,
+                  prepare_closed_form, prepare_hilbert, solve_convex, solve_flat,
+                  solve_structural)
 from .poly import CircleZeroSpec, Poly, expand
 from .space import SpaceParams
 
@@ -156,22 +157,8 @@ def predicted_value(p: float, alpha: float, n: int, d: int) -> float:
     return 1.0
 
 
-def detect_one_minus_zd(problem) -> tuple[int, complex] | None:
-    """Recognize f = c*(1 - z^d); returns (d, c) or None."""
-    f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
-    if not isinstance(f, Poly) or f.is_zero or f.degree == 0:
-        return None
-    c = f.coeffs
-    lead = c[0]
-    if lead == 0 or abs(c[-1] + lead) > 1e-12 * abs(lead):
-        return None
-    if c.size > 2 and np.abs(c[1:-1]).max() > 1e-12 * abs(lead):
-        return None
-    return f.degree, complex(lead)
-
-
-def _route(problem, sp: SpaceParams, solver: str) -> str:
-    """The solver that runs for ``solver`` on this problem: auto picks flat at
+def _route(f: Poly, sp: SpaceParams, solver: str) -> str:
+    """The solver that runs for ``solver`` on f: auto picks flat at
     p in {1, inf}, closed for c*(1 - z^d), hilbert at p = 2 and structural at
     every other 1 < p < inf.  Convex runs only when named; it is an oracle."""
     if solver not in SOLVER_CHOICES:
@@ -180,7 +167,7 @@ def _route(problem, sp: SpaceParams, solver: str) -> str:
         return solver
     if sp.is_flat:
         return "flat"
-    if detect_one_minus_zd(problem) is not None:
+    if detect_one_minus_zd(f) is not None:
         return "closed"
     return "hilbert" if sp.p == 2.0 else "structural"
 
@@ -188,29 +175,17 @@ def _route(problem, sp: SpaceParams, solver: str) -> str:
 def _prepare(problem, n_max: int, sp: SpaceParams, solver: str):
     """The solve of every order n <= n_max on the route ``solver`` picks.
 
-    f is expanded and routed once.  The closed form and the Hilbert route
-    prepare once at n_max and each order reads the leading part (see
-    :func:`prepare_closed_form` and :func:`prepare_hilbert`); the other
-    routes have no such prefix and solve each order on its own.
+    f is expanded and routed once, and each route solves that f.  The closed
+    form and the Hilbert route prepare once at n_max and each order reads the
+    leading part (see :func:`prepare_closed_form` and :func:`prepare_hilbert`);
+    the other routes have no such prefix and solve each order on its own.
     """
     if isinstance(problem, CircleZeroSpec):     # the cap before the O(d^2) expansion
         check_degree_cap(n_max, problem.degree)
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
     solver = _route(f, sp, solver)
     if solver == "closed":
-        match = detect_one_minus_zd(f)
-        if match is None:
-            raise ValueError("closed-form solver requires f = c*(1 - z^d)")
-        d, lead = match
-        solve = prepare_closed_form(d, n_max, sp)
-        if lead == 1.0:
-            return solve
-
-        def rescaled(n: int) -> OpaResult:
-            # f = lead * (1 - z^d): same residual with the approximant rescaled
-            res = solve(n)
-            return replace(res, f=f, approximant=res.approximant * (1.0 / lead))
-        return rescaled
+        return prepare_closed_form(f, n_max, sp)
     if solver == "hilbert":
         if sp.p != 2.0:
             raise ValueError("the hilbert solver applies only at p = 2")

@@ -60,13 +60,12 @@ def closed_form_check(cases, convex: bool = True) -> CheckResult:
     with ``convex`` a converged convex solve matching the closed form's coefficients."""
     records, identity, coeff, convex_dev = [], [], [], []
     for d, n, sp in cases:
-        f = Poly(np.concatenate([[1.0], np.zeros(d - 1), [-1.0]]))
         cf = closed_form_one_minus_zd(d, n, sp)
         delta_p = delta(n // d + 1, SpaceParams(sp.p, dilate(sp.weight, d))) ** sp.p
         identity.append(abs(cf.optimal_norm ** sp.p * delta_p - 1.0))
         records.append(cf)
         if convex:
-            cv = solve_convex(f, n, sp)
+            cv = solve_convex(cf.f, n, sp)
             records.append(cv)
             coeff.append(np.abs(cf.approximant.padded(n + 1)
                                 - cv.approximant.padded(n + 1)).max())
@@ -103,10 +102,11 @@ def structural_check(cases) -> CheckResult:
         (st, fit), cv = solve_structural(spec, n, sp), solve_convex(f, n, sp)
         records += (st, cv)
         norm_rel.append(abs(st.optimal_norm - cv.optimal_norm) / cv.optimal_norm)
-        system.append(fit.system_residual)
-        fit_res.append(fit.fit_residual)
+        constants, fit_residual, system_residual = fit.form()
+        system.append(system_residual)
+        fit_res.append(fit_residual)
         if spec.simple:
-            total, target = fit.constant_sum(), st.optimal_norm ** sp.p
+            total, target = sum(constants.values()), st.optimal_norm ** sp.p
             sum_rel.append(abs(total - target) / target)
             sum_imag.append(abs(total.imag))
     return _result("structural vs convex", {

@@ -151,7 +151,7 @@ class TestArgumentValidation:
         def work(*args, **kwargs):
             raise AssertionError("an over-cap spec reached expand")
 
-        for module in (lpopa.cli, lpopa.rates, lpopa.opa):
+        for module in (lpopa.rates, lpopa.opa):
             monkeypatch.setattr(module, "expand", work)
         code, out, err = run_cli(capsys, "compute", "--roots", roots, "--p", "1.5", "--n", n)
         assert code == 2 and out == ""
@@ -190,6 +190,17 @@ class TestArgumentValidation:
         assert proc.returncode == 3, proc.stderr
         # nor a warning: no face dimension is formed from a dual that bounds nothing
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert json.loads(proc.stdout)["converged"] is False
+
+    def test_high_multiplicity_compute_is_uncertified(self):
+        # the dual Newton stops short at multiplicity 300; compute reads no
+        # structure fit, whose basis t**(j-1) would overflow there
+        proc = subprocess.run([sys.executable, "-m", "lpopa", "compute", "--roots", "0:300",
+                               "--p", "1.5", "--n", "0"],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 3, proc.stderr
+        for text in ("Traceback", "RuntimeWarning", "SVD"):
+            assert text not in proc.stderr
         assert json.loads(proc.stdout)["converged"] is False
 
     def test_non_finite_weight_file_exits_2(self, capsys, tmp_path):
@@ -447,6 +458,30 @@ def test_cli_imports_scipy_on_first_use(extra):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--roots", "0:2,pi:1", "--p", "3", "--n", "32"],
+    ["sweep", "--roots", "0:2,pi:1", "--p", "3", "--n", "64..4096"],
+], ids=["compute", "sweep"])
+def test_structural_output_forms_no_fit(capsys, monkeypatch, argv):
+    """compute and sweep print the same with the structure fit's least squares refused."""
+    def without_wall_ms(text):
+        return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+    want = run_cli(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a structural compute or sweep formed the structure fit")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    got = run_cli(capsys, *argv)
+    assert got[0] == want[0] == 0
+    assert got[2] == want[2]
+    if argv[0] == "sweep":
+        assert without_wall_ms(got[1]) == without_wall_ms(want[1])
+    else:
+        assert got[1] == want[1]
 
 
 def test_parser_is_built_once_and_shared(capsys, tmp_path):

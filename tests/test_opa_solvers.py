@@ -707,7 +707,7 @@ def test_result_holds_its_problem(route, n):
     assert (res.f, res.n, res.sp) == (f, n, sp)
     assert res.approximant.coeffs.size <= n + 1
     if route == "rescaled closed":
-        # the user's f, whose residual is that of the closed form's 1 - z
+        # the user's f, and the residual 1 - P f of it
         assert res.residual == Poly([1]) - res.approximant * f
 
 

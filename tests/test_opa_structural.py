@@ -1,13 +1,14 @@
 """Tests for the structural solver: the residual's exponential-polynomial form."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from lpopa import (CircleZeroSpec, Poly, SpaceParams, UnsupportedExponentError,
-                   eval_derivative, expand, fit_exp_poly, lower_bound, solve_convex,
-                   solve_hilbert, solve_structural)
+from lpopa import (CircleZeroSpec, ExpPolyFit, Poly, SpaceParams, UnsupportedExponentError,
+                   eval_derivative, expand, lower_bound, solve_convex, solve_hilbert,
+                   solve_structural)
 from lpopa.opa import _dual_slopes, _dual_value, _residual_rows
 from lpopa.rates import _dispatch
 
@@ -63,7 +64,7 @@ class TestAgainstConvexOracle:
         assert fit.fit_residual <= 1e-6
         assert fit.system_residual <= 1e-9
         # the generic minimizer's residual data is itself affine in t
-        oracle_fit = fit_exp_poly(oracle.residual, spec, 8, sp)
+        oracle_fit = ExpPolyFit(spec, oracle, oracle.residual)
         assert oracle_fit.fit_residual <= 1e-6
         assert len(oracle_fit.constants) == 2
 
@@ -192,7 +193,7 @@ def test_fit_exp_poly_on_hilbert_solution():
     sp = SpaceParams.power(2, 1)
     f = expand(spec)
     res = solve_hilbert(f, 7, sp.weight)
-    fit = fit_exp_poly(res.residual, spec, 7, sp)
+    fit = ExpPolyFit(spec, res, res.residual)
     assert fit.fit_residual <= 1e-10
     assert fit.system_residual <= 1e-10
     assert len(fit.constants) == 3
@@ -231,3 +232,54 @@ def test_auto_route_certifies_where_convex_stops_at_its_seed():
     res = _dispatch(CircleZeroSpec(((0.0, 2), (PI, 1))), 128, SpaceParams.power(10, 0), "auto")
     assert res.solver == "structural" and res.converged
     assert res.optimal_norm == pytest.approx(0.03250531689303854, rel=1e-10)
+
+
+# structure constants, fit and system residuals of solve_structural's fit,
+# recorded (float.hex) when the fit was still formed inside the solve
+RECORDED_FITS = [
+    (((0.0, 1), (PI, 1)), 1.5, 0.0, 7,
+     {(0, 1): ("0x1.c9f25c9f9590cp-3", "0x0.0p+0"),
+      (1, 1): ("0x1.c9f25c18682a9p-3", "0x1.8000000000000p-54")},
+     "0x1.13df2b5560ba7p-27", "0x1.178ca89643f43p-51"),
+    (((0.0, 2),), 3.0, 0.5, 8,
+     {(0, 1): ("0x1.c0e2dc92eb80dp-4", "0x1.706973eab5517p-60"),
+      (0, 2): ("-0x1.01fc22eb69b73p-6", "-0x1.12dd110061dacp-61")},
+     "0x1.690002d6bf42ap-48", "0x1.050057104745cp-42"),
+    (((0.0, 2), (PI, 1)), 1.5, -0.5, 15,
+     {(0, 1): ("0x1.0ab75ae886fe4p-2", "-0x1.3bb6a4497893ep-58"),
+      (0, 2): ("-0x1.46ceabeab2706p-6", "0x1.230d8104d1eb4p-62"),
+      (1, 1): ("0x1.33689dd4d6d6bp-5", "0x1.87310dcf95585p-55")},
+     "0x1.4851ef1ffcb91p-48", "0x1.c828d4920dce5p-47"),
+]
+
+
+@pytest.mark.parametrize("roots, p, alpha, n, constants, fit_res, system_res", RECORDED_FITS,
+                         ids=["two-simple", "double", "double-simple"])
+def test_fit_fields_formed_when_read(monkeypatch, roots, p, alpha, n, constants, fit_res,
+                                    system_res):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve formed the structure fit")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "lstsq", refuse)
+        _, fit = solve_structural(CircleZeroSpec(roots), n, SpaceParams.power(p, alpha))
+    for _ in range(2):      # each read forms the fit again, with the same bits
+        assert {key: (c.real.hex(), c.imag.hex())
+                for key, c in fit.constants.items()} == constants
+        assert fit.fit_residual.hex() == fit_res
+        assert fit.system_residual.hex() == system_res
+        assert fit.form() == (fit.constants, fit.fit_residual, fit.system_residual)
+
+
+def test_overflowing_fit_basis_raises_typed_error():
+    # t**(j-1) overflows for multiplicity 300 at t = 300: every read of the
+    # fit refuses it, before any least squares and without a warning
+    spec, sp = CircleZeroSpec(((0.0, 300),)), SpaceParams.power(1.5, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res, fit = solve_structural(spec, 0, sp)
+        assert not res.converged
+        for read in (lambda: fit.constants, lambda: fit.fit_residual,
+                     lambda: fit.system_residual, fit.constant_sum, fit.form):
+            with pytest.raises(ValueError, match="overflows at multiplicity 300"):
+                read()

@@ -9,7 +9,9 @@ import lpopa.opa
 from lpopa import (CircleZeroSpec, DegreeCapError, Poly, SpaceParams, SweepError,
                    UnsupportedExponentError, classify, closed_form_one_minus_zd,
                    delta, evaluation_bound, expand, fit_rates, geometric_grid,
-                   lower_bound, rates, run_sweep, solve_flat, sweep_and_fit)
+                   lower_bound, rates, run_sweep, solve_flat, solve_structural,
+                   sweep_and_fit)
+from lpopa.poly import ONE
 from lpopa.rates import detect_one_minus_zd, log_band_ratio, predicted_value
 
 INF = math.inf
@@ -138,6 +140,21 @@ class TestDetection:
         assert detect_one_minus_zd(Poly([1, -2, 1])) is None
         assert detect_one_minus_zd(Poly([1, 0.5, -1])) is None
         assert detect_one_minus_zd(Poly([0, 1])) is None
+
+    @pytest.mark.parametrize("f", [Poly([1, -1.0000000000001]), Poly([3, -3])],
+                             ids=["near-match", "lead-3"])
+    def test_closed_form_solves_the_given_f(self, f):
+        # a match to rounding, or a lead that scales inexactly: the result
+        # holds the given f, and its residual is 1 - P f of that f
+        sp = SpaceParams.power(1.5, 0.0)
+        res = rates._dispatch(f, 8, sp, "auto")
+        assert res.solver == "closed-form"
+        assert res.f == f and res.f.coeffs.tobytes() == f.coeffs.tobytes()
+        assert res.residual.coeffs.tobytes() == (ONE - res.approximant * f).coeffs.tobytes()
+        # so its norm is that of the certified optimum of the given f
+        certified = solve_structural(f, 8, sp)[0]
+        assert certified.converged
+        assert res.optimal_norm == pytest.approx(certified.optimal_norm, rel=1e-14)
 
 
 class TestSweep:

@@ -76,7 +76,7 @@ def test_hilbert_orders_read_one_factorization(f, weight, grid):
 @pytest.mark.parametrize("d", [1, 3])
 def test_closed_form_orders_read_one_set_of_sums(d, p, weight, grid):
     sp = SpaceParams(p, weight)
-    solve = prepare_closed_form(d, grid[-1], sp)
+    solve = prepare_closed_form(Poly([1] + [0] * (d - 1) + [-1]), grid[-1], sp)
     for n in grid:
         assert_same_bits(solve(n), closed_form_one_minus_zd(d, n, sp))
 
@@ -168,7 +168,7 @@ def test_order_outside_the_prepared_range():
     with pytest.raises(ValueError, match="outside"):
         prepare_hilbert(CPLX, 8, power_weight(0.0))(9)
     with pytest.raises(ValueError, match="outside"):
-        prepare_closed_form(2, 8, SpaceParams.power(2, 0))(9)
+        prepare_closed_form(Poly([1, 0, -1]), 8, SpaceParams.power(2, 0))(9)
 
 
 @pytest.mark.parametrize("problem, p, route", [(Z1SQ_ZP1, 2.0, "hilbert"),
