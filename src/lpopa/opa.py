@@ -125,7 +125,9 @@ class OpaResult:
             return None
         wv = self.sp.weight.values_up_to(self.n + self.f.degree)
         dv = signed_powers(self.residual.padded(wv.size), self.sp.p - 1.0) * wv
-        unit = self.f.coeffs / _table_norm(self.f.coeffs, wv, self.sp.p)
+        # scaled first: |f_k|^p overflows at a high multiplicity, and f / inf pairs to 0
+        fc = self.f.coeffs / np.abs(self.f.coeffs).max()
+        unit = fc / _table_norm(fc, wv, self.sp.p)
         return float(np.abs(np.correlate(dv, np.conj(unit), mode="valid")).max())
 
 
@@ -461,14 +463,16 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
 # Optimization*, 5.1).  In real coordinates block A[t] (c x R) maps lam to
 # y_t = (S^H lam)_t and S r = e reads sum_t A[t].T r_t = b; c = 1 for real f.
 
-def _residual_rows(f: Poly, problem, m: int, real: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks A (m x c x R) and right side b of S r = e on residuals of length m.
+def _residual_rows(f: Poly, problem, m: int, real: bool):
+    """Blocks A (m x c x R) and right side b of S r = e on residuals of length
+    m, and back (d x R), which takes lam to the coordinates of conj(A lam) on S.
 
-    A CircleZeroSpec gives exact zeros; those of np.roots are clustered into
-    multiplicities where the clustered product reproduces f to rounding.  Row
-    s of zeta is (t/(m-1))^s zeta^t, times |zeta|^-(m-1) if |zeta| > 1 (phase
-    and modulus apart: (-2)^t overflows); a zero at 0 gives the rows e_s.  An
-    SVD makes the rows orthonormal, keeping d of them for a real f (real r).
+    A CircleZeroSpec gives exact zeros in spec order; those of np.roots are
+    clustered into multiplicities where the clustered product reproduces f to
+    rounding.  Row s of zeta is (t/(m-1))^s zeta^t, times |zeta|^-(m-1) if
+    |zeta| > 1 (phase and modulus apart: (-2)^t overflows); a zero at 0 gives
+    the rows e_s.  An SVD makes the rows orthonormal, keeping d of them for a
+    real f (real r).
     """
     if isinstance(problem, CircleZeroSpec):
         zeros = [(1.0, angle, mult) for angle, mult in problem.roots]
@@ -503,11 +507,12 @@ def _residual_rows(f: Poly, problem, m: int, real: bool) -> tuple[np.ndarray, np
     u, sv, vh = np.linalg.svd(M.reshape(len(M), -1), full_matrices=False)
     k = len(rows) * M.shape[2]
     b = u[:, :k].T @ np.concatenate([e.real, e.imag]) / sv[:k]
-    return vh[:k].reshape(k, m, -1).transpose(1, 2, 0), b
+    back = (u[: len(rows), :k] - 1j * u[len(rows):, :k]) / sv[:k]
+    return vh[:k].reshape(k, m, -1).transpose(1, 2, 0), b, back
 
 
 def _setup(problem, n: int, sp: SpaceParams):
-    """f, the weight table w of its residuals, and the rows of S r = e (None if f is constant)."""
+    """f, its residuals' weight table w, and (A, b, back) of S r = e (None if f is constant)."""
     if isinstance(problem, CircleZeroSpec):     # the cap before the O(d^2) expansion
         check_degree_cap(n, problem.degree)
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
@@ -526,6 +531,11 @@ def _hilbert_dual(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _complex(r: np.ndarray) -> Poly:
     """The residual polynomial of real coordinates r (m x c)."""
     return Poly(r[:, 0] if r.shape[1] == 1 else r[:, 0] + 1j * r[:, 1])
+
+
+def _real(r: Poly, A: np.ndarray) -> np.ndarray:
+    """The real coordinates (m x c) of a residual polynomial, for blocks A (m x c x R)."""
+    return r.padded(len(A)).view(np.float64).reshape(len(A), 2)[:, : A.shape[1]]
 
 
 def _certify(result: OpaResult, A: np.ndarray, b: np.ndarray, w: np.ndarray,
@@ -582,13 +592,13 @@ def _dual_slopes(A: np.ndarray, b: np.ndarray, w: np.ndarray, q: float,
     return b - np.einsum("tcr,tc->r", A, r), hess, r
 
 
-def _dual_candidate(A: np.ndarray, w: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:
-    """Least-squares fit of w_t |r_t|^(p-2) r_t, the dual data of a residual r
-    (m x c), onto the orthonormal rows: A.T applied to it."""
+def _dual_data(w: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:
+    """w_t |r_t|^(p-2) r_t, the dual data conj(w_t r_t^<p-1>) of a residual r
+    (m x c); A.T applied to it is its least-squares fit onto the rows."""
     size = np.linalg.norm(r, axis=1)
     scale, live = np.zeros_like(size), size > 0
     scale[live] = w[live] * size[live] ** (p - 2.0)
-    return np.einsum("tcr,tc->r", A, r * scale[:, None])
+    return r * scale[:, None]
 
 
 @dataclass
@@ -596,14 +606,15 @@ class ExpPolyFit:
     """Constants of the residual representation d_t = sum A[i,j] t**(j-1) z_i**t.
 
     A record of the zeros (``spec``), the solve (``result``) and the residual
-    whose data d_t = w_t r_t^<p-1> the constants are fitted to (``source``: a
+    whose data d_t = w_t r_t^<p-1> the constants represent (``source``: a
     solver's own, free of the division defect of P, or ``result.residual``).
-    Keys are (root index in spec order, power j <= multiplicity).  Each field
-    is formed when read, and :meth:`form` gives all three from one fit:
-    ``fit_residual`` is the sup deviation from the data of ``result.residual``,
-    ``system_residual`` the sup violation of the system the constants must
-    satisfy.  If the basis overflows, a read raises ValueError naming the
-    multiplicity.
+    Keys are (root index in spec order, power j <= multiplicity).  The data of
+    ``source`` projected onto the residual-form rows is y = A lam; the constants
+    are its coordinates on the rows (t/(m-1))**(j-1) z_i**t times (m-1)**(1-j),
+    which underflows to 0 at a high multiplicity.  Each field is formed when
+    read, and :meth:`form` gives all three at once: ``fit_residual`` is the sup
+    deviation of y from the data of ``result.residual``, ``system_residual``
+    the sup of the dual gradient b - A.T r(y).
     """
 
     spec: CircleZeroSpec
@@ -611,26 +622,17 @@ class ExpPolyFit:
     source: Poly
 
     def form(self) -> tuple[dict[tuple[int, int], complex], float, float]:
-        """``constants``, ``fit_residual`` and ``system_residual`` from one fit."""
-        spec, res = self.spec, self.result
-        wv = res.sp.weight.values_up_to(res.n + spec.degree)
-        t = np.arange(wv.size, dtype=float)
-        pairs = [(i, j) for i, (_, mult) in enumerate(spec.roots) for j in range(1, mult + 1)]
-        zs = spec.points()
-        with np.errstate(over="ignore", invalid="ignore"):
-            basis = np.stack([t ** (j - 1) * zs[i] ** t for i, j in pairs], axis=1)
-        if not np.isfinite(basis).all():
-            raise ValueError(f"the structure basis t**(j-1) z**t overflows at multiplicity "
-                             f"{spec.max_multiplicity} and order {res.n}")
-        data = signed_powers(res.residual.padded(wv.size), res.sp.p - 1.0) * wv
-        A = np.linalg.lstsq(basis, signed_powers(self.source.padded(wv.size), res.sp.p - 1.0) * wv,
-                            rcond=None)[0]
-        # the residual the constants represent, (basis A / w)^<q-1>, must take
-        # the value 1 with derivatives 0 below the multiplicity at each zero
-        system = basis.T @ signed_powers(basis @ A / wv, res.sp.q - 1.0)
-        system[[k for k, (_, j) in enumerate(pairs) if j == 1]] -= 1.0
-        return ({pair: complex(A[k]) for k, pair in enumerate(pairs)},
-                float(np.abs(data - basis @ A).max()), float(np.abs(system).max()))
+        """``constants``, ``fit_residual`` and ``system_residual`` from one projection."""
+        res, sp = self.result, self.result.sp
+        _, w, (A, b, back) = _setup(self.spec, res.n, sp)
+        lam = np.einsum("tcr,tc->r", A, _dual_data(w, _real(self.source, A), sp.p))
+        _, y, size = _dual_value(A, b, w, sp.q, lam)
+        scale = 1.0 / (len(A) - 1)
+        pairs = [(i, j) for i, (_, mult) in enumerate(self.spec.roots) for j in range(1, mult + 1)]
+        data = _dual_data(w, _real(res.residual, A), sp.p)
+        return ({(i, j): complex(x * scale ** (j - 1)) for (i, j), x in zip(pairs, back @ lam)},
+                float(np.linalg.norm(data - y, axis=1).max()),
+                float(np.abs(_dual_slopes(A, b, w, sp.q, y, size)[0]).max()))
 
     constants = property(lambda self: self.form()[0])
     fit_residual = property(lambda self: self.form()[1])
@@ -666,8 +668,9 @@ def solve_structural(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, ExpPo
     if rows is None:
         return replace(_finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True,
                                  "structural", w), dual=0.0, rel_gap=0.0), None
-    (A, b), q = rows, sp.q
-    lam = _dual_candidate(A, w, A @ _hilbert_dual(A, b, w) / w[:, None], sp.p)
+    (A, b, _), q = rows, sp.q
+    start = _dual_data(w, A @ _hilbert_dual(A, b, w) / w[:, None], sp.p)
+    lam = np.einsum("tcr,tc->r", A, start)
     h, y, size = _dual_value(A, b, w, q, lam)
     iterations = 0
     while iterations < _DUAL_STEPS:
@@ -845,7 +848,7 @@ def solve_flat(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, int | None]
     if rows is None:
         return replace(_finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True, "flat", w),
                        dual=0.0, rel_gap=0.0), 0
-    A, b = rows
+    A, b, _ = rows
     r, lam, iterations = (_flat_l1 if sp.p == 1.0 else _flat_linf)(A, b, w)
     approx = lstsq_div(ONE - _complex(r), f)[0].padded(n + 1)
     result = _certify(_finalize(f, approx, sp, iterations, False, "flat", w), A, b, w, sp, lam)

@@ -328,10 +328,6 @@ class CircleZeroSpec:
     def simple(self) -> bool:
         return self.max_multiplicity == 1
 
-    def points(self) -> np.ndarray:
-        """The root values exp(i*theta_i) in spec order."""
-        return np.exp(1j * np.array([a for a, _ in self.roots]))
-
     def with_simple_roots(self) -> "CircleZeroSpec":
         """Same zero set, all multiplicities reduced to 1, leading 1."""
         return CircleZeroSpec(tuple((a, 1) for a, _ in self.roots))

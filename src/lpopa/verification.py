@@ -85,7 +85,7 @@ def hilbert_check(cases) -> CheckResult:
     records, dev = [], []
     for f, n, sp in cases:
         hb = solve_hilbert(f, n, sp.weight)
-        _, w, (A, b) = _setup(f, n, sp)
+        _, w, (A, b, _) = _setup(f, n, sp)
         optimum = _complex(A @ _hilbert_dual(A, b, w) / w[:, None])
         records.append(hb)
         dev.append(np.abs(hb.residual.padded(w.size) - optimum.padded(w.size)).max())

@@ -2,6 +2,7 @@
 
 import math
 import types
+import warnings
 from dataclasses import fields, replace
 from functools import partial
 
@@ -677,6 +678,18 @@ def test_positional_result_forms_its_pairing():
     assert res.ortho_residual_max == want and replace(res).ortho_residual_max == want
     flat = solve_flat(CPLX, 4, SpaceParams.power(INF, 0.5))[0]
     assert flat.ortho_residual_max is None and replace(flat).ortho_residual_max is None
+
+
+def test_pairing_survives_an_overflowing_f():
+    # the p-th powers of (z-1)^300's binomials, up to 9e88, overflow at p = 4,
+    # and f divided by an infinite norm would pair to 0
+    res = solve_structural(CircleZeroSpec(((0.0, 300),)), 0, SpaceParams.power(4, 0.0))[0]
+    scaled = replace(res, f=res.f * (1.0 / float(np.abs(res.f.coeffs).max())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairing = res.ortho_residual_max
+        assert 0.0 < pairing < math.inf
+        assert pairing == pytest.approx(scaled.ortho_residual_max, rel=1e-12)
 
 
 PROBLEM_ROUTES = {

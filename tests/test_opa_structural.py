@@ -148,7 +148,7 @@ class TestDualDerivatives:
         sp = SpaceParams.power(p, 0.3)
         m = 5 + f.degree
         real = not np.abs(f.coeffs.imag).any()
-        A, b = _residual_rows(f, f, m, real)
+        A, b, _ = _residual_rows(f, f, m, real)
         w, q = sp.weight.values_up_to(m - 1), sp.q
         lam = np.random.default_rng(9).standard_normal(b.size)
         grad, hess, r = _dual_slopes(A, b, w, q, *_dual_value(A, b, w, q, lam)[1:])
@@ -235,33 +235,53 @@ def test_auto_route_certifies_where_convex_stops_at_its_seed():
 
 
 # structure constants, fit and system residuals of solve_structural's fit,
-# recorded (float.hex) when the fit was still formed inside the solve
+# recorded (float.hex) from the projection onto the residual-form rows
 RECORDED_FITS = [
     (((0.0, 1), (PI, 1)), 1.5, 0.0, 7,
-     {(0, 1): ("0x1.c9f25c9f9590cp-3", "0x0.0p+0"),
-      (1, 1): ("0x1.c9f25c18682a9p-3", "0x1.8000000000000p-54")},
-     "0x1.13df2b5560ba7p-27", "0x1.178ca89643f43p-51"),
+     {(0, 1): ("0x1.c9f25c9f9590ap-3", "0x0.0p+0"),
+      (1, 1): ("0x1.c9f25c18682aap-3", "0x1.f924f9985e5fbp-54")},
+     "0x1.0e694bb69deb1p-28", "0x1.0000000000000p-54"),
     (((0.0, 2),), 3.0, 0.5, 8,
-     {(0, 1): ("0x1.c0e2dc92eb80dp-4", "0x1.706973eab5517p-60"),
-      (0, 2): ("-0x1.01fc22eb69b73p-6", "-0x1.12dd110061dacp-61")},
-     "0x1.690002d6bf42ap-48", "0x1.050057104745cp-42"),
+     {(0, 1): ("0x1.c0e2dc92eb809p-4", "0x0.0p+0"),
+      (0, 2): ("-0x1.01fc22eb69b71p-6", "0x0.0p+0")},
+     "0x1.6e80000000000p-48", "0x1.8700000000000p-47"),
     (((0.0, 2), (PI, 1)), 1.5, -0.5, 15,
-     {(0, 1): ("0x1.0ab75ae886fe4p-2", "-0x1.3bb6a4497893ep-58"),
+     {(0, 1): ("0x1.0ab75ae886fe0p-2", "0x0.0p+0"),
+      (0, 2): ("-0x1.46ceabeab2702p-6", "0x0.0p+0"),
+      (1, 1): ("0x1.33689dd4d6d5ep-5", "-0x1.91cc30a71a74dp-52")},
+     "0x1.40f8000000000p-48", "0x1.8000000000000p-54"),
+]
+
+# the same cases as the least-squares fit of the basis t**(j-1) z**t gave
+# them: its constants, and its system residual, which the rows do not exceed
+LSTSQ_FITS = [
+    ({(0, 1): ("0x1.c9f25c9f9590cp-3", "0x0.0p+0"),
+      (1, 1): ("0x1.c9f25c18682a9p-3", "0x1.8000000000000p-54")},
+     "0x1.178ca89643f43p-51"),
+    ({(0, 1): ("0x1.c0e2dc92eb80dp-4", "0x1.706973eab5517p-60"),
+      (0, 2): ("-0x1.01fc22eb69b73p-6", "-0x1.12dd110061dacp-61")},
+     "0x1.050057104745cp-42"),
+    ({(0, 1): ("0x1.0ab75ae886fe4p-2", "-0x1.3bb6a4497893ep-58"),
       (0, 2): ("-0x1.46ceabeab2706p-6", "0x1.230d8104d1eb4p-62"),
       (1, 1): ("0x1.33689dd4d6d6bp-5", "0x1.87310dcf95585p-55")},
-     "0x1.4851ef1ffcb91p-48", "0x1.c828d4920dce5p-47"),
+     "0x1.c828d4920dce5p-47"),
 ]
 
 
-@pytest.mark.parametrize("roots, p, alpha, n, constants, fit_res, system_res", RECORDED_FITS,
+def from_hex(pair):
+    return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
+
+
+@pytest.mark.parametrize("roots, p, alpha, n, constants, fit_res, system_res, lstsq",
+                         [case + (old,) for case, old in zip(RECORDED_FITS, LSTSQ_FITS)],
                          ids=["two-simple", "double", "double-simple"])
 def test_fit_fields_formed_when_read(monkeypatch, roots, p, alpha, n, constants, fit_res,
-                                    system_res):
+                                    system_res, lstsq):
     def refuse(*args, **kwargs):
         raise AssertionError("the solve formed the structure fit")
 
     with monkeypatch.context() as patched:
-        patched.setattr(np.linalg, "lstsq", refuse)
+        patched.setattr(ExpPolyFit, "form", refuse)
         _, fit = solve_structural(CircleZeroSpec(roots), n, SpaceParams.power(p, alpha))
     for _ in range(2):      # each read forms the fit again, with the same bits
         assert {key: (c.real.hex(), c.imag.hex())
@@ -269,17 +289,50 @@ def test_fit_fields_formed_when_read(monkeypatch, roots, p, alpha, n, constants,
         assert fit.fit_residual.hex() == fit_res
         assert fit.system_residual.hex() == system_res
         assert fit.form() == (fit.constants, fit.fit_residual, fit.system_residual)
+    old_constants, old_system = lstsq
+    for key, pair in old_constants.items():
+        old = from_hex(pair)
+        assert abs(fit.constants[key] - old) <= 1e-13 * abs(old)
+    assert fit.system_residual <= float.fromhex(old_system)
 
 
-def test_overflowing_fit_basis_raises_typed_error():
-    # t**(j-1) overflows for multiplicity 300 at t = 300: every read of the
-    # fit refuses it, before any least squares and without a warning
+@pytest.mark.parametrize("mult, n, bound", [(8, 64, 1e-12), (4, 256, 1e-12), (20, 0, 1e-9)])
+def test_fit_is_conditioned_at_high_multiplicity(mult, n, bound):
+    # a least-squares fit in the unscaled basis t**(j-1) z**t misses the system
+    # by 2.2e9 at (z-1)^8, n = 64, 1.9e-3 at (z-1)^4, n = 256, and 1.3e11 at
+    # multiplicity 20, n = 0; the orthonormal rows keep it at rounding
+    fit = solve_structural(CircleZeroSpec(((0.0, mult),)), n, SpaceParams.power(1.5, 0.0))[1]
+    assert fit.system_residual <= bound
+    assert len(fit.constants) == mult
+
+
+def test_fit_takes_no_least_squares(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit called np.linalg.lstsq")
+
+    spec, sp = CircleZeroSpec(((0.0, 2), (PI / 3, 1))), SpaceParams.power(2.5, 0.3)
+    res, fit = solve_structural(spec, 12, sp)
+    hilbert = solve_hilbert(expand(spec), 12, SpaceParams.power(2, 0.3).weight)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    for record in (fit, ExpPolyFit(spec, res, res.residual),
+                   ExpPolyFit(spec, hilbert, hilbert.residual)):
+        constants, fit_residual, system_residual = record.form()
+        assert len(constants) == 3 and record.constants == constants
+        assert record.fit_residual == fit_residual <= 1e-6
+        assert record.system_residual == system_residual <= 1e-9
+        assert record.constant_sum() == sum(constants.values())
+
+
+def test_high_multiplicity_fit_reads_finite_constants():
+    # t**(j-1) overflows for multiplicity 300 at t = 300; the rows are scaled
+    # by (t/(m-1))**(j-1), and unscaling a constant underflows to 0 instead
     spec, sp = CircleZeroSpec(((0.0, 300),)), SpaceParams.power(1.5, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res, fit = solve_structural(spec, 0, sp)
         assert not res.converged
-        for read in (lambda: fit.constants, lambda: fit.fit_residual,
-                     lambda: fit.system_residual, fit.constant_sum, fit.form):
-            with pytest.raises(ValueError, match="overflows at multiplicity 300"):
-                read()
+        constants, fit_residual, system_residual = fit.form()
+        total = fit.constant_sum()
+    assert len(constants) == 300
+    assert np.isfinite(np.array(list(constants.values()))).all() and np.isfinite(total)
+    assert math.isfinite(fit_residual) and math.isfinite(system_residual)
