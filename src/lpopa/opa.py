@@ -103,7 +103,10 @@ class OpaResult:
     ``dual`` (a lower bound on the optimum) and ``rel_gap``, (optimal_norm -
     dual) / optimal_norm or 0 when both vanish, certify the structural and
     flat routes (:func:`_certify`); they are None on the others, and on a
-    residual-form result whose dual vector bounds nothing.
+    residual-form result whose dual vector bounds nothing.  ``converged`` is
+    the route's own test; on the routes without a certificate it also needs
+    optimal_norm <= 1, the norm of the zero approximant (w_0 = 1 for every
+    Weight), and on the certified ones the gap tolerance bounds any excess.
     """
 
     f: Poly
@@ -175,8 +178,9 @@ def _finalize(f: Poly, c: np.ndarray, sp: SpaceParams, iterations: int,
         r[0] = 1.0
         r -= conv
         residual = Poly(r)
-    return OpaResult(f, len(c) - 1, sp, approx, residual,
-                     _table_norm(residual.coeffs, wv, sp.p), iterations, converged, solver)
+    size = _table_norm(residual.coeffs, wv, sp.p)
+    return OpaResult(f, len(c) - 1, sp, approx, residual, size, iterations,
+                     converged and size <= 1.0, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +572,31 @@ def _certify(result: OpaResult, A: np.ndarray, b: np.ndarray, w: np.ndarray,
     return result
 
 
+def _residual_solve(problem, n: int, sp: SpaceParams, solver: str):
+    """The solve of :func:`solve_structural` and :func:`solve_flat`: the regime
+    method of p (looked up when called) gives a residual r and a dual vector
+    lam, P = (1 - r) / f by banded least squares, and the reported norm is that
+    of 1 - P f, certified by lam (:func:`_certify`); a constant f has dual bound
+    and gap 0.  IllConditionedError where b . b underflows (before any solve)
+    or the method's linear algebra fails.  Returns the result and, for a
+    nonconstant f, (r, A, w, lam)."""
+    f, w, rows = _setup(problem, n, sp)
+    if rows is None:
+        return replace(_finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True, solver, w),
+                       dual=0.0, rel_gap=0.0), None
+    A, b, _ = rows
+    if not b @ b >= np.finfo(float).tiny:   # the |zeta|^-(m-1) rows of a zero off the circle
+        raise IllConditionedError(f"residual form at n = {n}: its right side underflows")
+    try:
+        r, lam, steps = (_flat_l1(A, b, w) if sp.p == 1.0 else _flat_linf(A, b, w)
+                         if sp.is_flat else _dual_newton(A, b, w, sp.p))
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"solve_{solver} at n = {n}: {exc}") from exc
+    own = _complex(r)
+    result = _finalize(f, lstsq_div(ONE - own, f)[0].padded(n + 1), sp, steps, False, solver, w)
+    return _certify(result, A, b, w, sp, lam), (own, A, w, lam)
+
+
 # ---------------------------------------------------------------------------
 # 1 < p < inf: Newton's method on the dual
 # ---------------------------------------------------------------------------
@@ -601,6 +630,29 @@ def _dual_data(w: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:
     return r * scale[:, None]
 
 
+def _dual_newton(A: np.ndarray, b: np.ndarray, w: np.ndarray, p: float):
+    """The dual Newton loop of :func:`solve_structural`; returns r, lam and its steps."""
+    q = p / (p - 1.0)
+    lam = np.einsum("tcr,tc->r", A, _dual_data(w, A @ _hilbert_dual(A, b, w) / w[:, None], p))
+    (h, y, size), steps = _dual_value(A, b, w, q, lam), 0
+    while steps < _DUAL_STEPS:
+        grad, hess, _ = _dual_slopes(A, b, w, q, y, size)
+        step = np.linalg.solve(hess + 1e-13 * np.trace(hess) * np.eye(b.size), grad)
+        decrement, t, steps = float(grad @ step), 1.0, steps + 1
+        if decrement <= 1e-14 * abs(h):
+            lam = lam + step
+            break
+        while t > 1e-12:
+            hn, yn, sn = _dual_value(A, b, w, q, lam + t * step)
+            if hn >= h + _ARMIJO * t * decrement:
+                break
+            t *= 0.5
+        else:
+            break
+        lam, h, y, size = lam + t * step, hn, yn, sn
+    return _dual_slopes(A, b, w, q, *_dual_value(A, b, w, q, lam)[1:])[2], lam, steps
+
+
 @dataclass
 class ExpPolyFit:
     """Constants of the residual representation d_t = sum A[i,j] t**(j-1) z_i**t.
@@ -622,8 +674,11 @@ class ExpPolyFit:
     source: Poly
 
     def form(self) -> tuple[dict[tuple[int, int], complex], float, float]:
-        """``constants``, ``fit_residual`` and ``system_residual`` from one projection."""
+        """``constants``, ``fit_residual`` and ``system_residual`` from one projection;
+        a flat result (p in {1, inf}), whose data degenerates, raises UnsupportedExponentError."""
         res, sp = self.result, self.result.sp
+        if sp.is_flat:
+            raise UnsupportedExponentError("structure constants need 1 < p < inf")
         _, w, (A, b, back) = _setup(self.spec, res.n, sp)
         lam = np.einsum("tcr,tc->r", A, _dual_data(w, _real(self.source, A), sp.p))
         _, y, size = _dual_value(A, b, w, sp.q, lam)
@@ -647,53 +702,24 @@ def solve_structural(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, ExpPo
 
     ``problem`` is a Poly or a CircleZeroSpec (exact zeros).  The unknowns are
     the R = d (real f) or 2d dual coordinates lam of the residual-form rows,
-    whatever n is.  Newton's method maximizes the concave dual
-    h(lam) = b . lam - (1/q) sum_t w_t^(1-q) |y_t|^q, y = A lam, whose
-    maximizer gives the optimal residual r_t = w_t^(1-q) |y_t|^(q-2) y_t; the
-    Hessian is shifted by 1e-13 of its trace, for the entries where y
+    whatever n is.  Newton's method (:func:`_dual_newton`) maximizes the
+    concave dual h(lam) = b . lam - (1/q) sum_t w_t^(1-q) |y_t|^q, y = A lam,
+    whose maximizer gives the optimal residual r_t = w_t^(1-q) |y_t|^(q-2) y_t;
+    the Hessian is shifted by 1e-13 of its trace, for the entries where y
     vanishes.  Steps pass an Armijo test on h, and once the Newton decrement
     is at or below 1e-14 |h| (rounding level, where no Armijo test can pass)
     the full step ends the solve; at most 200 steps.  The start is the
     least-squares fit of w |r|^(p-2) r onto the rows, with r the p = 2
-    residual.
+    residual.  :func:`_residual_solve` certifies the result.
 
-    P = (1 - r) / f by banded least squares, and the reported norm is that of
-    1 - P f, certified by lam (:func:`_certify`; a constant f has dual bound
-    and gap 0).  For a spec the second value is the :class:`ExpPolyFit` of
-    the solver's own residual, formed when read (None for a Poly or a constant f).
+    For a spec the second value is the :class:`ExpPolyFit` of the solver's
+    own residual, formed when read (None for a Poly or a constant f).
     """
     if sp.is_flat:
         raise UnsupportedExponentError("structural solve needs 1 < p < inf")
-    f, w, rows = _setup(problem, n, sp)
-    if rows is None:
-        return replace(_finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True,
-                                 "structural", w), dual=0.0, rel_gap=0.0), None
-    (A, b, _), q = rows, sp.q
-    start = _dual_data(w, A @ _hilbert_dual(A, b, w) / w[:, None], sp.p)
-    lam = np.einsum("tcr,tc->r", A, start)
-    h, y, size = _dual_value(A, b, w, q, lam)
-    iterations = 0
-    while iterations < _DUAL_STEPS:
-        grad, hess, _ = _dual_slopes(A, b, w, q, y, size)
-        step = np.linalg.solve(hess + 1e-13 * np.trace(hess) * np.eye(b.size), grad)
-        decrement, t, iterations = float(grad @ step), 1.0, iterations + 1
-        if decrement <= 1e-14 * abs(h):
-            lam = lam + step
-            break
-        while t > 1e-12:
-            hn, yn, sn = _dual_value(A, b, w, q, lam + t * step)
-            if hn >= h + _ARMIJO * t * decrement:
-                break
-            t *= 0.5
-        else:
-            break
-        lam, h, y, size = lam + t * step, hn, yn, sn
-    own = _complex(_dual_slopes(A, b, w, q, *_dual_value(A, b, w, q, lam)[1:])[2])
-    approx = lstsq_div(ONE - own, f)[0].padded(n + 1)
-    result = _certify(_finalize(f, approx, sp, iterations, False, "structural", w),
-                      A, b, w, sp, lam)
-    return result, (ExpPolyFit(problem, result, own)
-                    if isinstance(problem, CircleZeroSpec) else None)
+    result, solved = _residual_solve(problem, n, sp, "structural")
+    return result, (ExpPolyFit(problem, result, solved[0])
+                    if solved and isinstance(problem, CircleZeroSpec) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +796,9 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
     Complementary slackness fixes r_t = y_t / (|y_t| w_t Phi) where y_t
     does not vanish; on the set where it does, r solves the same problem
     against the remaining right side, with fewer entries and rows of lower
-    rank, so the recursion ends.  Returns r, lam and the Newton steps.
+    rank.  A set of every entry (a dual that underflows) is not recursed on:
+    r stays 0 there, and the certificate leaves the result unconverged.
+    Returns r, lam and the Newton steps.
     """
     m, c, R = A.shape
     plane = np.linalg.svd(b[None])[2][1:].T
@@ -820,7 +848,7 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
     r[~free] = y[~free] / (size * w)[~free, None] / float((size / w).sum())
     u, sv, vh = np.linalg.svd(cols, full_matrices=False)
     k = int((sv > _FREE_TOL * sv[0]).sum()) if sv.size else 0
-    if k:
+    if k and not free.all():
         rest = u[:, :k].T @ (b - np.einsum("tcr,tc->r", A[~free], r[~free])) / sv[:k]
         r[free], _, more = _flat_linf(vh[:k].T.reshape(-1, c, k), rest, w[free])
         steps += more
@@ -831,29 +859,21 @@ def solve_flat(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, int | None]
     """Order-n minimizer at p in {1, inf} from the residual-form linear program.
 
     ``problem`` is a Poly or a CircleZeroSpec (exact zeros).  p = 1 runs
-    :func:`_flat_l1`, p = inf :func:`_flat_linf`; each gives a residual r and
-    a dual vector lam.  P = (1 - r) / f by banded least squares, and the
-    reported norm is that of 1 - P f, certified by lam (:func:`_certify`; a
-    constant f has the residual 0, dual bound and gap 0).  Minimizers need
-    not be unique: the second value is the dimension of the face the
-    certificate leaves free, residuals meeting the constraints where the
-    dual bound is tight (p = 1, with the dual's phase) or the dual vanishes
-    (p = inf).  It bounds that of the optimal set, so 0 certifies a unique
-    minimizer.  An unconverged result gets None: its dual vector need not
-    bound the optimum, so the face it leaves free says nothing.
+    :func:`_flat_l1` and p = inf :func:`_flat_linf` in :func:`_residual_solve`,
+    which certifies the result.  Minimizers need not be unique: the second
+    value is the dimension of the face the certificate leaves free, residuals
+    meeting the constraints where the dual bound is tight (p = 1, with the
+    dual's phase) or the dual vanishes (p = inf).  It bounds that of the
+    optimal set, so 0 certifies a unique minimizer.  An unconverged result
+    gets None: its dual vector need not bound the optimum, so the face it
+    leaves free says nothing.
     """
     if not sp.is_flat:
         raise UnsupportedExponentError("solve_flat handles p in {1, inf} only")
-    f, w, rows = _setup(problem, n, sp)
-    if rows is None:
-        return replace(_finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True, "flat", w),
-                       dual=0.0, rel_gap=0.0), 0
-    A, b, _ = rows
-    r, lam, iterations = (_flat_l1 if sp.p == 1.0 else _flat_linf)(A, b, w)
-    approx = lstsq_div(ONE - _complex(r), f)[0].padded(n + 1)
-    result = _certify(_finalize(f, approx, sp, iterations, False, "flat", w), A, b, w, sp, lam)
-    if not result.converged:
-        return result, None
+    result, solved = _residual_solve(problem, n, sp, "flat")
+    if solved is None or not result.converged:     # a constant f's residual 0 is unique
+        return result, None if solved else 0
+    _, A, w, lam = solved
     cols = _free_columns(A, A @ lam, w, sp.p)[1]
     return result, int(cols.shape[1] - (np.linalg.matrix_rank(cols) if cols.size else 0))
 

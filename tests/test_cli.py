@@ -647,3 +647,28 @@ class TestVerify:
         result = lpopa.verification.multiplication_check(seed=0, trials=200)
         assert result.passed
         assert calls <= 50
+
+
+# f = 1 - z/2 has its zero at 2, off the circle: the residual form's rows
+# are scaled by 2^-(m-1), and its regime methods failed untyped on them
+@pytest.mark.parametrize("argv", [
+    ("compute", "--coeffs", "1,-0.5", "--p", "1", "--n", "64"),
+    ("sweep", "--coeffs", "1,-0.5", "--p", "1.5", "--n", "16..1024"),
+    ("sweep", "--coeffs", "1,-0.5", "--p", "inf", "--n", "16..1024"),
+])
+def test_off_circle_zero_ends_typed(argv):
+    proc = subprocess.run([sys.executable, "-m", "lpopa", *argv], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("n", ["840", "841"])
+def test_point_worse_than_zero_approximant_exits_3(capsys, n):
+    # the Hilbert answer for (z-1)^4 here has norm 3.6 (n = 840) and 15.3
+    # (n = 841), above the zero approximant's 1
+    code, out, err = run_cli(capsys, "compute", "--roots", "0:4", "--p", "2", "--n", n)
+    payload = json.loads(out)
+    assert code == 3 and err == ""
+    assert payload["optimal_norm"] > 1.0 and payload["converged"] is False

@@ -919,3 +919,41 @@ def test_solvers_agree_pairwise_smoke():
         np.testing.assert_allclose(res.approximant.padded(7),
                                    a.approximant.padded(7), atol=1e-8)
     assert closed.optimal_norm == pytest.approx(a.optimal_norm, rel=1e-10)
+
+
+def singular(*args):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("method, solve, p", [
+    ("_dual_newton", solve_structural, 1.5),
+    ("_flat_l1", solve_flat, 1.0),
+    ("_flat_linf", solve_flat, INF),
+])
+def test_regime_method_failure_is_ill_conditioned(monkeypatch, method, solve, p):
+    # every residual-form route runs its regime method in one pipeline, which
+    # types a failure of its linear algebra
+    monkeypatch.setattr(opa, method, singular)
+    with pytest.raises(IllConditionedError, match="Singular matrix") as info:
+        solve(CircleZeroSpec(((0.0, 2), (PI, 1))), 16, SpaceParams.power(p, 0.0))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, INF])
+def test_underflowing_right_side_refused_before_any_solve(monkeypatch, p):
+    # the row of the zero 2 of 1 - z/2 is scaled by 2^-(m-1), so b . b leaves
+    # the normal range near m = 512; no regime method runs on it
+    for method in ("_dual_newton", "_flat_l1", "_flat_linf"):
+        monkeypatch.setattr(opa, method, singular)
+    solve = solve_flat if p in (1.0, INF) else solve_structural
+    with pytest.raises(IllConditionedError, match="right side underflows"):
+        solve(Poly([1, -0.5]), 512, SpaceParams.power(p, 0.0))
+
+
+def test_sup_norm_recursion_needs_a_smaller_free_set():
+    # at n = 511 every dual entry of 1 - z/2 falls below the free threshold,
+    # and recursing on the same set never ended (RecursionError)
+    f, w, (A, b, _) = opa._setup(Poly([1, -0.5]), 511, SpaceParams.power(INF, 0.0))
+    with np.errstate(all="ignore"):
+        r, lam, steps = opa._flat_linf(A, b, w)
+    assert r.shape == (513, 1) and lam.shape == (1,) and not r.any()

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from lpopa import (CircleZeroSpec, ExpPolyFit, Poly, SpaceParams, UnsupportedExponentError,
-                   eval_derivative, expand, lower_bound, solve_convex, solve_hilbert,
-                   solve_structural)
+                   eval_derivative, expand, lower_bound, solve_convex, solve_flat,
+                   solve_hilbert, solve_structural)
 from lpopa.opa import _dual_slopes, _dual_value, _residual_rows
 from lpopa.rates import _dispatch
 
@@ -336,3 +336,17 @@ def test_high_multiplicity_fit_reads_finite_constants():
     assert len(constants) == 300
     assert np.isfinite(np.array(list(constants.values()))).all() and np.isfinite(total)
     assert math.isfinite(fit_residual) and math.isfinite(system_residual)
+
+
+@pytest.mark.parametrize("p", [1.0, math.inf])
+def test_fit_refuses_flat_results(p):
+    # at p in {1, inf} the data w r^<p-1> degenerates: p = inf read all-zero
+    # constants with fit_residual 0, and p = 1 warned in _dual_slopes
+    spec = CircleZeroSpec(((0.0, 2), (PI, 1)))
+    res, _ = solve_flat(spec, 8, SpaceParams.power(p, 0.0))
+    fit = ExpPolyFit(spec, res, res.residual)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (fit.form, lambda: fit.constants, lambda: fit.fit_residual):
+            with pytest.raises(UnsupportedExponentError, match="1 < p < inf"):
+                read()
