@@ -35,10 +35,12 @@ class InternalConsistencyError(LpopaError):
 
 
 class SweepError(LpopaError):
-    """One or more sweep points failed to converge.
+    """One or more sweep points failed to converge, or one order's solve raised.
 
     ``points`` holds every point of the sweep, the failed ones included, so
-    callers can still write partial results.
+    callers can still write partial results; after a solve that raised
+    (``__cause__``), the points of the orders before the last of
+    ``failed_orders``, whose solve it was.
     """
 
     def __init__(self, message, failed_orders=(), points=()):

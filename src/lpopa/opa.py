@@ -63,8 +63,9 @@ _ROUNDING = 1e-12       # solve_flat: relative agreement that counts as exact
 _CLUSTER = 1e-2         # np.roots zeros this close (relative) may be one multiple zero
 _PIVOT_TOL = 1e-11      # simplex: entering-column entries below this (relative) are 0
 _FREE_TOL = 1e-6        # p = inf: dual entries below this (relative) vanish
+_EPS_FALL = 0.01        # p = inf: a smoothing stage's eps over the previous stage's
 # budgets; a solve that exhausts one reports the gap it reached
-_MAX_PIVOTS, _NEWTON_STEPS, _SMOOTHING_STAGES, _DUAL_STEPS = 5000, 50, 12, 200
+_MAX_PIVOTS, _NEWTON_STEPS, _SMOOTHING_STAGES, _DUAL_STEPS = 5000, 50, 6, 200
 
 
 @dataclass
@@ -616,8 +617,9 @@ def _dual_slopes(A: np.ndarray, b: np.ndarray, w: np.ndarray, q: float,
     a[live] = w[live] ** (1.0 - q) * size[live] ** (q - 2.0)
     unit[live] = y[live] / size[live, None]
     r, along = y * a[:, None], np.einsum("tcr,tc->tr", A, unit)
+    rows = A.reshape(-1, A.shape[2])
     # dr_t/dy_t = a_t (I + (q - 2) u_t u_t^T) with u_t = y_t / |y_t|
-    hess = np.einsum("tcr,t,tcs->rs", A, a, A) + (q - 2.0) * (along.T * a) @ along
+    hess = (rows.T * np.repeat(a, A.shape[1])) @ rows + (q - 2.0) * (along.T * a) @ along
     return b - np.einsum("tcr,tc->r", A, r), hess, r
 
 
@@ -786,13 +788,19 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
     The dual minimizes Phi(lam) = sum_t |y_t| / w_t on the plane b . lam = 1,
     where 1 / Phi bounds the optimum from below.  Newton's method runs on the
     smoothed sum_t g_t / w_t, g_t = sqrt(|y_t|^2 + eps^2), from the p = 2
-    dual, with eps falling tenfold per stage from the mean |y_t| to 1e-12 of
-    it; a plane of dimension 0 is the point b / (b . b), and no stage runs.
-    A stage ends when the Newton decrement falls to 1e-20 phi, after
-    50 steps, or after _STALL_STEPS consecutive stalls: steps whose
-    decrement is at phi's rounding level, 1e-14 phi, without falling below
-    half the previous one.  Steps that still halve it go on, because the
-    direction of y, which fixes r, improves after phi stops moving.
+    dual, with eps falling 100-fold per stage over six stages, from the mean
+    |y_t| to 1e-12 of it; a plane of dimension 0 is the point b / (b . b),
+    and no stage runs.  The path z(eps) of smoothed minimizers moves
+    linearly in eps once the vanishing entries are found, so a stage after
+    the first starts from the secant prediction z + 0.01 (z - z_prev)
+    through the ends of the last two stages (the p = 2 dual standing in
+    for the first), kept only where it lowers the smoothed phi at the new
+    eps, else from z.  A stage ends when the Newton decrement falls to
+    1e-20 phi, after 50 steps, or after _STALL_STEPS consecutive stalls:
+    steps whose decrement is at phi's rounding level, 1e-14 phi, without
+    falling below half the previous one.  Steps that still halve it go on,
+    because the direction of y, which fixes r, improves after phi stops
+    moving.
     Complementary slackness fixes r_t = y_t / (|y_t| w_t Phi) where y_t
     does not vanish; on the set where it does, r solves the same problem
     against the remaining right side, with fewer entries and rows of lower
@@ -812,11 +820,17 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
         g = np.sqrt((y * y).sum(axis=1) + eps * eps)
         return y, g, float((g / w).sum())
 
-    eps, steps = float(np.linalg.norm(y0 + Az @ z, axis=1).mean()), 0
+    eps, steps, back = float(np.linalg.norm(y0 + Az @ z, axis=1).mean()), 0, None
     eye_c, eye_z = np.eye(c), np.eye(z.size)
     for _ in range(_SMOOTHING_STAGES if z.size else 0):
-        eps *= 0.1
+        eps *= _EPS_FALL
         y, g, phi = smoothed(z, eps)
+        prior, back = back, z
+        if prior is not None:       # the secant start, kept where it lowers phi
+            guess = z + _EPS_FALL * (z - prior)
+            yn, gn, phin = smoothed(guess, eps)
+            if phin < phi:
+                z, y, g, phi = guess, yn, gn, phin
         stalls, last = 0, math.inf
         for _ in range(_NEWTON_STEPS):
             grad = flat.T @ (y / (g * w)[:, None]).ravel()

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, SweepError, UnsupportedExponentError
+from .errors import (IllConditionedError, InternalConsistencyError, SweepError,
+                     UnsupportedExponentError)
 from .opa import (OpaResult, check_degree_cap, delta_sums, detect_one_minus_zd,
                   prepare_closed_form, prepare_hilbert, solve_convex, solve_flat,
                   solve_structural)
@@ -210,9 +211,12 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto") -> list[Sw
     routes that is the one delta_sums or Gram factorization of the sweep,
     and its time counts in the ``wall_ms`` of the largest order, whose own
     solve it is.  Raises SweepError listing the failing orders, and
-    carrying every point, if any solve does not converge, and
-    InternalConsistencyError if a computed norm undercuts the universal
-    lower bound.  A grid with orders past the degree cap raises
+    carrying every point, if any solve does not converge; a solve that
+    raises IllConditionedError ends the sweep there, with a SweepError of
+    its message that lists that order after any unconverged ones and
+    carries the points before it (the cause is the IllConditionedError).
+    Raises InternalConsistencyError if a computed norm undercuts the
+    universal lower bound.  A grid with orders past the degree cap raises
     DegreeCapError for the first of them before any bound or preparation.
     """
     n_grid = [int(n) for n in n_grid]
@@ -238,7 +242,10 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto") -> list[Sw
     failed = []
     for n, bound in zip(n_grid, bounds):
         t0 = time.perf_counter()
-        res = solve(n)
+        try:
+            res = solve(n)
+        except IllConditionedError as exc:     # keep the orders already solved
+            raise SweepError(str(exc), (*failed, n), points) from exc
         wall = (time.perf_counter() - t0 + (shared if n == n_grid[-1] else 0.0)) * 1e3
         if not res.converged:
             failed.append(n)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -662,6 +663,9 @@ def test_off_circle_zero_ends_typed(argv):
     assert proc.returncode == 3, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    if argv[0] == "sweep":      # the rows of the orders before n = 512, whose solve raised
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert [int(row["n"]) for row in rows] == [16, 32, 64, 128, 256], proc.stdout
 
 
 @pytest.mark.parametrize("n", ["840", "841"])

@@ -365,7 +365,7 @@ class TestFlat:
         (Poly([1, -1]), 16, 0.0, 0.055555555555556024, 0.05555555555555555, 0),
         (Poly([1, -1]), 128, 0.0, 0.007692307692307998, 0.007692307692307693, 0),
         (CircleZeroSpec(((0.0, 2), (PI, 1))), 64, 0.5,
-         0.14413036170932284, 0.1441303617093129, 114),
+         0.14413036170932284, 0.1441303617093129, 31),
     ], ids=["1-z,n=0", "1-z,n=16", "1-z,n=128", "(z-1)^2(z+1),n=64"])
     def test_point_dual_plane_runs_no_newton_stage(self, f, n, alpha, norm_before,
                                                    dual_before, steps, monkeypatch):
@@ -373,8 +373,10 @@ class TestFlat:
         # returns lam = b / (b . b) and solves no Newton system.  1 - z is
         # such a level, and so is the last level of (z-1)^2(z+1) (plane
         # dimensions 2 -> 1 -> 0).  The *_before values were recorded with
-        # all 12 smoothing stages running on such points: dual and steps
-        # must not move, the norm (from the division) only at rounding level.
+        # all 12 smoothing stages running on such points: the dual must not
+        # move, the norm (from the division) only at rounding level.  The
+        # steps, all on the plane of dimension 1, are those of the six
+        # secant-started smoothing stages.
         levels, shapes = [], []
         flat_linf, solve = opa._flat_linf, np.linalg.solve
 
@@ -447,6 +449,15 @@ class TestFlat:
         res, _ = solve_flat(CPLX, 16, SpaceParams.power(INF, 0.5))
         assert res.converged and res.rel_gap <= 1e-9
         assert res.iterations <= 120
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_sup_norm_secant_start_step_count(self, n, alpha):
+        # the secant start of each smoothing stage lands near the minimizer
+        # of the next eps: 17-28 steps here
+        res, _ = solve_flat(CPLX, n, SpaceParams.power(INF, alpha))
+        assert res.converged and res.rel_gap <= 1e-9
+        assert res.iterations <= 30
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("n", [16, 64, 128])

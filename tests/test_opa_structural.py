@@ -9,7 +9,7 @@ import pytest
 from lpopa import (CircleZeroSpec, ExpPolyFit, Poly, SpaceParams, UnsupportedExponentError,
                    eval_derivative, expand, lower_bound, solve_convex, solve_flat,
                    solve_hilbert, solve_structural)
-from lpopa.opa import _dual_slopes, _dual_value, _residual_rows
+from lpopa.opa import _dual_slopes, _dual_value, _residual_rows, _setup
 from lpopa.rates import _dispatch
 
 PI = math.pi
@@ -164,6 +164,21 @@ class TestDualDerivatives:
             np.testing.assert_allclose(-curve / (2 * eps), hess[:, k], rtol=1e-5, atol=1e-7)
         # the Lagrangian minimizer: its constraint defect is the gradient
         np.testing.assert_allclose(b - np.einsum("tcr,tc->r", A, r), grad, atol=1e-12)
+
+    def test_hessian_matches_einsum_at_high_multiplicity(self):
+        # the Hessian, one BLAS product over the rows, against the
+        # three-operand einsum of its formula at R = 300 unknowns
+        sp = SpaceParams.power(1.5, 0.0)
+        _, w, (A, b, _) = _setup(CircleZeroSpec(((0.0, 300),)), 0, sp)
+        q = sp.q
+        lam = np.random.default_rng(3).standard_normal(b.size)
+        _, y, size = _dual_value(A, b, w, q, lam)
+        hess = _dual_slopes(A, b, w, q, y, size)[1]
+        a = w ** (1.0 - q) * size ** (q - 2.0)
+        along = np.einsum("tcr,tc->tr", A, y / size[:, None])
+        want = np.einsum("tcr,t,tcs->rs", A, a, A) + (q - 2.0) * (along.T * a) @ along
+        assert hess.shape == (300, 300)
+        assert np.abs(hess - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_oracle_triangle_across_weights():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from lpopa import (CircleZeroSpec, IllConditionedError, Poly, SpaceParams,
+from lpopa import (CircleZeroSpec, IllConditionedError, Poly, SpaceParams, SweepError,
                    closed_form_one_minus_zd, dilate, expand, geometric_grid, lower_bound, opa,
                    power_weight, rates, run_sweep, solve_hilbert, table_weight)
 from lpopa.cli import main
@@ -139,9 +139,13 @@ def test_failed_factorization_raises_at_the_order_a_solve_fails(alpha, minor):
                     f"Gram factorization failed: {minor}-th leading minor not positive definite")
     prepared = rates._prepare(Z1_4, grid[-1], sp, "auto")
     assert first_failure(prepared) == want
-    with pytest.raises(IllConditionedError) as err:
+    with pytest.raises(SweepError) as err:
         run_sweep(Z1_4, sp, grid)
     assert str(err.value) == want[1]
+    # the sweep stops at that order and keeps the points before it
+    assert err.value.failed_orders == (want[0],)
+    assert [pt.n for pt in err.value.points] == [n for n in grid if n < want[0]]
+    assert isinstance(err.value.__cause__, IllConditionedError)
 
     def outcome(solve, n):
         try:
@@ -153,6 +157,18 @@ def test_failed_factorization_raises_at_the_order_a_solve_fails(alpha, minor):
     for n in (minor - 3, minor - 2, minor - 1):
         assert outcome(prepared, n) == outcome(lambda n: solve_hilbert(f, n, sp.weight), n)
     assert "leading minor" in outcome(prepared, minor - 1)
+
+
+@pytest.mark.parametrize("p", [1.5, math.inf])
+def test_refused_order_lists_the_unconverged_ones_before_it(p):
+    # 1 - z/2: orders 32 to 256 are unconverged and n = 512 is refused
+    # (its right side underflows); the sweep ends there with every failure
+    grid = geometric_grid(16, 1024)
+    with pytest.raises(SweepError, match="right side underflows") as err:
+        run_sweep(Poly([1, -0.5]), SpaceParams.power(p, 0.0), grid)
+    assert err.value.failed_orders == (32, 64, 128, 256, 512)
+    assert [(pt.n, pt.converged) for pt in err.value.points] == [
+        (16, True), (32, False), (64, False), (128, False), (256, False)]
 
 
 def test_z1_4_sweep_below_the_failing_minor(capsys):
