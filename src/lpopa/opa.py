@@ -42,7 +42,7 @@ from .errors import DegreeCapError, IllConditionedError, UnsupportedExponentErro
 from .poly import (MAX_DEGREE, ONE, CircleZeroSpec, Poly, expand, lstsq_div,
                    signed_powers)
 from .space import SpaceParams, _row_norms, norm
-from .weights import Weight, dilate
+from .weights import Weight
 
 log = logging.getLogger(__name__)
 
@@ -129,9 +129,7 @@ class OpaResult:
             return None
         wv = self.sp.weight.values_up_to(self.n + self.f.degree)
         dv = signed_powers(self.residual.padded(wv.size), self.sp.p - 1.0) * wv
-        # scaled first: |f_k|^p overflows at a high multiplicity, and f / inf pairs to 0
-        fc = self.f.coeffs / np.abs(self.f.coeffs).max()
-        unit = fc / _table_norm(fc, wv, self.sp.p)
+        unit = _unit_and_norm(self.f, self.sp)[0]
         return float(np.abs(np.correlate(dv, np.conj(unit), mode="valid")).max())
 
 
@@ -156,6 +154,15 @@ def _table_norm(c: np.ndarray, wv: np.ndarray, p: float) -> float:
     """:func:`space.norm` of coefficients c against a weight table wv from
     index 0 on, at least as long as c: the same formula, so the same bits."""
     return float(_row_norms(np.abs(c), wv[: c.size], p)) if c.size else 0.0
+
+
+def _unit_and_norm(f: Poly, sp: SpaceParams) -> tuple[np.ndarray, float]:
+    """The coefficients of f / norm(f), and norm(f), from f divided by its largest
+    coefficient modulus first: |f_k|^p overflows at a high multiplicity."""
+    top = float(np.abs(f.coeffs).max())
+    fc = f.coeffs / top
+    size = norm(Poly(fc), sp)
+    return fc / size, top * size
 
 
 def _finalize(f: Poly, c: np.ndarray, sp: SpaceParams, iterations: int,
@@ -353,8 +360,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     # f scaled to unit norm; x holds the real, then the imaginary parts of the
     # coefficients of P |f|, so the residual 1 - P f is unchanged by the scaling
     wv = sp.weight.values_up_to(n + f.degree)
-    scale = _table_norm(f.coeffs, wv, p)
-    fc = f.coeffs / scale
+    fc, scale = _unit_and_norm(f, sp)
 
     def residual(x: np.ndarray) -> np.ndarray:
         r = -np.convolve(x[: n + 1] + 1j * x[n + 1:], fc)
@@ -920,11 +926,12 @@ def prepare_closed_form(f: Poly, n_max: int, sp: SpaceParams):
     """The order-n closed-form solve of f = c*(1 - z^d) for every n <= n_max.
 
     Q(z^d) * (1 / c), Q that of :func:`closed_form_one_minus_zd`, is finalized
-    against the given f, a match to rounding included.  The sums s_k of the
-    order-n formula are the first M + 2 of those at n_max, and np.cumsum adds
-    in sequence, so one :func:`delta_sums` and one weight table at n_max serve
-    every order with the bits of its own.  A ValueError if f is not c*(1 - z^d),
-    and for an order outside 0..n_max; n_max is validated.
+    against the given f, a match to rounding included.  It reads one weight
+    table, w_0 .. w_{n_max + d}: the residual norms whole, and the sums s_k
+    of the dilated weight w_{dt} with stride d.  The sums of the order-n
+    formula are the first M + 2 of those at n_max, and np.cumsum adds in
+    sequence, so every order gets the bits of its own.  A ValueError if f is
+    not c*(1 - z^d), and for an order outside 0..n_max; n_max is validated.
     """
     match = detect_one_minus_zd(f)
     if match is None:
@@ -934,8 +941,8 @@ def prepare_closed_form(f: Poly, n_max: int, sp: SpaceParams):
     if sp.is_flat:
         raise UnsupportedExponentError(
             "closed form is implemented for 1 < p < inf only")
-    s = delta_sums(SpaceParams(sp.p, dilate(sp.weight, d)), n_max // d + 1)
     wv = sp.weight.values_up_to(n_max + d)
+    s = np.cumsum(wv[::d][: n_max // d + 2] ** (-sp.q / sp.p))
 
     def solve(n: int) -> OpaResult:
         if not 0 <= n <= n_max:
@@ -1011,7 +1018,7 @@ def bj_certificate(result: OpaResult, n_probes: int = 100, seed: int = 0) -> flo
     f, sp = result.f, result.sp
     rng = np.random.default_rng(seed)
     base = result.optimal_norm
-    radius = 1e-3 * base / norm(f, sp)
+    radius = 1e-3 * base / _unit_and_norm(f, sp)[1]
     n, d = result.n, f.degree
     size = max(result.residual.coeffs.size, n + d + 1)
     trials = np.tile(result.residual.padded(size), (n_probes, 1))

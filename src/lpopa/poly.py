@@ -160,28 +160,6 @@ def monomial(k: int, c: complex = 1.0) -> Poly:
     return Poly(coeffs)
 
 
-def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Long division num = q*den + r with deg r < deg den.
-
-    The remainder is recomputed as num - q*den so it reflects the actual
-    floating-point defect of the quotient; one that overflows raises ValueError.
-    """
-    if den.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero or num.degree < den.degree:
-        return Poly(), num
-    work = np.array(num.coeffs)
-    dc = den.coeffs
-    dd = den.degree
-    lead = dc[-1]
-    q = np.zeros(num.degree - dd + 1, dtype=np.complex128)
-    for k in range(q.size - 1, -1, -1):
-        q[k] = work[k + dd] / lead
-        work[k: k + dd + 1] -= q[k] * dc
-    quotient = Poly(q)
-    return quotient, num - quotient * den
-
-
 def lstsq_div(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Division with the quotient chosen to minimize the remainder 2-norm.
 
@@ -242,29 +220,20 @@ def lstsq_div(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 def exact_div(num: Poly, den: Poly, tol: float = 1e-9) -> Poly:
     """Quotient num/den, accepted only when the remainder is negligible.
 
-    The remainder must satisfy max|r| <= tol * max|num| in the coefficient
-    sup norm; otherwise InexactDivisionError is raised (a large remainder
-    signals that den genuinely does not divide num).  Long division is tried
-    first and the banded least-squares quotient of :func:`lstsq_div` is used
-    as a fallback, so the check is robust to divisors with small leading
-    coefficients or zeros outside the disc.
+    The quotient is that of :func:`lstsq_div`, whose remainder r = num - q*den
+    is the least, in the 2-norm, that any quotient leaves.  It must satisfy
+    max|r| <= tol * max|num| in the coefficient sup norm; otherwise
+    InexactDivisionError is raised (a large remainder signals that den
+    genuinely does not divide num).
     """
-    scale = float(np.abs(num.coeffs).max()) if not num.is_zero else 0.0
-    limit = tol * max(scale, 1e-300)
-    try:
-        q, r = poly_divmod(num, den)
-    except ValueError:      # the quotient overflowed: zeros of den outside the disc
-        q, r = lstsq_div(num, den)
-    if r.is_zero or float(np.abs(r.coeffs).max()) <= limit:
+    q, r = lstsq_div(num, den)
+    scale = max(float(np.abs(num.coeffs).max(initial=0.0)), 1e-300)
+    rmax = float(np.abs(r.coeffs).max(initial=0.0))
+    if rmax <= tol * scale:
         return q
-    q2, r2 = lstsq_div(num, den)
-    if r2.is_zero or float(np.abs(r2.coeffs).max()) <= limit:
-        return q2
-    rmax = float(np.abs(r.coeffs).max())
-    rel = rmax / max(scale, 1e-300)
     raise InexactDivisionError(
-        f"remainder {rmax:.3e} exceeds {tol:.1e} * |num| (relative {rel:.3e})",
-        remainder=r, relative=rel)
+        f"remainder {rmax:.3e} exceeds {tol:.1e} * |num| (relative {rmax / scale:.3e})",
+        remainder=r, relative=rmax / scale)
 
 
 def eval_derivative(p: Poly, z0: complex, order: int = 0) -> complex:

@@ -208,7 +208,7 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto") -> list[Sw
 
     The lower bounds come from one weight table, and the solves from one
     :func:`_prepare` at the largest order: on the closed-form and Hilbert
-    routes that is the one delta_sums or Gram factorization of the sweep,
+    routes that is the one set of cumulative sums or Gram factorization of the sweep,
     and its time counts in the ``wall_ms`` of the largest order, whose own
     solve it is.  Raises SweepError listing the failing orders, and
     carrying every point, if any solve does not converge; a solve that

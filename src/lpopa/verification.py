@@ -20,7 +20,7 @@ from .opa import (OpaResult, _complex, _hilbert_dual, _setup, bj_certificate,
 from .poly import CircleZeroSpec, Poly, expand
 from .rates import delta, lower_bound
 from .space import SpaceParams, multiplication_bound_batch, norm
-from .weights import dilate
+from .weights import table_weight
 
 
 @dataclass
@@ -61,7 +61,9 @@ def closed_form_check(cases, convex: bool = True) -> CheckResult:
     records, identity, coeff, convex_dev = [], [], [], []
     for d, n, sp in cases:
         cf = closed_form_one_minus_zd(d, n, sp)
-        delta_p = delta(n // d + 1, SpaceParams(sp.p, dilate(sp.weight, d))) ** sp.p
+        k = n // d + 1
+        dilated = table_weight(sp.weight.values_up_to(d * k)[::d])     # w_{dt}, t <= k
+        delta_p = delta(k, SpaceParams(sp.p, dilated)) ** sp.p
         identity.append(abs(cf.optimal_norm ** sp.p * delta_p - 1.0))
         records.append(cf)
         if convex:

@@ -2,12 +2,11 @@
 
 A weight is a sequence of positive reals w_0 = 1, w_1, w_2, ... subject to
 two growth conditions: a doubling bound C^-1 w_k <= w_{k+t} <= C w_k for
-0 <= t <= k+1, and consecutive ratios w_{k+1}/w_k -> 1.  Three kinds are
+0 <= t <= k+1, and consecutive ratios w_{k+1}/w_k -> 1.  Two kinds are
 supported:
 
-* ``power``:   w_k = (k+1)**alpha, the standard scale of spaces,
-* ``table``:   explicit values plus a tail rule for indices past the table,
-* ``dilated``: w_k = base_{stride*k}, used to reduce 1 - z^d problems to d = 1.
+* ``power``: w_k = (k+1)**alpha, the standard scale of spaces,
+* ``table``: explicit values plus a tail rule for indices past the table.
 
 Both conditions are limits or all-k statements, so admissibility is checked
 by sampling up to a configurable index rather than proven symbolically.
@@ -32,16 +31,14 @@ _TAIL_RULES = ("constant", "power")
 class Weight:
     """Immutable positive weight sequence with w_0 = 1.
 
-    Use the :func:`power_weight`, :func:`table_weight` and :func:`dilate`
-    constructors rather than instantiating directly.
+    Use the :func:`power_weight` and :func:`table_weight` constructors
+    rather than instantiating directly.
     """
 
     kind: str
     alpha: float | None = None
     values_table: tuple[float, ...] | None = None
     tail: str = "constant"
-    base: "Weight | None" = None
-    stride: int = 1
     declared_doubling: float | None = field(default=None, compare=False)
 
     def at_indices(self, idx) -> np.ndarray:
@@ -51,8 +48,6 @@ class Weight:
             raise ValueError("weight index must be >= 0")
         if self.kind == "power":
             return (idx + 1.0) ** self.alpha
-        if self.kind == "dilated":
-            return self.base.at_indices(idx * self.stride)
         vals = np.asarray(self.values_table, dtype=float)
         length = len(vals)
         out = np.empty(idx.shape, dtype=float)
@@ -86,17 +81,12 @@ class Weight:
         """The weight k -> w_k**exponent (w_0 stays 1)."""
         if self.kind == "power":
             return power_weight(self.alpha * exponent)
-        if self.kind == "dilated":
-            return Weight(kind="dilated", base=self.base.pointwise_power(exponent),
-                          stride=self.stride)
         vals = tuple(v ** exponent for v in self.values_table)
         return Weight(kind="table", values_table=vals, tail=self.tail)
 
     def __repr__(self) -> str:
         if self.kind == "power":
             return f"Weight(power, alpha={self.alpha})"
-        if self.kind == "dilated":
-            return f"Weight(dilated, stride={self.stride}, base={self.base!r})"
         return f"Weight(table, len={len(self.values_table)}, tail={self.tail!r})"
 
 
@@ -138,17 +128,6 @@ def weight_at(w: Weight, k: int) -> float:
     return w.at(k)
 
 
-def dilate(w: Weight, d: int) -> Weight:
-    """The dilated weight t -> w_{d t}.  Note w~_0 = w_0 = 1 automatically."""
-    if d < 1:
-        raise ValueError("dilation factor must be a positive integer")
-    if d == 1:
-        return w
-    if w.kind == "dilated":
-        return Weight(kind="dilated", base=w.base, stride=w.stride * d)
-    return Weight(kind="dilated", base=w, stride=d)
-
-
 def _empirical_doubling(w: Weight, k_max: int) -> float:
     """Max over k <= k_max, 0 <= t <= k+1 of the two-sided ratio w_{k+t}/w_k."""
     vals = w.values_up_to(2 * k_max + 1)
@@ -165,11 +144,7 @@ def _empirical_doubling(w: Weight, k_max: int) -> float:
 def _doubling_cached(w: Weight) -> float:
     if w.kind == "power":
         return 2.0 ** abs(w.alpha)
-    if w.kind == "table":
-        k_max = max(256, 2 * len(w.values_table))
-    else:
-        k_max = 512
-    empirical = _empirical_doubling(w, k_max)
+    empirical = _empirical_doubling(w, max(256, 2 * len(w.values_table)))
     if w.declared_doubling is not None and empirical > w.declared_doubling * (1 + 1e-12):
         raise AdmissibilityError(
             f"weight violates its declared doubling constant "
@@ -180,8 +155,8 @@ def _doubling_cached(w: Weight) -> float:
 def doubling_constant_for(w: Weight) -> float:
     """A valid doubling constant C for the weight.
 
-    Power weights get the sharp 2**|alpha|; table and dilated weights get the
-    empirical maximum over their explicit / sampled range.  A table weight
+    Power weights get the sharp 2**|alpha|; table weights get the empirical
+    maximum over k <= max(256, twice the table length).  A table weight
     whose values violate its declared constant raises AdmissibilityError.
     """
     return _doubling_cached(w)

@@ -204,6 +204,15 @@ class TestArgumentValidation:
             assert text not in proc.stderr
         assert json.loads(proc.stdout)["converged"] is False
 
+    def test_overflowing_f_convex_compute_ends_clean(self):
+        # (z-1)^300's binomials, up to 9e88, overflow at p = 4 unless f is
+        # scaled by its largest coefficient before its norm is taken
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "lpopa", "compute",
+                               "--roots", "0:300", "--p", "4", "--n", "0", "--solver", "convex"],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode in (0, 3), proc.stderr
+        json.loads(proc.stdout)
+
     def test_non_finite_weight_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         path.write_text('{"kind": "table", "values": [NaN, 2, 3]}')

@@ -278,6 +278,18 @@ class TestClosedForm:
         np.testing.assert_allclose(res.approximant.padded(8),
                                    other.approximant.padded(8), atol=1e-8)
 
+    def test_one_weight_table_serves_sums_and_norms(self, monkeypatch):
+        # the sums read the dilated weight w_{dt} off the residual's table
+        lasts, values_up_to = [], Weight.values_up_to
+
+        def counted(w, last):
+            lasts.append(last)
+            return values_up_to(w, last)
+
+        monkeypatch.setattr(Weight, "values_up_to", counted)
+        opa.prepare_closed_form(one_minus_zd(3), 40, SpaceParams.power(1.5, 0.5))
+        assert lasts == [43]
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             closed_form_one_minus_zd(0, 1, SpaceParams.power(2, 0))
@@ -701,6 +713,15 @@ def test_pairing_survives_an_overflowing_f():
         pairing = res.ortho_residual_max
         assert 0.0 < pairing < math.inf
         assert pairing == pytest.approx(scaled.ortho_residual_max, rel=1e-12)
+
+
+def test_certificate_survives_an_overflowing_f():
+    # norm(f) of (z-1)^300 overflows at p = 4 unless f is scaled first, and
+    # an infinite norm would make every probe step 0
+    res = solve_structural(CircleZeroSpec(((0.0, 300),)), 0, SpaceParams.power(4, 0.0))[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bj_certificate(res) >= 0.0
 
 
 PROBLEM_ROUTES = {

@@ -7,8 +7,8 @@ import pytest
 
 import lpopa.space
 from lpopa import (Poly, SpaceParams, UnsupportedExponentError, bj_residual,
-                   dilate, evaluation_bound, multiplication_bound_check, norm,
-                   power_weight, table_weight, to_unweighted, wiener_norm)
+                   evaluation_bound, multiplication_bound_check, norm, power_weight,
+                   table_weight, to_unweighted, wiener_norm)
 from lpopa.space import multiplication_constant, split_bound_terms
 
 INF = math.inf
@@ -242,7 +242,9 @@ BATCH_SPACES = (
      for alpha in (-1.0, 0.0, 1.0)]
     + [SpaceParams(p, table_weight([1, 1.5, 2.2, 2.9, 3.1, 4.0], tail="power"))
        for p in (1.0, 1.5, 2.0, 3.0, INF)]
-    + [SpaceParams(p, dilate(power_weight(0.5), 3)) for p in (1.0, 1.5, 2.0, 3.0, INF)])
+    # w_{3t} of a power weight, tabulated past the index 1025 the doubling constant reads
+    + [SpaceParams(p, table_weight(power_weight(0.5).values_up_to(3 * 1025)[::3], tail="power"))
+       for p in (1.0, 1.5, 2.0, 3.0, INF)])
 
 
 class TestMultiplicationBoundBatch:

@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from lpopa import (CircleZeroSpec, IllConditionedError, Poly, SpaceParams, SweepError,
-                   closed_form_one_minus_zd, dilate, expand, geometric_grid, lower_bound, opa,
+                   closed_form_one_minus_zd, expand, geometric_grid, lower_bound, opa,
                    power_weight, rates, run_sweep, solve_hilbert, table_weight)
 from lpopa.cli import main
 from lpopa.opa import prepare_closed_form, prepare_hilbert
@@ -28,7 +28,8 @@ WEIGHTS = {
     "power-negative": power_weight(-0.5),
     "table-constant": table_weight([1, 2, 3.5, 4]),
     "table-power": table_weight([1, 1.5, 2.2, 3.1, 4.0], tail="power"),
-    "dilated": dilate(power_weight(0.7), 3),
+    # w_{3t} of a power weight, tabulated past the index 1027 the sweeps read
+    "dilated": table_weight(power_weight(0.7).values_up_to(3 * 1027)[::3], tail="power"),
 }
 # each holds n = 0 and orders below deg f = 3
 GRIDS = {"small": [0, 1, 2, 5, 40], "wide": [0, 2, 64, 257, 1024]}

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from lpopa import (AdmissibilityError, dilate, doubling_constant_for, power_weight,
-                   table_weight, verify_admissibility, weight_at, weight_from_config)
+from lpopa import (AdmissibilityError, SpaceParams, closed_form_one_minus_zd,
+                   doubling_constant_for, power_weight, table_weight, verify_admissibility,
+                   weight_at, weight_from_config)
 
 
 def brute_force_doubling(w, k_max):
@@ -61,35 +62,45 @@ class TestDoublingConstant:
                 assert window.min() >= vals[k] / c * (1 - 1e-12)
 
 
+def dilated(w, d, m):
+    """w_{dt}, t = 0..m, as the closed form of 1 - z^d reads it at p = 2.
+
+    There Q_t = 1 - s_t / s_{m+1} at order d m, with s_t the sums of 1 / w_{dj},
+    j <= t, and the optimal norm squared is 1 / s_{m+1}; so 1 / w_{dt} is
+    s_{m+1} (Q_{t-1} - Q_t), with Q_{-1} = 1.
+    """
+    res = closed_form_one_minus_zd(d, d * m, SpaceParams(2.0, w))
+    q = np.concatenate([[1.0], res.approximant.padded(d * m + 1)[::d].real])
+    return res.optimal_norm ** 2 / (q[:-1] - q[1:])
+
+
 class TestDilate:
     def test_flat_stays_flat(self):
-        w = dilate(power_weight(0.0), 3)
-        assert np.all(w.values_up_to(50) == 1.0)
+        np.testing.assert_allclose(dilated(power_weight(0.0), 3, 50), 1.0, rtol=1e-12)
 
     def test_linear_doubled(self):
-        w = dilate(power_weight(1.0), 2)
-        assert weight_at(w, 2) == 5.0
+        assert dilated(power_weight(1.0), 2, 4)[2] == pytest.approx(5.0, rel=1e-12)
 
     def test_quadratic(self):
         # w~_1 = w_2 = 3^2 by direct substitution
-        w = dilate(power_weight(2.0), 2)
-        assert weight_at(w, 1) == 9.0
+        assert dilated(power_weight(2.0), 2, 4)[1] == pytest.approx(9.0, rel=1e-12)
 
     def test_identity_dilation(self):
         base = power_weight(0.5)
-        w = dilate(base, 1)
-        np.testing.assert_array_equal(w.values_up_to(64), base.values_up_to(64))
+        np.testing.assert_allclose(dilated(base, 1, 64), base.values_up_to(64), rtol=1e-12)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            dilate(power_weight(1.0), 0)
+            dilated(power_weight(1.0), 0, 4)
 
     def test_starts_at_one(self):
-        assert weight_at(dilate(power_weight(2.5), 7), 0) == 1.0
+        assert dilated(power_weight(2.5), 7, 4)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_nested_dilation(self):
-        w = dilate(dilate(power_weight(1.0), 2), 3)
-        assert weight_at(w, 4) == weight_at(power_weight(1.0), 24)
+        # w_{2t} read to t = 30 covers the indices 0..15 the order-12 read by 3 takes
+        inner = table_weight(dilated(power_weight(1.0), 2, 30))
+        assert dilated(inner, 3, 4)[4] == pytest.approx(weight_at(power_weight(1.0), 24),
+                                                       rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
@@ -154,7 +165,9 @@ class TestAdmissibility:
             verify_admissibility(w, k_test=256)
 
     def test_dilated_power_passes(self):
-        verify_admissibility(dilate(power_weight(1.0), 3), k_test=1024)
+        # w_{3t} of w_k = k + 1, tabulated past the index 2049 the check reads
+        dilated = table_weight(power_weight(1.0).values_up_to(3 * 2049)[::3], tail="power")
+        verify_admissibility(dilated, k_test=1024)
 
 
 def test_weight_from_config():
