@@ -9,13 +9,12 @@ from .opa import (ExpPolyFit, OpaResult, SolverOpts,
 from .poly import (CircleZeroSpec, Poly, eval_derivative, exact_div, expand,
                    parse_angle, poly_from_config, signed_power, signed_powers)
 from .rates import (RateFit, RatePrediction, SweepPoint, classify, delta,
-                    fit_rates, geometric_grid, lower_bound, run_sweep,
-                    sweep_and_fit)
+                    fit_rates, geometric_grid, lower_bound, run_sweep)
 from .space import (SpaceParams, bj_residual, evaluation_bound,
                     multiplication_bound_batch, multiplication_bound_check, norm,
                     to_unweighted, wiener_norm)
 from .weights import (Weight, doubling_constant_for, power_weight, table_weight,
-                      verify_admissibility, weight_at, weight_from_config)
+                      verify_admissibility, weight_from_config)
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,7 @@ __all__ = [
     "multiplication_bound_check",
     "norm", "parse_angle", "poly_from_config", "power_weight",
     "run_sweep", "signed_power", "signed_powers", "solve_convex", "solve_flat",
-    "solve_hilbert", "solve_structural", "sweep_and_fit", "table_weight",
-    "to_unweighted", "verify_admissibility", "weight_at", "weight_from_config",
+    "solve_hilbert", "solve_structural", "table_weight",
+    "to_unweighted", "verify_admissibility", "weight_from_config",
     "wiener_norm",
 ]

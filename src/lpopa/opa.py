@@ -150,6 +150,13 @@ def check_degree_cap(n: int, d: int) -> None:
                              f"the degree cap {MAX_DEGREE}")
 
 
+def check_convex_cap(n: int) -> None:
+    """Raise DegreeCapError if order n passes the cap of :func:`solve_convex`."""
+    if n > _CONVEX_MAX_ORDER:
+        raise DegreeCapError(f"order n = {n} exceeds the convex oracle's cap "
+                             f"{_CONVEX_MAX_ORDER} (dense Newton on 2(n+1) unknowns)")
+
+
 def _table_norm(c: np.ndarray, wv: np.ndarray, p: float) -> float:
     """:func:`space.norm` of coefficients c against a weight table wv from
     index 0 on, at least as long as c: the same formula, so the same bits."""
@@ -349,9 +356,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     if sp.is_flat:
         raise UnsupportedExponentError("solve_convex needs 1 < p < inf; use solve_flat")
     _validate(f, n)
-    if n > _CONVEX_MAX_ORDER:
-        raise DegreeCapError(f"order n = {n} exceeds the convex oracle's cap "
-                             f"{_CONVEX_MAX_ORDER} (dense Newton on 2(n+1) unknowns)")
+    check_convex_cap(n)
     p = sp.p
     iterations = 0
     if p < _CONTINUATION_P:
@@ -701,9 +706,6 @@ class ExpPolyFit:
     fit_residual = property(lambda self: self.form()[1])
     system_residual = property(lambda self: self.form()[2])
 
-    def constant_sum(self) -> complex:
-        return sum(self.constants.values())
-
 
 def solve_structural(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, ExpPolyFit | None]:
     """Order-n approximant for 1 < p < inf by Newton's method on the dual.
@@ -812,6 +814,8 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
     against the remaining right side, with fewer entries and rows of lower
     rank.  A set of every entry (a dual that underflows) is not recursed on:
     r stays 0 there, and the certificate leaves the result unconverged.
+    Nor is a remaining right side of 0, as f(0) = 0 leaves (where r = e_0 is
+    optimal): r = 0 solves it, and its plane b . lam = 1 is empty.
     Returns r, lam and the Newton steps.
     """
     m, c, R = A.shape
@@ -870,8 +874,9 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
     k = int((sv > _FREE_TOL * sv[0]).sum()) if sv.size else 0
     if k and not free.all():
         rest = u[:, :k].T @ (b - np.einsum("tcr,tc->r", A[~free], r[~free])) / sv[:k]
-        r[free], _, more = _flat_linf(vh[:k].T.reshape(-1, c, k), rest, w[free])
-        steps += more
+        if rest.any():      # a zero right side leaves r = 0 on the free set
+            r[free], _, more = _flat_linf(vh[:k].T.reshape(-1, c, k), rest, w[free])
+            steps += more
     return r, lam, steps
 
 

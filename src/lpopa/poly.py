@@ -95,10 +95,7 @@ class Poly:
         return out
 
     def __call__(self, z: complex) -> complex:
-        val = 0j
-        for c in self._c[::-1]:
-            val = val * z + c
-        return complex(val)
+        return eval_derivative(self, z)
 
     def __add__(self, other):
         other = _as_poly(other)
@@ -292,10 +289,6 @@ class CircleZeroSpec:
     @property
     def max_multiplicity(self) -> int:
         return max(m for _, m in self.roots)
-
-    @property
-    def simple(self) -> bool:
-        return self.max_multiplicity == 1
 
     def with_simple_roots(self) -> "CircleZeroSpec":
         """Same zero set, all multiplicities reduced to 1, leading 1."""

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import (IllConditionedError, InternalConsistencyError, SweepError,
                      UnsupportedExponentError)
-from .opa import (OpaResult, check_degree_cap, delta_sums, detect_one_minus_zd,
-                  prepare_closed_form, prepare_hilbert, solve_convex, solve_flat,
-                  solve_structural)
+from .opa import (OpaResult, check_convex_cap, check_degree_cap, delta_sums,
+                  detect_one_minus_zd, prepare_closed_form, prepare_hilbert,
+                  solve_convex, solve_flat, solve_structural)
 from .poly import CircleZeroSpec, Poly, expand
 from .space import SpaceParams
 
@@ -192,6 +192,8 @@ def _prepare(problem, n_max: int, sp: SpaceParams, solver: str):
             raise ValueError("the hilbert solver applies only at p = 2")
         return prepare_hilbert(f, n_max, sp.weight)
     if solver == "convex":
+        if not sp.is_flat:      # the oracle's cap before the first solve
+            check_convex_cap(n_max)
         return lambda n: solve_convex(f, n, sp)
     if solver == "flat":
         return lambda n: solve_flat(problem, n, sp)[0]
@@ -217,7 +219,8 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto") -> list[Sw
     carries the points before it (the cause is the IllConditionedError).
     Raises InternalConsistencyError if a computed norm undercuts the
     universal lower bound.  A grid with orders past the degree cap raises
-    DegreeCapError for the first of them before any bound or preparation.
+    DegreeCapError for the first of them before any bound or preparation,
+    and one past the convex oracle's cap for its last before any solve.
     """
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -292,12 +295,6 @@ def fit_rates(points: list[SweepPoint], sp: SpaceParams, fit_min_n: int = 32) ->
     return RateFit(samples=[(pt.n, pt.optimal_norm) for pt in window],
                    fitted_exponent=float(slope), fitted_log_exponent=log_slope,
                    r_squared=r2)
-
-
-def sweep_and_fit(problem, sp: SpaceParams, n_grid, solver: str = "auto",
-                  fit_min_n: int = 32) -> RateFit:
-    """Run a sweep and fit the decay exponent in one call."""
-    return fit_rates(run_sweep(problem, sp, n_grid, solver), sp, fit_min_n)
 
 
 def log_band_ratio(points: list[SweepPoint], sp: SpaceParams,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import UnsupportedExponentError
 from .poly import Poly, signed_powers
-from .weights import Weight, power_weight
+from .weights import Weight, doubling_constant_for, power_weight
 
 INF = math.inf
 
@@ -152,7 +152,7 @@ def multiplication_constant(sp: SpaceParams) -> float:
     split (s + t <= 2s + 1), giving C_w; it enters inside the p-th root for
     finite p and directly at p = inf.
     """
-    c = sp.weight.doubling_constant
+    c = doubling_constant_for(sp.weight)
     return c if sp.p == INF else c ** (1.0 / sp.p)
 
 

@@ -107,7 +107,7 @@ def structural_check(cases) -> CheckResult:
         constants, fit_residual, system_residual = fit.form()
         system.append(system_residual)
         fit_res.append(fit_residual)
-        if spec.simple:
+        if spec.max_multiplicity == 1:
             total, target = sum(constants.values()), st.optimal_norm ** sp.p
             sum_rel.append(abs(total - target) / target)
             sum_imag.append(abs(total.imag))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,10 +72,6 @@ class Weight:
         """Values w_0 .. w_last as an array of length last_index + 1."""
         return self.at_indices(np.arange(last_index + 1))
 
-    @property
-    def doubling_constant(self) -> float:
-        return doubling_constant_for(self)
-
     def pointwise_power(self, exponent: float) -> "Weight":
         """The weight k -> w_k**exponent (w_0 stays 1)."""
         if self.kind == "power":
@@ -123,43 +118,30 @@ def table_weight(values, tail: str = "constant",
                   declared_doubling=declared_doubling)
 
 
-def weight_at(w: Weight, k: int) -> float:
-    """Value w_k (total for k >= 0)."""
-    return w.at(k)
+def _doubling_ratio(vals: np.ndarray, k: int) -> float:
+    """Max of w_{k+t}/w_k and w_k/w_{k+t} over 0 <= t <= k+1; at least 1 (t = 0)."""
+    window = vals[k:2 * k + 2]
+    return max(window.max() / vals[k], vals[k] / window.min())
 
 
-def _empirical_doubling(w: Weight, k_max: int) -> float:
-    """Max over k <= k_max, 0 <= t <= k+1 of the two-sided ratio w_{k+t}/w_k."""
-    vals = w.values_up_to(2 * k_max + 1)
-    worst = 1.0
-    for k in range(k_max + 1):
-        window = vals[k:2 * k + 2]
-        hi = window.max() / vals[k]
-        lo = vals[k] / window.min()
-        worst = max(worst, hi, lo)
-    return worst
+def doubling_constant_for(w: Weight) -> float:
+    """A valid doubling constant C for the weight, computed on every call.
 
-
-@lru_cache(maxsize=256)
-def _doubling_cached(w: Weight) -> float:
+    Power weights get the sharp 2**|alpha|; a table weight its declared
+    constant, else the largest :func:`_doubling_ratio` over k <= max(256,
+    twice the table length), and AdmissibilityError if its values exceed
+    the declared constant there.
+    """
     if w.kind == "power":
         return 2.0 ** abs(w.alpha)
-    empirical = _empirical_doubling(w, max(256, 2 * len(w.values_table)))
+    k_max = max(256, 2 * len(w.values_table))
+    vals = w.values_up_to(2 * k_max + 1)
+    empirical = max(_doubling_ratio(vals, k) for k in range(k_max + 1))
     if w.declared_doubling is not None and empirical > w.declared_doubling * (1 + 1e-12):
         raise AdmissibilityError(
             f"weight violates its declared doubling constant "
             f"{w.declared_doubling} on the explicit range (observed {empirical:.6g})")
     return w.declared_doubling if w.declared_doubling is not None else empirical
-
-
-def doubling_constant_for(w: Weight) -> float:
-    """A valid doubling constant C for the weight.
-
-    Power weights get the sharp 2**|alpha|; table weights get the empirical
-    maximum over k <= max(256, twice the table length).  A table weight
-    whose values violate its declared constant raises AdmissibilityError.
-    """
-    return _doubling_cached(w)
 
 
 def verify_admissibility(w: Weight, k_test: int = DEFAULT_K_TEST) -> dict:
@@ -182,7 +164,6 @@ def verify_admissibility(w: Weight, k_test: int = DEFAULT_K_TEST) -> dict:
         raise AdmissibilityError("w_0 must equal 1")
 
     c = doubling_constant_for(w)
-    slack = 1 + 1e-12
     ks = list(range(min(k_test, 1024) + 1))
     k = 1024
     while k < k_test:
@@ -190,13 +171,11 @@ def verify_admissibility(w: Weight, k_test: int = DEFAULT_K_TEST) -> dict:
         ks.append(k)
     worst = 0.0
     for k in ks:
-        window = vals[k:2 * k + 2]
-        hi = window.max() / vals[k]
-        lo = vals[k] / window.min()
-        worst = max(worst, hi, lo)
-        if hi > c * slack or lo > c * slack:
+        ratio = _doubling_ratio(vals, k)
+        worst = max(worst, ratio)
+        if ratio > c * (1 + 1e-12):
             raise AdmissibilityError(
-                f"doubling bound violated at k={k}: ratio {max(hi, lo):.6g} > C={c:.6g}")
+                f"doubling bound violated at k={k}: ratio {ratio:.6g} > C={c:.6g}")
 
     def ratio_dev(k0: int) -> float:
         lo, hi = max(1, k0 // 2), k0

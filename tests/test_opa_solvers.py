@@ -989,3 +989,15 @@ def test_sup_norm_recursion_needs_a_smaller_free_set():
     with np.errstate(all="ignore"):
         r, lam, steps = opa._flat_linf(A, b, w)
     assert r.shape == (513, 1) and lam.shape == (1,) and not r.any()
+
+
+@pytest.mark.parametrize("coeffs", [[0, 0, 1], [0, 0, 0, 1], [0, 1, 1], [0, 1, -1]])
+@pytest.mark.parametrize("n", [0, 4, 64])
+def test_sup_norm_with_f_vanishing_at_zero_is_one(coeffs, n):
+    # r_0 = 1 for every P and w_0 = 1; the right side left off the dual's
+    # support is 0, whose plane b . lam = 1 is empty
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res, _ = solve_flat(Poly(coeffs), n, SpaceParams.power(INF, 0.0))
+    assert res.converged
+    assert abs(res.optimal_norm - 1.0) <= 1e-12

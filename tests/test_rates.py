@@ -9,8 +9,7 @@ import lpopa.opa
 from lpopa import (CircleZeroSpec, DegreeCapError, Poly, SpaceParams, SweepError,
                    UnsupportedExponentError, classify, closed_form_one_minus_zd,
                    delta, evaluation_bound, expand, fit_rates, geometric_grid,
-                   lower_bound, rates, run_sweep, solve_flat, solve_structural,
-                   sweep_and_fit)
+                   lower_bound, rates, run_sweep, solve_flat, solve_structural)
 from lpopa.poly import ONE
 from lpopa.rates import detect_one_minus_zd, log_band_ratio, predicted_value
 
@@ -176,22 +175,32 @@ class TestSweep:
                                                      "cap 65536$"):
                 run_sweep(problem, SpaceParams.power(p, 0), geometric_grid(64, 131072))
 
+    def test_convex_grid_past_the_oracle_cap_refused_before_any_solve(self, monkeypatch):
+        # the orders below the cap would take seconds to solve and write no row
+        calls = []
+        monkeypatch.setattr(rates, "solve_convex", lambda *args: calls.append(args))
+        with pytest.raises(DegreeCapError, match="^order n = 2048 exceeds the convex "
+                                                 "oracle's cap 1024"):
+            run_sweep(CircleZeroSpec(((0.0, 2), (PI, 1))), SpaceParams.power(1.5, 0.0),
+                      geometric_grid(256, 2048), solver="convex")
+        assert calls == []
+
     def test_hardy_exponent(self):
         sp = SpaceParams.power(2, 0)
-        fit = sweep_and_fit(Poly([1, -1]), sp, geometric_grid(64, 1024))
+        fit = fit_rates(run_sweep(Poly([1, -1]), sp, geometric_grid(64, 1024)), sp)
         assert fit.fitted_exponent == pytest.approx(-1.0, abs=0.05)
         assert fit.r_squared > 0.999
 
     def test_bergman_like_exponent(self):
         sp = SpaceParams.power(2, -1)
-        fit = sweep_and_fit(Poly([1, -1]), sp, geometric_grid(64, 1024))
+        fit = fit_rates(run_sweep(Poly([1, -1]), sp, geometric_grid(64, 1024)), sp)
         assert fit.fitted_exponent == pytest.approx(-2.0, abs=0.05)
 
     def test_degree_two_p3_via_convex(self):
         # generic-solver route; the decay exponent alpha + 1 - p = -2
         sp = SpaceParams.power(3, 0)
         f = expand(CircleZeroSpec(((0.0, 1), (PI, 1))))
-        fit = sweep_and_fit(f, sp, [32, 64, 128, 256], solver="convex")
+        fit = fit_rates(run_sweep(f, sp, [32, 64, 128, 256], solver="convex"), sp)
         assert fit.fitted_exponent == pytest.approx(-2.0, abs=0.15)
 
     def test_stagnation_detected(self):

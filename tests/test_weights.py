@@ -1,11 +1,14 @@
 """Tests for weight sequences: values, doubling constants, dilation, admissibility."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
+import lpopa
 from lpopa import (AdmissibilityError, SpaceParams, closed_form_one_minus_zd,
                    doubling_constant_for, power_weight, table_weight, verify_admissibility,
-                   weight_at, weight_from_config)
+                   weight_from_config)
 
 
 def brute_force_doubling(w, k_max):
@@ -20,21 +23,21 @@ def brute_force_doubling(w, k_max):
 
 class TestWeightAt:
     def test_flat(self):
-        assert weight_at(power_weight(0.0), 17) == 1.0
+        assert power_weight(0.0).at(17) == 1.0
 
     def test_linear(self):
-        assert weight_at(power_weight(1.0), 3) == 4.0
+        assert power_weight(1.0).at(3) == 4.0
 
     def test_inverse(self):
-        assert weight_at(power_weight(-1.0), 3) == 0.25
+        assert power_weight(-1.0).at(3) == 0.25
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            weight_at(power_weight(1.0), -1)
+            power_weight(1.0).at(-1)
 
     def test_w0_is_one(self):
         for alpha in (-2.0, -0.3, 0.0, 0.5, 3.0):
-            assert weight_at(power_weight(alpha), 0) == 1.0
+            assert power_weight(alpha).at(0) == 1.0
 
 
 class TestDoublingConstant:
@@ -99,8 +102,7 @@ class TestDilate:
     def test_nested_dilation(self):
         # w_{2t} read to t = 30 covers the indices 0..15 the order-12 read by 3 takes
         inner = table_weight(dilated(power_weight(1.0), 2, 30))
-        assert dilated(inner, 3, 4)[4] == pytest.approx(weight_at(power_weight(1.0), 24),
-                                                       rel=1e-12)
+        assert dilated(inner, 3, 4)[4] == pytest.approx(power_weight(1.0).at(24), rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
@@ -119,8 +121,8 @@ def test_power_inverse_product():
 class TestTableWeights:
     def test_constant_tail(self):
         w = table_weight([1.0, 2.0, 3.0], tail="constant")
-        assert weight_at(w, 1) == 2.0
-        assert weight_at(w, 10) == 3.0
+        assert w.at(1) == 2.0
+        assert w.at(10) == 3.0
 
     def test_power_tail_matches_power_weight(self):
         base = power_weight(0.5)
@@ -150,6 +152,18 @@ class TestTableWeights:
         w = table_weight([1.0, 1.5, 2.0], declared_doubling=4.0)
         assert doubling_constant_for(w) == 4.0
 
+    @pytest.mark.parametrize("order", list(permutations([10.0, None, 1.5])))
+    def test_equal_tables_keep_their_own_declared_constant(self, order):
+        # declared_doubling takes no part in equality, so nothing keyed on the
+        # weight may hand a table the constant of an equal one read before it
+        for declared in order:
+            w = table_weight([1, 2, 3], declared_doubling=declared)
+            if declared == 1.5:         # the values give 2
+                with pytest.raises(AdmissibilityError, match=r"\(observed 2\)$"):
+                    doubling_constant_for(w)
+            else:
+                assert doubling_constant_for(w) == (2.0 if declared is None else declared)
+
 
 class TestAdmissibility:
     def test_power_weights_pass(self):
@@ -172,10 +186,18 @@ class TestAdmissibility:
 
 def test_weight_from_config():
     w = weight_from_config({"kind": "power", "alpha": 0.5})
-    assert weight_at(w, 3) == 4.0 ** 0.5
+    assert w.at(3) == 4.0 ** 0.5
     t = weight_from_config({"kind": "table", "values": [1, 2, 4], "tail": "constant"})
-    assert weight_at(t, 9) == 4.0
+    assert t.at(9) == 4.0
     with pytest.raises(ValueError):
         weight_from_config({"kind": "geometric"})
     with pytest.raises(ValueError):
         weight_from_config([1, 2])
+
+
+def test_aliases_left_the_package():
+    # one name per operation: w.at(k), fit_rates(run_sweep(...)) and
+    # sum(fit.constants.values())
+    for name in ("weight_at", "sweep_and_fit"):
+        assert name not in lpopa.__all__ and not hasattr(lpopa, name)
+    assert not hasattr(lpopa.ExpPolyFit, "constant_sum")
