@@ -7,9 +7,10 @@ degree-n polynomials minimizing the weighted norm of 1 - p_n f.  Routes:
                            d or 2d unknowns whatever n is, certified by its
                            duality gap (1 < p < inf; auto route for p != 2),
 * :func:`solve_convex`     damped Newton descent on the p-th power objective
-                           (1 < p < inf), started from the banded p = 2
-                           coefficients; the oracle of ``lpopa verify`` and
-                           of ``--solver convex``, never picked by auto,
+                           (1 < p < inf) with a banded Hessian, started from
+                           the banded p = 2 coefficients; the oracle of
+                           ``lpopa verify`` and of ``--solver convex``,
+                           never picked by auto,
 * :func:`solve_hilbert`    direct normal equations at p = 2,
 * :func:`prepare_closed_form`  exact formulas for f = c(1 - z^d),
 * :func:`solve_flat`       the linear programs of the endpoints p in {1, inf},
@@ -56,7 +57,6 @@ _CONTINUATION_P = 1.5   # solve_convex seeds p below this from a solve at it
 _ARMIJO = 0.25
 _PHI_NOISE = 1e-15
 _STALL_STEPS = 3
-_CONVEX_MAX_ORDER = 1024  # solve_convex: its dense Hessian is 2(n+1) x 2(n+1)
 _GAP_TOL = 1e-9         # solve_flat: relative duality gap of a converged solve
 _DUAL_GAP_TOL = 1e-10   # solve_structural: |relative duality gap| of a converged solve
 _ROUNDING = 1e-12       # solve_flat: relative agreement that counts as exact
@@ -72,7 +72,7 @@ _MAX_PIVOTS, _NEWTON_STEPS, _SMOOTHING_STAGES, _DUAL_STEPS = 5000, 50, 6, 200
 class SolverOpts:
     """Tolerance and iteration limit of :func:`solve_convex`, its own parameter.
 
-    ``grad_tol`` is the gradient sup-norm of a converged solve and
+    ``grad_tol`` bounds the norm's gradient sup-norm at a converged solve and
     ``max_iters`` bounds its Newton steps, those of its p < 1.5 continuation
     stage included.  No other route and no CLI option takes them: the routes
     auto picks stop on their duality gaps or are direct.  Construction raises
@@ -150,13 +150,6 @@ def check_degree_cap(n: int, d: int) -> None:
                              f"the degree cap {MAX_DEGREE}")
 
 
-def check_convex_cap(n: int) -> None:
-    """Raise DegreeCapError if order n passes the cap of :func:`solve_convex`."""
-    if n > _CONVEX_MAX_ORDER:
-        raise DegreeCapError(f"order n = {n} exceeds the convex oracle's cap "
-                             f"{_CONVEX_MAX_ORDER} (dense Newton on 2(n+1) unknowns)")
-
-
 def _table_norm(c: np.ndarray, wv: np.ndarray, p: float) -> float:
     """:func:`space.norm` of coefficients c against a weight table wv from
     index 0 on, at least as long as c: the same formula, so the same bits."""
@@ -224,6 +217,21 @@ def cholesky_banded(ab: np.ndarray) -> tuple[np.ndarray, int]:
     return pbtrf(ab, lower=0)
 
 
+def _gram_band(fc: np.ndarray, gc: np.ndarray, wt: np.ndarray, n: int) -> np.ndarray:
+    """The upper band of sum_t wt_t conj(f_{t-j}) g_{t-k} over j, k <= n (f, g of
+    degree d, wt real or complex at indices 0 .. n + d): entry (j, j + o) at
+    ``ab[u - o, j + o]``, u = min(d, n); g = f and wt = w give the Gram band."""
+    d = fc.size - 1
+    u = min(d, n)
+    ab = np.zeros((u + 1, n + 1), dtype=np.complex128)
+    for o in range(u + 1):
+        prods = gc[: d - o + 1] * np.conj(fc[o:])
+        corr = (np.correlate(wt, prods.real, mode="valid")
+                + 1j * np.correlate(wt, prods.imag, mode="valid"))
+        ab[u - o, o:] = corr[o: n + 1]
+    return ab
+
+
 def _hilbert_factor(fc: np.ndarray, n_max: int, wv: np.ndarray):
     """The p = 2 approximant coefficients of every order n <= n_max.
 
@@ -238,15 +246,10 @@ def _hilbert_factor(fc: np.ndarray, n_max: int, wv: np.ndarray):
     from scipy.linalg import get_lapack_funcs
     d = fc.size - 1
     u = min(d, n_max)
-    ab = np.zeros((u + 1, n_max + 1), dtype=np.complex128)
     # columns that overflow are refused by the orders that read them, so
     # they must not warn for the orders that do not
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(u + 1):
-            prods = fc[: d - r + 1] * np.conj(fc[r:])
-            corr = (np.correlate(wv, prods.real, mode="valid")
-                    + 1j * np.correlate(wv, prods.imag, mode="valid"))
-            ab[u - r, r: n_max + 1] = corr[r: n_max + 1]
+        ab = _gram_band(fc, fc, wv, n_max)
     finite = np.logical_and.accumulate(np.isfinite(ab).all(axis=0))
     cb, info = cholesky_banded(ab)
     pbtrs, = get_lapack_funcs(("pbtrs",), (cb,))
@@ -306,13 +309,40 @@ def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
 # 1 < p < inf: damped Newton descent
 # ---------------------------------------------------------------------------
 
-def _conv_matrix(fc: np.ndarray, n: int) -> np.ndarray:
-    """Dense (n+d+1) x (n+1) matrix of multiplication by f."""
-    d = fc.size - 1
-    out = np.zeros((n + d + 1, n + 1), dtype=np.complex128)
-    for j in range(n + 1):
-        out[j: j + d + 1, j] = fc
-    return out
+def _convex_hessian(fc: np.ndarray, r: np.ndarray, wv: np.ndarray, p: float,
+                    n: int) -> np.ndarray:
+    """The Hessian of phi = sum_t w_t |r_t|^p at residual r = 1 - c f, in LAPACK
+    gbsv band storage: entry (i, k) at ``ab[2h + i - k, k]``, h = 2 min(d, n) + 1.
+
+    In the interleaved coordinates (Re c_j, Im c_j) block (j, j + o) is
+    [[p/2 Re K + Re M/2, -p/2 Im K + Im M/2], [p/2 Im K + Im M/2, p/2 Re K -
+    Re M/2]], K and M the :func:`_gram_band` entries with weights
+    beta = p w |r|^(p-2) and gamma r^2, gamma = p (p-2) w |r|^(p-4), and
+    g = f and conj(f); it vanishes for o > d.  Residual entries at
+    convolution-noise level are exact zeros of the minimizer and drop out.
+    """
+    a = np.abs(r)
+    hmask = a > (1e-14 if p < 2 else 1e-18) * max(1.0, float(a.max()))
+    am, wm = a[hmask], wv[hmask]
+    beta = np.zeros_like(a)
+    gamma = np.zeros_like(a)
+    beta[hmask] = p * wm * am ** (p - 2.0)
+    gamma[hmask] = p * (p - 2.0) * wm * am ** (p - 4.0)
+    K = _gram_band(fc, fc, beta, n)
+    M = _gram_band(fc, np.conj(fc), gamma * r ** 2, n)
+    u = K.shape[0] - 1
+    h = 2 * u + 1
+    ab = np.zeros((3 * h + 1, n + 1, 2))
+    blocks = (p / 2 * K.real + M.real / 2, -p / 2 * K.imag + M.imag / 2,
+              p / 2 * K.imag + M.imag / 2, p / 2 * K.real - M.real / 2)
+    for (s, t), v in zip(((0, 0), (0, 1), (1, 0), (1, 1)), blocks):
+        # entry (s, t) of block (j, j + o), in band row u - o at column j + o
+        # of K and M, is entry (2j + s, 2(j + o) + t)
+        ab[2 * u + 2 + s - t: 4 * u + 3 + s - t: 2, :, t] = v
+    ab = ab.reshape(3 * h + 1, 2 * (n + 1))
+    for e in range(1, h + 1):       # below the diagonal, the mirror image
+        ab[2 * h + e, :-e] = ab[2 * h - e, e:]
+    return ab
 
 
 def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = None,
@@ -320,55 +350,51 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     """Order-n approximant for 1 < p < inf by damped Newton descent.
 
     An oracle: ``lpopa verify`` checks the other routes against it, and it
-    runs from the CLI only as ``--solver convex``.  Its gradient test is
-    absolute, so at large p it can hold short of the optimum and a wrong
-    point comes back converged (at p = 10 already at the p = 2 seed); the
-    auto route uses :func:`solve_structural`, whose duality gap certifies
-    the optimum.
+    runs from the CLI only as ``--solver convex``; the auto route uses
+    :func:`solve_structural`, whose duality gap certifies the optimum.
 
     Minimizes phi = sum_t w_t |(1 - Pf)_t|^p over the 2(n+1) real coordinates
     of P's complex coefficients with the analytic gradient and Hessian
-    (Boyd & Vandenberghe, *Convex Optimization*, 9.5).  The objective is
-    convex and differentiable; residual entries at convolution-noise level
-    are exact zeros of the minimizer and drop out of the gradient (p < 2)
-    and the Hessian.  The start is ``init`` when given, else the p = 2
-    approximant's coefficients from the banded Gram solve of
-    :func:`solve_hilbert`, against the weight table this solve uses, with
-    no second OpaResult formed (IllConditionedError from it propagates);
-    for p < 1.5 that start seeds a p = 1.5 solve whose result seeds the p
-    solve (one continuation stage).
+    (Boyd & Vandenberghe, *Convex Optimization*, 9.5), the Hessian a band
+    of half-width 2 deg f + 1 (:func:`_convex_hessian`) solved by banded LU
+    in O(n d^2).  The objective is convex and differentiable; residual
+    entries at convolution-noise level are exact zeros of the minimizer and
+    drop out of the gradient (p < 2) and the Hessian.  The start is ``init``
+    when given, else the p = 2 approximant's coefficients from the banded
+    Gram solve of :func:`solve_hilbert`, against the weight table this
+    solve uses (IllConditionedError from it propagates); for p < 1.5 that
+    start seeds a p = 1.5 solve whose result seeds the p solve.
 
     A step is accepted when it passes the Armijo test on phi or lowers the
     gradient sup-norm: at the precision floor phi can no longer fall but the
     gradient still can.  A failed solve or a non-descent direction retries
     with a Levenberg shift.  Newton steps, the continuation stage's
-    included, count against ``opts.max_iters``.  The loop drives the
-    gradient sup-norm towards min(grad_tol / 100, 1e-12) and returns early
-    after three consecutive steps that neither halve it nor, while it is
-    above ``opts.grad_tol``, lower phi beyond rounding.
-    ``converged`` means the sup-norm is at or below ``opts.grad_tol``.  f is
-    scaled to unit norm internally; results are reported for the original f.
-    Orders above 1024 raise DegreeCapError before any array is built: the
-    dense Hessian and multiplication matrices would take about 537 MB at
-    n = 4096.
+    included, count against ``opts.max_iters``.  Stationarity is that of
+    the norm, gmax / (p phi^((p-1)/p)), which unlike gmax does not shrink
+    with phi as p grows.  The loop drives it towards min(grad_tol / 100,
+    1e-12) and returns early after three consecutive steps that neither
+    halve gmax nor, while stationarity is above ``opts.grad_tol``, lower phi
+    beyond rounding.  ``converged`` means stationarity is at or below
+    ``opts.grad_tol``.  f is scaled to unit norm internally; results are
+    reported for the original f.
     """
+    from scipy.linalg import get_lapack_funcs
     opts = opts or SolverOpts()
     if sp.is_flat:
         raise UnsupportedExponentError("solve_convex needs 1 < p < inf; use solve_flat")
     _validate(f, n)
-    check_convex_cap(n)
     p = sp.p
     iterations = 0
     if p < _CONTINUATION_P:
         stage = solve_convex(f, n, SpaceParams(_CONTINUATION_P, sp.weight), opts, init)
         init, iterations = stage.approximant, stage.iterations
-    # f scaled to unit norm; x holds the real, then the imaginary parts of the
-    # coefficients of P |f|, so the residual 1 - P f is unchanged by the scaling
+    # f scaled to unit norm; x holds the coefficients of P |f|, real and imaginary
+    # parts interleaved, so the residual 1 - P f is unchanged by the scaling
     wv = sp.weight.values_up_to(n + f.degree)
     fc, scale = _unit_and_norm(f, sp)
 
     def residual(x: np.ndarray) -> np.ndarray:
-        r = -np.convolve(x[: n + 1] + 1j * x[n + 1:], fc)
+        r = -np.convolve(x.view(np.complex128), fc)
         r[0] += 1.0
         return r
 
@@ -384,55 +410,30 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         cut = 1e-14 * max(1.0, float(a.max())) if p < 2 else 1e-30
         s[a <= cut] = 0.0
         pair = np.correlate(s * wv, np.conj(fc), mode="valid")
-        g = np.concatenate([-p * pair.real, p * pair.imag])
-        return phi, g
+        return phi, (-p * np.conj(pair)).view(np.float64)
 
-    F = _conv_matrix(fc, n)
-    Fbar = np.conj(F)
-
-    def hessian(x: np.ndarray) -> np.ndarray:
-        r = residual(x)
-        a = np.abs(r)
-        hcut = (1e-14 if p < 2 else 1e-18) * max(1.0, float(a.max()))
-        hmask = a > hcut
-        am, wm = a[hmask], wv[hmask]
-        beta = np.zeros_like(a)
-        gamma = np.zeros_like(a)
-        beta[hmask] = p * wm * am ** (p - 2.0)
-        gamma[hmask] = p * (p - 2.0) * wm * am ** (p - 4.0)
-        K = (Fbar.T * beta) @ F
-        V = Fbar * r[:, None]
-        W = -np.hstack([V.real, V.imag])
-        # [[Re K, -Im K], [Im K, Re K]] added in place; addition commutes, so
-        # this is the same sum as forming the block matrix first
-        H = W.T @ (gamma[:, None] * W)
-        k = n + 1
-        H[:k, :k] += K.real
-        H[:k, k:] -= K.imag
-        H[k:, :k] += K.imag
-        H[k:, k:] += K.real
-        return H
+    def stationarity(phi: float, gmax: float) -> float:   # of phi^(1/p)
+        return gmax / (p * phi ** ((p - 1.0) / p)) if phi > 0.0 else 0.0
 
     if init is None:
         init = Poly(_hilbert_factor(f.coeffs, n, wv)(n))
-    c0 = init.padded(n + 1) * scale
-    x = np.concatenate([c0.real, c0.imag])
+    x = (init.padded(n + 1) * scale).view(np.float64)
     phi, g = phi_grad(x)
     gmax = float(np.abs(g).max())
     target = min(opts.grad_tol * 1e-2, 1e-12)
-    ident = np.eye(2 * (n + 1))
+    h = 2 * min(f.degree, n) + 1
+    gbsv, = get_lapack_funcs(("gbsv",), (x,))
     stalled, best = 0, (phi, gmax)
-    while iterations < opts.max_iters and gmax > target:
-        H = hessian(x)
-        hscale = max(float(np.abs(np.diag(H)).max()), 1e-30)
+    while iterations < opts.max_iters and stationarity(phi, gmax) > target:
+        H = _convex_hessian(fc, residual(x), wv, p, n)
+        diag = H[2 * h].copy()
+        hscale = max(float(np.abs(diag).max()), 1e-30)
         accepted = False
         lam = 0.0
         for _ in range(8):
-            try:
-                dx = np.linalg.solve(H + lam * hscale * ident if lam else H, -g)
-            except np.linalg.LinAlgError:
-                dx = None
-            slope = float(g @ dx) if dx is not None and np.isfinite(dx).all() else 0.0
+            H[2 * h] = diag + lam * hscale
+            dx, info = gbsv(h, h, H, -g)[2:]
+            slope = float(g @ dx) if info == 0 and np.isfinite(dx).all() else 0.0
             if slope < 0.0:
                 t = 1.0
                 for _ in range(30):
@@ -452,7 +453,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         # progress halves the least gmax so far or, above tolerance, lowers
         # the least phi so far beyond rounding; steps that raise phi while
         # lowering gmax otherwise let a Newton cycle run the whole budget
-        progress = gnmax <= 0.5 * best[1] or (gmax > opts.grad_tol
+        progress = gnmax <= 0.5 * best[1] or (stationarity(phi, gmax) > opts.grad_tol
                                              and best[0] - phin > _PHI_NOISE * best[0])
         stalled = 0 if progress else stalled + 1
         phi, g, gmax = phin, gn, gnmax
@@ -460,11 +461,11 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         if stalled >= _STALL_STEPS:
             break
 
-    converged = gmax <= opts.grad_tol
+    converged = stationarity(phi, gmax) <= opts.grad_tol
     if not converged:
-        log.debug("solve_convex: gradient sup %.3e above tolerance %.1e",
-                  gmax, opts.grad_tol)
-    return _finalize(f, (x[: n + 1] + 1j * x[n + 1:]) / scale, sp, iterations=iterations,
+        log.debug("solve_convex: norm gradient sup %.3e above tolerance %.1e",
+                  stationarity(phi, gmax), opts.grad_tol)
+    return _finalize(f, x.view(np.complex128) / scale, sp, iterations=iterations,
                      converged=converged, solver="convex", wv=wv)
 
 

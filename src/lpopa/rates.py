@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (IllConditionedError, InternalConsistencyError, SweepError,
                      UnsupportedExponentError)
-from .opa import (OpaResult, check_convex_cap, check_degree_cap, delta_sums,
+from .opa import (OpaResult, check_degree_cap, delta_sums,
                   detect_one_minus_zd, prepare_closed_form, prepare_hilbert,
                   solve_convex, solve_flat, solve_structural)
 from .poly import CircleZeroSpec, Poly, expand
@@ -192,8 +192,6 @@ def _prepare(problem, n_max: int, sp: SpaceParams, solver: str):
             raise ValueError("the hilbert solver applies only at p = 2")
         return prepare_hilbert(f, n_max, sp.weight)
     if solver == "convex":
-        if not sp.is_flat:      # the oracle's cap before the first solve
-            check_convex_cap(n_max)
         return lambda n: solve_convex(f, n, sp)
     if solver == "flat":
         return lambda n: solve_flat(problem, n, sp)[0]
@@ -219,8 +217,7 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto") -> list[Sw
     carries the points before it (the cause is the IllConditionedError).
     Raises InternalConsistencyError if a computed norm undercuts the
     universal lower bound.  A grid with orders past the degree cap raises
-    DegreeCapError for the first of them before any bound or preparation,
-    and one past the convex oracle's cap for its last before any solve.
+    DegreeCapError for the first of them before any bound or preparation.
     """
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):

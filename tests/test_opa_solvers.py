@@ -138,8 +138,7 @@ class TestConvex:
             sp = SpaceParams.power(p, 0.5)
 
             def phi(x):
-                c = x[: n + 1] + 1j * x[n + 1:]
-                return sp_norm(Poly([1]) - Poly(c) * f, sp) ** p
+                return sp_norm(Poly([1]) - Poly(x.view(np.complex128)) * f, sp) ** p
 
             x0 = rng.standard_normal(2 * (n + 1)) * 0.3
             h = 1e-6
@@ -149,13 +148,12 @@ class TestConvex:
                 fd = (phi(x0 + e) - phi(x0 - e)) / (2 * h)
                 # reproduce the solver's analytic gradient component
                 from lpopa.poly import signed_powers
-                c = x0[: n + 1] + 1j * x0[n + 1:]
-                r = -np.convolve(c, f.coeffs)
+                r = -np.convolve(x0.view(np.complex128), f.coeffs)
                 r[0] += 1.0
                 wv = sp.weight.values_up_to(len(r) - 1)
                 pair = np.correlate(signed_powers(r, p - 1) * wv,
                                     np.conj(f.coeffs), mode="valid")
-                g = np.concatenate([-p * pair.real, p * pair.imag])
+                g = (-p * np.conj(pair)).view(np.float64)
                 assert g[k] == pytest.approx(fd, rel=2e-5, abs=2e-7)
 
     def test_orthogonality_certificates(self):
@@ -773,17 +771,54 @@ def test_convex_warm_start_is_the_banded_seed(monkeypatch, f, p, n):
                 seeded.converged))
 
 
-@pytest.mark.parametrize("p", [1.2, 3.0])
-def test_convex_cap_refuses_before_any_array(monkeypatch, p):
-    def work(*args, **kwargs):
-        raise AssertionError("a capped convex order reached the solver's work")
+def dense_convex_hessian(fc, r, wv, p, n):
+    """The Hessian of phi at residual r from dense multiplication matrices, in
+    the interleaved (Re c_j, Im c_j) coordinates of solve_convex."""
+    d = fc.size - 1
+    F = np.zeros((n + d + 1, n + 1), dtype=np.complex128)
+    for j in range(n + 1):
+        F[j: j + d + 1, j] = fc
+    a = np.abs(r)
+    hmask = a > (1e-14 if p < 2 else 1e-18) * max(1.0, float(a.max()))
+    beta = np.where(hmask, p * wv * a ** (p - 2.0), 0.0)
+    gamma = np.where(hmask, p * (p - 2.0) * wv * a ** (p - 4.0), 0.0)
+    K = (np.conj(F).T * beta) @ F
+    V = np.conj(F) * r[:, None]
+    W = -np.hstack([V.real, V.imag])
+    H = W.T @ (gamma[:, None] * W) + np.block([[K.real, -K.imag], [K.imag, K.real]])
+    order = np.arange(2 * (n + 1)).reshape(2, n + 1).T.ravel()   # interleave
+    return H[np.ix_(order, order)]
 
-    for name in ("values_up_to", "at_indices"):
-        monkeypatch.setattr(Weight, name, work)
-    monkeypatch.setattr(opa, "_conv_matrix", work)
-    monkeypatch.setattr(opa, "_hilbert_factor", work)
-    with pytest.raises(DegreeCapError, match="^order n = 1025 exceeds the convex oracle's cap 1024"):
-        solve_convex(Z1SQ_ZP1, 1025, SpaceParams.power(p, 0.0))
+
+def from_gb_band(ab, size):
+    """The square matrix of a LAPACK gbsv band with equal half-widths."""
+    h = (ab.shape[0] - 1) // 3
+    H = np.zeros((size, size))
+    for i in range(size):
+        for k in range(max(0, i - h), min(size, i + h + 1)):
+            H[i, k] = ab[2 * h + i - k, k]
+    return H
+
+
+@pytest.mark.parametrize("f", [Z1SQ_ZP1, CPLX], ids=["real", "complex"])
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 6.0])
+@pytest.mark.parametrize("order", ["0", "1", "d-1", "17"])
+def test_convex_hessian_band_matches_dense(f, p, order):
+    # n < d clips the band; the entry at noise level is masked out of beta
+    # and gamma, as a converged residual's exact zeros are
+    fc = f.coeffs
+    n = f.degree - 1 if order == "d-1" else int(order)
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    r = -np.convolve(c, fc)
+    r[0] += 1.0
+    r[1] = 1e-20
+    wv = SpaceParams.power(p, 0.5).weight.values_up_to(n + f.degree)
+    want = dense_convex_hessian(fc, r, wv, p, n)
+    ab = opa._convex_hessian(fc, r, wv, p, n)
+    assert ab.shape == (3 * (2 * min(f.degree, n) + 1) + 1, 2 * (n + 1))
+    np.testing.assert_allclose(from_gb_band(ab, 2 * (n + 1)), want, rtol=0,
+                               atol=1e-14 * np.abs(want).max())
 
 
 def test_convex_seed_keeps_ill_conditioned_error():

@@ -175,15 +175,17 @@ class TestSweep:
                                                      "cap 65536$"):
                 run_sweep(problem, SpaceParams.power(p, 0), geometric_grid(64, 131072))
 
-    def test_convex_grid_past_the_oracle_cap_refused_before_any_solve(self, monkeypatch):
-        # the orders below the cap would take seconds to solve and write no row
-        calls = []
-        monkeypatch.setattr(rates, "solve_convex", lambda *args: calls.append(args))
-        with pytest.raises(DegreeCapError, match="^order n = 2048 exceeds the convex "
-                                                 "oracle's cap 1024"):
-            run_sweep(CircleZeroSpec(((0.0, 2), (PI, 1))), SpaceParams.power(1.5, 0.0),
-                      geometric_grid(256, 2048), solver="convex")
-        assert calls == []
+    def test_convex_sweep_to_4096_matches_structural(self):
+        # the banded Newton system takes the oracle past its old n <= 1024 cap
+        spec = CircleZeroSpec(((0.0, 2), (PI, 1)))
+        sp = SpaceParams.power(3.0, 0.0)
+        grid = geometric_grid(64, 4096)
+        convex = run_sweep(spec, sp, grid, solver="convex")
+        structural = run_sweep(spec, sp, grid, solver="structural")
+        assert [pt.n for pt in convex] == grid
+        for got, want in zip(convex, structural):
+            assert got.converged and want.converged
+            assert got.optimal_norm == pytest.approx(want.optimal_norm, rel=1e-12)
 
     def test_hardy_exponent(self):
         sp = SpaceParams.power(2, 0)
