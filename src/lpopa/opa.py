@@ -8,9 +8,9 @@ degree-n polynomials minimizing the weighted norm of 1 - p_n f.  Routes:
                            duality gap (1 < p < inf; auto route for p != 2),
 * :func:`solve_convex`     damped Newton descent on the p-th power objective
                            (1 < p < inf) with a banded Hessian, started from
-                           the banded p = 2 coefficients; the oracle of
-                           ``lpopa verify`` and of ``--solver convex``,
-                           never picked by auto,
+                           the banded p = 2 coefficients and certified by its
+                           duality gap; the oracle of ``lpopa verify`` and of
+                           ``--solver convex``, never picked by auto,
 * :func:`solve_hilbert`    direct normal equations at p = 2,
 * :func:`prepare_closed_form`  exact formulas for f = c(1 - z^d),
 * :func:`solve_flat`       the linear programs of the endpoints p in {1, inf},
@@ -48,17 +48,18 @@ from .weights import Weight
 log = logging.getLogger(__name__)
 
 _COND_LIMIT = 1e14
-_CONTINUATION_P = 1.5   # solve_convex seeds p below this from a solve at it
 # solve_convex's damped Newton loop: the Armijo fraction of the predicted
 # decrease, the relative rounding level of phi below which a decrease does
-# not count, and the number of consecutive steps without progress (halving
-# the gradient sup-norm, or above tolerance lowering phi) before it returns;
-# _flat_linf ends a smoothing stage after as many stalled steps
+# not count, the number of consecutive steps without progress (halving the
+# gradient sup-norm, or above _STALL_TOL stationarity lowering phi) before it
+# returns, and the stationarity of the norm at which it stops; _flat_linf
+# ends a smoothing stage after as many stalled steps
 _ARMIJO = 0.25
 _PHI_NOISE = 1e-15
 _STALL_STEPS = 3
+_STALL_TOL, _STATIONARY = 1e-10, 1e-12
 _GAP_TOL = 1e-9         # solve_flat: relative duality gap of a converged solve
-_DUAL_GAP_TOL = 1e-10   # solve_structural: |relative duality gap| of a converged solve
+_DUAL_GAP_TOL = 1e-10   # 1 < p < inf: |relative duality gap| of a converged solve
 _ROUNDING = 1e-12       # solve_flat: relative agreement that counts as exact
 _CLUSTER = 1e-2         # np.roots zeros this close (relative) may be one multiple zero
 _PIVOT_TOL = 1e-11      # simplex: entering-column entries below this (relative) are 0
@@ -70,24 +71,19 @@ _MAX_PIVOTS, _NEWTON_STEPS, _SMOOTHING_STAGES, _DUAL_STEPS = 5000, 50, 6, 200
 
 @dataclass
 class SolverOpts:
-    """Tolerance and iteration limit of :func:`solve_convex`, its own parameter.
+    """The Newton step limit of :func:`solve_convex`, its own parameter.
 
-    ``grad_tol`` bounds the norm's gradient sup-norm at a converged solve and
-    ``max_iters`` bounds its Newton steps, those of its p < 1.5 continuation
-    stage included.  No other route and no CLI option takes them: the routes
-    auto picks stop on their duality gaps or are direct.  Construction raises
-    ValueError unless ``max_iters`` is an integer >= 1 and ``grad_tol`` is
-    finite and positive.
+    No other route and no CLI option takes it, and no option sets when a
+    solve converges: every iterative route is certified by its duality gap
+    (:func:`_certify`).  Construction raises ValueError unless ``max_iters``
+    is an integer >= 1.
     """
 
-    grad_tol: float = 1e-10
     max_iters: int = 10_000
 
     def __post_init__(self):
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
-            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol!r}")
 
 
 @dataclass
@@ -102,12 +98,13 @@ class OpaResult:
     (None at the flat endpoints, which the pairing does not cover).  It is
     formed from the fields each time it is read, and a sweep never reads it.
     ``dual`` (a lower bound on the optimum) and ``rel_gap``, (optimal_norm -
-    dual) / optimal_norm or 0 when both vanish, certify the structural and
-    flat routes (:func:`_certify`); they are None on the others, and on a
-    residual-form result whose dual vector bounds nothing.  ``converged`` is
-    the route's own test; on the routes without a certificate it also needs
-    optimal_norm <= 1, the norm of the zero approximant (w_0 = 1 for every
-    Weight), and on the certified ones the gap tolerance bounds any excess.
+    dual) / optimal_norm or 0 when both vanish, certify the structural,
+    convex and flat routes (:func:`_certify`); they are None on the direct
+    routes (Hilbert and the closed form), and on a result whose dual vector
+    bounds nothing.  On the certified routes ``converged`` is the gap rule
+    alone, and the gap tolerance bounds any excess; on the direct ones it
+    means the solve went through and optimal_norm <= 1, the norm of the zero
+    approximant (w_0 = 1 for every Weight).
     """
 
     f: Poly
@@ -233,15 +230,15 @@ def _gram_band(fc: np.ndarray, gc: np.ndarray, wt: np.ndarray, n: int) -> np.nda
 
 
 def _hilbert_factor(fc: np.ndarray, n_max: int, wv: np.ndarray):
-    """The p = 2 approximant coefficients of every order n <= n_max.
+    """The weighted Gram solves of every order n <= n_max.
 
     fc are the coefficients of f and wv its weight table, indices 0 ..
-    n_max + deg f.  The Gram matrix of z^j f is assembled in band form and
-    factored once, at n_max.  The returned function gives the order-n
-    coefficients from the first n + 1 columns of both: the finiteness
-    check scipy makes of a Gram matrix, the factorization's failure when
-    its failing minor lies among them, the condition check and LAPACK
-    pbtrs's two triangular solves.
+    n_max + deg f.  The Gram matrix G of z^j f is assembled in band form and
+    factored once, at n_max.  The returned function solves G x = rhs at order
+    n from the first n + 1 columns of both: the finiteness check scipy makes
+    of a Gram matrix, the factorization's failure when its failing minor
+    lies among them, the condition check and LAPACK pbtrs's two triangular
+    solves.  The default rhs, conj(f_0) e_0, gives the p = 2 approximant.
     """
     from scipy.linalg import get_lapack_funcs
     d = fc.size - 1
@@ -254,7 +251,7 @@ def _hilbert_factor(fc: np.ndarray, n_max: int, wv: np.ndarray):
     cb, info = cholesky_banded(ab)
     pbtrs, = get_lapack_funcs(("pbtrs",), (cb,))
 
-    def coeffs(n: int) -> np.ndarray:
+    def solve(n: int, rhs: np.ndarray | None = None) -> np.ndarray:
         if not 0 <= n <= n_max:
             raise ValueError(f"order {n} outside the prepared orders 0..{n_max}")
         if not finite[n]:      # what scipy's check of the order-n matrix raises
@@ -267,12 +264,13 @@ def _hilbert_factor(fc: np.ndarray, n_max: int, wv: np.ndarray):
         if not np.isfinite(cond_est) or cond_est > _COND_LIMIT:
             raise IllConditionedError(
                 f"Gram matrix condition estimate {cond_est:.3e} beyond {_COND_LIMIT:.0e}")
-        rhs = np.zeros(n + 1, dtype=np.complex128)
-        rhs[0] = np.conj(fc[0])
+        if rhs is None:
+            rhs = np.zeros(n + 1, dtype=np.complex128)
+            rhs[0] = np.conj(fc[0])
         # the order-n band keeps min(d, n) superdiagonals, the last rows of cb
         return pbtrs(cb[u - min(d, n):, : n + 1], rhs, lower=0)[0]
 
-    return coeffs
+    return solve
 
 
 def prepare_hilbert(f: Poly, n_max: int, w: Weight):
@@ -285,9 +283,9 @@ def prepare_hilbert(f: Poly, n_max: int, w: Weight):
     """
     _validate(f, n_max)
     wv = w.values_up_to(n_max + f.degree)
-    coeffs = _hilbert_factor(f.coeffs, n_max, wv)
+    gram = _hilbert_factor(f.coeffs, n_max, wv)
     sp = SpaceParams(2.0, w)
-    return lambda n: _finalize(f, coeffs(n), sp, iterations=0, converged=True,
+    return lambda n: _finalize(f, gram(n), sp, iterations=0, converged=True,
                                solver="hilbert", wv=wv)
 
 
@@ -351,7 +349,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
 
     An oracle: ``lpopa verify`` checks the other routes against it, and it
     runs from the CLI only as ``--solver convex``; the auto route uses
-    :func:`solve_structural`, whose duality gap certifies the optimum.
+    :func:`solve_structural`.
 
     Minimizes phi = sum_t w_t |(1 - Pf)_t|^p over the 2(n+1) real coordinates
     of P's complex coefficients with the analytic gradient and Hessian
@@ -359,24 +357,27 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     of half-width 2 deg f + 1 (:func:`_convex_hessian`) solved by banded LU
     in O(n d^2).  The objective is convex and differentiable; residual
     entries at convolution-noise level are exact zeros of the minimizer and
-    drop out of the gradient (p < 2) and the Hessian.  The start is ``init``
-    when given, else the p = 2 approximant's coefficients from the banded
-    Gram solve of :func:`solve_hilbert`, against the weight table this
-    solve uses (IllConditionedError from it propagates); for p < 1.5 that
-    start seeds a p = 1.5 solve whose result seeds the p solve.
+    drop out of the gradient and the dual data (p < 2) and the Hessian.  The
+    banded Gram factor of :func:`solve_hilbert`, against the weight table
+    this solve uses, is made first (IllConditionedError from it
+    propagates); the start is ``init`` when given, else its p = 2
+    approximant's coefficients.
 
     A step is accepted when it passes the Armijo test on phi or lowers the
     gradient sup-norm: at the precision floor phi can no longer fall but the
     gradient still can.  A failed solve or a non-descent direction retries
-    with a Levenberg shift.  Newton steps, the continuation stage's
-    included, count against ``opts.max_iters``.  Stationarity is that of
-    the norm, gmax / (p phi^((p-1)/p)), which unlike gmax does not shrink
-    with phi as p grows.  The loop drives it towards min(grad_tol / 100,
-    1e-12) and returns early after three consecutive steps that neither
-    halve gmax nor, while stationarity is above ``opts.grad_tol``, lower phi
-    beyond rounding.  ``converged`` means stationarity is at or below
-    ``opts.grad_tol``.  f is scaled to unit norm internally; results are
-    reported for the original f.
+    with a Levenberg shift.  Newton steps count against ``opts.max_iters``.
+    Stationarity is that of the norm, gmax / (p phi^((p-1)/p)), which unlike
+    gmax does not shrink with phi as p grows.  The loop drives it towards
+    1e-12 and returns early after three consecutive steps that neither
+    halve gmax nor, while stationarity is above 1e-10, lower phi beyond
+    rounding.  f is scaled to unit norm internally; results are reported
+    for the original f.
+
+    :func:`_certify` certifies the result by y = d - W F G^-1 F^H d, with d
+    the dual data w_t |r_t|^(p-2) r_t of its residual, F the columns z^j f,
+    W the weights and G = F^H W F that Gram band: F^H y = 0.
+    A constant f has the exact answer 1 / f_0, dual bound and gap 0.
     """
     from scipy.linalg import get_lapack_funcs
     opts = opts or SolverOpts()
@@ -384,13 +385,11 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         raise UnsupportedExponentError("solve_convex needs 1 < p < inf; use solve_flat")
     _validate(f, n)
     p = sp.p
-    iterations = 0
-    if p < _CONTINUATION_P:
-        stage = solve_convex(f, n, SpaceParams(_CONTINUATION_P, sp.weight), opts, init)
-        init, iterations = stage.approximant, stage.iterations
+    wv = sp.weight.values_up_to(n + f.degree)
+    if not f.degree:
+        return _constant(f, n, sp, "convex", wv)
     # f scaled to unit norm; x holds the coefficients of P |f|, real and imaginary
     # parts interleaved, so the residual 1 - P f is unchanged by the scaling
-    wv = sp.weight.values_up_to(n + f.degree)
     fc, scale = _unit_and_norm(f, sp)
 
     def residual(x: np.ndarray) -> np.ndarray:
@@ -398,33 +397,34 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         r[0] += 1.0
         return r
 
-    def phi_grad(x: np.ndarray):
-        r = residual(x)
+    def dual_data(r: np.ndarray):
+        """conj(w_t |r_t|^(p-2) r_t), and |r|.  Coordinate exclusion: a residual
+        entry at convolution-noise level is an exact zero of the minimizer,
+        where the true term is 0; for p < 2 the factor |r|^{p-1} would
+        otherwise put a spurious floor of noise^{p-1} under the gradient."""
         a = np.abs(r)
-        phi = float((a ** p * wv).sum())
         s = signed_powers(r, p - 1.0)
-        # coordinate exclusion: a residual entry at convolution-noise level is
-        # an exact zero of the minimizer, where the true gradient term is 0;
-        # for p < 2 the factor |r|^{p-1} would otherwise put a spurious floor
-        # of noise^{p-1} under the gradient
-        cut = 1e-14 * max(1.0, float(a.max())) if p < 2 else 1e-30
-        s[a <= cut] = 0.0
-        pair = np.correlate(s * wv, np.conj(fc), mode="valid")
-        return phi, (-p * np.conj(pair)).view(np.float64)
+        s[a <= (1e-14 * max(1.0, float(a.max())) if p < 2 else 1e-30)] = 0.0
+        return s * wv, a
+
+    def phi_grad(x: np.ndarray):
+        data, a = dual_data(residual(x))
+        pair = np.correlate(data, np.conj(fc), mode="valid")
+        return float((a ** p * wv).sum()), (-p * np.conj(pair)).view(np.float64)
 
     def stationarity(phi: float, gmax: float) -> float:   # of phi^(1/p)
         return gmax / (p * phi ** ((p - 1.0) / p)) if phi > 0.0 else 0.0
 
+    gram = _hilbert_factor(f.coeffs, n, wv)
     if init is None:
-        init = Poly(_hilbert_factor(f.coeffs, n, wv)(n))
+        init = Poly(gram(n))
     x = (init.padded(n + 1) * scale).view(np.float64)
     phi, g = phi_grad(x)
     gmax = float(np.abs(g).max())
-    target = min(opts.grad_tol * 1e-2, 1e-12)
     h = 2 * min(f.degree, n) + 1
     gbsv, = get_lapack_funcs(("gbsv",), (x,))
-    stalled, best = 0, (phi, gmax)
-    while iterations < opts.max_iters and stationarity(phi, gmax) > target:
+    iterations, stalled, best = 0, 0, (phi, gmax)
+    while iterations < opts.max_iters and stationarity(phi, gmax) > _STATIONARY:
         H = _convex_hessian(fc, residual(x), wv, p, n)
         diag = H[2 * h].copy()
         hscale = max(float(np.abs(diag).max()), 1e-30)
@@ -450,10 +450,10 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         if not accepted:
             break
         x = x + t * dx
-        # progress halves the least gmax so far or, above tolerance, lowers
+        # progress halves the least gmax so far or, above _STALL_TOL, lowers
         # the least phi so far beyond rounding; steps that raise phi while
         # lowering gmax otherwise let a Newton cycle run the whole budget
-        progress = gnmax <= 0.5 * best[1] or (stationarity(phi, gmax) > opts.grad_tol
+        progress = gnmax <= 0.5 * best[1] or (stationarity(phi, gmax) > _STALL_TOL
                                              and best[0] - phin > _PHI_NOISE * best[0])
         stalled = 0 if progress else stalled + 1
         phi, g, gmax = phin, gn, gnmax
@@ -461,12 +461,11 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         if stalled >= _STALL_STEPS:
             break
 
-    converged = stationarity(phi, gmax) <= opts.grad_tol
-    if not converged:
-        log.debug("solve_convex: norm gradient sup %.3e above tolerance %.1e",
-                  stationarity(phi, gmax), opts.grad_tol)
-    return _finalize(f, x.view(np.complex128) / scale, sp, iterations=iterations,
-                     converged=converged, solver="convex", wv=wv)
+    result = _finalize(f, x.view(np.complex128) / scale, sp, iterations=iterations,
+                       converged=False, solver="convex", wv=wv)
+    d = np.conj(dual_data(result.residual.padded(wv.size))[0])
+    y = d - wv * np.convolve(gram(n, np.correlate(d, f.coeffs, mode="valid")), f.coeffs)
+    return _certify(result, np.abs(y), y[0].real, wv, sp)
 
 
 # ---------------------------------------------------------------------------
@@ -555,22 +554,28 @@ def _real(r: Poly, A: np.ndarray) -> np.ndarray:
     return r.padded(len(A)).view(np.float64).reshape(len(A), 2)[:, : A.shape[1]]
 
 
-def _certify(result: OpaResult, A: np.ndarray, b: np.ndarray, w: np.ndarray,
-             sp: SpaceParams, lam: np.ndarray) -> OpaResult:
-    """Set dual, rel_gap and converged of a residual-form result from lam: the
-    bound b . lam / ||A lam||_* under the dual norm (sum_t w_t^(1-q) |y_t|^q)^(1/q),
-    or max_t (p = 1) and sum_t (p = inf) of |y_t| / w_t; converged means
-    |rel_gap| <= 1e-10, or rel_gap <= 1e-9 at the flat endpoints.  A dual
-    norm that is zero or not finite (weights that leave the float range)
-    bounds nothing: dual and rel_gap stay None and the result is not
-    converged."""
-    size = np.linalg.norm(A @ lam, axis=1)
+def _constant(f: Poly, n: int, sp: SpaceParams, solver: str, w: np.ndarray) -> OpaResult:
+    """The exact answer P = 1 / f_0 of a constant f: residual 0, dual bound and gap 0."""
+    return replace(_finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True, solver, w),
+                   dual=0.0, rel_gap=0.0)
+
+
+def _certify(result: OpaResult, size: np.ndarray, pairing: float, w: np.ndarray,
+             sp: SpaceParams) -> OpaResult:
+    """Set dual, rel_gap and converged of a result from a y that annihilates
+    every z^j f, given as ``size`` = |y_t| and ``pairing`` = Re <y, r>, equal for
+    every residual r: the bound pairing / ||y||_* (weak duality) under the dual
+    norm (sum_t w_t^(1-q) |y_t|^q)^(1/q), or max_t (p = 1) and sum_t (p = inf)
+    of |y_t| / w_t; converged means |rel_gap| <= 1e-10, or rel_gap <= 1e-9 at
+    the flat endpoints.  A dual norm that is zero or not finite (weights that
+    leave the float range) bounds nothing: dual and rel_gap stay None and the
+    result is not converged."""
     if sp.is_flat:
         size = size / w
         dual_norm = float(size.max() if sp.p == 1.0 else size.sum())
     else:
         dual_norm = float((w ** (1.0 - sp.q) * size ** sp.q).sum()) ** (1.0 / sp.q)
-    dual = float(b @ lam) / dual_norm if 0.0 < dual_norm < math.inf else math.nan
+    dual = float(pairing) / dual_norm if 0.0 < dual_norm < math.inf else math.nan
     if not math.isfinite(dual):
         result.converged = False
         log.debug("solve_%s: dual norm %.3e bounds nothing", result.solver, dual_norm)
@@ -595,8 +600,7 @@ def _residual_solve(problem, n: int, sp: SpaceParams, solver: str):
     nonconstant f, (r, A, w, lam)."""
     f, w, rows = _setup(problem, n, sp)
     if rows is None:
-        return replace(_finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True, solver, w),
-                       dual=0.0, rel_gap=0.0), None
+        return _constant(f, n, sp, solver, w), None
     A, b, _ = rows
     if not b @ b >= np.finfo(float).tiny:   # the |zeta|^-(m-1) rows of a zero off the circle
         raise IllConditionedError(f"residual form at n = {n}: its right side underflows")
@@ -607,7 +611,7 @@ def _residual_solve(problem, n: int, sp: SpaceParams, solver: str):
         raise IllConditionedError(f"solve_{solver} at n = {n}: {exc}") from exc
     own = _complex(r)
     result = _finalize(f, lstsq_div(ONE - own, f)[0].padded(n + 1), sp, steps, False, solver, w)
-    return _certify(result, A, b, w, sp, lam), (own, A, w, lam)
+    return _certify(result, np.linalg.norm(A @ lam, axis=1), b @ lam, w, sp), (own, A, w, lam)
 
 
 # ---------------------------------------------------------------------------

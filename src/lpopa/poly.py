@@ -325,23 +325,14 @@ def parse_angle(text: str) -> float:
     """
     s = text.strip().lower().replace(" ", "")
     m = _ANGLE_RE.match(s)
-    if m:
+    try:
+        if not m:
+            return float(s) % TWO_PI
         num = m.group(1)
-        if num in ("", "+"):
-            coeff = 1.0
-        elif num == "-":
-            coeff = -1.0
-        else:
-            coeff = float(num)
-        angle = coeff * math.pi
-        if m.group(2):
-            angle /= float(m.group(2))
-    else:
-        try:
-            angle = float(s)
-        except ValueError:
-            raise ValueError(f"cannot parse angle {text!r}") from None
-    return angle % TWO_PI
+        coeff = 1.0 if num in ("", "+") else -1.0 if num == "-" else float(num)
+        return coeff * math.pi / float(m.group(2) or 1) % TWO_PI
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse angle {text!r}") from None
 
 
 def poly_from_config(spec: dict):
@@ -349,16 +340,20 @@ def poly_from_config(spec: dict):
 
     ``{"coeffs": [[re, im], ...]}`` yields a Poly;
     ``{"circle_roots": [{"angle": "pi/2", "mult": 2}, ...]}`` (with optional
-    ``"leading": [re, im]``) yields a CircleZeroSpec.
+    ``"leading": [re, im]``) yields a CircleZeroSpec (whose multiplicities
+    must be positive integers).  Malformed entries raise ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError("polynomial config must be an object")
     if ("coeffs" in spec) == ("circle_roots" in spec):
         raise ValueError("exactly one of 'coeffs' or 'circle_roots' is required")
-    if "coeffs" in spec:
-        return Poly([complex(re_, im) for re_, im in spec["coeffs"]])
-    roots = tuple((parse_angle(str(r["angle"])), int(r.get("mult", 1)))
-                  for r in spec["circle_roots"])
-    leading = spec.get("leading")
-    lead = complex(leading[0], leading[1]) if leading is not None else 1.0 + 0j
-    return CircleZeroSpec(roots, leading_coefficient=lead)
+    try:
+        if "coeffs" in spec:
+            return Poly([complex(re_, im) for re_, im in spec["coeffs"]])
+        roots = tuple((parse_angle(str(r["angle"])), r.get("mult", 1))
+                      for r in spec["circle_roots"])
+        leading = spec.get("leading")
+        lead = complex(leading[0], leading[1]) if leading is not None else 1.0 + 0j
+        return CircleZeroSpec(roots, leading_coefficient=lead)
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"malformed polynomial config: {exc!r}") from None

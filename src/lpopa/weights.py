@@ -200,14 +200,18 @@ def weight_from_config(spec: dict) -> Weight:
 
     ``{"kind": "power", "alpha": 0.5}`` or
     ``{"kind": "table", "values": [...], "tail": "power"}`` with an optional
-    ``"doubling_constant"`` entry for table weights.
+    ``"doubling_constant"`` entry for table weights.  Malformed entries raise
+    ValueError.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("weight config must be an object with a 'kind' entry")
     kind = spec["kind"]
-    if kind == "power":
-        return power_weight(float(spec["alpha"]))
-    if kind == "table":
-        return table_weight(spec["values"], tail=spec.get("tail", "constant"),
-                            declared_doubling=spec.get("doubling_constant"))
+    try:
+        if kind == "power":
+            return power_weight(float(spec["alpha"]))
+        if kind == "table":
+            return table_weight(spec["values"], tail=spec.get("tail", "constant"),
+                                declared_doubling=spec.get("doubling_constant"))
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {kind} weight config: {exc!r}") from None
     raise ValueError(f"unknown weight kind {kind!r}")

@@ -231,6 +231,30 @@ class TestArgumentValidation:
         assert code == 2 and out == ""
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("option, text", [
+        ("--weight-file", '{"kind": "power"}'),
+        ("--weight-file", '{"kind": "table", "values": [{}]}'),
+        ("--config", '{"circle_roots": [{"mult": 2}]}'),
+        ("--config", '{"coeffs": 5}'),
+        ("--config", '{"circle_roots": [{"angle": "0", "mult": 2.7}]}'),
+        ("--config", '{"circle_roots": [{"angle": "0", "mult": Infinity}]}'),
+        ("--roots", "pi/0:1"),
+        ("--roots", "0:2.7"),
+    ])
+    def test_malformed_configuration_exits_2(self, capsys, tmp_path, option, text):
+        # a missing entry, a wrong type, a zero denominator or a fractional
+        # multiplicity is a configuration error, not a crash or a truncation
+        if option != "--roots":
+            path = tmp_path / "spec.json"
+            path.write_text(text)
+            text = str(path)
+        problem = ["--coeffs", "1,-1"] if option == "--weight-file" else []
+        code, out, err = run_cli(capsys, "compute", "--p", "2", "--n", "3", *problem,
+                                 option, text)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_over_cap_sweep_exits_2_before_any_solve(self, capsys, monkeypatch):
         def work(*args, **kwargs):
             raise AssertionError("an over-cap sweep reached a preparation or a solve")

@@ -32,10 +32,7 @@ def one_minus_zd(d):
     return Poly(c)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"max_iters": 0}, {"max_iters": -5}, {"max_iters": 2.5},
-    {"grad_tol": 0.0}, {"grad_tol": -1.0}, {"grad_tol": math.nan},
-])
+@pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"max_iters": -5}, {"max_iters": 2.5}])
 def test_bad_solver_options_rejected(kwargs):
     with pytest.raises(ValueError):
         SolverOpts(**kwargs)
@@ -197,7 +194,7 @@ class TestConvex:
             solve_convex(Poly([1, -1]), 1, SpaceParams.power(1, 0))
 
     def test_nonconvergence_is_flagged(self):
-        opts = SolverOpts(max_iters=1, grad_tol=1e-14)
+        opts = SolverOpts(max_iters=1)
         res = solve_convex(Poly([1, -1]), 24, SpaceParams.power(3, 0), opts,
                            init=Poly(np.zeros(25)))
         assert not res.converged
@@ -216,8 +213,10 @@ class TestConvex:
         assert res.optimal_norm == pytest.approx(ref.optimal_norm, rel=1e-6)
 
 
-# (circle zeros, p, n, alpha): repeated zeros up to n = 256, and a p < 1.5
-# case that stalls short of the optimum without the p = 1.5 continuation
+# (circle zeros or f, p, n, alpha): repeated zeros up to n = 256, and p = 1.2
+# cases that Newton descent from the p = 2 seed certifies at p itself; the
+# last two were unconverged under a stationarity rule, 1 - 2z at the
+# structural norm and (z-1)^4 without a p = 1.5 continuation stage
 CONVEX_VS_STRUCTURAL = [
     (((0.0, 2), (PI, 1)), 1.2, 32, 0.0),
     (((0.0, 4),), 1.5, 32, 0.0),
@@ -225,15 +224,17 @@ CONVEX_VS_STRUCTURAL = [
     (((0.0, 2), (PI, 1)), 1.5, 128, 0.0),
     (((0.0, 2), (PI, 1)), 3.0, 256, 0.0),
     (((0.0, 1), (PI / 2, 1), (3 * PI / 2, 1)), 1.2, 16, 0.5),
+    (Poly([1, -2]), 1.5, 32, 0.0),
+    (((0.0, 4),), 1.2, 9, 0.0),
 ]
 
 
 @pytest.mark.parametrize("roots, p, n, alpha", CONVEX_VS_STRUCTURAL)
 def test_convex_converges_to_structural_norm(roots, p, n, alpha):
-    spec = CircleZeroSpec(roots)
+    problem = roots if isinstance(roots, Poly) else CircleZeroSpec(roots)
     sp = SpaceParams.power(p, alpha)
-    res = solve_convex(expand(spec), n, sp)
-    ref, _ = solve_structural(spec, n, sp)
+    res = solve_convex(expand(problem) if isinstance(problem, CircleZeroSpec) else problem, n, sp)
+    ref, _ = solve_structural(problem, n, sp)
     assert res.converged
     assert ref.converged
     assert res.optimal_norm == pytest.approx(ref.optimal_norm, rel=1e-10)
@@ -539,10 +540,25 @@ class TestCertificateRecord:
         if sp.is_flat:      # a face dimension only where the dual bounds the optimum
             assert (second is None) == (not res.converged)
 
+    @pytest.mark.parametrize("p", [1.2, 2, 3])
+    @pytest.mark.parametrize("name", list(RECORD_PROBLEMS))
+    def test_convex_route_carries_it(self, name, p):
+        sp = SpaceParams.power(p, 0.5)
+        problem = RECORD_PROBLEMS[name]
+        f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
+        for n in (0, 3, 16):
+            res = solve_convex(f, n, sp)
+            assert res.converged and res.converged == gap_rule(res, sp)
+            # weak duality: the projected dual data of the residual bounds it from below
+            assert res.dual <= res.optimal_norm * (1 + 1e-12)
+            if name == "constant":
+                assert (res.dual, res.rel_gap, res.optimal_norm) == (0.0, 0.0, 0.0)
+            else:
+                assert res.rel_gap == (res.optimal_norm - res.dual) / res.optimal_norm
+
     def test_direct_routes_leave_it_empty(self):
         sp = SpaceParams.power(2, 0.5)
-        for res in (solve_hilbert(Z1SQ_ZP1, 8, sp.weight), solve_convex(Z1SQ_ZP1, 8, sp),
-                    closed_form_one_minus_zd(2, 8, sp),
+        for res in (solve_hilbert(Z1SQ_ZP1, 8, sp.weight), closed_form_one_minus_zd(2, 8, sp),
                     rates._dispatch(Poly([2, -2]), 8, sp, "auto")):
             assert res.dual is None and res.rel_gap is None
 
