@@ -48,17 +48,14 @@ from .weights import Weight
 log = logging.getLogger(__name__)
 
 _COND_LIMIT = 1e14
-# solve_convex's damped Newton loop: the Armijo fraction of the predicted
-# decrease, the relative rounding level of phi below which a decrease does
-# not count, the number of consecutive steps without progress (halving the
-# gradient sup-norm, or above _STALL_TOL stationarity lowering phi) before it
-# returns, and the stationarity of the norm at which it stops; _flat_linf
-# ends a smoothing stage after as many stalled steps
+# Newton line searches: the Armijo fraction of the predicted decrease; solve_convex:
+# the rounding level of phi below which a decrease does not count, the norm's
+# stationarity at which it stops, and max_j |(F^H y)_j| / (max |y| ||f||_1) above
+# which its dual vector y bounds nothing; _flat_linf: the stalls that end a stage
 _ARMIJO = 0.25
-_PHI_NOISE = 1e-15
+_PHI_NOISE, _STATIONARY, _ANNIHILATED = 1e-15, 1e-12, 1e-12
 _STALL_STEPS = 3
-_STALL_TOL, _STATIONARY = 1e-10, 1e-12
-_GAP_TOL = 1e-9         # solve_flat: relative duality gap of a converged solve
+_GAP_TOL = 1e-9         # solve_flat: |relative duality gap| of a converged solve
 _DUAL_GAP_TOL = 1e-10   # 1 < p < inf: |relative duality gap| of a converged solve
 _ROUNDING = 1e-12       # solve_flat: relative agreement that counts as exact
 _CLUSTER = 1e-2         # np.roots zeros this close (relative) may be one multiple zero
@@ -73,13 +70,13 @@ _MAX_PIVOTS, _NEWTON_STEPS, _SMOOTHING_STAGES, _DUAL_STEPS = 5000, 50, 6, 200
 class SolverOpts:
     """The Newton step limit of :func:`solve_convex`, its own parameter.
 
-    No other route and no CLI option takes it, and no option sets when a
-    solve converges: every iterative route is certified by its duality gap
-    (:func:`_certify`).  Construction raises ValueError unless ``max_iters``
-    is an integer >= 1.
+    The default is the dual Newton's 200 steps.  No other route and no CLI
+    option takes it, and no option sets when a solve converges: every
+    iterative route is certified by its duality gap (:func:`_certify`).
+    Construction raises ValueError unless ``max_iters`` is an integer >= 1.
     """
 
-    max_iters: int = 10_000
+    max_iters: int = _DUAL_STEPS
 
     def __post_init__(self):
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
@@ -307,6 +304,12 @@ def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
 # 1 < p < inf: damped Newton descent
 # ---------------------------------------------------------------------------
 
+def _live(a: np.ndarray, p: float) -> np.ndarray:
+    """The residual moduli a above convolution-noise level: entries at it are exact
+    zeros of the minimizer, whose terms drop out of the gradient and the Hessian."""
+    return a > (1e-14 if p < 2 else 1e-18) * max(1.0, float(a.max()))
+
+
 def _convex_hessian(fc: np.ndarray, r: np.ndarray, wv: np.ndarray, p: float,
                     n: int) -> np.ndarray:
     """The Hessian of phi = sum_t w_t |r_t|^p at residual r = 1 - c f, in LAPACK
@@ -317,10 +320,10 @@ def _convex_hessian(fc: np.ndarray, r: np.ndarray, wv: np.ndarray, p: float,
     Re M/2]], K and M the :func:`_gram_band` entries with weights
     beta = p w |r|^(p-2) and gamma r^2, gamma = p (p-2) w |r|^(p-4), and
     g = f and conj(f); it vanishes for o > d.  Residual entries at
-    convolution-noise level are exact zeros of the minimizer and drop out.
+    convolution-noise level are exact zeros of the minimizer and drop out (:func:`_live`).
     """
     a = np.abs(r)
-    hmask = a > (1e-14 if p < 2 else 1e-18) * max(1.0, float(a.max()))
+    hmask = _live(a, p)
     am, wm = a[hmask], wv[hmask]
     beta = np.zeros_like(a)
     gamma = np.zeros_like(a)
@@ -357,27 +360,27 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     of half-width 2 deg f + 1 (:func:`_convex_hessian`) solved by banded LU
     in O(n d^2).  The objective is convex and differentiable; residual
     entries at convolution-noise level are exact zeros of the minimizer and
-    drop out of the gradient and the dual data (p < 2) and the Hessian.  The
-    banded Gram factor of :func:`solve_hilbert`, against the weight table
-    this solve uses, is made first (IllConditionedError from it
+    drop out of the gradient, the dual data and the Hessian (:func:`_live`).
+    The banded Gram factor of :func:`solve_hilbert`, against the weight
+    table this solve uses, is made first (IllConditionedError from it
     propagates); the start is ``init`` when given, else its p = 2
     approximant's coefficients.
 
-    A step is accepted when it passes the Armijo test on phi or lowers the
-    gradient sup-norm: at the precision floor phi can no longer fall but the
-    gradient still can.  A failed solve or a non-descent direction retries
-    with a Levenberg shift.  Newton steps count against ``opts.max_iters``.
-    Stationarity is that of the norm, gmax / (p phi^((p-1)/p)), which unlike
-    gmax does not shrink with phi as p grows.  The loop drives it towards
-    1e-12 and returns early after three consecutive steps that neither
-    halve gmax nor, while stationarity is above 1e-10, lower phi beyond
-    rounding.  f is scaled to unit norm internally; results are reported
-    for the original f.
-
-    :func:`_certify` certifies the result by y = d - W F G^-1 F^H d, with d
+    :func:`_certify` certifies an iterate by y = d - W F G^-1 F^H d, with d
     the dual data w_t |r_t|^(p-2) r_t of its residual, F the columns z^j f,
-    W the weights and G = F^H W F that Gram band: F^H y = 0.
-    A constant f has the exact answer 1 / f_0, dual bound and gap 0.
+    W the weights and G = F^H W F that Gram band: F^H y = 0, unless G is too
+    ill-conditioned for that to hold to rounding, and then y bounds nothing.
+
+    A step is accepted when it passes the Armijo test on phi or lowers the
+    gradient sup-norm gmax: at the precision floor phi can no longer fall but
+    gmax still can.  A failed solve or a non-descent direction retries with a
+    Levenberg shift.  A step that does not halve gmax ends the solve once its
+    certificate is converged; otherwise the loop ends at a step no shift
+    makes acceptable, after ``opts.max_iters`` steps, or where the norm's
+    stationarity gmax / (p phi^((p-1)/p)), which unlike gmax does not shrink
+    with phi as p grows, reaches 1e-12.  f is scaled to unit norm internally;
+    results are reported for the original f.  A constant f has the exact
+    answer 1 / f_0, dual bound and gap 0.
     """
     from scipy.linalg import get_lapack_funcs
     opts = opts or SolverOpts()
@@ -398,13 +401,10 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         return r
 
     def dual_data(r: np.ndarray):
-        """conj(w_t |r_t|^(p-2) r_t), and |r|.  Coordinate exclusion: a residual
-        entry at convolution-noise level is an exact zero of the minimizer,
-        where the true term is 0; for p < 2 the factor |r|^{p-1} would
-        otherwise put a spurious floor of noise^{p-1} under the gradient."""
+        """conj(w_t |r_t|^(p-2) r_t), 0 at noise-level entries (:func:`_live`), and |r|."""
         a = np.abs(r)
         s = signed_powers(r, p - 1.0)
-        s[a <= (1e-14 * max(1.0, float(a.max())) if p < 2 else 1e-30)] = 0.0
+        s[~_live(a, p)] = 0.0
         return s * wv, a
 
     def phi_grad(x: np.ndarray):
@@ -415,6 +415,18 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     def stationarity(phi: float, gmax: float) -> float:   # of phi^(1/p)
         return gmax / (p * phi ** ((p - 1.0) / p)) if phi > 0.0 else 0.0
 
+    def certified(x: np.ndarray, iterations: int) -> OpaResult:
+        """The result at x, certified unless its y leaks onto the z^j f."""
+        result = _finalize(f, x.view(np.complex128) / scale, sp, iterations=iterations,
+                           converged=False, solver="convex", wv=wv)
+        d = np.conj(dual_data(result.residual.padded(wv.size))[0])
+        y = d - wv * np.convolve(gram(n, np.correlate(d, f.coeffs, mode="valid")), f.coeffs)
+        leak = np.abs(np.correlate(y, f.coeffs, mode="valid")).max()
+        if leak <= _ANNIHILATED * np.abs(y).max() * np.abs(f.coeffs).sum():
+            return _certify(result, np.abs(y), y[0].real, wv, sp)
+        log.debug("solve_convex: dual vector leaks %.3e onto the z^j f", leak)
+        return result
+
     gram = _hilbert_factor(f.coeffs, n, wv)
     if init is None:
         init = Poly(gram(n))
@@ -423,7 +435,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     gmax = float(np.abs(g).max())
     h = 2 * min(f.degree, n) + 1
     gbsv, = get_lapack_funcs(("gbsv",), (x,))
-    iterations, stalled, best = 0, 0, (phi, gmax)
+    iterations = 0
     while iterations < opts.max_iters and stationarity(phi, gmax) > _STATIONARY:
         H = _convex_hessian(fc, residual(x), wv, p, n)
         diag = H[2 * h].copy()
@@ -450,22 +462,10 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         if not accepted:
             break
         x = x + t * dx
-        # progress halves the least gmax so far or, above _STALL_TOL, lowers
-        # the least phi so far beyond rounding; steps that raise phi while
-        # lowering gmax otherwise let a Newton cycle run the whole budget
-        progress = gnmax <= 0.5 * best[1] or (stationarity(phi, gmax) > _STALL_TOL
-                                             and best[0] - phin > _PHI_NOISE * best[0])
-        stalled = 0 if progress else stalled + 1
+        if gnmax > 0.5 * gmax and (result := certified(x, iterations)).converged:
+            return result
         phi, g, gmax = phin, gn, gnmax
-        best = (min(best[0], phi), min(best[1], gmax))
-        if stalled >= _STALL_STEPS:
-            break
-
-    result = _finalize(f, x.view(np.complex128) / scale, sp, iterations=iterations,
-                       converged=False, solver="convex", wv=wv)
-    d = np.conj(dual_data(result.residual.padded(wv.size))[0])
-    y = d - wv * np.convolve(gram(n, np.correlate(d, f.coeffs, mode="valid")), f.coeffs)
-    return _certify(result, np.abs(y), y[0].real, wv, sp)
+    return certified(x, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +566,8 @@ def _certify(result: OpaResult, size: np.ndarray, pairing: float, w: np.ndarray,
     every z^j f, given as ``size`` = |y_t| and ``pairing`` = Re <y, r>, equal for
     every residual r: the bound pairing / ||y||_* (weak duality) under the dual
     norm (sum_t w_t^(1-q) |y_t|^q)^(1/q), or max_t (p = 1) and sum_t (p = inf)
-    of |y_t| / w_t; converged means |rel_gap| <= 1e-10, or rel_gap <= 1e-9 at
-    the flat endpoints.  A dual norm that is zero or not finite (weights that
+    of |y_t| / w_t; converged means |rel_gap| <= 1e-10, or 1e-9 at the flat
+    endpoints.  A dual norm that is zero or not finite (weights that
     leave the float range) bounds nothing: dual and rel_gap stay None and the
     result is not converged."""
     if sp.is_flat:
@@ -584,7 +584,7 @@ def _certify(result: OpaResult, size: np.ndarray, pairing: float, w: np.ndarray,
     gap = (primal - dual) / primal if primal > 0 else 0.0
     tol = _GAP_TOL if sp.is_flat else _DUAL_GAP_TOL
     result.dual, result.rel_gap = dual, gap
-    result.converged = bool((gap if sp.is_flat else abs(gap)) <= tol)
+    result.converged = bool(abs(gap) <= tol)
     if not result.converged:
         log.debug("solve_%s: relative gap %.3e above %.0e", result.solver, gap, tol)
     return result
@@ -857,8 +857,8 @@ def _flat_linf(A: np.ndarray, b: np.ndarray, w: np.ndarray):
             # below the rounding of the rest, from taking over the step
             dz = -np.linalg.solve(hess + 1e-12 * np.trace(hess) * eye_z, grad)
             decrement, step = -float(grad @ dz), 1.0
-            stalled = 0.5 * last <= decrement <= 1e-14 * phi
-            stalls, last = stalls + 1 if stalled else 0, decrement
+            stalls = stalls + 1 if 0.5 * last <= decrement <= 1e-14 * phi else 0
+            last = decrement
             if stalls >= _STALL_STEPS:
                 break
             while decrement > 1e-20 * phi and step > 1e-12:

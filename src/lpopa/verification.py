@@ -52,7 +52,7 @@ def _result(name: str, measures: dict, records: list[OpaResult]) -> CheckResult:
 
 
 def _unconverged(records: list[OpaResult]) -> int:
-    return sum(not res.converged for res in records if res.solver == "convex")
+    return sum(not res.converged for res in records)
 
 
 def closed_form_check(cases, convex: bool = True) -> CheckResult:

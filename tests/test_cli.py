@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -661,6 +662,21 @@ class TestVerify:
                                  "--out", str(report))
             assert code == 0
         assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    def test_unconverged_structural_solve_fails_criterion_03(self, monkeypatch):
+        # a norm that matches the convex one does not excuse an uncertified solve
+        solve = lpopa.verification.solve_structural
+
+        def uncertified(*args):
+            res, fit = solve(*args)
+            return replace(res, converged=False), fit
+
+        monkeypatch.setattr(lpopa.verification, "solve_structural", uncertified)
+        result = lpopa.verification.structural_check(
+            [(CircleZeroSpec(((0.0, 2),)), 7, SpaceParams.power(1.5, 0.0))])
+        assert result.measures["unconverged"] == (1, 0)
+        assert result.measures["norm rel"][0] <= 1e-6
+        assert not result.passed
 
     def test_multiplication_check_is_batched(self, monkeypatch):
         # one evaluation of the estimate per trial would make 2,400 calls here
