@@ -44,6 +44,11 @@ def _fmt_float(x) -> str:
     return format(float(x), ".17g") if math.isfinite(x) else "null"
 
 
+class _Pairs(list):
+    """A list of [re, im] float pairs, such as a polynomial's coefficients, which
+    :func:`render_json` renders in one pass: each pair inline, as it would any."""
+
+
 def render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON; a list is inline under 60 characters, its floats formatted in place."""
     pad = "  " * indent
@@ -63,18 +68,25 @@ def render_json(obj, indent: int = 0) -> str:
         inner = ",\n".join(f"{pad}  {json.dumps(str(k))}: {render_json(v, indent + 1)}"
                            for k, v in obj.items())
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, _Pairs):
+        # two formatted floats never reach 60 characters, so a pair is inline; a
+        # finite float's digits hold no "n", those of nan and inf do
+        items = [f"[{re:.17g}, {im:.17g}]" for re, im in obj]
+        if any("n" in s for s in items):
+            items = [f"[{_fmt_float(re)}, {_fmt_float(im)}]" for re, im in obj]
+    elif isinstance(obj, (list, tuple, np.ndarray)):
         items = [_fmt_float(v) if isinstance(v, float) else render_json(v, indent + 1)
                  for v in obj]
-        if sum(map(len, items)) < 60 and not any("\n" in s for s in items):
-            return "[" + ", ".join(items) + "]"
-        inner = ",\n".join(pad + "  " + s for s in items)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    if sum(map(len, items)) < 60 and not any("\n" in s for s in items):
+        return "[" + ", ".join(items) + "]"
+    inner = ",\n".join(pad + "  " + s for s in items)
+    return "[\n" + inner + "\n" + pad + "]"
 
 
-def _pairs(p: Poly) -> list[list[float]]:
-    return [[float(c.real), float(c.imag)] for c in p.coeffs]
+def _pairs(p: Poly) -> _Pairs:
+    return _Pairs(p.coeffs.view(np.float64).reshape(-1, 2).tolist())
 
 
 def _fmt_cell(v) -> str:

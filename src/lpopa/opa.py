@@ -6,28 +6,35 @@ degree-n polynomials minimizing the weighted norm of 1 - p_n f.  Routes:
 * :func:`solve_structural` Newton's method on the dual of the residual form,
                            d or 2d unknowns whatever n is, certified by its
                            duality gap (1 < p < inf; auto route for p != 2),
+* :func:`prepare_residual_qr`  the p = 2 optimum of the residual form from a
+                           QR factor of its d rows, extended block by block
+                           over the orders and certified by its duality gap
+                           (auto route at p = 2),
 * :func:`solve_convex`     damped Newton descent on the p-th power objective
                            (1 < p < inf) with a banded Hessian, started from
                            the banded p = 2 coefficients and certified by its
                            duality gap; the oracle of ``lpopa verify`` and of
                            ``--solver convex``, never picked by auto,
-* :func:`solve_hilbert`    direct normal equations at p = 2,
+* :func:`solve_hilbert`    direct normal equations at p = 2, uncertified; the
+                           oracle of ``--solver hilbert``, ``lpopa verify``,
+                           :func:`composite_construction` and the convex seed,
 * :func:`prepare_closed_form`  exact formulas for f = c(1 - z^d),
 * :func:`solve_flat`       the linear programs of the endpoints p in {1, inf},
                            solved exactly and certified by a dual bound,
 
 plus the :func:`composite_construction` of near-optimal approximants for
-repeated circle zeros out of a simple-zero Hilbert solve.  Every route ends
-in one :func:`_finalize`, which forms the residual and its norm from a
-single weight table and returns one :class:`OpaResult` holding the problem
-(f, n, sp) as given, with its answer.  The orthogonality pairing and the
-structure constants (:class:`ExpPolyFit`) are formed from those when read.
+repeated circle zeros out of a simple-zero Hilbert solve.  The Gram and
+convex routes end in one :func:`_finalize`, which forms the residual and its
+norm from a single weight table; every route returns one :class:`OpaResult`
+holding the problem (f, n, sp) as given, with its answer.  The orthogonality
+pairing and the structure constants (:class:`ExpPolyFit`) are formed from
+those when read, and so is the p = 2 residual-form approximant.
 
-The Hilbert route and the closed form are the one-order case of
-:func:`prepare_hilbert` and :func:`prepare_closed_form`: a sweep prepares
-them once, at its largest order (one Gram factorization, one set of
-cumulative sums), and each order reads the leading part, with the bits of a
-solve at that order alone.
+The p = 2 residual form and the closed form prepare for every order up to
+a largest one (one row table and one QR factor per block of rows, one set
+of cumulative sums), and each order reads the part it needs, with the bits
+of a solve at that order alone.  Only the Hilbert and convex routes import
+scipy.linalg, at their first call.
 """
 
 from __future__ import annotations
@@ -64,6 +71,8 @@ _FREE_TOL = 1e-6        # p = inf: dual entries below this (relative) vanish
 _EPS_FALL = 0.01        # p = inf: a smoothing stage's eps over the previous stage's
 # budgets; a solve that exhausts one reports the gap it reached
 _MAX_PIVOTS, _NEWTON_STEPS, _SMOOTHING_STAGES, _DUAL_STEPS = 5000, 50, 6, 200
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_EXP_FLOOR = math.log(_TINY)    # exp below this is not a normal float
 
 
 @dataclass
@@ -89,19 +98,20 @@ class OpaResult:
 
     ``f``, ``n`` and ``sp`` are the problem solved: f the polynomial (a
     CircleZeroSpec expanded), n the order of ``approximant``.
-    ``optimal_norm`` is the weighted norm of the residual 1 - p_n f;
+    ``optimal_norm`` is the weighted norm of the residual 1 - p_n f (on the
+    p = 2 residual form, of its optimal r, from which p_n = (1 - r) / f);
     ``ortho_residual_max`` is the largest orthogonality pairing of the
     residual against z^j f for j <= n, evaluated with f scaled to unit norm
     (None at the flat endpoints, which the pairing does not cover).  It is
     formed from the fields each time it is read, and a sweep never reads it.
     ``dual`` (a lower bound on the optimum) and ``rel_gap``, (optimal_norm -
     dual) / optimal_norm or 0 when both vanish, certify the structural,
-    convex and flat routes (:func:`_certify`); they are None on the direct
-    routes (Hilbert and the closed form), and on a result whose dual vector
-    bounds nothing.  On the certified routes ``converged`` is the gap rule
-    alone, and the gap tolerance bounds any excess; on the direct ones it
-    means the solve went through and optimal_norm <= 1, the norm of the zero
-    approximant (w_0 = 1 for every Weight).
+    p = 2 residual-form, convex and flat routes (:func:`_certify`); they are
+    None on the direct routes (Hilbert and the closed form), and on a result
+    whose dual vector bounds nothing.  On the certified routes ``converged``
+    is the gap rule alone, and the gap tolerance bounds any excess; on the
+    direct ones it means the solve went through and optimal_norm <= 1, the
+    norm of the zero approximant (w_0 = 1 for every Weight).
     """
 
     f: Poly
@@ -150,6 +160,19 @@ def _table_norm(c: np.ndarray, wv: np.ndarray, p: float) -> float:
     return float(_row_norms(np.abs(c), wv[: c.size], p)) if c.size else 0.0
 
 
+def _decay(x: np.ndarray) -> np.ndarray:
+    """exp(x), x <= 0, and 0 where that is below the normal range, where np.exp is slow."""
+    return np.exp(x, where=x > _EXP_FLOOR, out=np.zeros_like(x))
+
+
+def _phases(angle: float, size: int) -> np.ndarray:
+    """exp(-i angle t) for t < size, as exp(-i angle 64 b) exp(-i angle u) with
+    t = 64 b + u: size / 64 + 64 sines and cosines, which are slow, for one
+    rounding more."""
+    u, b = np.arange(64.0) * angle, np.arange(-(-size // 64)) * (64.0 * angle)
+    return np.outer(np.cos(b) - 1j * np.sin(b), np.cos(u) - 1j * np.sin(u)).ravel()[:size]
+
+
 def _unit_and_norm(f: Poly, sp: SpaceParams) -> tuple[np.ndarray, float]:
     """The coefficients of f / norm(f), and norm(f), from f divided by its largest
     coefficient modulus first: |f_k|^p overflows at a high multiplicity."""
@@ -188,23 +211,14 @@ def _finalize(f: Poly, c: np.ndarray, sp: SpaceParams, iterations: int,
 # ---------------------------------------------------------------------------
 # p = 2: normal equations
 # ---------------------------------------------------------------------------
-#
-# The Gram matrix of z^j f (j = 0..n) is the leading (n+1) x (n+1) block of
-# that of every larger order, and the Cholesky factor of a leading block is
-# the leading block of the factor, so one factorization at the largest order
-# of a sweep serves them all.  LAPACK's pbtrf factors a band narrower than
-# its block size (32) column by column, and a column sees only the columns
-# before it, so for deg f < 32 the leading columns carry the bits of a
-# factorization at order n itself.  A wider band may take the blocked path,
-# whose leading columns agree with that to rounding only.
 
 def cholesky_banded(ab: np.ndarray) -> tuple[np.ndarray, int]:
     """Upper banded Cholesky factor of ab by LAPACK pbtrf, and pbtrf's info.
 
     info is 0, or k > 0 when the k-th leading minor is not positive
-    definite; columns 1 .. k-1 are factored all the same.  No finiteness
-    check: the caller checks the leading block it reads.  Module-level so
-    perfbench/tracer.py can wrap it; scipy is imported at the first call.
+    definite.  No finiteness check: the caller checks the band it factors.
+    Module-level so perfbench/tracer.py can wrap it; scipy is imported at
+    the first call.
     """
     from scipy.linalg import get_lapack_funcs
     pbtrf, = get_lapack_funcs(("pbtrf",), (ab,))
@@ -226,37 +240,30 @@ def _gram_band(fc: np.ndarray, gc: np.ndarray, wt: np.ndarray, n: int) -> np.nda
     return ab
 
 
-def _hilbert_factor(fc: np.ndarray, n_max: int, wv: np.ndarray):
-    """The weighted Gram solves of every order n <= n_max.
+def _hilbert_factor(fc: np.ndarray, n: int, wv: np.ndarray):
+    """The weighted Gram solve of order n.
 
     fc are the coefficients of f and wv its weight table, indices 0 ..
-    n_max + deg f.  The Gram matrix G of z^j f is assembled in band form and
-    factored once, at n_max.  The returned function solves G x = rhs at order
-    n from the first n + 1 columns of both: the finiteness check scipy makes
-    of a Gram matrix, the factorization's failure when its failing minor
-    lies among them, the condition check and LAPACK pbtrs's two triangular
-    solves.  The default rhs, conj(f_0) e_0, gives the p = 2 approximant.
+    n + deg f.  The Gram matrix G of z^j f (j <= n) is assembled in band form
+    and factored once; the returned function solves G x = rhs: the
+    finiteness check scipy makes of a Gram matrix, the factorization's
+    failure, the condition check and LAPACK pbtrs's two triangular solves.
+    The default rhs, conj(f_0) e_0, gives the p = 2 approximant.
     """
     from scipy.linalg import get_lapack_funcs
-    d = fc.size - 1
-    u = min(d, n_max)
-    # columns that overflow are refused by the orders that read them, so
-    # they must not warn for the orders that do not
-    with np.errstate(over="ignore", invalid="ignore"):
-        ab = _gram_band(fc, fc, wv, n_max)
-    finite = np.logical_and.accumulate(np.isfinite(ab).all(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):      # refused below
+        ab = _gram_band(fc, fc, wv, n)
+    finite = bool(np.isfinite(ab).all())
     cb, info = cholesky_banded(ab)
     pbtrs, = get_lapack_funcs(("pbtrs",), (cb,))
 
-    def solve(n: int, rhs: np.ndarray | None = None) -> np.ndarray:
-        if not 0 <= n <= n_max:
-            raise ValueError(f"order {n} outside the prepared orders 0..{n_max}")
-        if not finite[n]:      # what scipy's check of the order-n matrix raises
+    def solve(rhs: np.ndarray | None = None) -> np.ndarray:
+        if not finite:          # what scipy's check of a Gram matrix raises
             raise ValueError("array must not contain infs or NaNs")
-        if 0 < info <= n + 1:
+        if info > 0:
             raise IllConditionedError("Gram factorization failed: "
                                       f"{info}-th leading minor not positive definite")
-        diag = np.abs(cb[-1, : n + 1])
+        diag = np.abs(cb[-1])
         cond_est = (diag.max() / diag.min()) ** 2
         if not np.isfinite(cond_est) or cond_est > _COND_LIMIT:
             raise IllConditionedError(
@@ -264,26 +271,9 @@ def _hilbert_factor(fc: np.ndarray, n_max: int, wv: np.ndarray):
         if rhs is None:
             rhs = np.zeros(n + 1, dtype=np.complex128)
             rhs[0] = np.conj(fc[0])
-        # the order-n band keeps min(d, n) superdiagonals, the last rows of cb
-        return pbtrs(cb[u - min(d, n):, : n + 1], rhs, lower=0)[0]
+        return pbtrs(cb, rhs, lower=0)[0]
 
     return solve
-
-
-def prepare_hilbert(f: Poly, n_max: int, w: Weight):
-    """The order-n solve of :func:`solve_hilbert` for every n <= n_max.
-
-    One weight table and one banded Gram factorization at n_max serve every
-    order: each reads the leading n + 1 columns (see the section comment),
-    then forms its result with :func:`_finalize`.  n_max is validated; an
-    order outside 0..n_max raises ValueError.
-    """
-    _validate(f, n_max)
-    wv = w.values_up_to(n_max + f.degree)
-    gram = _hilbert_factor(f.coeffs, n_max, wv)
-    sp = SpaceParams(2.0, w)
-    return lambda n: _finalize(f, gram(n), sp, iterations=0, converged=True,
-                               solver="hilbert", wv=wv)
 
 
 def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
@@ -293,11 +283,16 @@ def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
     Hermitian positive definite and banded with bandwidth deg f, so a banded
     Cholesky factorization solves it in O(n d^2).  Raises
     IllConditionedError when the factorization fails or the factor suggests
-    condition beyond 1e14.  The one-order case of :func:`prepare_hilbert`,
-    which a sweep prepares once at its largest order.  scipy.linalg is
-    imported at the first call, not with the module.
+    condition beyond 1e14.  An oracle, uncertified: ``--solver hilbert``,
+    criterion 02, :func:`composite_construction` and the seed of
+    :func:`solve_convex` use it; auto solves p = 2 by
+    :func:`prepare_residual_qr`.  scipy.linalg is imported at the first
+    call, not with the module.
     """
-    return prepare_hilbert(f, n, w)(n)
+    _validate(f, n)
+    wv = w.values_up_to(n + f.degree)
+    return _finalize(f, _hilbert_factor(f.coeffs, n, wv)(), SpaceParams(2.0, w),
+                     iterations=0, converged=True, solver="hilbert", wv=wv)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +415,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         result = _finalize(f, x.view(np.complex128) / scale, sp, iterations=iterations,
                            converged=False, solver="convex", wv=wv)
         d = np.conj(dual_data(result.residual.padded(wv.size))[0])
-        y = d - wv * np.convolve(gram(n, np.correlate(d, f.coeffs, mode="valid")), f.coeffs)
+        y = d - wv * np.convolve(gram(np.correlate(d, f.coeffs, mode="valid")), f.coeffs)
         leak = np.abs(np.correlate(y, f.coeffs, mode="valid")).max()
         if leak <= _ANNIHILATED * np.abs(y).max() * np.abs(f.coeffs).sum():
             return _certify(result, np.abs(y), y[0].real, wv, sp)
@@ -429,7 +424,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
 
     gram = _hilbert_factor(f.coeffs, n, wv)
     if init is None:
-        init = Poly(gram(n))
+        init = Poly(gram())
     x = (init.padded(n + 1) * scale).view(np.float64)
     phi, g = phi_grad(x)
     gmax = float(np.abs(g).max())
@@ -479,35 +474,40 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
 # Optimization*, 5.1).  In real coordinates block A[t] (c x R) maps lam to
 # y_t = (S^H lam)_t and S r = e reads sum_t A[t].T r_t = b; c = 1 for real f.
 
+def _zeros(f: Poly, problem) -> list[tuple[float, float, int]]:
+    """(modulus, angle, multiplicity) of each zero of f: a CircleZeroSpec's exact
+    zeros in spec order, else those of np.roots, clustered into multiplicities
+    where the clustered product reproduces f to rounding."""
+    if isinstance(problem, CircleZeroSpec):
+        return [(1.0, angle, mult) for angle, mult in problem.roots]
+    roots, clusters = np.roots(f.coeffs[::-1]), []
+    for root in roots:
+        near = [c for c in clusters if abs(c[0] - root) <= _CLUSTER * max(1.0, abs(root))]
+        if near:
+            near[0].append(root)
+        else:
+            clusters.append([root])
+    if len(clusters) == len(roots):         # simple zeros: nothing to check
+        return [(abs(zeta), np.angle(zeta), 1) for zeta in roots]
+    pairs = [(np.mean(c), len(c)) for c in clusters]
+    product = f.coeffs[-1] * np.poly([zeta for zeta, mult in pairs for _ in range(mult)])
+    if np.abs(product[::-1] - f.coeffs).max() > _ROUNDING * np.abs(f.coeffs).max():
+        pairs = [(zeta, 1) for zeta in roots]
+    return [(abs(zeta), np.angle(zeta), mult) for zeta, mult in pairs]
+
+
 def _residual_rows(f: Poly, problem, m: int, real: bool):
     """Blocks A (m x c x R) and right side b of S r = e on residuals of length
     m, and back (d x R), which takes lam to the coordinates of conj(A lam) on S.
 
-    A CircleZeroSpec gives exact zeros in spec order; those of np.roots are
-    clustered into multiplicities where the clustered product reproduces f to
-    rounding.  Row s of zeta is (t/(m-1))^s zeta^t, times |zeta|^-(m-1) if
-    |zeta| > 1 (phase and modulus apart: (-2)^t overflows); a zero at 0 gives
-    the rows e_s.  An SVD makes the rows orthonormal, keeping d of them for a
-    real f (real r).
+    The zeros are those of :func:`_zeros`.  Row s of zeta is (t/(m-1))^s
+    zeta^t, times |zeta|^-(m-1) if |zeta| > 1 (phase and modulus apart:
+    (-2)^t overflows); a zero at 0 gives the rows e_s.  An SVD makes the rows
+    orthonormal, keeping d of them for a real f (real r).
     """
-    if isinstance(problem, CircleZeroSpec):
-        zeros = [(1.0, angle, mult) for angle, mult in problem.roots]
-    else:
-        roots, clusters = np.roots(f.coeffs[::-1]), []
-        for root in roots:
-            near = [c for c in clusters if abs(c[0] - root) <= _CLUSTER * max(1.0, abs(root))]
-            if near:
-                near[0].append(root)
-            else:
-                clusters.append([root])
-        pairs = [(np.mean(c), len(c)) for c in clusters]
-        product = f.coeffs[-1] * np.poly([zeta for zeta, mult in pairs for _ in range(mult)])
-        if np.abs(product[::-1] - f.coeffs).max() > _ROUNDING * np.abs(f.coeffs).max():
-            pairs = [(zeta, 1) for zeta in roots]
-        zeros = [(abs(zeta), np.angle(zeta), mult) for zeta, mult in pairs]
     t = np.arange(m, dtype=float)
     rows, rhs = [], []
-    for modulus, angle, mult in zeros:
+    for modulus, angle, mult in _zeros(f, problem):
         shift = m - 1 if modulus > 1.0 else 0
         rhs += [modulus ** -shift] + [0.0] * (mult - 1)
         if modulus == 0.0:
@@ -527,15 +527,25 @@ def _residual_rows(f: Poly, problem, m: int, real: bool):
     return vh[:k].reshape(k, m, -1).transpose(1, 2, 0), b, back
 
 
-def _setup(problem, n: int, sp: SpaceParams):
-    """f, its residuals' weight table w, and (A, b, back) of S r = e (None if f is constant)."""
-    if isinstance(problem, CircleZeroSpec):     # the cap before the O(d^2) expansion
+def _expand(problem, n: int) -> Poly:
+    """f of a Poly or a CircleZeroSpec, validated for order n; a spec's degree
+    is checked against the cap before the O(d^2) expansion."""
+    if isinstance(problem, CircleZeroSpec):
         check_degree_cap(n, problem.degree)
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
     _validate(f, n)
+    return f
+
+
+def _is_real(f: Poly) -> bool:
+    return bool(np.abs(f.coeffs.imag).max() <= _ROUNDING * np.abs(f.coeffs).max())
+
+
+def _setup(problem, n: int, sp: SpaceParams):
+    """f, its residuals' weight table w, and (A, b, back) of S r = e (None if f is constant)."""
+    f = _expand(problem, n)
     m = n + f.degree + 1
-    real = np.abs(f.coeffs.imag).max() <= _ROUNDING * np.abs(f.coeffs).max()
-    rows = _residual_rows(f, problem, m, real) if f.degree else None
+    rows = _residual_rows(f, problem, m, _is_real(f)) if f.degree else None
     return f, sp.weight.values_up_to(m - 1), rows
 
 
@@ -602,7 +612,7 @@ def _residual_solve(problem, n: int, sp: SpaceParams, solver: str):
     if rows is None:
         return _constant(f, n, sp, solver, w), None
     A, b, _ = rows
-    if not b @ b >= np.finfo(float).tiny:   # the |zeta|^-(m-1) rows of a zero off the circle
+    if not b @ b >= _TINY:   # the |zeta|^-(m-1) rows of a zero off the circle
         raise IllConditionedError(f"residual form at n = {n}: its right side underflows")
     try:
         r, lam, steps = (_flat_l1(A, b, w) if sp.p == 1.0 else _flat_linf(A, b, w)
@@ -612,6 +622,196 @@ def _residual_solve(problem, n: int, sp: SpaceParams, solver: str):
     own = _complex(r)
     result = _finalize(f, lstsq_div(ONE - own, f)[0].padded(n + 1), sp, steps, False, solver, w)
     return _certify(result, np.linalg.norm(A @ lam, axis=1), b @ lam, w, sp), (own, A, w, lam)
+
+
+# ---------------------------------------------------------------------------
+# p = 2: a prefix QR of the residual form
+# ---------------------------------------------------------------------------
+#
+# At p = 2 the optimal residual is r = W^-1 S^H lam with (S W^-1 S^H) lam = e,
+# and ||r||^2 = e^H lam.  With B = W^(-1/2) S^H = Q R that system is
+# R^H R lam = e: d unknowns whatever n is.  The rows of B fall into fixed
+# blocks, which end where the m = n + deg f + 1 rows of the orders
+# n = 64, 128, 256, ... end, and R is extended a block at a time,
+# R <- qr([R; B_block]); another order extends the factor of the whole blocks
+# below it by its rows past them.  A sweep factors each block once, a
+# doubling grid from a power of two reads whole blocks only, and each order
+# gets the bits of a solve at that order alone.
+
+_QR_FIRST = 6           # the p = 2 prefix QR's first block: the rows below order 2^6
+_TABLE_BITS = 16        # its row table holds (t / 2^16)^s, t <= MAX_DEGREE = 2^16
+
+
+class _FormedOnRead(OpaResult):
+    """An OpaResult whose residual is held as its coefficients, made a Poly at
+    its first read, and whose approximant, (1 - residual) / f by
+    :func:`lstsq_div`, is formed at its first read: a sweep reads norms only."""
+
+    @property
+    def residual(self) -> Poly:
+        if not isinstance(self._residual, Poly):
+            self._residual = Poly(self._residual)
+        return self._residual
+
+    @residual.setter
+    def residual(self, value) -> None:
+        self._residual = value
+
+    @property
+    def approximant(self) -> Poly:
+        if self._approximant is None:
+            self._approximant = lstsq_div(ONE - self.residual, self.f)[0]
+        return self._approximant
+
+    @approximant.setter
+    def approximant(self, value: Poly | None) -> None:
+        self._approximant = value
+
+
+def prepare_residual_qr(problem, n_max: int, w: Weight):
+    """The p = 2 optimum of every order n <= n_max from a prefix QR of the residual form.
+
+    ``problem`` is a Poly or a CircleZeroSpec (exact zeros; :func:`_zeros`).
+    One table holds the rows B[t] = conj(zeta)^t (t / 2^16)^s / sqrt(w_t) of
+    every zero zeta and power s below its multiplicity, t < n_max + deg f + 1,
+    without the modulus of a zeta outside the disc; a real f takes the real
+    and imaginary parts of a pair of conjugate zeros as two real rows.  The
+    factor of rows [0, m) takes the table's columns times the exact power of
+    two 2^((16-k) s), 2^k >= m, so that they read (t / 2^k)^s, and those of
+    a zeta outside the disc times |zeta|^(t - (m-1)) (phase and modulus
+    apart: (-2)^t overflows); R's columns are rescaled alike as it grows.
+    The order-n solve (see the section comment) takes lam = R^-1 R^-H e from
+    the explicit inverse of its R, reports the norm of r = W^-1 S^H lam and
+    certifies it by y = S^H lam = W r (:func:`_certify`).  The residual is
+    made a Poly, and the approximant formed, when read.
+
+    IllConditionedError where the right side e underflows (every zero
+    outside the disc) or R is singular to working precision (its Frobenius
+    condition times the rounding unit reaches 1, or is not finite).  n_max
+    is validated; an order outside 0..n_max raises ValueError.
+    """
+    f = _expand(problem, n_max)
+    d, wv, sp = f.degree, w.values_up_to(n_max + f.degree), SpaceParams(2.0, w)
+
+    def order(n: int) -> int:
+        if not 0 <= n <= n_max:
+            raise ValueError(f"order {n} outside the prepared orders 0..{n_max}")
+        return n
+
+    if not d:
+        return lambda n: _constant(f, order(n), sp, "residual-qr", wv)
+    # columns of the zeros outside the disc last, so a slice splits them off;
+    # a real f takes real rows: one of a real zero, the cosine and sine rows
+    # of a pair (the real and imaginary parts of S r = e) from its zero above
+    # the axis
+    zeros = sorted(_zeros(f, problem), key=lambda zero: zero[0] > 1.0)
+    real = _is_real(f) and d == sum(mult * (1 + (math.sin(angle) > _ROUNDING))
+                                    for _, angle, mult in zeros
+                                    if math.sin(angle) >= -_ROUNDING)
+    root, t = np.sqrt(wv), np.arange(wv.size, dtype=float)
+    table = np.empty((d, t.size), dtype=float if real else np.complex128)
+    powers, logs, first, j = np.zeros(d, dtype=int), np.zeros(d), np.zeros(d), 0
+    for modulus, angle, mult in zeros:
+        sine = math.sin(angle)
+        if real and sine < -_ROUNDING:
+            continue
+        if modulus == 0.0:
+            table[j: j + mult] = np.eye(mult, t.size)
+            first[j], j = 1.0, j + mult
+            continue
+        if real and abs(sine) <= _ROUNDING:     # (+-1)^t
+            bases = [np.ones(t.size)]
+            bases[0][1::2] = math.copysign(1.0, math.cos(angle))
+        else:
+            phase = _phases(angle, t.size)
+            bases = [phase.real, phase.imag] if real else [phase]
+        if modulus < 1.0:
+            bases = [base * _decay(math.log(modulus) * t) for base in bases]
+        first[j] = 1.0
+        for base in bases:
+            for s in range(mult):           # base (t / 2^16)^s
+                table[j + s] = base
+                base = base * (t / 2.0 ** _TABLE_BITS)
+            powers[j: j + mult] = range(mult)
+            logs[j: j + mult] = max(math.log(modulus), 0.0)
+            j += mult
+    with np.errstate(divide="ignore", invalid="ignore"):   # refused by the solve
+        table /= root
+    k = int((logs == 0.0).sum())            # columns of the zeros in the closed disc
+    outside, upper, scales = logs[k:], np.triu(np.ones((d, d), dtype=bool)), {}
+    # |zeta|^-u of the zeros outside the disc, up to the u past which every one is 0
+    fall = (_decay(np.outer(-outside, np.arange(min(t.size, 1 - math.floor(
+        _EXP_FLOOR / outside.min()))))) if outside.size else None)
+
+    def shift(u: int) -> np.ndarray:
+        """|zeta|^-u of the zeros outside the disc."""
+        return fall[:, u] if u < fall.shape[1] else np.zeros(fall.shape[0])
+
+    def scale(hi: int) -> np.ndarray:
+        """The powers of two that take the columns of the table to (t / hi)^s, hi = 2^k."""
+        if hi not in scales:
+            scales[hi] = np.ldexp(1.0, (_TABLE_BITS + 1 - hi.bit_length()) * powers)
+        return scales[hi]
+
+    def extend(below, m: int):
+        """The factor (R, m, hi) of rows [0, m) from ``below``, that of rows [0, lo)
+        (None: lo = 0): R's columns are the table's times scale(hi), hi = 2^k >= m,
+        and those outside the disc times |zeta|^-(m-1)."""
+        R, lo, before = below or (None, 0, 0)
+        hi = 1 << (m - 1).bit_length()
+        rows = table[:, lo:m].T * scale(hi)
+        if outside.size:        # |zeta|^(t - (m-1)) on the rows t, from the first not 0
+            start = max(lo, m - fall.shape[1])
+            rows[: start - lo, k:] = 0.0
+            rows[start - lo:, k:] *= fall[:, m - 1 - start:: -1].T
+        if R is not None:
+            R = R * (scale(hi) / scale(before))
+            if outside.size:
+                R[:, k:] *= shift(m - lo)
+            rows = np.concatenate((R, rows))
+        h = np.linalg.qr(rows, mode="raw")[0].T[:d]        # R on and above the diagonal
+        return np.where(upper[: len(h)], h, 0.0), m, hi
+
+    whole = {}              # j -> the factor of the rows below order 2^j
+
+    def block(j: int):
+        if j not in whole:
+            whole[j] = extend(block(j - 1) if j > _QR_FIRST else None, (1 << j) + d + 1)
+        return whole[j]
+
+    def solve(n: int) -> OpaResult:
+        m = order(n) + d + 1
+        j = max(_QR_FIRST, (n - 1).bit_length())    # the block of order n: 2^(j-1) < n <= 2^j
+        with np.errstate(all="ignore"):     # what is not finite is refused below
+            R, _, hi = (block(j) if n == 1 << j
+                        else extend(block(j - 1) if j > _QR_FIRST else None, m))
+            e = first.copy()
+            if outside.size:
+                e[k:] *= shift(m - 1)
+            try:
+                inv = np.linalg.inv(R)
+            except np.linalg.LinAlgError as exc:
+                raise IllConditionedError(f"residual form at n = {n}: {exc}") from exc
+            cond = math.sqrt(np.vdot(R, R).real * np.vdot(inv, inv).real)  # Frobenius
+            lam = inv @ (e @ inv.conj())
+            c = lam * scale(hi)             # lam on the columns of the table
+            v = c[:k] @ table[:k, :m]
+            if outside.size:
+                start = max(0, m - fall.shape[1])
+                v[start:] += c[k:] @ (table[k:, start:m] * fall[:, m - 1 - start:: -1])
+            r = v / root[:m]
+            a = np.abs(r)
+            size = float(_row_norms(a, wv[:m], 2.0))       # _table_norm's bits
+        if not e @ e >= _TINY:
+            raise IllConditionedError(f"residual form at n = {n}: its right side underflows")
+        if not (cond * _EPS < 1.0 and math.isfinite(size)):
+            raise IllConditionedError(f"residual form at n = {n}: R is singular to "
+                                      f"working precision (condition {cond:.3e})")
+        result = _FormedOnRead(f, n, sp, None, r, size, 0, False, "residual-qr")
+        # |y| = w |r|, y = S^H lam the dual vector
+        return _certify(result, a * wv[:m], float((e @ lam).real), wv[:m], sp)
+
+    return solve
 
 
 # ---------------------------------------------------------------------------

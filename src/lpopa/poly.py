@@ -57,9 +57,11 @@ class Poly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=()):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128)).ravel()
-        nz = np.flatnonzero(c)
-        c = c[: nz[-1] + 1].copy() if nz.size else np.empty(0, dtype=np.complex128)
+        c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+        if c.size and c[-1] == 0:           # trim trailing zeros
+            nz = np.flatnonzero(c)
+            c = c[: nz[-1] + 1] if nz.size else c[:0]
+        c = c.copy()
         if c.size > MAX_DEGREE + 1:
             raise ValueError(f"degree {c.size - 1} exceeds cap {MAX_DEGREE}")
         if not np.isfinite(c).all():

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import (IllConditionedError, InternalConsistencyError, SweepError,
                      UnsupportedExponentError)
 from .opa import (OpaResult, check_degree_cap, delta_sums,
-                  detect_one_minus_zd, prepare_closed_form, prepare_hilbert,
-                  solve_convex, solve_flat, solve_structural)
+                  detect_one_minus_zd, prepare_closed_form, prepare_residual_qr,
+                  solve_convex, solve_flat, solve_hilbert, solve_structural)
 from .poly import CircleZeroSpec, Poly, expand
 from .space import SpaceParams
 
@@ -160,8 +160,9 @@ def predicted_value(p: float, alpha: float, n: int, d: int) -> float:
 
 def _route(f: Poly, sp: SpaceParams, solver: str) -> str:
     """The solver that runs for ``solver`` on f: auto picks flat at
-    p in {1, inf}, closed for c*(1 - z^d), hilbert at p = 2 and structural at
-    every other 1 < p < inf.  Convex runs only when named; it is an oracle."""
+    p in {1, inf}, closed for c*(1 - z^d), the prefix QR of the residual form
+    (``residual-qr``) at p = 2 and structural at every other 1 < p < inf.
+    Convex and hilbert run only when named; they are oracles."""
     if solver not in SOLVER_CHOICES:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_CHOICES}")
     if solver != "auto":
@@ -170,16 +171,17 @@ def _route(f: Poly, sp: SpaceParams, solver: str) -> str:
         return "flat"
     if detect_one_minus_zd(f) is not None:
         return "closed"
-    return "hilbert" if sp.p == 2.0 else "structural"
+    return "residual-qr" if sp.p == 2.0 else "structural"
 
 
 def _prepare(problem, n_max: int, sp: SpaceParams, solver: str):
     """The solve of every order n <= n_max on the route ``solver`` picks.
 
-    f is expanded and routed once, and each route solves that f.  The closed
-    form and the Hilbert route prepare once at n_max and each order reads the
-    leading part (see :func:`prepare_closed_form` and :func:`prepare_hilbert`);
-    the other routes have no such prefix and solve each order on its own.
+    f is expanded and routed once.  The closed form and the p = 2 residual
+    form prepare once at n_max and each order reads the leading part (see
+    :func:`prepare_closed_form` and :func:`prepare_residual_qr`, which takes
+    the exact zeros of a spec); the other routes have no such prefix and
+    solve each order on its own.
     """
     if isinstance(problem, CircleZeroSpec):     # the cap before the O(d^2) expansion
         check_degree_cap(n_max, problem.degree)
@@ -187,10 +189,12 @@ def _prepare(problem, n_max: int, sp: SpaceParams, solver: str):
     solver = _route(f, sp, solver)
     if solver == "closed":
         return prepare_closed_form(f, n_max, sp)
+    if solver == "residual-qr":
+        return prepare_residual_qr(problem, n_max, sp.weight)
     if solver == "hilbert":
         if sp.p != 2.0:
             raise ValueError("the hilbert solver applies only at p = 2")
-        return prepare_hilbert(f, n_max, sp.weight)
+        return lambda n: solve_hilbert(f, n, sp.weight)
     if solver == "convex":
         return lambda n: solve_convex(f, n, sp)
     if solver == "flat":
@@ -207,11 +211,11 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto") -> list[Sw
     """Solve at every order in n_grid and assemble per-point records.
 
     The lower bounds come from one weight table, and the solves from one
-    :func:`_prepare` at the largest order: on the closed-form and Hilbert
-    routes that is the one set of cumulative sums or Gram factorization of the sweep,
-    and its time counts in the ``wall_ms`` of the largest order, whose own
-    solve it is.  Raises SweepError listing the failing orders, and
-    carrying every point, if any solve does not converge; a solve that
+    :func:`_prepare` at the largest order: on the closed-form and p = 2
+    residual-form routes that is the one set of cumulative sums or row table
+    of the sweep, and its time counts in the ``wall_ms`` of the largest
+    order, whose own solve it is.  Raises SweepError listing the failing
+    orders, and carrying every point, if any solve does not converge; a solve that
     raises IllConditionedError ends the sweep there, with a SweepError of
     its message that lists that order after any unconverged ones and
     carries the points before it (the cause is the IllConditionedError).

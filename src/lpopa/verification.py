@@ -15,8 +15,8 @@ from math import inf, nan, pi
 import numpy as np
 
 from .opa import (OpaResult, _complex, _hilbert_dual, _setup, bj_certificate,
-                  closed_form_one_minus_zd, solve_convex, solve_flat, solve_hilbert,
-                  solve_structural)
+                  closed_form_one_minus_zd, prepare_residual_qr, solve_convex, solve_flat,
+                  solve_hilbert, solve_structural)
 from .poly import CircleZeroSpec, Poly, expand
 from .rates import delta, lower_bound
 from .space import SpaceParams, multiplication_bound_batch, norm
@@ -81,18 +81,23 @@ def closed_form_check(cases, convex: bool = True) -> CheckResult:
 
 
 def hilbert_check(cases) -> CheckResult:
-    """Criterion 02: the banded Cholesky residual against the residual-form p = 2
-    optimum A lam / w, lam the p = 2 dual on the rows of S r = e, entry by entry,
-    for (f, n, sp) in cases.  The reference forms neither a Gram matrix nor P."""
-    records, dev = [], []
-    for f, n, sp in cases:
-        hb = solve_hilbert(f, n, sp.weight)
-        _, w, (A, b, _) = _setup(f, n, sp)
-        optimum = _complex(A @ _hilbert_dual(A, b, w) / w[:, None])
-        records.append(hb)
-        dev.append(np.abs(hb.residual.padded(w.size) - optimum.padded(w.size)).max())
-    return _result("hilbert vs residual form (p=2)",
-                   {"residual dev": (_worst(dev), 1e-8)}, records)
+    """Criterion 02: the banded Cholesky residual, and that of auto's prefix QR
+    of the residual form, against the residual-form p = 2 optimum A lam / w,
+    lam the p = 2 dual on the SVD rows of S r = e, entry by entry, for
+    (problem, n, sp) in cases, a problem a Poly or a CircleZeroSpec (exact
+    zeros); every QR result must be certified.  The reference forms neither
+    a Gram matrix, a QR factor nor P."""
+    hilbert, qrs, dev, qr_dev = [], [], [], []
+    for problem, n, sp in cases:
+        f, w, (A, b, _) = _setup(problem, n, sp)
+        hilbert.append(solve_hilbert(f, n, sp.weight))
+        qrs.append(prepare_residual_qr(problem, n, sp.weight)(n))
+        optimum = _complex(A @ _hilbert_dual(A, b, w) / w[:, None]).padded(w.size)
+        dev.append(np.abs(hilbert[-1].residual.padded(w.size) - optimum).max())
+        qr_dev.append(np.abs(qrs[-1].residual.padded(w.size) - optimum).max())
+    return _result("hilbert vs residual form (p=2)", {
+        "residual dev": (_worst(dev), 1e-8), "qr residual dev": (_worst(qr_dev), 1e-8),
+        "qr unconverged": (_unconverged(qrs), 0)}, hilbert + qrs)
 
 
 def structural_check(cases) -> CheckResult:
@@ -192,7 +197,7 @@ def run_verification(seed: int = 0, quick: bool = False) -> list[CheckResult]:
     """Run the battery on its quick or full grids; returns one result per check."""
     ps = (1.5, 2.0, 3.0) if quick else (1.5, 2.0, 3.0, 4.0)
     orders = (0, 3, 9) if quick else (0, 1, 3, 9, 17)
-    hilbert_fs = [expand(CircleZeroSpec(roots)) for roots in (
+    hilbert_specs = [CircleZeroSpec(roots) for roots in (
         ((0.0, 1),), ((0.0, 1), (pi, 1)), ((0.0, 2),), ((pi / 2, 1), (3 * pi / 2, 1)))]
     structural_specs = [CircleZeroSpec(((0.0, 1), (pi, 1))), CircleZeroSpec(((0.0, 2),)),
                         CircleZeroSpec(((0.0, 2), (pi, 1)))][: 2 if quick else 3]
@@ -204,8 +209,8 @@ def run_verification(seed: int = 0, quick: bool = False) -> list[CheckResult]:
     return [
         closed_form_check([(d, n, SpaceParams.power(p, alpha)) for d, p, alpha, n
                            in product((1, 2), ps, (-1.0, 0.0, 0.5), orders)]),
-        hilbert_check([(f, n, SpaceParams.power(2.0, alpha)) for f, alpha, n in product(
-            hilbert_fs, (-1.0, 0.0, 1.0), (0, 2, 5) if quick else (0, 2, 5, 9, 16))]),
+        hilbert_check([(spec, n, SpaceParams.power(2.0, alpha)) for spec, alpha, n in product(
+            hilbert_specs, (-1.0, 0.0, 1.0), (0, 2, 5) if quick else (0, 2, 5, 9, 16))]),
         structural_check([(spec, n, SpaceParams.power(p, 0.0)) for spec, p, n in product(
             structural_specs, (1.5, 3.0), (2, 7) if quick else (2, 7, 15))]),
         lower_bound_check([closed_form_one_minus_zd(1, n, sp)

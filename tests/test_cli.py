@@ -260,10 +260,10 @@ class TestArgumentValidation:
         def work(*args, **kwargs):
             raise AssertionError("an over-cap sweep reached a preparation or a solve")
 
-        for name in ("_dispatch", "_prepare", "lower_bounds", "prepare_hilbert"):
+        for name in ("_dispatch", "_prepare", "lower_bounds", "prepare_residual_qr"):
             monkeypatch.setattr(lpopa.rates, name, work)
         monkeypatch.setattr(lpopa.opa, "cholesky_banded", work)
-        for p in ("inf", "2"):      # the flat and the Hilbert route
+        for p in ("inf", "2"):      # the flat and the p = 2 residual-form route
             code, out, err = run_cli(capsys, "sweep", "--roots", "0:2,pi:1", "--p", p,
                                      "--n", "64..131072")
             assert code == 2 and out == ""
@@ -466,11 +466,15 @@ def test_cli_compute_does_not_import_scipy_optimize(p):
     ["compute", "--coeffs", "1,-1", "--p", "1", "--n", "16"],      # zero approximant: no division
     ["compute", "--roots", "0:2,pi:1", "--p", "inf", "--n", "64"],  # flat, divides by f
     ["compute", "--roots", "0:2,pi:1", "--p", "1.5", "--n", "16"],  # structural, divides by f
+    ["compute", "--roots", "0:2,pi:1", "--p", "2", "--n", "16"],    # residual form, divides
+    ["compute", "--coeffs", "1,0.5-1i,-0.5i", "--p", "2", "--n", "16"],
+    ["sweep", "--roots", "0:2,pi:1", "--p", "2", "--n", "64..4096"],
 ], ids=lambda argv: " ".join(argv or ["import"]))
 def test_cli_leaves_scipy_unloaded(argv):
-    """Importing the CLI, and requests that factor no Gram matrix, load no scipy.
+    """Importing the CLI, and every auto request, load no scipy.
 
-    Flat and structural solves divide by f with numpy alone."""
+    Flat, structural and p = 2 residual-form solves divide by f with numpy
+    alone."""
     script = "import sys\nfrom lpopa.cli import main\n"
     if argv:
         script += f"assert main({argv!r}) == 0\n"
@@ -481,7 +485,8 @@ def test_cli_leaves_scipy_unloaded(argv):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("extra", [[], ["--solver", "convex"]], ids=["hilbert", "convex"])
+@pytest.mark.parametrize("extra", [["--solver", "hilbert"], ["--solver", "convex"]],
+                         ids=["hilbert", "convex"])
 def test_cli_imports_scipy_on_first_use(extra):
     """The Hilbert route and the convex oracle's banded seed import scipy themselves."""
     argv = ["compute", "--roots", "0:2,pi:1", "--p", "2", "--n", "16", *extra]
@@ -637,6 +642,25 @@ def test_render_json_matches_reference(obj):
     assert render_json(obj) == reference_render_json(obj)
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, 100])
+def test_coefficient_pairs_render_as_the_recursive_path(size):
+    # the one-pass rendering of [re, im] pairs against the reference and the
+    # generic list path, on entries that format as null, -0 and subnormal-near
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300, 1 / 3, -2.5e17, 1.0]
+    rows = [[values[i % 10], values[(3 * i + 1) % 10]] for i in range(size)]
+    payload = {"n": size, "f": rows, "coefficients": rows[::-1], "residual": rows[:1]}
+    fast = {key: lpopa.cli._Pairs(value) if isinstance(value, list) else value
+            for key, value in payload.items()}
+    assert render_json(fast) == render_json(payload) == reference_render_json(payload)
+
+
+def test_pairs_of_a_polynomial_keep_every_bit():
+    coeffs = np.array([1.0, -0.0, complex(-0.0, 1e-300), complex(2.5, -0.0), 1 / 3])
+    got = lpopa.cli._pairs(lpopa.Poly(coeffs))
+    want = [[float(c.real), float(c.imag)] for c in coeffs]
+    assert [[x.hex() for x in pair] for pair in got] == [[x.hex() for x in pair] for pair in want]
+
+
 @pytest.mark.skipif(shutil.which("lpopa") is None,
                     reason="lpopa console script not installed")
 def test_console_script_on_path():
@@ -720,7 +744,8 @@ def test_off_circle_zero_ends_typed(argv):
 def test_point_worse_than_zero_approximant_exits_3(capsys, n):
     # the Hilbert answer for (z-1)^4 here has norm 3.6 (n = 840) and 15.3
     # (n = 841), above the zero approximant's 1
-    code, out, err = run_cli(capsys, "compute", "--roots", "0:4", "--p", "2", "--n", n)
+    code, out, err = run_cli(capsys, "compute", "--roots", "0:4", "--p", "2", "--n", n,
+                             "--solver", "hilbert")
     payload = json.loads(out)
     assert code == 3 and err == ""
     assert payload["optimal_norm"] > 1.0 and payload["converged"] is False

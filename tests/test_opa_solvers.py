@@ -775,6 +775,7 @@ def test_certificate_survives_an_overflowing_f():
 PROBLEM_ROUTES = {
     # route: (problem, the f the result holds, p, solve)
     "hilbert": (CPLX, CPLX, 2.0, lambda n, sp: solve_hilbert(CPLX, n, sp.weight)),
+    "residual-qr": (CPLX, CPLX, 2.0, lambda n, sp: rates._dispatch(CPLX, n, sp, "auto")),
     "closed": (one_minus_zd(2), one_minus_zd(2), 1.5,
                lambda n, sp: closed_form_one_minus_zd(2, n, sp)),
     "rescaled closed": (Poly([2, -2]), Poly([2, -2]), 1.5,
@@ -970,6 +971,8 @@ class TestComposite:
 
 CAPPED_ROUTES = {
     "hilbert": lambda n: solve_hilbert(Z1SQ_ZP1, n, power_weight(0.0)),
+    "residual-qr": lambda n: opa.prepare_residual_qr(CircleZeroSpec(((0.0, 2), (PI, 1))), n,
+                                                     power_weight(0.0)),
     "convex": lambda n: solve_convex(Z1SQ_ZP1, n, SpaceParams.power(1.2, 0.0)),
     "structural": lambda n: solve_structural(CircleZeroSpec(((0.0, 2), (PI, 1))), n,
                                              SpaceParams.power(1.5, 0.0)),
@@ -1011,7 +1014,7 @@ def test_degree_cap_raises_before_routing_expands_a_spec(monkeypatch, solver):
         rates._dispatch(CircleZeroSpec(((0.0, 20000),)), 50000, SpaceParams.power(p, 0.0), solver)
 
 
-@pytest.mark.parametrize("route", ["structural", "flat-inf"])
+@pytest.mark.parametrize("route", ["structural", "flat-inf", "residual-qr"])
 def test_degree_cap_raises_before_the_residual_form_expands_a_spec(monkeypatch, route):
     refuse_expand(monkeypatch)
     with pytest.raises(DegreeCapError, match=f"n = {MAX_DEGREE - 2} plus deg f = 3"):

@@ -163,12 +163,12 @@ class TestSweep:
 
         # every bound, shared preparation, factorization, sum and solve of a sweep
         for name in ("_dispatch", "_prepare", "lower_bound", "lower_bounds", "delta_sums",
-                     "prepare_hilbert", "prepare_closed_form"):
+                     "prepare_residual_qr", "prepare_closed_form"):
             monkeypatch.setattr(rates, name, work)
         for name in ("cholesky_banded", "delta_sums"):
             monkeypatch.setattr(lpopa.opa, name, work)
         spec = CircleZeroSpec(((0.0, 2), (PI, 1)))
-        # the flat route, the Hilbert route and the closed form with lead != 1
+        # the flat route, the p = 2 residual form and the closed form with lead != 1
         for problem, p in ((spec, INF), (spec, 2.0), (Poly([2, -2]), 1.5)):
             with pytest.raises(DegreeCapError, match=f"^order n = 65536 plus deg f = "
                                                      f"{problem.degree} exceeds the degree "

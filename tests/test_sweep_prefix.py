@@ -13,7 +13,7 @@ from lpopa import (CircleZeroSpec, IllConditionedError, Poly, SpaceParams, Sweep
                    closed_form_one_minus_zd, expand, geometric_grid, lower_bound, opa,
                    power_weight, rates, run_sweep, solve_hilbert, table_weight)
 from lpopa.cli import main
-from lpopa.opa import prepare_closed_form, prepare_hilbert
+from lpopa.opa import prepare_closed_form, prepare_residual_qr
 from lpopa.rates import lower_bounds
 
 INF = math.inf
@@ -63,11 +63,10 @@ def scipy_hilbert(f: Poly, n: int, w) -> np.ndarray:
 @pytest.mark.parametrize("weight", WEIGHTS.values(), ids=WEIGHTS)
 @pytest.mark.parametrize("f", [expand(Z1SQ_ZP1), expand(THREE), CPLX],
                          ids=["z1sq_zp1", "three", "cplx"])
-def test_hilbert_orders_read_one_factorization(f, weight, grid):
-    solve = prepare_hilbert(f, grid[-1], weight)
+def test_hilbert_matches_scipy_cholesky_banded(f, weight, grid):
+    # the Hilbert oracle solves each order on its own, with scipy's bits
     for n in grid:
-        got = solve(n)
-        assert_same_bits(got, solve_hilbert(f, n, weight))
+        got = solve_hilbert(f, n, weight)
         assert got.approximant.coeffs.tobytes() == Poly(scipy_hilbert(f, n, weight)).coeffs.tobytes()
 
 
@@ -123,8 +122,8 @@ def test_sweep_points_match_single_order_solves(problem, p):
 @pytest.mark.parametrize("alpha, minor", [(-0.5, 1102), (0.0, 843), (0.5, 1043)])
 def test_failed_factorization_raises_at_the_order_a_solve_fails(alpha, minor):
     # the banded p = 2 Gram factorization of (z-1)^4 fails at a leading minor
-    # past 512: the sweep must fail at the first order whose Gram block holds
-    # it, as a solve at each order does, with the same message
+    # past 512: a Hilbert sweep must fail at the first order whose Gram matrix
+    # holds it, as a solve at each order does, with the same message
     sp, grid, f = SpaceParams.power(2, alpha), geometric_grid(64, 4096), expand(Z1_4)
 
     def first_failure(solve):
@@ -138,10 +137,10 @@ def test_failed_factorization_raises_at_the_order_a_solve_fails(alpha, minor):
     want = first_failure(lambda n: solve_hilbert(f, n, sp.weight))
     assert want == (next(n for n in grid if n + 1 >= minor),
                     f"Gram factorization failed: {minor}-th leading minor not positive definite")
-    prepared = rates._prepare(Z1_4, grid[-1], sp, "auto")
+    prepared = rates._prepare(Z1_4, grid[-1], sp, "hilbert")
     assert first_failure(prepared) == want
     with pytest.raises(SweepError) as err:
-        run_sweep(Z1_4, sp, grid)
+        run_sweep(Z1_4, sp, grid, solver="hilbert")
     assert str(err.value) == want[1]
     # the sweep stops at that order and keeps the points before it
     assert err.value.failed_orders == (want[0],)
@@ -154,7 +153,7 @@ def test_failed_factorization_raises_at_the_order_a_solve_fails(alpha, minor):
         except IllConditionedError as exc:
             return str(exc)
 
-    # either side of the order whose Gram block first holds the failing minor
+    # either side of the order whose Gram matrix first holds the failing minor
     for n in (minor - 3, minor - 2, minor - 1):
         assert outcome(prepared, n) == outcome(lambda n: solve_hilbert(f, n, sp.weight), n)
     assert "leading minor" in outcome(prepared, minor - 1)
@@ -173,7 +172,8 @@ def test_refused_order_lists_the_unconverged_ones_before_it(p):
 
 
 def test_z1_4_sweep_below_the_failing_minor(capsys):
-    assert main(["sweep", "--roots", "0:4", "--p", "2", "--n", "64..512"]) == 0
+    assert main(["sweep", "--roots", "0:4", "--p", "2", "--n", "64..512",
+                 "--solver", "hilbert"]) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert [int(row["n"]) for row in rows] == [64, 128, 256, 512]
     for row in rows:
@@ -183,12 +183,12 @@ def test_z1_4_sweep_below_the_failing_minor(capsys):
 
 def test_order_outside_the_prepared_range():
     with pytest.raises(ValueError, match="outside"):
-        prepare_hilbert(CPLX, 8, power_weight(0.0))(9)
+        prepare_residual_qr(CPLX, 8, power_weight(0.0))(9)
     with pytest.raises(ValueError, match="outside"):
         prepare_closed_form(Poly([1, 0, -1]), 8, SpaceParams.power(2, 0))(9)
 
 
-@pytest.mark.parametrize("problem, p, route", [(Z1SQ_ZP1, 2.0, "hilbert"),
+@pytest.mark.parametrize("problem, p, route", [(Z1SQ_ZP1, 2.0, "residual-qr"),
                                                (Poly([1, -1]), 1.5, "closed-form"),
                                                (Poly([2, -2]), 1.5, "closed-form")],
                          ids=["z1sq_zp1", "1-z", "2(1-z)"])
@@ -208,3 +208,27 @@ def test_sweep_forms_no_pairing(monkeypatch, problem, p, route):
     assert [pt.optimal_norm.hex() for pt in got] == [pt.optimal_norm.hex() for pt in want]
     with pytest.raises(AssertionError, match="pairing"):
         rates._dispatch(problem, 64, sp, "auto").ortho_residual_max
+
+
+@pytest.mark.parametrize("problem, source", [(Z1SQ_ZP1, ["--roots", "0:2,pi:1"]),
+                                             (CPLX, ["--coeffs", "1,0.5-1i,-0.5i"])],
+                         ids=["z1sq_zp1", "cplx"])
+def test_p2_sweep_never_divides(monkeypatch, capsys, problem, source):
+    # a sweep prints norms only, so the p = 2 route never forms P = (1 - r) / f
+    argv = ["sweep", *source, "--p", "2", "--n", "64..4096"]
+
+    def table():
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["solver"] for row in rows] == ["residual-qr"] * 7
+        return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+
+    want = table()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep divided by f")
+
+    monkeypatch.setattr(opa, "lstsq_div", refuse)
+    assert table() == want
+    with pytest.raises(AssertionError, match="divided"):
+        rates._dispatch(problem, 64, SpaceParams.power(2, 0), "auto").approximant
