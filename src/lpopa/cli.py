@@ -243,7 +243,7 @@ def _cmd_closed_form(args) -> int:
     payload = _result_payload("closed-form", res.f, res, args)
     payload["d"] = args.d
     _emit(render_json(payload) + "\n", args.out)
-    return 0
+    return 0 if res.converged else 3
 
 
 def _cmd_classify(args) -> int:

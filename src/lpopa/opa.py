@@ -15,9 +15,9 @@ degree-n polynomials minimizing the weighted norm of 1 - p_n f.  Routes:
                            the banded p = 2 coefficients and certified by its
                            duality gap; the oracle of ``lpopa verify`` and of
                            ``--solver convex``, never picked by auto,
-* :func:`solve_hilbert`    direct normal equations at p = 2, uncertified; the
-                           oracle of ``--solver hilbert``, ``lpopa verify``,
-                           :func:`composite_construction` and the convex seed,
+* :func:`solve_hilbert`    direct normal equations at p = 2; the oracle of
+                           ``--solver hilbert``, ``lpopa verify`` and
+                           :func:`composite_construction`,
 * :func:`prepare_closed_form`  exact formulas for f = c(1 - z^d),
 * :func:`solve_flat`       the linear programs of the endpoints p in {1, inf},
                            solved exactly and certified by a dual bound,
@@ -26,9 +26,10 @@ plus the :func:`composite_construction` of near-optimal approximants for
 repeated circle zeros out of a simple-zero Hilbert solve.  The Gram and
 convex routes end in one :func:`_finalize`, which forms the residual and its
 norm from a single weight table; every route returns one :class:`OpaResult`
-holding the problem (f, n, sp) as given, with its answer.  The orthogonality
-pairing and the structure constants (:class:`ExpPolyFit`) are formed from
-those when read, and so is the p = 2 residual-form approximant.
+holding the problem (f, n, sp) as given, with its answer.  ``converged`` has
+one rule on every route, the duality gap of :func:`_gap_rule`.  The
+orthogonality pairing and the structure constants (:class:`ExpPolyFit`) are
+formed from those when read, and so is the p = 2 residual-form approximant.
 
 The p = 2 residual form and the closed form prepare for every order up to
 a largest one (one row table and one QR factor per block of rows, one set
@@ -54,7 +55,6 @@ from .weights import Weight
 
 log = logging.getLogger(__name__)
 
-_COND_LIMIT = 1e14
 # Newton line searches: the Armijo fraction of the predicted decrease; solve_convex:
 # the rounding level of phi below which a decrease does not count, the norm's
 # stationarity at which it stops, and max_j |(F^H y)_j| / (max |y| ||f||_1) above
@@ -81,7 +81,7 @@ class SolverOpts:
 
     The default is the dual Newton's 200 steps.  No other route and no CLI
     option takes it, and no option sets when a solve converges: every
-    iterative route is certified by its duality gap (:func:`_certify`).
+    route is certified by its duality gap (:func:`_gap_rule`).
     Construction raises ValueError unless ``max_iters`` is an integer >= 1.
     """
 
@@ -105,13 +105,8 @@ class OpaResult:
     (None at the flat endpoints, which the pairing does not cover).  It is
     formed from the fields each time it is read, and a sweep never reads it.
     ``dual`` (a lower bound on the optimum) and ``rel_gap``, (optimal_norm -
-    dual) / optimal_norm or 0 when both vanish, certify the structural,
-    p = 2 residual-form, convex and flat routes (:func:`_certify`); they are
-    None on the direct routes (Hilbert and the closed form), and on a result
-    whose dual vector bounds nothing.  On the certified routes ``converged``
-    is the gap rule alone, and the gap tolerance bounds any excess; on the
-    direct ones it means the solve went through and optimal_norm <= 1, the
-    norm of the zero approximant (w_0 = 1 for every Weight).
+    dual) / optimal_norm or 0 when both vanish, give ``converged`` on every
+    route (:func:`_gap_rule`), None where the dual vector bounds nothing.
     """
 
     f: Poly
@@ -183,8 +178,8 @@ def _unit_and_norm(f: Poly, sp: SpaceParams) -> tuple[np.ndarray, float]:
 
 
 def _finalize(f: Poly, c: np.ndarray, sp: SpaceParams, iterations: int,
-              converged: bool, solver: str, wv: np.ndarray) -> OpaResult:
-    """The result of order-n approximant coefficients c (n = len(c) - 1).
+              solver: str, wv: np.ndarray) -> OpaResult:
+    """The uncertified result of approximant coefficients c (of order len(c) - 1).
 
     The residual 1 - P f comes from one convolution, and its norm reads
     ``wv``, the caller's weight table from index 0 up to at least n + deg f,
@@ -204,8 +199,7 @@ def _finalize(f: Poly, c: np.ndarray, sp: SpaceParams, iterations: int,
         r -= conv
         residual = Poly(r)
     size = _table_norm(residual.coeffs, wv, sp.p)
-    return OpaResult(f, len(c) - 1, sp, approx, residual, size, iterations,
-                     converged and size <= 1.0, solver)
+    return OpaResult(f, len(c) - 1, sp, approx, residual, size, iterations, False, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +241,9 @@ def _hilbert_factor(fc: np.ndarray, n: int, wv: np.ndarray):
     n + deg f.  The Gram matrix G of z^j f (j <= n) is assembled in band form
     and factored once; the returned function solves G x = rhs: the
     finiteness check scipy makes of a Gram matrix, the factorization's
-    failure, the condition check and LAPACK pbtrs's two triangular solves.
-    The default rhs, conj(f_0) e_0, gives the p = 2 approximant.
+    failure and LAPACK pbtrs's two triangular solves; :func:`_gram_certify`
+    finds a solve too ill-conditioned to hold.  The default rhs,
+    conj(f_0) e_0, gives the p = 2 approximant.
     """
     from scipy.linalg import get_lapack_funcs
     with np.errstate(over="ignore", invalid="ignore"):      # refused below
@@ -263,11 +258,6 @@ def _hilbert_factor(fc: np.ndarray, n: int, wv: np.ndarray):
         if info > 0:
             raise IllConditionedError("Gram factorization failed: "
                                       f"{info}-th leading minor not positive definite")
-        diag = np.abs(cb[-1])
-        cond_est = (diag.max() / diag.min()) ** 2
-        if not np.isfinite(cond_est) or cond_est > _COND_LIMIT:
-            raise IllConditionedError(
-                f"Gram matrix condition estimate {cond_est:.3e} beyond {_COND_LIMIT:.0e}")
         if rhs is None:
             rhs = np.zeros(n + 1, dtype=np.complex128)
             rhs[0] = np.conj(fc[0])
@@ -276,34 +266,59 @@ def _hilbert_factor(fc: np.ndarray, n: int, wv: np.ndarray):
     return solve
 
 
-def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
-    """Order-n approximant at p = 2 by solving the Gram system directly.
-
-    The Gram matrix of z^j f (j = 0..n) in the weighted inner product is
-    Hermitian positive definite and banded with bandwidth deg f, so a banded
-    Cholesky factorization solves it in O(n d^2).  Raises
-    IllConditionedError when the factorization fails or the factor suggests
-    condition beyond 1e14.  An oracle, uncertified: ``--solver hilbert``,
-    criterion 02, :func:`composite_construction` and the seed of
-    :func:`solve_convex` use it; auto solves p = 2 by
-    :func:`prepare_residual_qr`.  scipy.linalg is imported at the first
-    call, not with the module.
-    """
-    _validate(f, n)
-    wv = w.values_up_to(n + f.degree)
-    return _finalize(f, _hilbert_factor(f.coeffs, n, wv)(), SpaceParams(2.0, w),
-                     iterations=0, converged=True, solver="hilbert", wv=wv)
-
-
-# ---------------------------------------------------------------------------
-# 1 < p < inf: damped Newton descent
-# ---------------------------------------------------------------------------
-
 def _live(a: np.ndarray, p: float) -> np.ndarray:
     """The residual moduli a above convolution-noise level: entries at it are exact
     zeros of the minimizer, whose terms drop out of the gradient and the Hessian."""
     return a > (1e-14 if p < 2 else 1e-18) * max(1.0, float(a.max()))
 
+
+def _signed_data(r: np.ndarray, wv: np.ndarray, p: float):
+    """conj(w_t |r_t|^(p-2) r_t), 0 at noise-level entries (:func:`_live`), and |r|."""
+    a = np.abs(r)
+    s = signed_powers(r, p - 1.0)
+    s[~_live(a, p)] = 0.0
+    return s * wv, a
+
+
+def _gram_certify(result: OpaResult, gram, wv: np.ndarray) -> OpaResult:
+    """Certify a Gram-factored result (:func:`_certify`) by y = d - W F G^-1 F^H d:
+    d the dual data w |r|^(p-2) r of its residual, F the columns z^j f, W the
+    weights wv, G = F^H W F the band ``gram`` solves (:func:`_hilbert_factor`).
+    F^H y = 0 unless G is too ill-conditioned for that to hold to rounding
+    (max_j |(F^H y)_j| above 1e-12 max |y| ||f||_1); then y bounds nothing."""
+    fc = result.f.coeffs
+    d = np.conj(_signed_data(result.residual.padded(wv.size), wv, result.sp.p)[0])
+    y = d - wv * np.convolve(gram(np.correlate(d, fc, mode="valid")), fc)
+    leak = np.abs(np.correlate(y, fc, mode="valid")).max()
+    if leak <= _ANNIHILATED * np.abs(y).max() * np.abs(fc).sum():
+        return _certify(result, np.abs(y), y[0].real, wv, result.sp)
+    log.debug("solve_%s: dual vector leaks %.3e onto the z^j f", result.solver, leak)
+    return result
+
+
+def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
+    """Order-n approximant at p = 2 by solving the Gram system directly.
+
+    The Gram matrix of z^j f (j = 0..n) in the weighted inner product is
+    Hermitian positive definite and banded with bandwidth deg f, so a banded
+    Cholesky factorization solves it in O(n d^2); IllConditionedError when
+    it fails.  The same factor certifies the result (:func:`_gram_certify`),
+    and a constant f has the exact answer 1 / f_0.  An oracle: ``--solver
+    hilbert``, criterion 02 and :func:`composite_construction` use it; auto
+    solves p = 2 by :func:`prepare_residual_qr`.  scipy.linalg is imported
+    at the first call, not with the module.
+    """
+    _validate(f, n)
+    wv, sp = w.values_up_to(n + f.degree), SpaceParams(2.0, w)
+    if not f.degree:
+        return _constant(f, n, sp, "hilbert", wv)
+    gram = _hilbert_factor(f.coeffs, n, wv)
+    return _gram_certify(_finalize(f, gram(), sp, 0, "hilbert", wv), gram, wv)
+
+
+# ---------------------------------------------------------------------------
+# 1 < p < inf: damped Newton descent
+# ---------------------------------------------------------------------------
 
 def _convex_hessian(fc: np.ndarray, r: np.ndarray, wv: np.ndarray, p: float,
                     n: int) -> np.ndarray:
@@ -361,10 +376,7 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     propagates); the start is ``init`` when given, else its p = 2
     approximant's coefficients.
 
-    :func:`_certify` certifies an iterate by y = d - W F G^-1 F^H d, with d
-    the dual data w_t |r_t|^(p-2) r_t of its residual, F the columns z^j f,
-    W the weights and G = F^H W F that Gram band: F^H y = 0, unless G is too
-    ill-conditioned for that to hold to rounding, and then y bounds nothing.
+    :func:`_gram_certify` certifies an iterate by that Gram band.
 
     A step is accepted when it passes the Armijo test on phi or lowers the
     gradient sup-norm gmax: at the precision floor phi can no longer fall but
@@ -395,15 +407,8 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         r[0] += 1.0
         return r
 
-    def dual_data(r: np.ndarray):
-        """conj(w_t |r_t|^(p-2) r_t), 0 at noise-level entries (:func:`_live`), and |r|."""
-        a = np.abs(r)
-        s = signed_powers(r, p - 1.0)
-        s[~_live(a, p)] = 0.0
-        return s * wv, a
-
     def phi_grad(x: np.ndarray):
-        data, a = dual_data(residual(x))
+        data, a = _signed_data(residual(x), wv, p)
         pair = np.correlate(data, np.conj(fc), mode="valid")
         return float((a ** p * wv).sum()), (-p * np.conj(pair)).view(np.float64)
 
@@ -411,16 +416,8 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         return gmax / (p * phi ** ((p - 1.0) / p)) if phi > 0.0 else 0.0
 
     def certified(x: np.ndarray, iterations: int) -> OpaResult:
-        """The result at x, certified unless its y leaks onto the z^j f."""
-        result = _finalize(f, x.view(np.complex128) / scale, sp, iterations=iterations,
-                           converged=False, solver="convex", wv=wv)
-        d = np.conj(dual_data(result.residual.padded(wv.size))[0])
-        y = d - wv * np.convolve(gram(np.correlate(d, f.coeffs, mode="valid")), f.coeffs)
-        leak = np.abs(np.correlate(y, f.coeffs, mode="valid")).max()
-        if leak <= _ANNIHILATED * np.abs(y).max() * np.abs(f.coeffs).sum():
-            return _certify(result, np.abs(y), y[0].real, wv, sp)
-        log.debug("solve_convex: dual vector leaks %.3e onto the z^j f", leak)
-        return result
+        return _gram_certify(_finalize(f, x.view(np.complex128) / scale, sp, iterations,
+                                       "convex", wv), gram, wv)
 
     gram = _hilbert_factor(f.coeffs, n, wv)
     if init is None:
@@ -566,25 +563,29 @@ def _real(r: Poly, A: np.ndarray) -> np.ndarray:
 
 def _constant(f: Poly, n: int, sp: SpaceParams, solver: str, w: np.ndarray) -> OpaResult:
     """The exact answer P = 1 / f_0 of a constant f: residual 0, dual bound and gap 0."""
-    return replace(_finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, True, solver, w),
-                   dual=0.0, rel_gap=0.0)
+    return replace(_finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, solver, w),
+                   converged=True, dual=0.0, rel_gap=0.0)
 
 
 def _certify(result: OpaResult, size: np.ndarray, pairing: float, w: np.ndarray,
              sp: SpaceParams) -> OpaResult:
-    """Set dual, rel_gap and converged of a result from a y that annihilates
-    every z^j f, given as ``size`` = |y_t| and ``pairing`` = Re <y, r>, equal for
-    every residual r: the bound pairing / ||y||_* (weak duality) under the dual
-    norm (sum_t w_t^(1-q) |y_t|^q)^(1/q), or max_t (p = 1) and sum_t (p = inf)
-    of |y_t| / w_t; converged means |rel_gap| <= 1e-10, or 1e-9 at the flat
-    endpoints.  A dual norm that is zero or not finite (weights that
-    leave the float range) bounds nothing: dual and rel_gap stay None and the
-    result is not converged."""
+    """:func:`_gap_rule` of a result from a y that annihilates every z^j f,
+    given as ``size`` = |y_t| and ``pairing`` = Re <y, r>, equal for every
+    residual r, under the dual norm (sum_t w_t^(1-q) |y_t|^q)^(1/q), or
+    max_t (p = 1) and sum_t (p = inf) of |y_t| / w_t."""
     if sp.is_flat:
         size = size / w
         dual_norm = float(size.max() if sp.p == 1.0 else size.sum())
     else:
         dual_norm = float((w ** (1.0 - sp.q) * size ** sp.q).sum()) ** (1.0 / sp.q)
+    return _gap_rule(result, pairing, dual_norm)
+
+
+def _gap_rule(result: OpaResult, pairing: float, dual_norm: float) -> OpaResult:
+    """Set dual = pairing / dual_norm (weak duality), rel_gap and converged, which
+    means |rel_gap| <= 1e-10, or 1e-9 at the flat endpoints; the one rule of
+    every route.  A dual norm that is zero or not finite (weights that leave
+    the float range) bounds nothing: dual and rel_gap stay None."""
     dual = float(pairing) / dual_norm if 0.0 < dual_norm < math.inf else math.nan
     if not math.isfinite(dual):
         result.converged = False
@@ -592,7 +593,7 @@ def _certify(result: OpaResult, size: np.ndarray, pairing: float, w: np.ndarray,
         return result
     primal = result.optimal_norm
     gap = (primal - dual) / primal if primal > 0 else 0.0
-    tol = _GAP_TOL if sp.is_flat else _DUAL_GAP_TOL
+    tol = _GAP_TOL if result.sp.is_flat else _DUAL_GAP_TOL
     result.dual, result.rel_gap = dual, gap
     result.converged = bool(abs(gap) <= tol)
     if not result.converged:
@@ -620,7 +621,7 @@ def _residual_solve(problem, n: int, sp: SpaceParams, solver: str):
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"solve_{solver} at n = {n}: {exc}") from exc
     own = _complex(r)
-    result = _finalize(f, lstsq_div(ONE - own, f)[0].padded(n + 1), sp, steps, False, solver, w)
+    result = _finalize(f, lstsq_div(ONE - own, f)[0].padded(n + 1), sp, steps, solver, w)
     return _certify(result, np.linalg.norm(A @ lam, axis=1), b @ lam, w, sp), (own, A, w, lam)
 
 
@@ -1140,8 +1141,11 @@ def prepare_closed_form(f: Poly, n_max: int, sp: SpaceParams):
     table, w_0 .. w_{n_max + d}: the residual norms whole, and the sums s_k
     of the dilated weight w_{dt} with stride d.  The sums of the order-n
     formula are the first M + 2 of those at n_max, and np.cumsum adds in
-    sequence, so every order gets the bits of its own.  A ValueError if f is
-    not c*(1 - z^d), and for an order outside 0..n_max; n_max is validated.
+    sequence, so every order gets the bits of its own.  y = 1 at the
+    multiples of d up to (M + 1) d, which annihilates every z^j f and pairs
+    to 1, has dual norm s_{M+1}^(1/q): :func:`_gap_rule` takes that in O(1).
+    A ValueError if f is not c*(1 - z^d), and for an order outside
+    0..n_max; n_max is validated.
     """
     match = detect_one_minus_zd(f)
     if match is None:
@@ -1160,8 +1164,8 @@ def prepare_closed_form(f: Poly, n_max: int, sp: SpaceParams):
         big_m = n // d
         coeffs = np.zeros(n + 1, dtype=np.complex128)
         coeffs[:: d][: big_m + 1] = 1.0 - s[: big_m + 1] / s[big_m + 1]
-        return _finalize(f, coeffs * (1.0 / lead), sp, iterations=0, converged=True,
-                         solver="closed-form", wv=wv)
+        result = _finalize(f, coeffs * (1.0 / lead), sp, 0, "closed-form", wv)
+        return _gap_rule(result, 1.0, float(s[big_m + 1]) ** (1.0 / sp.q))
 
     return solve
 

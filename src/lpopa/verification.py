@@ -85,8 +85,8 @@ def hilbert_check(cases) -> CheckResult:
     of the residual form, against the residual-form p = 2 optimum A lam / w,
     lam the p = 2 dual on the SVD rows of S r = e, entry by entry, for
     (problem, n, sp) in cases, a problem a Poly or a CircleZeroSpec (exact
-    zeros); every QR result must be certified.  The reference forms neither
-    a Gram matrix, a QR factor nor P."""
+    zeros); every Hilbert and every QR result must be certified.  The
+    reference forms neither a Gram matrix, a QR factor nor P."""
     hilbert, qrs, dev, qr_dev = [], [], [], []
     for problem, n, sp in cases:
         f, w, (A, b, _) = _setup(problem, n, sp)
@@ -97,6 +97,7 @@ def hilbert_check(cases) -> CheckResult:
         qr_dev.append(np.abs(qrs[-1].residual.padded(w.size) - optimum).max())
     return _result("hilbert vs residual form (p=2)", {
         "residual dev": (_worst(dev), 1e-8), "qr residual dev": (_worst(qr_dev), 1e-8),
+        "hilbert unconverged": (_unconverged(hilbert), 0),
         "qr unconverged": (_unconverged(qrs), 0)}, hilbert + qrs)
 
 

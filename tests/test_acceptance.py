@@ -137,7 +137,8 @@ def test_criterion_01_closed_form_reproduction(closed_form_result):
 
 def test_criterion_02_hilbert_oracle(hilbert_result):
     report_check(2, "hilbert oracle (p=2, 50 cases)", hilbert_result,
-                 {"residual dev": 1e-8, "qr residual dev": 1e-8, "qr unconverged": 0})
+                 {"residual dev": 1e-8, "qr residual dev": 1e-8, "hilbert unconverged": 0,
+                  "qr unconverged": 0})
 
 
 def test_criterion_03_structural_system(structural_result):

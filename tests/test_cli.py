@@ -319,6 +319,15 @@ class TestClosedForm:
                                    [[2 / 3, 0], [0, 0], [1 / 3, 0]], atol=1e-12)
         assert payload["norm_power"] == pytest.approx(1 / 3, rel=1e-12)
 
+    def test_uncertified_exits_3(self, capsys):
+        # w_1 = 2^-1030 takes the dual norm out of the float range: the answer
+        # is written, but nothing certifies it
+        with pytest.warns(RuntimeWarning):
+            code, out, _ = run_cli(capsys, "closed-form", "--d", "1", "--n", "0",
+                                   "--p", "2", "--alpha", "-1030")
+        assert code == 3
+        assert json.loads(out)["converged"] is False
+
 
 HEADER = ["n", "d", "p", "alpha", "optimal_norm", "norm_p_power", "lower_bound",
           "predicted_value", "solver", "converged", "iterations", "wall_ms"]
@@ -749,3 +758,14 @@ def test_point_worse_than_zero_approximant_exits_3(capsys, n):
     payload = json.loads(out)
     assert code == 3 and err == ""
     assert payload["optimal_norm"] > 1.0 and payload["converged"] is False
+
+
+@pytest.mark.parametrize("problem", [["--coeffs", "1,-0.5", "--n", "511"],
+                                     ["--roots", "0:4", "--alpha", "-0.5", "--n", "1024"]],
+                         ids=["1-z/2", "z1_4"])
+def test_wrong_hilbert_answer_exits_3(capsys, problem):
+    # 1 - z/2: a residual at the rounding floor pairs to no bound; (z-1)^4:
+    # 0.0776 against the certified p = 2 optimum 0.0439, below 1 all the same
+    code, out, err = run_cli(capsys, "compute", *problem, "--p", "2", "--solver", "hilbert")
+    assert code == 3 and err == ""
+    assert json.loads(out)["converged"] is False

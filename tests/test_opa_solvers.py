@@ -1,5 +1,6 @@
 """Tests for the hilbert, convex, closed-form, flat and composite solvers."""
 
+import itertools
 import math
 import types
 import warnings
@@ -15,7 +16,7 @@ from lpopa import (CircleZeroSpec, DegreeCapError, IllConditionedError, OpaResul
                    closed_form_one_minus_zd, composite_construction, exact_div, expand,
                    lower_bound, norm, opa, power_weight, rates, solve_convex, solve_flat,
                    solve_hilbert, solve_structural, table_weight)
-from lpopa.opa import SolverOpts, bj_certificate
+from lpopa.opa import SolverOpts, bj_certificate, prepare_residual_qr
 from lpopa.poly import MAX_DEGREE, monomial, signed_powers
 from lpopa.space import bj_residual
 
@@ -88,10 +89,23 @@ class TestHilbert:
             assert res.approximant.is_zero
             assert res.optimal_norm == pytest.approx(1.0)
 
-    def test_ill_conditioned_weight_raises(self):
+    def test_ill_conditioned_weight_constant_f_is_exact(self):
+        # a condition estimate once refused this Gram matrix, diag(1, 1e15),
+        # whose answer 1 / f_0 is exact
         w = table_weight([1.0, 1e15], tail="constant")
-        with pytest.raises(IllConditionedError):
-            solve_hilbert(Poly([1]), 1, w)
+        res = solve_hilbert(Poly([2]), 1, w)
+        assert res.approximant.coeffs.tolist() == [0.5]
+        assert res.residual.is_zero and res.optimal_norm == 0.0
+        assert res.converged and (res.dual, res.rel_gap) == (0.0, 0.0)
+
+    def test_wrong_answer_is_not_converged(self):
+        # past n = 8192 the Gram solve of (z-1)^2 (z+1) drifts off the
+        # certified p = 2 optimum of the residual form
+        w = power_weight(0.5)
+        res = solve_hilbert(Z1SQ_ZP1, 16384, w)
+        want = prepare_residual_qr(CircleZeroSpec(((0.0, 2), (PI, 1))), 16384, w)(16384)
+        assert want.converged and res.optimal_norm / want.optimal_norm - 1 > 1e-8
+        assert not res.converged
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -590,11 +604,27 @@ class TestCertificateRecord:
         assert res.dual == 1.0
         assert not res.converged
 
-    def test_direct_routes_leave_it_empty(self):
-        sp = SpaceParams.power(2, 0.5)
-        for res in (solve_hilbert(Z1SQ_ZP1, 8, sp.weight), closed_form_one_minus_zd(2, 8, sp),
-                    rates._dispatch(Poly([2, -2]), 8, sp, "auto")):
-            assert res.dual is None and res.rel_gap is None
+    @pytest.mark.parametrize("solver", rates.SOLVER_CHOICES)
+    def test_every_route_converges_by_the_gap_rule(self, solver):
+        # no result reads converged without a finite dual bound and a gap
+        # within tolerance, on any route; each route certifies some
+        problems = [Poly([3.0]), Poly([0, 1]), Poly([2, -2]), Poly([1, 0, -1j]), CPLX,
+                    CircleZeroSpec(((0.0, 2), (PI, 1)))]
+        routes, certified = set(), 0
+        for problem, p, alpha, n in itertools.product(problems, (1, 1.5, 2, 3, INF),
+                                                      (-0.5, 0.5), (0, 3, 16)):
+            sp = SpaceParams.power(p, alpha)
+            try:
+                res = rates._dispatch(problem, n, sp, solver)
+            except (ValueError, UnsupportedExponentError):     # not this route's problem
+                continue
+            routes.add(res.solver)
+            assert res.converged == (res.dual is not None and math.isfinite(res.dual)
+                                     and gap_rule(res, sp)), (problem, p, alpha, n)
+            certified += res.converged
+        assert certified > 0
+        if solver == "auto":
+            assert routes == {"flat", "structural", "residual-qr", "closed-form"}
 
 
 def test_definitional_probe_sees_a_perturbed_answer():
