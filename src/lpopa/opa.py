@@ -34,8 +34,8 @@ formed from those when read, and so is the p = 2 residual-form approximant.
 The p = 2 residual form and the closed form prepare for every order up to
 a largest one (one row table and one QR factor per block of rows, one set
 of cumulative sums), and each order reads the part it needs, with the bits
-of a solve at that order alone.  Only the Hilbert and convex routes import
-scipy.linalg, at their first call.
+of a solve at that order alone.  :func:`cholesky_banded` factors the Gram and
+convex Newton bands, and it alone imports scipy.linalg, at its first call.
 """
 
 from __future__ import annotations
@@ -206,17 +206,19 @@ def _finalize(f: Poly, c: np.ndarray, sp: SpaceParams, iterations: int,
 # p = 2: normal equations
 # ---------------------------------------------------------------------------
 
-def cholesky_banded(ab: np.ndarray) -> tuple[np.ndarray, int]:
-    """Upper banded Cholesky factor of ab by LAPACK pbtrf, and pbtrf's info.
+def cholesky_banded(ab: np.ndarray):
+    """Factor a Hermitian band by LAPACK pbtrf: (solve, info).
 
-    info is 0, or k > 0 when the k-th leading minor is not positive
-    definite.  No finiteness check: the caller checks the band it factors.
-    Module-level so perfbench/tracer.py can wrap it; scipy is imported at
-    the first call.
+    ab is the upper band, real or complex: entry (i, k), i <= k, at
+    ``ab[h + i - k, k]``.  solve(rhs) runs pbtrs on the factor; info is 0,
+    or k > 0 when the k-th leading minor is not positive definite.  No
+    finiteness check: the caller checks the band it factors.  Module-level
+    so perfbench/tracer.py can wrap it; scipy is imported at the first call.
     """
     from scipy.linalg import get_lapack_funcs
-    pbtrf, = get_lapack_funcs(("pbtrf",), (ab,))
-    return pbtrf(ab, lower=0)
+    pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+    cb, info = pbtrf(ab, lower=0)
+    return (lambda rhs: pbtrs(cb, rhs, lower=0)[0]), info
 
 
 def _gram_band(fc: np.ndarray, gc: np.ndarray, wt: np.ndarray, n: int) -> np.ndarray:
@@ -235,35 +237,27 @@ def _gram_band(fc: np.ndarray, gc: np.ndarray, wt: np.ndarray, n: int) -> np.nda
 
 
 def _hilbert_factor(fc: np.ndarray, n: int, wv: np.ndarray):
-    """The weighted Gram solve of order n.
+    """The weighted Gram solve of order n, and the p = 2 approximant's coefficients.
 
     fc are the coefficients of f and wv its weight table, indices 0 ..
     n + deg f.  The Gram matrix G of z^j f (j <= n) is assembled in band form
-    and factored once; the returned function solves G x = rhs: the
-    finiteness check scipy makes of a Gram matrix, the factorization's
-    failure and LAPACK pbtrs's two triangular solves; :func:`_gram_certify`
-    finds a solve too ill-conditioned to hold.  The default rhs,
-    conj(f_0) e_0, gives the p = 2 approximant.
+    and factored once; the returned function solves G x = rhs, and the
+    coefficients solve it for conj(f_0) e_0.  ValueError for a band that is
+    not finite (as scipy checks a Gram matrix), IllConditionedError where
+    the factorization fails; :func:`_gram_certify` finds a solve too
+    ill-conditioned to hold.
     """
-    from scipy.linalg import get_lapack_funcs
     with np.errstate(over="ignore", invalid="ignore"):      # refused below
         ab = _gram_band(fc, fc, wv, n)
-    finite = bool(np.isfinite(ab).all())
-    cb, info = cholesky_banded(ab)
-    pbtrs, = get_lapack_funcs(("pbtrs",), (cb,))
-
-    def solve(rhs: np.ndarray | None = None) -> np.ndarray:
-        if not finite:          # what scipy's check of a Gram matrix raises
-            raise ValueError("array must not contain infs or NaNs")
-        if info > 0:
-            raise IllConditionedError("Gram factorization failed: "
-                                      f"{info}-th leading minor not positive definite")
-        if rhs is None:
-            rhs = np.zeros(n + 1, dtype=np.complex128)
-            rhs[0] = np.conj(fc[0])
-        return pbtrs(cb, rhs, lower=0)[0]
-
-    return solve
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    solve, info = cholesky_banded(ab)
+    if info > 0:
+        raise IllConditionedError("Gram factorization failed: "
+                                  f"{info}-th leading minor not positive definite")
+    rhs = np.zeros(n + 1, dtype=np.complex128)
+    rhs[0] = np.conj(fc[0])
+    return solve, solve(rhs)
 
 
 def _live(a: np.ndarray, p: float) -> np.ndarray:
@@ -306,14 +300,14 @@ def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
     and a constant f has the exact answer 1 / f_0.  An oracle: ``--solver
     hilbert``, criterion 02 and :func:`composite_construction` use it; auto
     solves p = 2 by :func:`prepare_residual_qr`.  scipy.linalg is imported
-    at the first call, not with the module.
+    at the first call (:func:`cholesky_banded`), not with the module.
     """
     _validate(f, n)
     wv, sp = w.values_up_to(n + f.degree), SpaceParams(2.0, w)
     if not f.degree:
         return _constant(f, n, sp, "hilbert", wv)
-    gram = _hilbert_factor(f.coeffs, n, wv)
-    return _gram_certify(_finalize(f, gram(), sp, 0, "hilbert", wv), gram, wv)
+    gram, c = _hilbert_factor(f.coeffs, n, wv)
+    return _gram_certify(_finalize(f, c, sp, 0, "hilbert", wv), gram, wv)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +316,9 @@ def solve_hilbert(f: Poly, n: int, w: Weight) -> OpaResult:
 
 def _convex_hessian(fc: np.ndarray, r: np.ndarray, wv: np.ndarray, p: float,
                     n: int) -> np.ndarray:
-    """The Hessian of phi = sum_t w_t |r_t|^p at residual r = 1 - c f, in LAPACK
-    gbsv band storage: entry (i, k) at ``ab[2h + i - k, k]``, h = 2 min(d, n) + 1.
+    """The upper band of the Hessian of phi = sum_t w_t |r_t|^p at residual
+    r = 1 - c f, in LAPACK upper storage (:func:`cholesky_banded`): entry
+    (i, k), i <= k, at ``ab[h + i - k, k]``, h = 2 min(d, n) + 1.
 
     In the interleaved coordinates (Re c_j, Im c_j) block (j, j + o) is
     [[p/2 Re K + Re M/2, -p/2 Im K + Im M/2], [p/2 Im K + Im M/2, p/2 Re K -
@@ -343,21 +338,18 @@ def _convex_hessian(fc: np.ndarray, r: np.ndarray, wv: np.ndarray, p: float,
     M = _gram_band(fc, np.conj(fc), gamma * r ** 2, n)
     u = K.shape[0] - 1
     h = 2 * u + 1
-    ab = np.zeros((3 * h + 1, n + 1, 2))
+    ab = np.zeros((h + 2, n + 1, 2))
     blocks = (p / 2 * K.real + M.real / 2, -p / 2 * K.imag + M.imag / 2,
               p / 2 * K.imag + M.imag / 2, p / 2 * K.real - M.real / 2)
     for (s, t), v in zip(((0, 0), (0, 1), (1, 0), (1, 1)), blocks):
-        # entry (s, t) of block (j, j + o), in band row u - o at column j + o
-        # of K and M, is entry (2j + s, 2(j + o) + t)
-        ab[2 * u + 2 + s - t: 4 * u + 3 + s - t: 2, :, t] = v
-    ab = ab.reshape(3 * h + 1, 2 * (n + 1))
-    for e in range(1, h + 1):       # below the diagonal, the mirror image
-        ab[2 * h + e, :-e] = ab[2 * h - e, e:]
-    return ab
+        # entry (s, t) of block (j, j + o), in band row u - o at column j + o of
+        # K and M, is entry (2j + s, 2(j + o) + t); row h + 1 takes (1, 0) at o = 0
+        ab[1 + s - t: h + 2 + s - t: 2, :, t] = v
+    return ab[: h + 1].reshape(h + 1, 2 * (n + 1))
 
 
-def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = None,
-                 init: Poly | None = None) -> OpaResult:
+def solve_convex(f: Poly, n: int, sp: SpaceParams,
+                 opts: SolverOpts | None = None) -> OpaResult:
     """Order-n approximant for 1 < p < inf by damped Newton descent.
 
     An oracle: ``lpopa verify`` checks the other routes against it, and it
@@ -367,21 +359,22 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     Minimizes phi = sum_t w_t |(1 - Pf)_t|^p over the 2(n+1) real coordinates
     of P's complex coefficients with the analytic gradient and Hessian
     (Boyd & Vandenberghe, *Convex Optimization*, 9.5), the Hessian a band
-    of half-width 2 deg f + 1 (:func:`_convex_hessian`) solved by banded LU
-    in O(n d^2).  The objective is convex and differentiable; residual
-    entries at convolution-noise level are exact zeros of the minimizer and
-    drop out of the gradient, the dual data and the Hessian (:func:`_live`).
+    of half-width 2 deg f + 1 (:func:`_convex_hessian`) solved by the banded
+    Cholesky factorization of :func:`cholesky_banded` in O(n d^2).  The
+    objective is convex and differentiable; residual entries at
+    convolution-noise level are exact zeros of the minimizer and drop out
+    of the gradient, the dual data and the Hessian (:func:`_live`).
     The banded Gram factor of :func:`solve_hilbert`, against the weight
     table this solve uses, is made first (IllConditionedError from it
-    propagates); the start is ``init`` when given, else its p = 2
-    approximant's coefficients.
+    propagates), and the start is its p = 2 approximant's coefficients.
 
     :func:`_gram_certify` certifies an iterate by that Gram band.
 
     A step is accepted when it passes the Armijo test on phi or lowers the
     gradient sup-norm gmax: at the precision floor phi can no longer fall but
-    gmax still can.  A failed solve or a non-descent direction retries with a
-    Levenberg shift.  A step that does not halve gmax ends the solve once its
+    gmax still can.  A failed factorization or a non-descent direction
+    retries with a Levenberg shift, which makes the semidefinite Hessian
+    definite.  A step that does not halve gmax ends the solve once its
     certificate is converged; otherwise the loop ends at a step no shift
     makes acceptable, after ``opts.max_iters`` steps, or where the norm's
     stationarity gmax / (p phi^((p-1)/p)), which unlike gmax does not shrink
@@ -389,7 +382,6 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
     results are reported for the original f.  A constant f has the exact
     answer 1 / f_0, dual bound and gap 0.
     """
-    from scipy.linalg import get_lapack_funcs
     opts = opts or SolverOpts()
     if sp.is_flat:
         raise UnsupportedExponentError("solve_convex needs 1 < p < inf; use solve_flat")
@@ -419,24 +411,21 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams, opts: SolverOpts | None = Non
         return _gram_certify(_finalize(f, x.view(np.complex128) / scale, sp, iterations,
                                        "convex", wv), gram, wv)
 
-    gram = _hilbert_factor(f.coeffs, n, wv)
-    if init is None:
-        init = Poly(gram())
-    x = (init.padded(n + 1) * scale).view(np.float64)
+    gram, seed = _hilbert_factor(f.coeffs, n, wv)
+    x = (seed * scale).view(np.float64)
     phi, g = phi_grad(x)
     gmax = float(np.abs(g).max())
-    h = 2 * min(f.degree, n) + 1
-    gbsv, = get_lapack_funcs(("gbsv",), (x,))
     iterations = 0
     while iterations < opts.max_iters and stationarity(phi, gmax) > _STATIONARY:
         H = _convex_hessian(fc, residual(x), wv, p, n)
-        diag = H[2 * h].copy()
+        diag = H[-1].copy()
         hscale = max(float(np.abs(diag).max()), 1e-30)
         accepted = False
         lam = 0.0
         for _ in range(8):
-            H[2 * h] = diag + lam * hscale
-            dx, info = gbsv(h, h, H, -g)[2:]
+            H[-1] = diag + lam * hscale
+            solve, info = cholesky_banded(H)
+            dx = solve(-g) if info == 0 else None
             slope = float(g @ dx) if info == 0 and np.isfinite(dx).all() else 0.0
             if slope < 0.0:
                 t = 1.0
@@ -1114,10 +1103,11 @@ def solve_flat(problem, n: int, sp: SpaceParams) -> tuple[OpaResult, int | None]
 # ---------------------------------------------------------------------------
 
 def delta_sums(sp: SpaceParams, last: int) -> np.ndarray:
-    """Cumulative sums s_k = sum_{t<=k} w_t**(-q/p) for k = 0..last."""
+    """Cumulative sums s_k = sum_{t<=k} w_t**(-q/p) for k = 0..last, inf unwarned."""
     if sp.is_flat:
         raise UnsupportedExponentError("delta sums need 1 < p < inf")
-    return np.cumsum(sp.weight.values_up_to(last) ** (-sp.q / sp.p))
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.cumsum(sp.weight.values_up_to(last) ** (-sp.q / sp.p))
 
 
 def detect_one_minus_zd(f: Poly) -> tuple[int, complex] | None:
@@ -1144,8 +1134,9 @@ def prepare_closed_form(f: Poly, n_max: int, sp: SpaceParams):
     sequence, so every order gets the bits of its own.  y = 1 at the
     multiples of d up to (M + 1) d, which annihilates every z^j f and pairs
     to 1, has dual norm s_{M+1}^(1/q): :func:`_gap_rule` takes that in O(1).
-    A ValueError if f is not c*(1 - z^d), and for an order outside
-    0..n_max; n_max is validated.
+    IllConditionedError where the sums leave s_t / s_{M+1} undefined; a
+    ValueError if f is not c*(1 - z^d), and for an order outside 0..n_max;
+    n_max is validated.
     """
     match = detect_one_minus_zd(f)
     if match is None:
@@ -1156,12 +1147,16 @@ def prepare_closed_form(f: Poly, n_max: int, sp: SpaceParams):
         raise UnsupportedExponentError(
             "closed form is implemented for 1 < p < inf only")
     wv = sp.weight.values_up_to(n_max + d)
-    s = np.cumsum(wv[::d][: n_max // d + 2] ** (-sp.q / sp.p))
+    with np.errstate(divide="ignore", over="ignore"):      # refused by the order
+        s = np.cumsum(wv[::d][: n_max // d + 2] ** (-sp.q / sp.p))
 
     def solve(n: int) -> OpaResult:
         if not 0 <= n <= n_max:
             raise ValueError(f"order {n} outside the prepared orders 0..{n_max}")
         big_m = n // d
+        if not (s[big_m] < math.inf and s[big_m + 1] > 0.0):
+            raise IllConditionedError(f"closed form at n = {n}: the weight sums "
+                                      "leave the float range")
         coeffs = np.zeros(n + 1, dtype=np.complex128)
         coeffs[:: d][: big_m + 1] = 1.0 - s[: big_m + 1] / s[big_m + 1]
         result = _finalize(f, coeffs * (1.0 / lead), sp, 0, "closed-form", wv)

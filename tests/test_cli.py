@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -321,12 +322,28 @@ class TestClosedForm:
 
     def test_uncertified_exits_3(self, capsys):
         # w_1 = 2^-1030 takes the dual norm out of the float range: the answer
-        # is written, but nothing certifies it
-        with pytest.warns(RuntimeWarning):
+        # is written, but nothing certifies it, and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out, _ = run_cli(capsys, "closed-form", "--d", "1", "--n", "0",
                                    "--p", "2", "--alpha", "-1030")
         assert code == 3
         assert json.loads(out)["converged"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--coeffs", "1,-1", "--p", "1.5", "--alpha", "-1000", "--n", "4"],
+        ["compute", "--coeffs", "1,-1", "--p", "1.5", "--alpha", "-700", "--n", "4"],
+        ["closed-form", "--d", "1", "--p", "2", "--alpha", "-1000", "--n", "4"],
+        ["sweep", "--coeffs", "1,-1", "--p", "1.5", "--alpha", "-1000", "--n", "1..4"],
+    ], ids=["compute", "compute-700", "closed-form", "sweep"])
+    def test_sums_out_of_range_exit_3(self, argv):
+        # the weight sums overflow, and the coefficients s_t / s_{M+1} with
+        # them: a typed error, not a refusal of the input
+        proc = subprocess.run([sys.executable, "-m", "lpopa", *argv],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 3, proc.stderr
+        assert "error: closed form at n = " in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 HEADER = ["n", "d", "p", "alpha", "optimal_norm", "norm_p_power", "lower_bound",

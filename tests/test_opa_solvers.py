@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import types
 import warnings
 from dataclasses import fields, replace
@@ -129,16 +130,6 @@ class TestConvex:
         np.testing.assert_allclose(res.approximant.coeffs, [2 / 3, 1 / 3], atol=1e-10)
         assert res.optimal_norm ** 2 == pytest.approx(1 / 3, rel=1e-12)
 
-    def test_cold_start_matches_warm_start(self):
-        # the warm start comes from the p = 2 solver; a cold start from zero
-        # must land on the same minimizer
-        f = expand(CircleZeroSpec(((0.0, 1), (PI / 2, 1))))
-        sp = SpaceParams.power(2, 1)
-        warm = solve_convex(f, 4, sp)
-        cold = solve_convex(f, 4, sp, init=Poly(np.zeros(5)))
-        np.testing.assert_allclose(warm.approximant.padded(5),
-                                   cold.approximant.padded(5), atol=1e-9)
-
     def test_gradient_matches_finite_differences(self):
         # derivative oracle for the objective used by the solver
         from lpopa.space import norm as sp_norm
@@ -208,10 +199,13 @@ class TestConvex:
             solve_convex(Poly([1, -1]), 1, SpaceParams.power(1, 0))
 
     def test_nonconvergence_is_flagged(self):
-        opts = SolverOpts(max_iters=1)
-        res = solve_convex(Poly([1, -1]), 24, SpaceParams.power(3, 0), opts,
-                           init=Poly(np.zeros(25)))
-        assert not res.converged
+        # from the banded p = 2 seed this point takes 6 steps to certify;
+        # one step leaves a relative gap near 7e-3
+        sp = SpaceParams.power(3, 0)
+        res = solve_convex(Z1SQ_ZP1, 24, sp, SolverOpts(max_iters=1))
+        assert res.iterations == 1 and not res.converged
+        assert res.rel_gap > 1e-10
+        assert solve_convex(Z1SQ_ZP1, 24, sp).converged
 
     @pytest.mark.parametrize("roots, p", [(((0.0, 4),), 1.2), (((0.0, 2), (PI, 1)), 1.1)],
                              ids=["(z-1)^4,p=1.2", "(z-1)^2(z+1),p=1.1"])
@@ -327,6 +321,27 @@ class TestClosedForm:
         monkeypatch.setattr(Weight, "values_up_to", counted)
         opa.prepare_closed_form(one_minus_zd(3), 40, SpaceParams.power(1.5, 0.5))
         assert lasts == [43]
+
+    def test_sums_out_of_range_end_the_order(self):
+        # at p = 2, alpha = -1000 the sums are 1, 2^1000, then inf from
+        # w_2 = 3^-1000 = 0 on: n = 0 keeps its bits, n = 1 has finite
+        # coefficients but an infinite dual norm, and past it the
+        # coefficients s_t / s_{M+1} are inf / inf
+        sp = SpaceParams.power(2, -1000)
+        f = one_minus_zd(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve = opa.prepare_closed_form(f, 4, sp)
+            alone = opa.prepare_closed_form(f, 0, sp)(0)
+            assert solve(0).converged and alone.converged
+            assert solve(0).approximant.coeffs.tobytes() == alone.approximant.coeffs.tobytes()
+            assert solve(0).optimal_norm == alone.optimal_norm
+            assert (solve(1).converged, solve(1).dual) == (False, None)
+            for n in (2, 3, 4):
+                with pytest.raises(IllConditionedError, match=f"^closed form at n = {n}: "
+                                                              "the weight sums leave"):
+                    solve(n)
+            assert rates.lower_bounds(f, [0, 4], sp)[1] == 0.0
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -837,19 +852,35 @@ def test_result_holds_its_problem(route, n):
 
 @pytest.mark.parametrize("f, p, n", [(THREE, 3.0, 12), (CPLX, 1.2, 9), (Z1SQ_ZP1, 2.5, 20)])
 def test_convex_warm_start_is_the_banded_seed(monkeypatch, f, p, n):
+    # the first Newton step starts from the p = 2 coefficients of the banded
+    # Gram solve, which are the Hilbert approximant's to the bit, and no
+    # whole p = 2 result is formed for them
     sp = SpaceParams.power(p, 0.5)
-    seeded = solve_convex(f, n, sp, init=solve_hilbert(f, n, sp.weight).approximant)
+    hilbert = solve_hilbert(f, n, sp.weight).approximant
+    factor, hessian = opa._hilbert_factor, opa._convex_hessian
+    seeds, starts = [], []
 
     def refuse(*args, **kwargs):
         raise AssertionError("solve_convex formed a whole p = 2 result for its seed")
 
+    def record_seed(*args):
+        gram, seed = factor(*args)
+        seeds.append(seed)
+        return gram, seed
+
+    def record_start(fc, r, *args):
+        starts.append(r)
+        return hessian(fc, r, *args)
+
     monkeypatch.setattr(opa, "solve_hilbert", refuse)
-    res = solve_convex(f, n, sp)
-    for field in ("approximant", "residual"):
-        assert getattr(res, field).coeffs.tobytes() == getattr(seeded, field).coeffs.tobytes()
-    assert ((res.optimal_norm, res.ortho_residual_max, res.iterations, res.converged)
-            == (seeded.optimal_norm, seeded.ortho_residual_max, seeded.iterations,
-                seeded.converged))
+    monkeypatch.setattr(opa, "_hilbert_factor", record_seed)
+    monkeypatch.setattr(opa, "_convex_hessian", record_start)
+    assert solve_convex(f, n, sp).converged
+    assert len(seeds) == 1 and Poly(seeds[0]).coeffs.tobytes() == hilbert.coeffs.tobytes()
+    fc, scale = opa._unit_and_norm(f, sp)
+    start = -np.convolve(seeds[0] * scale, fc)
+    start[0] += 1.0
+    assert starts[0].tobytes() == start.tobytes()
 
 
 def dense_convex_hessian(fc, r, wv, p, n):
@@ -871,13 +902,14 @@ def dense_convex_hessian(fc, r, wv, p, n):
     return H[np.ix_(order, order)]
 
 
-def from_gb_band(ab, size):
-    """The square matrix of a LAPACK gbsv band with equal half-widths."""
-    h = (ab.shape[0] - 1) // 3
+def from_upper_band(ab):
+    """The symmetric matrix of a LAPACK upper band: entry (i, k), i <= k, at
+    ab[h + i - k, k]."""
+    h, size = ab.shape[0] - 1, ab.shape[1]
     H = np.zeros((size, size))
-    for i in range(size):
-        for k in range(max(0, i - h), min(size, i + h + 1)):
-            H[i, k] = ab[2 * h + i - k, k]
+    for k in range(size):
+        for i in range(max(0, k - h), k + 1):
+            H[i, k] = H[k, i] = ab[h + i - k, k]
     return H
 
 
@@ -897,9 +929,43 @@ def test_convex_hessian_band_matches_dense(f, p, order):
     wv = SpaceParams.power(p, 0.5).weight.values_up_to(n + f.degree)
     want = dense_convex_hessian(fc, r, wv, p, n)
     ab = opa._convex_hessian(fc, r, wv, p, n)
-    assert ab.shape == (3 * (2 * min(f.degree, n) + 1) + 1, 2 * (n + 1))
-    np.testing.assert_allclose(from_gb_band(ab, 2 * (n + 1)), want, rtol=0,
+    assert ab.shape == (2 * min(f.degree, n) + 2, 2 * (n + 1))
+    np.testing.assert_allclose(from_upper_band(ab), want, rtol=0,
                                atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: solve_convex(Z1SQ_ZP1, 24, SpaceParams.power(1.5, 0.5)),
+    lambda: solve_convex(CPLX, 24, SpaceParams.power(6.0, 0.5)),
+    lambda: solve_hilbert(CPLX, 24, power_weight(0.5)),
+], ids=["convex p=1.5", "convex p=6", "hilbert"])
+def test_lapack_is_reached_through_cholesky_banded_alone(monkeypatch, solve):
+    # one banded factorization for every oracle: pbtrf and its pbtrs, both
+    # looked up by cholesky_banded, and no general banded LU
+    import scipy.linalg
+
+    asked, lookup = [], scipy.linalg.get_lapack_funcs
+
+    def record(names, *args, **kwargs):
+        asked.append((tuple(names), sys._getframe(1).f_code))
+        return lookup(names, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", record)
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", record)
+    assert solve().converged
+    assert asked and {names for names, _ in asked} == {("pbtrf", "pbtrs")}
+    assert all(code is opa.cholesky_banded.__code__ for _, code in asked)
+
+
+@pytest.mark.parametrize("p", [3.0, 6.0])
+def test_convex_matches_structural_at_512(p):
+    # the convex-versus-structural sweeps of CI, at one order
+    spec = CircleZeroSpec(((0.0, 2), (PI, 1)))
+    sp = SpaceParams.power(p, 0.0)
+    convex = solve_convex(expand(spec), 512, sp)
+    structural, _ = solve_structural(spec, 512, sp)
+    assert convex.converged and structural.converged
+    assert convex.optimal_norm == pytest.approx(structural.optimal_norm, rel=1e-12)
 
 
 def test_convex_seed_keeps_ill_conditioned_error():
