@@ -7,12 +7,11 @@ from .opa import (ExpPolyFit, OpaResult, SolverOpts,
                   closed_form_one_minus_zd, composite_construction,
                   solve_convex, solve_flat, solve_hilbert, solve_structural)
 from .poly import (CircleZeroSpec, Poly, eval_derivative, exact_div, expand,
-                   parse_angle, poly_from_config, signed_power, signed_powers)
+                   parse_angle, poly_from_config, signed_powers)
 from .rates import (RateFit, RatePrediction, SweepPoint, classify, delta,
                     fit_rates, geometric_grid, lower_bound, run_sweep)
-from .space import (SpaceParams, bj_residual, evaluation_bound,
-                    multiplication_bound_batch, multiplication_bound_check, norm,
-                    to_unweighted, wiener_norm)
+from .space import (SpaceParams, evaluation_bound, multiplication_bound_batch,
+                    multiplication_bound_check, norm, to_unweighted, wiener_norm)
 from .weights import (Weight, doubling_constant_for, power_weight, table_weight,
                       verify_admissibility, weight_from_config)
 
@@ -23,13 +22,13 @@ __all__ = [
     "IllConditionedError", "InexactDivisionError", "InternalConsistencyError",
     "LpopaError", "OpaResult", "Poly", "RateFit", "RatePrediction", "SolverOpts",
     "SpaceParams", "SweepError", "SweepPoint", "UnsupportedExponentError",
-    "Weight", "bj_residual", "classify", "closed_form_one_minus_zd",
+    "Weight", "classify", "closed_form_one_minus_zd",
     "composite_construction", "delta", "doubling_constant_for",
     "eval_derivative", "evaluation_bound", "exact_div", "expand",
     "fit_rates", "geometric_grid", "lower_bound", "multiplication_bound_batch",
     "multiplication_bound_check",
     "norm", "parse_angle", "poly_from_config", "power_weight",
-    "run_sweep", "signed_power", "signed_powers", "solve_convex", "solve_flat",
+    "run_sweep", "signed_powers", "solve_convex", "solve_flat",
     "solve_hilbert", "solve_structural", "table_weight",
     "to_unweighted", "verify_admissibility", "weight_from_config",
     "wiener_norm",

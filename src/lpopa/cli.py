@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Subcommands: ``compute`` (one approximant as JSON), ``sweep`` (decay CSV),
-``closed-form`` (exact 1 - z^d formulas), ``classify`` (cyclicity verdict)
-and ``verify`` (cross-oracle battery).  The ``OPA_LOG`` environment variable
-sets diagnostic verbosity (debug/info/warning).  Exit codes: 0 success,
-2 invalid configuration, 3 solver non-convergence (partial artifacts are
-still written), 4 internal inconsistency.
+``classify`` (cyclicity verdict) and ``verify`` (cross-oracle battery).
+``compute`` and ``sweep`` solve on the auto route, which answers c*(1 - z^d)
+by its closed form, or on an oracle named by ``--solver convex|hilbert``.
+The ``OPA_LOG`` environment variable sets diagnostic verbosity
+(debug/info/warning).  Exit codes: 0 success, 2 invalid configuration
+(malformed or non-finite input, an order past the degree cap), 3 a solve
+left uncertified or ended by an ill-conditioned problem, such as p near 1
+or a zero of f out of the float range (partial artifacts are still
+written), 4 internal inconsistency.  Any other input never exits 2.
 
 Given identical configuration the emitted JSON/CSV is byte-identical apart
 from the wall-clock timing column of sweeps.
@@ -27,7 +31,7 @@ import numpy as np
 
 from .errors import (IllConditionedError, InternalConsistencyError, LpopaError,
                      SweepError, UnsupportedExponentError)
-from .opa import OpaResult, closed_form_one_minus_zd
+from .opa import OpaResult
 from .poly import CircleZeroSpec, Poly, parse_angle, poly_from_config
 from .rates import (SOLVER_CHOICES, classify, fit_rates, geometric_grid,
                     log_band_ratio, lower_bound, run_sweep, _dispatch)
@@ -194,8 +198,8 @@ def _weight_payload(args) -> dict:
     return {"kind": "power", "alpha": float(args.alpha)}
 
 
-def _result_payload(cfg_cmd: str, problem, res: OpaResult, args) -> dict:
-    """JSON payload of one solve; ``problem`` is a Poly or a CircleZeroSpec.
+def _result_payload(problem, res: OpaResult, args) -> dict:
+    """JSON payload of one ``compute`` solve; ``problem`` is a Poly or a CircleZeroSpec.
 
     The lower bound is taken from the spec when there is one, because the
     roots of an expanded multiple zero no longer lie on the circle.
@@ -208,7 +212,7 @@ def _result_payload(cfg_cmd: str, problem, res: OpaResult, args) -> dict:
     p_out = "inf" if sp.p == math.inf else sp.p
     npow = res.optimal_norm if sp.p == math.inf else res.optimal_norm ** sp.p
     return {
-        "command": cfg_cmd,
+        "command": "compute",
         "p": p_out,
         "weight": _weight_payload(args),
         "n": n,
@@ -233,15 +237,7 @@ def _cmd_compute(args) -> int:
     sp = _space_from_args(args)
     problem = _problem_from_args(args)
     res = _dispatch(problem, args.n, sp, args.solver)
-    payload = _result_payload("compute", problem, res, args)
-    _emit(render_json(payload) + "\n", args.out)
-    return 0 if res.converged else 3
-
-
-def _cmd_closed_form(args) -> int:
-    res = closed_form_one_minus_zd(args.d, args.n, _space_from_args(args))
-    payload = _result_payload("closed-form", res.f, res, args)
-    payload["d"] = args.d
+    payload = _result_payload(problem, res, args)
     _emit(render_json(payload) + "\n", args.out)
     return 0 if res.converged else 3
 
@@ -364,13 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--fit-min-n", type=int, default=32, dest="fit_min_n")
     sw.add_argument("--out", help="CSV path (stdout when omitted)")
     sw.set_defaults(func=_cmd_sweep)
-
-    cf = subs.add_parser("closed-form", help="exact approximant for f = 1 - z^d")
-    _add_space_args(cf)
-    cf.add_argument("--d", type=int, required=True)
-    cf.add_argument("--n", type=int, required=True)
-    cf.add_argument("--out")
-    cf.set_defaults(func=_cmd_closed_form)
 
     cl = subs.add_parser("classify", help="cyclicity / decay-regime verdict")
     _add_space_args(cl, with_weight_file=False)

@@ -463,10 +463,16 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams,
 def _zeros(f: Poly, problem) -> list[tuple[float, float, int]]:
     """(modulus, angle, multiplicity) of each zero of f: a CircleZeroSpec's exact
     zeros in spec order, else those of np.roots, clustered into multiplicities
-    where the clustered product reproduces f to rounding."""
+    where the clustered product reproduces f to rounding.  IllConditionedError
+    where np.roots leaves the float range (f = 1 + 1e-320 z)."""
     if isinstance(problem, CircleZeroSpec):
         return [(1.0, angle, mult) for angle, mult in problem.roots]
-    roots, clusters = np.roots(f.coeffs[::-1]), []
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):     # refused by eigvals
+            roots = np.roots(f.coeffs[::-1])
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"a zero of f is out of the float range: {exc}") from exc
+    clusters = []
     for root in roots:
         near = [c for c in clusters if abs(c[0] - root) <= _CLUSTER * max(1.0, abs(root))]
         if near:
@@ -595,8 +601,9 @@ def _residual_solve(problem, n: int, sp: SpaceParams, solver: str):
     method of p (looked up when called) gives a residual r and a dual vector
     lam, P = (1 - r) / f by banded least squares, and the reported norm is that
     of 1 - P f, certified by lam (:func:`_certify`); a constant f has dual bound
-    and gap 0.  IllConditionedError where b . b underflows (before any solve)
-    or the method's linear algebra fails.  Returns the result and, for a
+    and gap 0.  IllConditionedError where b . b underflows (before any solve),
+    the method's linear algebra fails or it ends with an r or lam that is not
+    finite (|y_t|^q overflows at p near 1).  Returns the result and, for a
     nonconstant f, (r, A, w, lam)."""
     f, w, rows = _setup(problem, n, sp)
     if rows is None:
@@ -605,10 +612,14 @@ def _residual_solve(problem, n: int, sp: SpaceParams, solver: str):
     if not b @ b >= _TINY:   # the |zeta|^-(m-1) rows of a zero off the circle
         raise IllConditionedError(f"residual form at n = {n}: its right side underflows")
     try:
-        r, lam, steps = (_flat_l1(A, b, w) if sp.p == 1.0 else _flat_linf(A, b, w)
-                         if sp.is_flat else _dual_newton(A, b, w, sp.p))
+        with np.errstate(all="ignore"):     # what is not finite is refused below
+            r, lam, steps = (_flat_l1(A, b, w) if sp.p == 1.0 else _flat_linf(A, b, w)
+                             if sp.is_flat else _dual_newton(A, b, w, sp.p))
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"solve_{solver} at n = {n}: {exc}") from exc
+    if not (np.isfinite(r).all() and np.isfinite(lam).all()):
+        raise IllConditionedError(f"solve_{solver} at n = {n}: its residual or dual "
+                                  f"vector is not finite")
     own = _complex(r)
     result = _finalize(f, lstsq_div(ONE - own, f)[0].padded(n + 1), sp, steps, solver, w)
     return _certify(result, np.linalg.norm(A @ lam, axis=1), b @ lam, w, sp), (own, A, w, lam)
@@ -1116,8 +1127,9 @@ def detect_one_minus_zd(f: Poly) -> tuple[int, complex] | None:
         return None
     c = f.coeffs
     lead = c[0]
-    if lead == 0 or abs(c[-1] + lead) > 1e-12 * abs(lead):
-        return None
+    with np.errstate(over="ignore"):        # a sum that overflows is far from 0
+        if lead == 0 or abs(c[-1] + lead) > 1e-12 * abs(lead):
+            return None
     if c.size > 2 and np.abs(c[1:-1]).max() > 1e-12 * abs(lead):
         return None
     return f.degree, complex(lead)

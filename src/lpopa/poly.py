@@ -23,24 +23,13 @@ _BLOCK = 64              # columns per np.linalg.qr call in lstsq_div
 _SOLVE_BLOCK = 32        # unknowns per np.linalg.solve call in its back substitution
 
 
-def signed_power(z: complex, s: float) -> complex:
-    """The signed power r**s * exp(-i*theta) of z = r*exp(i*theta); 0 maps to 0.
-
-    s = 1 is plain complex conjugation.  Computed from the modulus/argument
-    decomposition; the negated-argument convention is not a holomorphic
-    branch, so exp-of-log of the complex value would be wrong.
-    """
-    if s < 0:
-        raise ValueError("signed power needs s >= 0")
-    z = complex(z)
-    if z == 0:
-        return 0j
-    theta = math.atan2(z.imag, z.real)
-    return abs(z) ** s * complex(math.cos(theta), -math.sin(theta))
-
-
 def signed_powers(values, s: float) -> np.ndarray:
-    """Vectorized :func:`signed_power` over a complex array."""
+    """The signed powers |z|**s * exp(-i arg z) of a complex array; 0 maps to 0.
+
+    s = 1 is plain complex conjugation.  Computed from modulus and argument:
+    the negated-argument convention is not a holomorphic branch, so
+    exp-of-log of the complex value would be wrong.
+    """
     if s < 0:
         raise ValueError("signed power needs s >= 0")
     a = np.asarray(values, dtype=np.complex128)
@@ -152,13 +141,6 @@ def _as_poly(x) -> Poly:
 ONE = Poly([1.0])
 
 
-def monomial(k: int, c: complex = 1.0) -> Poly:
-    """c * z**k."""
-    coeffs = np.zeros(k + 1, dtype=np.complex128)
-    coeffs[k] = c
-    return Poly(coeffs)
-
-
 def lstsq_div(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Division with the quotient chosen to minimize the remainder 2-norm.
 
@@ -176,17 +158,21 @@ def lstsq_div(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     O(n _SOLVE_BLOCK^2), and both O(n e) memory; blocks of 1 are plain
     column-by-column QR and substitution.  Unlike long division it is
     stable for zeros of den outside the disc; for exactly divisible inputs
-    the remainder is at rounding level.
+    the remainder is at rounding level.  den enters the QR divided by 2^k,
+    the least power of two above its largest coefficient modulus (k >= 0),
+    and the quotient is divided by 2^k: exact, where the QR of
+    den = 1e308 (1 - z) would overflow.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero or num.degree < den.degree:
         return Poly(), num
     e, cols = den.degree, num.degree - den.degree + 1
+    scale = 2.0 ** -max(math.frexp(float(np.abs(den.coeffs).max()))[1], 0)
     size = min(_BLOCK, cols) + e
     fresh = np.zeros((size, size), dtype=np.complex128)     # a block's columns, untouched
     for k in range(e + 1):
-        fresh.reshape(-1)[k * size:: size + 1] = den.coeffs[k]
+        fresh.reshape(-1)[k * size:: size + 1] = den.coeffs[k] * scale
     band = np.zeros((e + 1, cols + e), dtype=np.complex128)  # band[e + i - j, j] = R[i, j]
     rhs = np.zeros(cols, dtype=np.complex128)
     upper = np.triu(np.ones((e, e + 1), dtype=bool))
@@ -212,7 +198,7 @@ def lstsq_div(num: Poly, den: Poly) -> tuple[Poly, Poly]:
             flat[k:: width + e + 1] = band[e - k, j + k: j + k + width]
         x[j: j + width] = np.linalg.solve(
             tri[:, :width], rhs[j: j + width] - tri[:, width:] @ x[j + width: j + width + e])
-    quotient = Poly(x[:cols])
+    quotient = Poly(x[:cols] * scale)
     return quotient, num - quotient * den
 
 

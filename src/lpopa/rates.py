@@ -24,7 +24,7 @@ from .opa import (OpaResult, check_degree_cap, delta_sums,
 from .poly import CircleZeroSpec, Poly, expand
 from .space import SpaceParams
 
-SOLVER_CHOICES = ("auto", "convex", "hilbert", "structural", "flat", "closed")
+SOLVER_CHOICES = ("auto", "convex", "hilbert")
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,14 @@ def _degree_with_circle_zero(problem) -> int:
         return problem.degree
     if not isinstance(problem, Poly) or problem.is_zero or problem.degree == 0:
         raise ValueError("need a nonconstant polynomial or a circle zero spec")
-    # f at a b-fold zero that np.roots moved ~eps**(1/b) off the circle, projected back
-    on_circle = [root / abs(root) for root in np.roots(problem.coeffs[::-1]) if root != 0]
-    if not any(abs(problem(u)) <= 1e-10 * np.abs(problem.coeffs).sum() for u in on_circle):
+    # f at a b-fold zero that np.roots moved ~eps**(1/b) off the circle, projected
+    # back; f divided by its largest coefficient modulus, whose sum may overflow.
+    # A zero out of the float range (f = 1 + 1e-320 z) fails in np.roots.
+    unit = Poly(problem.coeffs / np.abs(problem.coeffs).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = np.roots(unit.coeffs[::-1])
+    on_circle = np.exp(1j * np.angle(roots[roots != 0]))
+    if not any(abs(unit(u)) <= 1e-10 * np.abs(unit.coeffs).sum() for u in on_circle):
         raise ValueError("the lower bound applies only to f with a zero on the circle")
     return problem.degree
 
@@ -158,47 +163,37 @@ def predicted_value(p: float, alpha: float, n: int, d: int) -> float:
     return 1.0
 
 
-def _route(f: Poly, sp: SpaceParams, solver: str) -> str:
-    """The solver that runs for ``solver`` on f: auto picks flat at
-    p in {1, inf}, closed for c*(1 - z^d), the prefix QR of the residual form
-    (``residual-qr``) at p = 2 and structural at every other 1 < p < inf.
-    Convex and hilbert run only when named; they are oracles."""
-    if solver not in SOLVER_CHOICES:
-        raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_CHOICES}")
-    if solver != "auto":
-        return solver
-    if sp.is_flat:
-        return "flat"
-    if detect_one_minus_zd(f) is not None:
-        return "closed"
-    return "residual-qr" if sp.p == 2.0 else "structural"
-
-
 def _prepare(problem, n_max: int, sp: SpaceParams, solver: str):
     """The solve of every order n <= n_max on the route ``solver`` picks.
 
-    f is expanded and routed once.  The closed form and the p = 2 residual
-    form prepare once at n_max and each order reads the leading part (see
+    ``solver`` is one of :data:`SOLVER_CHOICES`.  ``auto`` picks, from f
+    expanded once: the flat residual form at p in {1, inf}, the closed form
+    for c*(1 - z^d), the prefix QR of the residual form (``residual-qr``) at
+    p = 2 and the structural dual Newton at every other 1 < p < inf.
+    ``convex`` and ``hilbert`` name the two oracles, which run only when
+    named.  The closed form and the p = 2 residual form prepare once at
+    n_max and each order reads the leading part (see
     :func:`prepare_closed_form` and :func:`prepare_residual_qr`, which takes
     the exact zeros of a spec); the other routes have no such prefix and
     solve each order on its own.
     """
+    if solver not in SOLVER_CHOICES:
+        raise ValueError(f"unknown solver {solver!r}; choose from {SOLVER_CHOICES}")
     if isinstance(problem, CircleZeroSpec):     # the cap before the O(d^2) expansion
         check_degree_cap(n_max, problem.degree)
     f = expand(problem) if isinstance(problem, CircleZeroSpec) else problem
-    solver = _route(f, sp, solver)
-    if solver == "closed":
-        return prepare_closed_form(f, n_max, sp)
-    if solver == "residual-qr":
-        return prepare_residual_qr(problem, n_max, sp.weight)
     if solver == "hilbert":
         if sp.p != 2.0:
             raise ValueError("the hilbert solver applies only at p = 2")
         return lambda n: solve_hilbert(f, n, sp.weight)
     if solver == "convex":
         return lambda n: solve_convex(f, n, sp)
-    if solver == "flat":
+    if sp.is_flat:
         return lambda n: solve_flat(problem, n, sp)[0]
+    if detect_one_minus_zd(f) is not None:
+        return prepare_closed_form(f, n_max, sp)
+    if sp.p == 2.0:
+        return prepare_residual_qr(problem, n_max, sp.weight)
     return lambda n: solve_structural(problem, n, sp)[0]
 
 

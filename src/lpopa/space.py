@@ -1,4 +1,4 @@
-"""Norms and orthogonality of weighted l^p coefficient spaces.
+"""Norms and multiplication bounds of weighted l^p coefficient spaces.
 
 The (p, w) norm of a polynomial sums |a_k|^p w_k (sup of |a_k| w_k at
 p = infinity).  Exponents live in [1, inf]; infinity is represented by
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedExponentError
-from .poly import Poly, signed_powers
+from .poly import Poly
 from .weights import Weight, doubling_constant_for, power_weight
 
 INF = math.inf
@@ -79,25 +78,6 @@ def wiener_norm(g: Poly) -> float:
     if g.is_zero:
         return 0.0
     return float(np.abs(g.coeffs).sum())
-
-
-def bj_residual(f: Poly, g: Poly, sp: SpaceParams) -> complex:
-    """Orthogonality pairing sum_n f_n^{<p-1>} g_n w_n.
-
-    A zero value (within tolerance) certifies that f is Birkhoff-James
-    orthogonal to g in the (p, w) norm.  Only valid for 1 < p < inf; the
-    flat endpoints have no such smooth characterization and their
-    minimizers are certified by the duality gap of ``opa.solve_flat``.
-    """
-    if sp.is_flat:
-        raise UnsupportedExponentError(
-            "the orthogonality pairing requires 1 < p < inf")
-    if f.is_zero or g.is_zero:
-        return 0j
-    n = min(f.degree, g.degree)
-    fs = signed_powers(f.coeffs[: n + 1], sp.p - 1.0)
-    w = sp.weight.values_up_to(n)
-    return complex((fs * g.coeffs[: n + 1] * w).sum())
 
 
 def evaluation_bound(sp: SpaceParams, r: float) -> float:

@@ -23,7 +23,7 @@ import lpopa.rates
 import lpopa.space
 import lpopa.verification
 import lpopa.weights
-from lpopa import CircleZeroSpec, SpaceParams, lower_bound
+from lpopa import CircleZeroSpec, SpaceParams, closed_form_one_minus_zd, lower_bound
 from lpopa.cli import build_parser, main, render_json
 
 
@@ -57,17 +57,17 @@ class TestCompute:
 
     def test_structural_solver(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--roots", "0:2", "--p", "3",
-                               "--n", "4", "--solver", "structural")
+                               "--n", "4")
         assert code == 0
         assert json.loads(out)["solver"] == "structural"
 
     def test_structural_solver_takes_coefficients(self, capsys):
         norms = {}
-        for solver in ("structural", "convex"):
+        for solver in ("auto", "convex"):
             code, out, _ = run_cli(capsys, "compute", "--coeffs", "1,0.5-1i,-0.5i", "--p", "1.5",
                                    "--n", "16", "--solver", solver)
             assert code == 0
-            norms[solver] = json.loads(out)["optimal_norm"]
+            norms[json.loads(out)["solver"]] = json.loads(out)["optimal_norm"]
         assert norms["structural"] == pytest.approx(norms["convex"], rel=1e-12)
 
     def test_flat_solver_json_has_null_ortho(self, capsys):
@@ -120,7 +120,7 @@ class TestCompute:
         # optimum, as converged; stationarity of the norm drives it home
         args = ("compute", "--roots", "0:2,pi:1", "--p", "10", "--n", "128")
         code, out, _ = run_cli(capsys, *args, "--solver", "convex")
-        ref_code, ref_out, _ = run_cli(capsys, *args, "--solver", "structural")
+        ref_code, ref_out, _ = run_cli(capsys, *args)
         assert code == ref_code == 0
         assert json.loads(out)["optimal_norm"] == pytest.approx(
             json.loads(ref_out)["optimal_norm"], rel=1e-12)
@@ -286,6 +286,22 @@ class TestArgumentValidation:
         assert out == ""
         assert f"unrecognized arguments: {' '.join(option)}" in err
 
+    @pytest.mark.parametrize("command, n", [("compute", "8"), ("sweep", "8..16")])
+    @pytest.mark.parametrize("solver", ["structural", "flat", "closed"])
+    def test_removed_solver_values_exit_2(self, capsys, command, n, solver):
+        # auto runs each of these routes where it is valid
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--roots", "0:2,pi:1", "--p", "3", "--n", n, "--solver", solver])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{solver}'" in capsys.readouterr().err
+
+    def test_removed_closed_form_command_exits_2(self, capsys):
+        # compute --coeffs 1,0,-1 prints what it printed, less "command" and "d"
+        with pytest.raises(SystemExit) as exc:
+            main(["closed-form", "--d", "2", "--p", "2", "--n", "3"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'closed-form'" in capsys.readouterr().err
+
     def test_hilbert_requires_p2(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--coeffs", "1,-1", "--p", "3",
                                "--n", "1", "--solver", "hilbert")
@@ -312,20 +328,34 @@ class TestClassify:
 
 class TestClosedForm:
     def test_dilated(self, capsys):
-        code, out, _ = run_cli(capsys, "closed-form", "--d", "2", "--n", "3",
+        code, out, _ = run_cli(capsys, "compute", "--coeffs", "1,0,-1", "--n", "3",
                                "--p", "2", "--alpha", "0")
         assert code == 0
         payload = json.loads(out)
+        assert payload["solver"] == "closed-form"
         np.testing.assert_allclose(payload["coefficients"],
                                    [[2 / 3, 0], [0, 0], [1 / 3, 0]], atol=1e-12)
         assert payload["norm_power"] == pytest.approx(1 / 3, rel=1e-12)
+
+    @pytest.mark.parametrize("p", ["1.5", "2", "3"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_compute_prints_the_closed_form_payload(self, capsys, d, p):
+        # the payload the closed-form command printed for 1 - z^d, less its
+        # "command" and "d" keys: auto routes c*(1 - z^d) to the closed form
+        argv = ["compute", "--coeffs", ",".join(["1"] + ["0"] * (d - 1) + ["-1"]),
+                "--n", "7", "--p", p, "--alpha", "0.5"]
+        code, out, _ = run_cli(capsys, *argv)
+        res = closed_form_one_minus_zd(d, 7, SpaceParams.power(float(p), 0.5))
+        want = lpopa.cli._result_payload(res.f, res, build_parser().parse_args(argv))
+        assert code == 0 and out == render_json(want) + "\n"
+        assert json.loads(out)["solver"] == "closed-form"
 
     def test_uncertified_exits_3(self, capsys):
         # w_1 = 2^-1030 takes the dual norm out of the float range: the answer
         # is written, but nothing certifies it, and nothing warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, _ = run_cli(capsys, "closed-form", "--d", "1", "--n", "0",
+            code, out, _ = run_cli(capsys, "compute", "--coeffs", "1,-1", "--n", "0",
                                    "--p", "2", "--alpha", "-1030")
         assert code == 3
         assert json.loads(out)["converged"] is False
@@ -333,9 +363,9 @@ class TestClosedForm:
     @pytest.mark.parametrize("argv", [
         ["compute", "--coeffs", "1,-1", "--p", "1.5", "--alpha", "-1000", "--n", "4"],
         ["compute", "--coeffs", "1,-1", "--p", "1.5", "--alpha", "-700", "--n", "4"],
-        ["closed-form", "--d", "1", "--p", "2", "--alpha", "-1000", "--n", "4"],
+        ["compute", "--coeffs", "1,-1", "--p", "2", "--alpha", "-1000", "--n", "4"],
         ["sweep", "--coeffs", "1,-1", "--p", "1.5", "--alpha", "-1000", "--n", "1..4"],
-    ], ids=["compute", "compute-700", "closed-form", "sweep"])
+    ], ids=["compute", "compute-700", "compute-p2", "sweep"])
     def test_sums_out_of_range_exit_3(self, argv):
         # the weight sums overflow, and the coefficients s_t / s_{M+1} with
         # them: a typed error, not a refusal of the input
@@ -487,7 +517,7 @@ def test_cli_compute_does_not_import_scipy_optimize(p):
 @pytest.mark.parametrize("argv", [
     None,
     ["classify", "--p", "1.5", "--alpha", "0"],
-    ["closed-form", "--d", "2", "--p", "1.5", "--n", "64"],
+    ["compute", "--coeffs", "1,0,-1", "--p", "1.5", "--n", "64"],     # closed form
     ["compute", "--coeffs", "1,-1", "--p", "3", "--n", "16"],
     ["compute", "--coeffs", "1,-1", "--p", "1", "--n", "16"],      # zero approximant: no division
     ["compute", "--roots", "0:2,pi:1", "--p", "inf", "--n", "64"],  # flat, divides by f
@@ -764,6 +794,44 @@ def test_off_circle_zero_ends_typed(argv):
     if argv[0] == "sweep":      # the rows of the orders before n = 512, whose solve raised
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         assert [int(row["n"]) for row in rows] == [16, 32, 64, 128, 256], proc.stdout
+
+
+# valid finite input ends in an answer or a typed error: at p near 1 the dual
+# Newton's |y_t|^q overflows; 1 + 1e-320 z has its zero out of the float
+# range; 1e308 (1 - z) overflowed the division's QR and the lower bound's sum;
+# 1e-320 + z overflowed the lower bound's projection onto the circle
+VALID_INPUT = [
+    ("compute --roots 0:2,pi:1 --p 1.0001 --n 16", 3),
+    ("compute --coeffs 1,-1,0.5 --p 1.0001 --n 16", 3),
+    ("compute --coeffs 1,0.5-1i,-0.5i --p 1.0001 --n 16", 3),
+    ("compute --roots 0:1,pi/2:1,3pi/2:1 --p 1.000001 --n 16", 3),
+    ("sweep --roots 0:2,pi:1 --p 1.0001 --n 1..4", 3),
+    *((f"compute --coeffs 1,1e-320 --p {p} --n 3", 3) for p in ("1", "1.5", "2", "inf")),
+    ("sweep --coeffs 1,1e-320 --p 1.5 --n 1..4", 3),
+    *((f"compute --coeffs 1e308,-1e308 --p {p} --n 3", 0) for p in ("1", "1.5", "2", "inf")),
+    ("sweep --coeffs 1e308,-1e308 --p 2 --n 1..4", 0),
+    *((f"compute --coeffs 1e-320,1 --p {p} --n 3", 0) for p in ("1", "1.5")),
+]
+
+
+def test_valid_input_never_exits_2():
+    # one child runs every command, so a warning or an uncaught error of any
+    # of them reaches its stderr
+    script = ("import contextlib, io\n"
+              "from lpopa.cli import main\n"
+              "codes = []\n"
+              f"for args in {[args for args, _ in VALID_INPUT]!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        codes.append(main(args.split()))\n"
+              "print(codes)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert dict(zip(VALID_INPUT, json.loads(proc.stdout))) == {
+        case: case[1] for case in VALID_INPUT}
+    assert [line for line in proc.stderr.splitlines()
+            if not line.startswith(("error: ", "fit skipped: "))] == [], proc.stderr
+    assert proc.stderr.count("error: ") == sum(code == 3 for _, code in VALID_INPUT)
 
 
 @pytest.mark.parametrize("n", ["840", "841"])

@@ -18,8 +18,7 @@ from lpopa import (CircleZeroSpec, DegreeCapError, IllConditionedError, OpaResul
                    lower_bound, norm, opa, power_weight, rates, solve_convex, solve_flat,
                    solve_hilbert, solve_structural, table_weight)
 from lpopa.opa import SolverOpts, bj_certificate, prepare_residual_qr
-from lpopa.poly import MAX_DEGREE, monomial, signed_powers
-from lpopa.space import bj_residual
+from lpopa.poly import MAX_DEGREE, signed_powers
 
 INF = math.inf
 PI = math.pi
@@ -660,7 +659,8 @@ def per_probe_certificate(result, f, sp, n_probes, seed):
     for _ in range(n_probes):
         j = int(rng.integers(0, result.n + 1))
         lam = radius * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / math.sqrt(2)
-        worst = max(worst, base - norm(result.residual + lam * monomial(j) * f, sp))
+        zj_f = Poly(np.eye(1, j + 1, j)[0]) * f          # z^j f
+        worst = max(worst, base - norm(result.residual + lam * zj_f, sp))
     return worst
 
 
@@ -740,16 +740,15 @@ FINALIZE_ROUTES = {
     for p in ((2.0,) if route == "hilbert" else (1.5, 2.0, 3.0))
     for alpha in (-0.5, 1.0) for n in (0, 5, 17)])
 def test_finalize_matches_separate_evaluation(route, p, alpha, n):
-    # one convolution and one weight table give what Poly arithmetic,
-    # space.norm and space.bj_residual give one at a time
+    # one convolution and one weight table give what Poly arithmetic and
+    # space.norm give one at a time, and the pairing of direct_pairing
     f, solve = FINALIZE_ROUTES[route]
     sp = SpaceParams.power(p, alpha)
     res = solve(n, sp)
     assert res.optimal_norm == norm(res.residual, sp)
-    unit = f * (1.0 / norm(f, sp))
-    pairing = max(abs(bj_residual(res.residual, monomial(j) * unit, sp)) for j in range(n + 1))
-    # both sum the same terms in different orders; the pairing is at rounding
-    # level of its Hoelder bound norm(residual)^(p-1), so that is the scale
+    # the pairing is at rounding level of its Hoelder bound
+    # norm(residual)^(p-1), so that is the scale
+    pairing = direct_pairing(res, f, n, sp)
     assert abs(res.ortho_residual_max - pairing) <= 1e-15 * res.optimal_norm ** (p - 1)
     got, want = res.residual.coeffs, (Poly([1]) - res.approximant * f).coeffs
     assert np.array_equal(got, want)
@@ -1102,10 +1101,10 @@ def refuse_expand(monkeypatch):
 
 # expand convolves once per unit of multiplicity, O(d^2), so a spec is checked
 # against the cap first, both when it is routed and by the residual form
-@pytest.mark.parametrize("solver", ["auto", "structural", "flat", "convex", "hilbert"])
-def test_degree_cap_raises_before_routing_expands_a_spec(monkeypatch, solver):
+@pytest.mark.parametrize("solver, p", [("auto", 1.5), ("auto", 1.0), ("auto", 2.0),
+                                       ("convex", 1.5), ("hilbert", 2.0)])
+def test_degree_cap_raises_before_routing_expands_a_spec(monkeypatch, solver, p):
     refuse_expand(monkeypatch)
-    p = 1.0 if solver == "flat" else 2.0 if solver == "hilbert" else 1.5
     with pytest.raises(DegreeCapError, match="n = 50000 plus deg f = 20000 .* cap"):
         rates._dispatch(CircleZeroSpec(((0.0, 20000),)), 50000, SpaceParams.power(p, 0.0), solver)
 

@@ -8,14 +8,18 @@ import numpy as np
 import pytest
 
 from lpopa import (CircleZeroSpec, DegreeCapError, InexactDivisionError, Poly, eval_derivative,
-                   exact_div, expand, parse_angle, poly_from_config, signed_power,
-                   signed_powers)
+                   exact_div, expand, parse_angle, poly_from_config, signed_powers)
 import lpopa.poly
 from lpopa.poly import MAX_DEGREE, lstsq_div
 
 
 def rand_complex(rng, size=None, scale=1.0):
     return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+
+def signed_power(z, s):
+    """:func:`signed_powers` at one value."""
+    return complex(signed_powers([z], s)[0])
 
 
 class TestSignedPower:
@@ -36,13 +40,14 @@ class TestSignedPower:
         with pytest.raises(ValueError):
             signed_power(1 + 1j, -0.5)
 
-    def test_vectorized_matches_scalar(self):
+    def test_vectorized_matches_polar_form(self):
         rng = np.random.default_rng(3)
         z = rand_complex(rng, 20)
         z[4] = 0.0
         out = signed_powers(z, 1.7)
         for zi, oi in zip(z, out):
-            assert oi == pytest.approx(signed_power(zi, 1.7), abs=1e-15)
+            want = abs(zi) ** 1.7 * cmath.exp(-1j * cmath.phase(zi)) if zi else 0j
+            assert oi == pytest.approx(want, abs=1e-15)
 
 
 class TestSignedPowerIdentities:
@@ -333,6 +338,21 @@ class TestBlockedLstsqDiv:
         num = Poly([2.0, 4.0, 6.0])
         assert lstsq_div(num, Poly([2.0]))[0] == Poly([1.0, 2.0, 3.0])
         assert lstsq_div(Poly([1.0]), Poly([1.0, 1.0])) == (Poly(), Poly([1.0]))
+
+    @pytest.mark.parametrize("k", [-3, 5, 1021])
+    def test_divisor_scaled_by_a_power_of_two_keeps_every_bit(self, k):
+        # the divisor is brought below modulus 1 by a power of two before its
+        # QR, which 1e308 (1 - z) overflowed; the quotient is scaled back
+        den = expand(CircleZeroSpec(((0.0, 4),)))
+        num = Poly(rand_complex(np.random.default_rng(5), 200))
+        want = lstsq_div(num, den)[0].coeffs * 2.0 ** -k
+        assert np.array_equal(lstsq_div(num, den * 2.0 ** k)[0].coeffs, want)
+
+    def test_divisor_near_the_float_limit(self):
+        num = Poly([1.0, 0.5, 0.25, -1.0])
+        q = lstsq_div(num, Poly([1e308, -1e308]))[0]
+        want = lstsq_div(num, Poly([1.0, -1.0]))[0]
+        assert np.abs(q.coeffs * 1e308 - want.coeffs).max() <= 1e-14
 
 
 class TestEvalDerivative:

@@ -1,6 +1,7 @@
 """Tests for cyclicity classification, lower bounds and decay-rate fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,20 @@ class TestLowerBound:
             with pytest.raises(ValueError):
                 lower_bound(Poly(coeffs), 3, SpaceParams.power(2, 0))
 
+    @pytest.mark.parametrize("coeffs", [[1e308, -1e308], [1e-320, 1], [1, 1e-320]])
+    def test_coefficients_near_the_float_limits_warn_nothing(self, coeffs):
+        # the sum of |f_k| of 1e308 (1 - z) overflowed, and so did the
+        # projection of the subnormal zero of 1e-320 + z onto the circle;
+        # the zero of 1 + 1e-320 z is out of the float range
+        sp = SpaceParams.power(2, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if coeffs[0] == -coeffs[1]:
+                assert lower_bound(Poly(coeffs), 3, sp) == lower_bound(Poly([1, -1]), 3, sp)
+            else:
+                with pytest.raises(ValueError):
+                    lower_bound(Poly(coeffs), 3, sp)
+
 
 class TestDetection:
     def test_plain(self):
@@ -139,6 +154,10 @@ class TestDetection:
         assert detect_one_minus_zd(Poly([1, -2, 1])) is None
         assert detect_one_minus_zd(Poly([1, 0.5, -1])) is None
         assert detect_one_minus_zd(Poly([0, 1])) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert detect_one_minus_zd(Poly([1e308, 0, 1e308])) is None
+            assert detect_one_minus_zd(Poly([1e308, 0, -1e308])) == (2, 1e308)
 
     @pytest.mark.parametrize("f", [Poly([1, -1.0000000000001]), Poly([3, -3])],
                              ids=["near-match", "lead-3"])
@@ -154,6 +173,30 @@ class TestDetection:
         certified = solve_structural(f, 8, sp)[0]
         assert certified.converged
         assert res.optimal_norm == pytest.approx(certified.optimal_norm, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, INF])
+@pytest.mark.parametrize("coeffs", [[1, -1], [1, -1, -1, 1], [1, 0.5 - 1j, -0.5j]],
+                         ids=["1-z", "z1sq_zp1", "cplx"])
+def test_f_near_the_float_limit_has_the_answer_of_f(coeffs, p):
+    # 1e308 f: the division by f and the closed-form match overflowed
+    sp = SpaceParams.power(p, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rates._dispatch(Poly(np.array(coeffs) * 1e308), 5, sp, "auto")
+    want = rates._dispatch(Poly(coeffs), 5, sp, "auto")
+    assert got.converged and got.solver == want.solver
+    assert got.optimal_norm == pytest.approx(want.optimal_norm, rel=1e-14)
+    np.testing.assert_allclose(got.approximant.padded(6) * 1e308, want.approximant.padded(6),
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("solver", ["structural", "flat", "closed"])
+def test_auto_routes_are_not_solver_names(solver):
+    # auto picks each of these where it is valid; --solver names only the oracles
+    assert rates.SOLVER_CHOICES == ("auto", "convex", "hilbert")
+    with pytest.raises(ValueError, match="unknown solver"):
+        rates._dispatch(Poly([1, -1]), 3, SpaceParams.power(1.5, 0), solver)
 
 
 class TestSweep:
@@ -181,10 +224,10 @@ class TestSweep:
         sp = SpaceParams.power(3.0, 0.0)
         grid = geometric_grid(64, 4096)
         convex = run_sweep(spec, sp, grid, solver="convex")
-        structural = run_sweep(spec, sp, grid, solver="structural")
+        structural = run_sweep(spec, sp, grid)
         assert [pt.n for pt in convex] == grid
         for got, want in zip(convex, structural):
-            assert got.converged and want.converged
+            assert got.converged and want.converged and want.solver == "structural"
             assert got.optimal_norm == pytest.approx(want.optimal_norm, rel=1e-12)
 
     def test_hardy_exponent(self):

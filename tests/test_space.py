@@ -1,4 +1,4 @@
-"""Tests for weighted norms, the orthogonality pairing and the product estimate."""
+"""Tests for weighted norms, the evaluation bound and the product estimate."""
 
 import math
 
@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import lpopa.space
-from lpopa import (Poly, SpaceParams, UnsupportedExponentError, bj_residual,
-                   evaluation_bound, multiplication_bound_check, norm, power_weight,
-                   table_weight, to_unweighted, wiener_norm)
+from lpopa import (Poly, SpaceParams, evaluation_bound, multiplication_bound_check, norm,
+                   power_weight, table_weight, to_unweighted, wiener_norm)
 from lpopa.space import multiplication_constant, split_bound_terms
 
 INF = math.inf
@@ -53,6 +52,19 @@ class TestNorm:
                                                           rel=1e-10, abs=1e-12)
                 assert norm(f + g, sp) <= norm(f, sp) + norm(g, sp) + 1e-10 * scale
 
+    def test_orthogonal_direction_never_lowers_the_norm(self):
+        # f = 1 - z^2 has no z coefficient, so it is Birkhoff-James orthogonal
+        # to g = z: adding any multiple of g cannot decrease the norm
+        rng = np.random.default_rng(34)
+        for p in (1.5, 2.0, 3.0):
+            sp = SpaceParams.power(p, 0.5)
+            f, g = Poly([1, 0, -1]), Poly([0, 1])
+            base = norm(f, sp)
+            for _ in range(100):
+                lam = complex(*rng.standard_normal(2))
+                lam /= max(abs(lam), 1.0)
+                assert norm(f + lam * g, sp) >= base - 1e-8
+
 
 class TestWienerNorm:
     def test_square(self):
@@ -66,57 +78,6 @@ class TestWienerNorm:
             c = np.zeros(d + 1)
             c[0], c[d] = 1, -1
             assert wiener_norm(Poly(c)) == pytest.approx(2.0)
-
-
-class TestOrthogonalityPairing:
-    def test_zero_second_argument(self):
-        sp = SpaceParams.power(2.5, 0.3)
-        assert bj_residual(Poly([1, 2, 3]), Poly(), sp) == 0j
-
-    def test_disjoint_supports(self):
-        for p in (1.5, 2, 4):
-            for alpha in (-1, 0, 2):
-                sp = SpaceParams.power(p, alpha)
-                assert bj_residual(Poly([0, 1]), Poly([1]), sp) == 0j
-
-    def test_basic_value_with_inner_product_oracle(self):
-        # independent oracle at p = 2: the pairing reduces to <g, f>
-        sp = SpaceParams.power(2, 0)
-        f, g = Poly([1, -1]), Poly([1])
-        val = bj_residual(f, g, sp)
-        oracle = complex(np.vdot(f.padded(2), g.padded(2)))
-        assert val == pytest.approx(1.0)
-        assert val == pytest.approx(oracle)
-
-    def test_flat_exponents_rejected(self):
-        for p in (1.0, INF):
-            with pytest.raises(UnsupportedExponentError):
-                bj_residual(Poly([1]), Poly([1]), SpaceParams.power(p, 0))
-
-    def test_linear_in_second_argument(self):
-        rng = np.random.default_rng(33)
-        sp = SpaceParams.power(2.5, -0.5)
-        for _ in range(50):
-            f, g1, g2 = rand_poly(rng), rand_poly(rng), rand_poly(rng)
-            lam = complex(*rng.standard_normal(2))
-            lhs = bj_residual(f, g1 + lam * g2, sp)
-            rhs = bj_residual(f, g1, sp) + lam * bj_residual(f, g2, sp)
-            scale = max(abs(lhs), abs(rhs), 1e-6)
-            assert abs(lhs - rhs) <= 1e-10 * scale
-
-    def test_zero_pairing_implies_norm_inequality(self):
-        # f = 1 - z^2 has no z coefficient, so it is orthogonal to g = z:
-        # adding any multiple of g cannot decrease the norm
-        rng = np.random.default_rng(34)
-        for p in (1.5, 2.0, 3.0):
-            sp = SpaceParams.power(p, 0.5)
-            f, g = Poly([1, 0, -1]), Poly([0, 1])
-            assert abs(bj_residual(f, g, sp)) <= 1e-10
-            base = norm(f, sp)
-            for _ in range(100):
-                lam = complex(*rng.standard_normal(2))
-                lam /= max(abs(lam), 1.0)
-                assert norm(f + lam * g, sp) >= base - 1e-8
 
 
 class TestEvaluationBound:
