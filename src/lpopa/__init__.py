@@ -7,7 +7,7 @@ from .opa import (ExpPolyFit, OpaResult, SolverOpts,
                   closed_form_one_minus_zd, composite_construction,
                   solve_convex, solve_flat, solve_hilbert, solve_structural)
 from .poly import (CircleZeroSpec, Poly, eval_derivative, exact_div, expand,
-                   parse_angle, poly_from_config, signed_powers)
+                   parse_angle, signed_powers)
 from .rates import (RateFit, RatePrediction, SweepPoint, classify, delta,
                     fit_rates, geometric_grid, lower_bound, run_sweep)
 from .space import (SpaceParams, evaluation_bound, multiplication_bound_batch,
@@ -27,7 +27,7 @@ __all__ = [
     "eval_derivative", "evaluation_bound", "exact_div", "expand",
     "fit_rates", "geometric_grid", "lower_bound", "multiplication_bound_batch",
     "multiplication_bound_check",
-    "norm", "parse_angle", "poly_from_config", "power_weight",
+    "norm", "parse_angle", "power_weight",
     "run_sweep", "signed_powers", "solve_convex", "solve_flat",
     "solve_hilbert", "solve_structural", "table_weight",
     "to_unweighted", "verify_admissibility", "weight_from_config",

@@ -8,7 +8,7 @@ The ``OPA_LOG`` environment variable sets diagnostic verbosity
 (debug/info/warning).  Exit codes: 0 success, 2 invalid configuration
 (malformed or non-finite input, an order past the degree cap), 3 a solve
 left uncertified or ended by an ill-conditioned problem, such as p near 1
-or a zero of f out of the float range (partial artifacts are still
+or a zero of f or P out of the float range (partial artifacts are still
 written), 4 internal inconsistency.  Any other input never exits 2.
 
 Given identical configuration the emitted JSON/CSV is byte-identical apart
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (IllConditionedError, InternalConsistencyError, LpopaError,
                      SweepError, UnsupportedExponentError)
 from .opa import OpaResult
-from .poly import CircleZeroSpec, Poly, parse_angle, poly_from_config
+from .poly import CircleZeroSpec, Poly, parse_angle
 from .rates import (SOLVER_CHOICES, classify, fit_rates, geometric_grid,
                     log_band_ratio, lower_bound, run_sweep, _dispatch)
 from .space import SpaceParams
@@ -170,16 +170,9 @@ def _space_from_args(args) -> SpaceParams:
 
 
 def _problem_from_args(args):
-    sources = [s for s in (args.roots, args.coeffs, getattr(args, "config", None))
-               if s]
-    if len(sources) != 1:
-        raise ValueError("exactly one of --roots / --coeffs / --config is required")
-    if args.roots:
-        return _parse_roots(args.roots)
-    if args.coeffs:
-        return _parse_coeffs(args.coeffs)
-    with open(args.config, encoding="utf-8") as fh:
-        return poly_from_config(json.load(fh))
+    if bool(args.roots) == bool(args.coeffs):
+        raise ValueError("exactly one of --roots / --coeffs is required")
+    return _parse_roots(args.roots) if args.roots else _parse_coeffs(args.coeffs)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -332,7 +325,6 @@ def _add_problem_args(sub) -> None:
                      help="circle zeros 'angle:mult,...' with angles as rational "
                           "multiples of pi; builds f with f(0) = 1")
     sub.add_argument("--coeffs", help="comma-separated complex coefficients of f")
-    sub.add_argument("--config", help="JSON problem spec (coeffs or circle_roots)")
 
 
 @functools.cache

@@ -168,11 +168,20 @@ def _phases(angle: float, size: int) -> np.ndarray:
     return np.outer(np.cos(b) - 1j * np.sin(b), np.cos(u) - 1j * np.sin(u)).ravel()[:size]
 
 
+def _binary_scale(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """(c / 2^k, k), 2^k the power of two at the largest modulus of c (math.frexp):
+    exact for a normal c, and a subnormal c is taken into the normal range."""
+    k = math.frexp(float(np.abs(c).max()))[1]
+    return np.ldexp(np.ascontiguousarray(c).view(np.float64), -k).view(np.complex128), k
+
+
 def _unit_and_norm(f: Poly, sp: SpaceParams) -> tuple[np.ndarray, float]:
     """The coefficients of f / norm(f), and norm(f), from f divided by its largest
-    coefficient modulus first: |f_k|^p overflows at a high multiplicity."""
+    coefficient modulus first (|f_k|^p overflows at a high multiplicity), both
+    scaled by 2^-k (:func:`_binary_scale`): the division forms 1 / top."""
     top = float(np.abs(f.coeffs).max())
-    fc = f.coeffs / top
+    scaled, k = _binary_scale(f.coeffs)
+    fc = scaled / math.ldexp(top, -k)
     size = norm(Poly(fc), sp)
     return fc / size, top * size
 
@@ -462,14 +471,16 @@ def solve_convex(f: Poly, n: int, sp: SpaceParams,
 
 def _zeros(f: Poly, problem) -> list[tuple[float, float, int]]:
     """(modulus, angle, multiplicity) of each zero of f: a CircleZeroSpec's exact
-    zeros in spec order, else those of np.roots, clustered into multiplicities
-    where the clustered product reproduces f to rounding.  IllConditionedError
-    where np.roots leaves the float range (f = 1 + 1e-320 z)."""
+    zeros in spec order, else those of np.roots on f / 2^k (:func:`_binary_scale`),
+    clustered into multiplicities where the clustered product reproduces f to
+    rounding.  IllConditionedError where np.roots leaves the float range
+    (f = 1 + 1e-320 z)."""
     if isinstance(problem, CircleZeroSpec):
         return [(1.0, angle, mult) for angle, mult in problem.roots]
+    fc = _binary_scale(f.coeffs)[0]
     try:
         with np.errstate(over="ignore", invalid="ignore"):     # refused by eigvals
-            roots = np.roots(f.coeffs[::-1])
+            roots = np.roots(fc[::-1])
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"a zero of f is out of the float range: {exc}") from exc
     clusters = []
@@ -482,8 +493,8 @@ def _zeros(f: Poly, problem) -> list[tuple[float, float, int]]:
     if len(clusters) == len(roots):         # simple zeros: nothing to check
         return [(abs(zeta), np.angle(zeta), 1) for zeta in roots]
     pairs = [(np.mean(c), len(c)) for c in clusters]
-    product = f.coeffs[-1] * np.poly([zeta for zeta, mult in pairs for _ in range(mult)])
-    if np.abs(product[::-1] - f.coeffs).max() > _ROUNDING * np.abs(f.coeffs).max():
+    product = fc[-1] * np.poly([zeta for zeta, mult in pairs for _ in range(mult)])
+    if np.abs(product[::-1] - fc).max() > _ROUNDING * np.abs(fc).max():
         pairs = [(zeta, 1) for zeta in roots]
     return [(abs(zeta), np.angle(zeta), mult) for zeta, mult in pairs]
 
@@ -596,14 +607,25 @@ def _gap_rule(result: OpaResult, pairing: float, dual_norm: float) -> OpaResult:
     return result
 
 
+def _approximant(r: Poly, f: Poly, n: int) -> Poly:
+    """P = (1 - r) / f by :func:`lstsq_div`; IllConditionedError where P leaves
+    the float range (a subnormal f): a quotient not finite, or a LinAlgError."""
+    try:
+        with np.errstate(all="ignore"):
+            return lstsq_div(ONE - r, f)[0]
+    except ValueError as exc:
+        raise IllConditionedError(f"residual form at n = {n}: P leaves the float range") from exc
+
+
 def _residual_solve(problem, n: int, sp: SpaceParams, solver: str):
     """The solve of :func:`solve_structural` and :func:`solve_flat`: the regime
     method of p (looked up when called) gives a residual r and a dual vector
-    lam, P = (1 - r) / f by banded least squares, and the reported norm is that
+    lam, P = (1 - r) / f (:func:`_approximant`), and the reported norm is that
     of 1 - P f, certified by lam (:func:`_certify`); a constant f has dual bound
     and gap 0.  IllConditionedError where b . b underflows (before any solve),
-    the method's linear algebra fails or it ends with an r or lam that is not
-    finite (|y_t|^q overflows at p near 1).  Returns the result and, for a
+    the method's linear algebra fails or ends with an r or lam not finite
+    (|y_t|^q overflows at p near 1), or an uncertified norm is above 1 + 1e-12
+    (the zero approximant's norm is 1).  Returns the result and, for a
     nonconstant f, (r, A, w, lam)."""
     f, w, rows = _setup(problem, n, sp)
     if rows is None:
@@ -621,8 +643,12 @@ def _residual_solve(problem, n: int, sp: SpaceParams, solver: str):
         raise IllConditionedError(f"solve_{solver} at n = {n}: its residual or dual "
                                   f"vector is not finite")
     own = _complex(r)
-    result = _finalize(f, lstsq_div(ONE - own, f)[0].padded(n + 1), sp, steps, solver, w)
-    return _certify(result, np.linalg.norm(A @ lam, axis=1), b @ lam, w, sp), (own, A, w, lam)
+    result = _finalize(f, _approximant(own, f, n).padded(n + 1), sp, steps, solver, w)
+    result = _certify(result, np.linalg.norm(A @ lam, axis=1), b @ lam, w, sp)
+    if not result.converged and result.optimal_norm > 1.0 + 1e-12:
+        raise IllConditionedError(f"solve_{solver} at n = {n}: its norm {result.optimal_norm:.3e} "
+                                  "is above that of the zero approximant")
+    return result, (own, A, w, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +687,7 @@ class _FormedOnRead(OpaResult):
     @property
     def approximant(self) -> Poly:
         if self._approximant is None:
-            self._approximant = lstsq_div(ONE - self.residual, self.f)[0]
+            self._approximant = _approximant(self.residual, self.f, self.n)
         return self._approximant
 
     @approximant.setter
@@ -1146,14 +1172,15 @@ def prepare_closed_form(f: Poly, n_max: int, sp: SpaceParams):
     sequence, so every order gets the bits of its own.  y = 1 at the
     multiples of d up to (M + 1) d, which annihilates every z^j f and pairs
     to 1, has dual norm s_{M+1}^(1/q): :func:`_gap_rule` takes that in O(1).
-    IllConditionedError where the sums leave s_t / s_{M+1} undefined; a
-    ValueError if f is not c*(1 - z^d), and for an order outside 0..n_max;
-    n_max is validated.
+    IllConditionedError where the sums leave s_t / s_{M+1} undefined or P
+    leaves the float range (a subnormal c); a ValueError if f is not
+    c*(1 - z^d), and for an order outside 0..n_max; n_max is validated.
     """
     match = detect_one_minus_zd(f)
     if match is None:
         raise ValueError("closed-form solver requires f = c*(1 - z^d)")
     d, lead = match
+    inv = 1.0 / lead                        # inf at a subnormal c
     _validate(f, n_max)
     if sp.is_flat:
         raise UnsupportedExponentError(
@@ -1171,7 +1198,9 @@ def prepare_closed_form(f: Poly, n_max: int, sp: SpaceParams):
                                       "leave the float range")
         coeffs = np.zeros(n + 1, dtype=np.complex128)
         coeffs[:: d][: big_m + 1] = 1.0 - s[: big_m + 1] / s[big_m + 1]
-        result = _finalize(f, coeffs * (1.0 / lead), sp, 0, "closed-form", wv)
+        if not np.isfinite(inv):            # P = Q(z^d) / c with |Q_t| <= 1
+            raise IllConditionedError(f"closed form at n = {n}: P leaves the float range")
+        result = _finalize(f, coeffs * inv, sp, 0, "closed-form", wv)
         return _gap_rule(result, 1.0, float(s[big_m + 1]) ** (1.0 / sp.q))
 
     return solve

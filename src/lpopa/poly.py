@@ -322,26 +322,3 @@ def parse_angle(text: str) -> float:
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot parse angle {text!r}") from None
 
-
-def poly_from_config(spec: dict):
-    """Build a problem polynomial from its JSON form.
-
-    ``{"coeffs": [[re, im], ...]}`` yields a Poly;
-    ``{"circle_roots": [{"angle": "pi/2", "mult": 2}, ...]}`` (with optional
-    ``"leading": [re, im]``) yields a CircleZeroSpec (whose multiplicities
-    must be positive integers).  Malformed entries raise ValueError.
-    """
-    if not isinstance(spec, dict):
-        raise ValueError("polynomial config must be an object")
-    if ("coeffs" in spec) == ("circle_roots" in spec):
-        raise ValueError("exactly one of 'coeffs' or 'circle_roots' is required")
-    try:
-        if "coeffs" in spec:
-            return Poly([complex(re_, im) for re_, im in spec["coeffs"]])
-        roots = tuple((parse_angle(str(r["angle"])), r.get("mult", 1))
-                      for r in spec["circle_roots"])
-        leading = spec.get("leading")
-        lead = complex(leading[0], leading[1]) if leading is not None else 1.0 + 0j
-        return CircleZeroSpec(roots, leading_coefficient=lead)
-    except (KeyError, TypeError, IndexError, OverflowError) as exc:
-        raise ValueError(f"malformed polynomial config: {exc!r}") from None

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (IllConditionedError, InternalConsistencyError, SweepError,
                      UnsupportedExponentError)
-from .opa import (OpaResult, check_degree_cap, delta_sums,
+from .opa import (OpaResult, _binary_scale, _zeros, check_degree_cap, delta_sums,
                   detect_one_minus_zd, prepare_closed_form, prepare_residual_qr,
                   solve_convex, solve_flat, solve_hilbert, solve_structural)
 from .poly import CircleZeroSpec, Poly, expand
@@ -112,14 +112,16 @@ def _degree_with_circle_zero(problem) -> int:
         return problem.degree
     if not isinstance(problem, Poly) or problem.is_zero or problem.degree == 0:
         raise ValueError("need a nonconstant polynomial or a circle zero spec")
-    # f at a b-fold zero that np.roots moved ~eps**(1/b) off the circle, projected
-    # back; f divided by its largest coefficient modulus, whose sum may overflow.
-    # A zero out of the float range (f = 1 + 1e-320 z) fails in np.roots.
-    unit = Poly(problem.coeffs / np.abs(problem.coeffs).max())
-    with np.errstate(over="ignore", invalid="ignore"):
-        roots = np.roots(unit.coeffs[::-1])
-    on_circle = np.exp(1j * np.angle(roots[roots != 0]))
-    if not any(abs(unit(u)) <= 1e-10 * np.abs(unit.coeffs).sum() for u in on_circle):
+    # f at a zero of _zeros, a b-fold one that np.roots moved ~eps**(1/b) off the
+    # circle, projected back; f scaled as _zeros scales it, as its sum may
+    # overflow.  A zero out of the float range (f = 1 + 1e-320 z) is refused.
+    try:
+        zeros = _zeros(problem, problem)
+    except IllConditionedError as exc:
+        raise ValueError(f"no zero of f is representable: {exc}") from None
+    unit = _binary_scale(problem.coeffs)[0]
+    on_circle = np.exp(1j * np.array([angle for modulus, angle, _ in zeros if modulus]))
+    if not (np.abs(np.polyval(unit[::-1], on_circle)) <= 1e-10 * np.abs(unit).sum()).any():
         raise ValueError("the lower bound applies only to f with a zero on the circle")
     return problem.degree
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -75,13 +76,6 @@ class TestCompute:
                                "--n", "2")
         assert code == 0
         assert json.loads(out)["ortho_residual_max"] is None
-
-    def test_config_file_problem(self, capsys, tmp_path):
-        cfg = tmp_path / "prob.json"
-        cfg.write_text(json.dumps({"circle_roots": [{"angle": "pi", "mult": 1}]}))
-        code, out, _ = run_cli(capsys, "compute", "--config", str(cfg), "--p", "2",
-                               "--n", "1")
-        assert code == 0
 
     def test_weight_file(self, capsys, tmp_path):
         wf = tmp_path / "w.json"
@@ -236,26 +230,32 @@ class TestArgumentValidation:
     @pytest.mark.parametrize("option, text", [
         ("--weight-file", '{"kind": "power"}'),
         ("--weight-file", '{"kind": "table", "values": [{}]}'),
-        ("--config", '{"circle_roots": [{"mult": 2}]}'),
-        ("--config", '{"coeffs": 5}'),
-        ("--config", '{"circle_roots": [{"angle": "0", "mult": 2.7}]}'),
-        ("--config", '{"circle_roots": [{"angle": "0", "mult": Infinity}]}'),
+        ("--roots", ":2"),
+        ("--roots", "0:inf"),
+        ("--coeffs", "abc"),
         ("--roots", "pi/0:1"),
         ("--roots", "0:2.7"),
     ])
     def test_malformed_configuration_exits_2(self, capsys, tmp_path, option, text):
-        # a missing entry, a wrong type, a zero denominator or a fractional
-        # multiplicity is a configuration error, not a crash or a truncation
-        if option != "--roots":
+        # a missing entry, a wrong type, a zero denominator or a fractional or
+        # infinite multiplicity is a configuration error, not a crash or a truncation
+        problem = []
+        if option == "--weight-file":
             path = tmp_path / "spec.json"
             path.write_text(text)
-            text = str(path)
-        problem = ["--coeffs", "1,-1"] if option == "--weight-file" else []
+            text, problem = str(path), ["--coeffs", "1,-1"]
         code, out, err = run_cli(capsys, "compute", "--p", "2", "--n", "3", *problem,
                                  option, text)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("problem", [[], ["--roots", "0:1", "--coeffs", "1,-1"]],
+                             ids=["neither", "both"])
+    def test_one_problem_spelling_is_required(self, capsys, problem):
+        code, out, err = run_cli(capsys, "compute", "--p", "2", "--n", "3", *problem)
+        assert code == 2 and out == ""
+        assert err == "error: exactly one of --roots / --coeffs is required\n"
 
     def test_over_cap_sweep_exits_2_before_any_solve(self, capsys, monkeypatch):
         def work(*args, **kwargs):
@@ -276,7 +276,9 @@ class TestArgumentValidation:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("command, n", [("compute", "8"), ("sweep", "8..16")])
-    @pytest.mark.parametrize("option", [["--tol", "1e-3"], ["--max-iters", "1"]],
+    # --coeffs and --roots are the two spellings of a problem: --config is gone
+    @pytest.mark.parametrize("option", [["--tol", "1e-3"], ["--max-iters", "1"],
+                                        ["--config", "spec.json"]],
                              ids=lambda option: option[0])
     def test_removed_solver_options_exit_2(self, capsys, command, n, option):
         with pytest.raises(SystemExit) as exc:
@@ -495,6 +497,15 @@ def test_installed_entry_point():
                     [sys.executable, "-m", "lpopa", *CLASSIFY_ARGS]):
         assert_classify_cyclic(subprocess.run(command, capture_output=True,
                                               text=True, env=env))
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    [block] = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", block], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == block.count("print("), proc.stdout
 
 
 @pytest.mark.parametrize("p", ["1.5", "1", "inf"])
@@ -797,9 +808,12 @@ def test_off_circle_zero_ends_typed(argv):
 
 
 # valid finite input ends in an answer or a typed error: at p near 1 the dual
-# Newton's |y_t|^q overflows; 1 + 1e-320 z has its zero out of the float
-# range; 1e308 (1 - z) overflowed the division's QR and the lower bound's sum;
-# 1e-320 + z overflowed the lower bound's projection onto the circle
+# Newton's |y_t|^q overflows, or it ends far above the zero approximant's 1;
+# 1 + 1e-320 z has its zero out of the float range; 1e308 (1 - z) overflowed
+# the division's QR and the lower bound's sum; 1e-320 + z overflowed the
+# lower bound's projection onto the circle; 1e-320 (1 - z) and
+# 1e-310 (1 - z + z^2) overflowed np.roots and have a P out of the float
+# range, except at p = 1, where P = 0 is optimal
 VALID_INPUT = [
     ("compute --roots 0:2,pi:1 --p 1.0001 --n 16", 3),
     ("compute --coeffs 1,-1,0.5 --p 1.0001 --n 16", 3),
@@ -811,6 +825,13 @@ VALID_INPUT = [
     *((f"compute --coeffs 1e308,-1e308 --p {p} --n 3", 0) for p in ("1", "1.5", "2", "inf")),
     ("sweep --coeffs 1e308,-1e308 --p 2 --n 1..4", 0),
     *((f"compute --coeffs 1e-320,1 --p {p} --n 3", 0) for p in ("1", "1.5")),
+    ("compute --roots 0:2,pi:1 --p 1.001 --n 16", 3),
+    ("compute --roots 0:2,pi:1 --p 1.001 --n 2", 0),
+    ("sweep --roots 0:2,pi:1 --p 1.001 --n 1..64", 3),
+    *((f"compute --coeffs 1e-320,-1e-320 --p {p} --n 3", 3) for p in ("1.5", "2", "inf")),
+    ("compute --coeffs 1e-320,-1e-320 --p 1 --n 3", 0),
+    *((f"compute --coeffs 1e-310,-1e-310,1e-310 --p {p} --n 3", 3) for p in ("2", "3")),
+    ("compute --coeffs 1e-320,-1e-320 --p 3 --n 3 --solver convex", 3),
 ]
 
 

@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from lpopa import (CircleZeroSpec, ExpPolyFit, Poly, SpaceParams, UnsupportedExponentError,
-                   eval_derivative, expand, lower_bound, solve_convex, solve_flat,
-                   solve_hilbert, solve_structural)
-from lpopa.opa import _dual_slopes, _dual_value, _residual_rows, _setup
+from lpopa import (CircleZeroSpec, ExpPolyFit, IllConditionedError, Poly, SpaceParams,
+                   UnsupportedExponentError, eval_derivative, expand, lower_bound,
+                   solve_convex, solve_flat, solve_hilbert, solve_structural)
+from lpopa.opa import _dual_slopes, _dual_value, _residual_rows, _setup, _zeros
 from lpopa.rates import _dispatch
 
 PI = math.pi
@@ -378,3 +378,22 @@ def test_unclustered_near_zeros_match_their_spec(p):
     from_roots, from_spec = solve(f, 64, sp)[0], solve(spec, 64, sp)[0]
     assert from_roots.converged and from_spec.converged
     assert from_roots.optimal_norm == pytest.approx(from_spec.optimal_norm, rel=1e-12)
+
+
+def test_zeros_of_a_subnormal_f():
+    # np.roots' complex division overflows on 1e-320 (1 - z) itself; f / 2^k
+    # is 0.988... (1 - z), with the same zero, to the rounding of 1 / 0.988...
+    f = Poly([1e-320, -1e-320])
+    [(modulus, angle, mult)] = _zeros(f, f)
+    assert (modulus, angle, mult) == (pytest.approx(1.0, rel=1e-15), 0.0, 1)
+
+
+def test_norm_above_the_zero_approximant_raises():
+    # at p = 1.001 the dual Newton ends with a residual whose division has norm
+    # 7.3e149 at n = 16; at n = 2 its own residual has norm 5.4e88, but the
+    # division certifies the optimum 1
+    spec, sp = CircleZeroSpec(((0.0, 2), (PI, 1))), SpaceParams.power(1.001, 0.0)
+    with pytest.raises(IllConditionedError, match="above that of the zero approximant"):
+        solve_structural(spec, 16, sp)
+    res, _ = solve_structural(spec, 2, sp)
+    assert res.converged and res.optimal_norm == 1.0

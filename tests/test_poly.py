@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lpopa import (CircleZeroSpec, DegreeCapError, InexactDivisionError, Poly, eval_derivative,
-                   exact_div, expand, parse_angle, poly_from_config, signed_powers)
+                   exact_div, expand, parse_angle, signed_powers)
 import lpopa.poly
 from lpopa.poly import MAX_DEGREE, lstsq_div
 
@@ -395,13 +395,3 @@ class TestParseAngle:
         with pytest.raises(ValueError):
             parse_angle("two pies")
 
-
-def test_poly_from_config():
-    p = poly_from_config({"coeffs": [[1, 0], [0, -1]]})
-    assert p == Poly([1, -1j])
-    spec = poly_from_config({"circle_roots": [{"angle": "pi", "mult": 2}],
-                             "leading": [2, 0]})
-    assert isinstance(spec, CircleZeroSpec)
-    assert spec.degree == 2 and spec.leading_coefficient == 2.0
-    with pytest.raises(ValueError):
-        poly_from_config({"coeffs": [[1, 0]], "circle_roots": []})
