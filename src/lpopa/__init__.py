@@ -10,10 +10,10 @@ from .poly import (CircleZeroSpec, Poly, eval_derivative, exact_div, expand,
                    parse_angle, signed_powers)
 from .rates import (RateFit, RatePrediction, SweepPoint, classify, delta,
                     fit_rates, geometric_grid, lower_bound, run_sweep)
-from .space import (SpaceParams, evaluation_bound, multiplication_bound_batch,
-                    multiplication_bound_check, norm, to_unweighted, wiener_norm)
+from .space import (SpaceParams, multiplication_bound_batch, multiplication_bound_check,
+                    norm)
 from .weights import (Weight, doubling_constant_for, power_weight, table_weight,
-                      verify_admissibility, weight_from_config)
+                      weight_from_config)
 
 __version__ = "0.1.0"
 
@@ -24,12 +24,11 @@ __all__ = [
     "SpaceParams", "SweepError", "SweepPoint", "UnsupportedExponentError",
     "Weight", "classify", "closed_form_one_minus_zd",
     "composite_construction", "delta", "doubling_constant_for",
-    "eval_derivative", "evaluation_bound", "exact_div", "expand",
+    "eval_derivative", "exact_div", "expand",
     "fit_rates", "geometric_grid", "lower_bound", "multiplication_bound_batch",
     "multiplication_bound_check",
     "norm", "parse_angle", "power_weight",
     "run_sweep", "signed_powers", "solve_convex", "solve_flat",
     "solve_hilbert", "solve_structural", "table_weight",
-    "to_unweighted", "verify_admissibility", "weight_from_config",
-    "wiener_norm",
+    "weight_from_config",
 ]

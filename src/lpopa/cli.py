@@ -8,8 +8,9 @@ The ``OPA_LOG`` environment variable sets diagnostic verbosity
 (debug/info/warning).  Exit codes: 0 success, 2 invalid configuration
 (malformed or non-finite input, an order past the degree cap), 3 a solve
 left uncertified or ended by an ill-conditioned problem, such as p near 1
-or a zero of f or P out of the float range (partial artifacts are still
-written), 4 internal inconsistency.  Any other input never exits 2.
+or a zero of f, P or the oracles' Gram band of f out of the float range
+(partial artifacts are still written), 4 internal inconsistency.  Any
+other input never exits 2.
 
 Given identical configuration the emitted JSON/CSV is byte-identical apart
 from the wall-clock timing column of sweeps.
@@ -276,13 +277,13 @@ def _cmd_sweep(args) -> int:
     if failed:
         return 3
     try:
-        fit = fit_rates(points, sp, fit_min_n=args.fit_min_n)
+        fit = fit_rates(points, sp)
         print(f"fitted exponent: {fit.fitted_exponent:.6f} "
               f"(r^2 = {fit.r_squared:.6f})", file=sys.stderr)
         alpha = points[0].alpha
         if not math.isnan(alpha) and classify(sp.p, alpha).regime == "log":
             print(f"log-regime band ratio: "
-                  f"{log_band_ratio(points, sp, args.fit_min_n):.4f}",
+                  f"{log_band_ratio(points, sp):.4f}",
                   file=sys.stderr)
     except ValueError as exc:
         print(f"fit skipped: {exc}", file=sys.stderr)
@@ -349,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--solver", default="auto", choices=SOLVER_CHOICES)
     sw.add_argument("--n", required=True,
                     help="order range a..b, expanded to the doubling grid a,2a,...,b")
-    sw.add_argument("--fit-min-n", type=int, default=32, dest="fit_min_n")
     sw.add_argument("--out", help="CSV path (stdout when omitted)")
     sw.set_defaults(func=_cmd_sweep)
 

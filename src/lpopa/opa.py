@@ -27,9 +27,10 @@ repeated circle zeros out of a simple-zero Hilbert solve.  The Gram and
 convex routes end in one :func:`_finalize`, which forms the residual and its
 norm from a single weight table; every route returns one :class:`OpaResult`
 holding the problem (f, n, sp) as given, with its answer.  ``converged`` has
-one rule on every route, the duality gap of :func:`_gap_rule`.  The
-orthogonality pairing and the structure constants (:class:`ExpPolyFit`) are
-formed from those when read, and so is the p = 2 residual-form approximant.
+one rule on every route, :func:`_gap_rule`: a small duality gap, and a
+norm no larger than the zero approximant's 1.  The orthogonality pairing
+and the structure constants (:class:`ExpPolyFit`) are formed from those
+when read, and so is the p = 2 residual-form approximant.
 
 The p = 2 residual form and the closed form prepare for every order up to
 a largest one (one row table and one QR factor per block of rows, one set
@@ -65,6 +66,7 @@ _STALL_STEPS = 3
 _GAP_TOL = 1e-9         # solve_flat: |relative duality gap| of a converged solve
 _DUAL_GAP_TOL = 1e-10   # 1 < p < inf: |relative duality gap| of a converged solve
 _ROUNDING = 1e-12       # solve_flat: relative agreement that counts as exact
+_ZERO_NORM = 1 + 1e-12  # largest certified norm: the zero approximant's is w_0 = 1
 _CLUSTER = 1e-2         # np.roots zeros this close (relative) may be one multiple zero
 _PIVOT_TOL = 1e-11      # simplex: entering-column entries below this (relative) are 0
 _FREE_TOL = 1e-6        # p = inf: dual entries below this (relative) vanish
@@ -251,15 +253,15 @@ def _hilbert_factor(fc: np.ndarray, n: int, wv: np.ndarray):
     fc are the coefficients of f and wv its weight table, indices 0 ..
     n + deg f.  The Gram matrix G of z^j f (j <= n) is assembled in band form
     and factored once; the returned function solves G x = rhs, and the
-    coefficients solve it for conj(f_0) e_0.  ValueError for a band that is
-    not finite (as scipy checks a Gram matrix), IllConditionedError where
-    the factorization fails; :func:`_gram_certify` finds a solve too
+    coefficients solve it for conj(f_0) e_0.  IllConditionedError for a
+    band that leaves the float range (a high-multiplicity f) or a
+    factorization that fails; :func:`_gram_certify` finds a solve too
     ill-conditioned to hold.
     """
     with np.errstate(over="ignore", invalid="ignore"):      # refused below
         ab = _gram_band(fc, fc, wv, n)
     if not np.isfinite(ab).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise IllConditionedError("Gram band of f leaves the float range")
     solve, info = cholesky_banded(ab)
     if info > 0:
         raise IllConditionedError("Gram factorization failed: "
@@ -589,7 +591,8 @@ def _certify(result: OpaResult, size: np.ndarray, pairing: float, w: np.ndarray,
 
 def _gap_rule(result: OpaResult, pairing: float, dual_norm: float) -> OpaResult:
     """Set dual = pairing / dual_norm (weak duality), rel_gap and converged, which
-    means |rel_gap| <= 1e-10, or 1e-9 at the flat endpoints; the one rule of
+    means |rel_gap| <= 1e-10, or 1e-9 at the flat endpoints, and a norm at most
+    1 + 1e-12, since the zero approximant's norm is w_0 = 1; the one rule of
     every route.  A dual norm that is zero or not finite (weights that leave
     the float range) bounds nothing: dual and rel_gap stay None."""
     dual = float(pairing) / dual_norm if 0.0 < dual_norm < math.inf else math.nan
@@ -601,9 +604,9 @@ def _gap_rule(result: OpaResult, pairing: float, dual_norm: float) -> OpaResult:
     gap = (primal - dual) / primal if primal > 0 else 0.0
     tol = _GAP_TOL if result.sp.is_flat else _DUAL_GAP_TOL
     result.dual, result.rel_gap = dual, gap
-    result.converged = bool(abs(gap) <= tol)
+    result.converged = bool(abs(gap) <= tol and primal <= _ZERO_NORM)
     if not result.converged:
-        log.debug("solve_%s: relative gap %.3e above %.0e", result.solver, gap, tol)
+        log.debug("solve_%s: gap %.3e (tol %.0e), norm %r", result.solver, gap, tol, primal)
     return result
 
 
@@ -645,7 +648,7 @@ def _residual_solve(problem, n: int, sp: SpaceParams, solver: str):
     own = _complex(r)
     result = _finalize(f, _approximant(own, f, n).padded(n + 1), sp, steps, solver, w)
     result = _certify(result, np.linalg.norm(A @ lam, axis=1), b @ lam, w, sp)
-    if not result.converged and result.optimal_norm > 1.0 + 1e-12:
+    if not result.converged and result.optimal_norm > _ZERO_NORM:
         raise IllConditionedError(f"solve_{solver} at n = {n}: its norm {result.optimal_norm:.3e} "
                                   "is above that of the zero approximant")
     return result, (own, A, w, lam)

@@ -26,6 +26,9 @@ from .space import SpaceParams
 
 SOLVER_CHOICES = ("auto", "convex", "hilbert")
 
+# smallest order a decay fit uses; the laws are asymptotic
+FIT_MIN_N = 32
+
 
 @dataclass(frozen=True)
 class RatePrediction:
@@ -267,15 +270,15 @@ def run_sweep(problem, sp: SpaceParams, n_grid, solver: str = "auto") -> list[Sw
     return points
 
 
-def fit_rates(points: list[SweepPoint], sp: SpaceParams, fit_min_n: int = 32) -> RateFit:
-    """Log-log least squares on a sweep, restricted to orders >= fit_min_n.
+def fit_rates(points: list[SweepPoint], sp: SpaceParams) -> RateFit:
+    """Log-log least squares on a sweep, restricted to orders >= FIT_MIN_N.
 
-    Small orders are excluded by default because the decay laws are
-    asymptotic and preasymptotic samples bias the slope.
+    Small orders are excluded because the decay laws are asymptotic and
+    preasymptotic samples bias the slope.
     """
-    window = [pt for pt in points if pt.n >= fit_min_n and pt.optimal_norm > 0]
+    window = [pt for pt in points if pt.n >= FIT_MIN_N and pt.optimal_norm > 0]
     if len(window) < 2:
-        raise ValueError("need at least two sweep points with n >= fit_min_n")
+        raise ValueError(f"need at least two sweep points with n >= {FIT_MIN_N}")
     d = window[0].d
     x = np.log([pt.n + d + 1 for pt in window])
     y = np.log([pt.norm_p_power for pt in window])
@@ -295,15 +298,14 @@ def fit_rates(points: list[SweepPoint], sp: SpaceParams, fit_min_n: int = 32) ->
                    r_squared=r2)
 
 
-def log_band_ratio(points: list[SweepPoint], sp: SpaceParams,
-                   fit_min_n: int = 32) -> float:
+def log_band_ratio(points: list[SweepPoint], sp: SpaceParams) -> float:
     """Spread of norm**p * log(n+d+2)**(p-1) across the window.
 
     In the log regime this product should be bounded above and below, so the
     returned max/min ratio staying inside a modest band verifies the
     two-sided estimate without fitting an ill-conditioned triple logarithm.
     """
-    window = [pt for pt in points if pt.n >= fit_min_n]
+    window = [pt for pt in points if pt.n >= FIT_MIN_N]
     if not window:
         raise ValueError("empty fit window")
     exponent = 1.0 if sp.p == math.inf else sp.p - 1.0

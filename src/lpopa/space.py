@@ -73,50 +73,6 @@ def norm(g: Poly, sp: SpaceParams) -> float:
     return float(_row_norms(np.abs(c), sp.weight.values_up_to(c.size - 1), sp.p))
 
 
-def wiener_norm(g: Poly) -> float:
-    """Plain sum of coefficient moduli (the multiplicative-algebra norm)."""
-    if g.is_zero:
-        return 0.0
-    return float(np.abs(g.coeffs).sum())
-
-
-def evaluation_bound(sp: SpaceParams, r: float) -> float:
-    """Value h(r) = sum_n w_n^{-1/p} r^n bounding point evaluation at |z| = r.
-
-    Any f in the space satisfies |f(z0)| <= norm(f) * h(|z0|).  The series is
-    summed until a geometric tail estimate drops below 1e-15 of the partial
-    sum; at p = inf the exponent on w_n is -1.
-    """
-    if not (0.0 <= r < 1.0):
-        raise ValueError("evaluation bound needs 0 <= r < 1")
-    e = 1.0 if sp.p == INF else 1.0 / sp.p
-    if r == 0.0:
-        return 1.0
-    w = sp.weight
-    total = 0.0
-    start = 0
-    chunk = 2048
-    while start < 50_000_000:
-        idx = np.arange(start, start + chunk)
-        terms = w.at_indices(idx) ** (-e) * r ** idx.astype(float)
-        total += float(terms.sum())
-        last = float(terms[-1])
-        if last == 0.0:
-            return total
-        # local growth of w^{-e}; ratios tend to r by the limit condition
-        nxt = w.at(start + chunk) ** (-e) / w.at(start + chunk - 1) ** (-e)
-        rho = r * max(1.0, nxt) * 1.0000001
-        if rho < 1.0 and last * rho / (1.0 - rho) <= 1e-15 * total:
-            return total
-        start += chunk
-    raise RuntimeError("evaluation bound series did not converge numerically")
-
-
-def _half_index(k: int) -> int:
-    """Splitting index: k/2 for even k, floor(k/2) + 1 for odd k."""
-    return k // 2 if k % 2 == 0 else k // 2 + 1
-
-
 @dataclass(frozen=True)
 class MultiplicationBound:
     lhs: float
@@ -179,43 +135,3 @@ def multiplication_bound_check(f: Poly, g: Poly, sp: SpaceParams) -> Multiplicat
     return MultiplicationBound(lhs=lhs, rhs=rhs, constant=multiplication_constant(sp),
                                holds=lhs <= rhs)
 
-
-def split_bound_terms(f: Poly, g: Poly, sp: SpaceParams) -> tuple[float, float]:
-    """Diagnostic: the two halves of the convolution split of norm(f*g)^p.
-
-    Term one takes t <= k/2 from f and the rest from g, term two the swap,
-    using the odd-k splitting convention of :func:`_half_index`.  Their sum
-    dominates norm(f*g)^p (norm itself at p = inf).
-    """
-    fg = f * g
-    if fg.is_zero:
-        return 0.0, 0.0
-    deg = fg.degree
-    fa = np.abs(f.padded(deg + 1))
-    ga = np.abs(g.padded(deg + 1))
-    w = sp.weight.values_up_to(deg)
-
-    def one_side(a, b):
-        out = np.zeros(deg + 1)
-        for k in range(deg + 1):
-            h = _half_index(k)
-            t = np.arange(0, min(h, k) + 1)
-            out[k] = float((a[t] * b[k - t]).sum())
-        if sp.p == INF:
-            return float((out * w).max())
-        return float((out ** sp.p * w).sum())
-
-    return one_side(fa, ga), one_side(ga, fa)
-
-
-def to_unweighted(g: Poly, sp: SpaceParams) -> Poly:
-    """Isometry onto the unit-weight space: scale coefficient n by w_n^{1/p}.
-
-    At p = inf the scaling exponent is 1.  The image has the same norm in
-    the unweighted space as g has in (p, w).
-    """
-    if g.is_zero:
-        return Poly()
-    e = 1.0 if sp.p == INF else 1.0 / sp.p
-    w = sp.weight.values_up_to(g.degree)
-    return Poly(g.coeffs * w ** e)

@@ -276,9 +276,10 @@ class TestArgumentValidation:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("command, n", [("compute", "8"), ("sweep", "8..16")])
-    # --coeffs and --roots are the two spellings of a problem: --config is gone
+    # --coeffs and --roots are the two spellings of a problem: --config is gone;
+    # a decay fit starts at rates.FIT_MIN_N = 32, which no option sets
     @pytest.mark.parametrize("option", [["--tol", "1e-3"], ["--max-iters", "1"],
-                                        ["--config", "spec.json"]],
+                                        ["--config", "spec.json"], ["--fit-min-n", "8"]],
                              ids=lambda option: option[0])
     def test_removed_solver_options_exit_2(self, capsys, command, n, option):
         with pytest.raises(SystemExit) as exc:
@@ -813,7 +814,8 @@ def test_off_circle_zero_ends_typed(argv):
 # the division's QR and the lower bound's sum; 1e-320 + z overflowed the
 # lower bound's projection onto the circle; 1e-320 (1 - z) and
 # 1e-310 (1 - z + z^2) overflowed np.roots and have a P out of the float
-# range, except at p = 1, where P = 0 is optimal
+# range, except at p = 1, where P = 0 is optimal; the Gram band of (z-1)^1000,
+# which the oracles factor, overflows
 VALID_INPUT = [
     ("compute --roots 0:2,pi:1 --p 1.0001 --n 16", 3),
     ("compute --coeffs 1,-1,0.5 --p 1.0001 --n 16", 3),
@@ -832,6 +834,8 @@ VALID_INPUT = [
     ("compute --coeffs 1e-320,-1e-320 --p 1 --n 3", 0),
     *((f"compute --coeffs 1e-310,-1e-310,1e-310 --p {p} --n 3", 3) for p in ("2", "3")),
     ("compute --coeffs 1e-320,-1e-320 --p 3 --n 3 --solver convex", 3),
+    ("compute --roots 0:1000 --p 2 --n 0 --solver hilbert", 3),
+    ("compute --roots 0:1000 --p 1.5 --n 0 --solver convex", 3),
 ]
 
 
@@ -864,6 +868,17 @@ def test_point_worse_than_zero_approximant_exits_3(capsys, n):
     payload = json.loads(out)
     assert code == 3 and err == ""
     assert payload["optimal_norm"] > 1.0 and payload["converged"] is False
+
+
+@pytest.mark.parametrize("solver", [[], ["--solver", "convex"]], ids=["auto", "convex"])
+def test_no_route_certifies_a_point_above_the_zero_approximant(capsys, solver):
+    # the convex loop once stopped at a gap of 1e-11 on a norm of 1 + 2.2e-11;
+    # no approximant is better than 0, whose norm is w_0 = 1
+    code, out, err = run_cli(capsys, "compute", "--roots", "0:40", "--p", "1.5", "--n", "16",
+                             *solver)
+    payload = json.loads(out)
+    assert not payload["converged"] or payload["optimal_norm"] <= 1 + 1e-12, payload
+    assert code == (0 if payload["converged"] else 3) and err == ""
 
 
 @pytest.mark.parametrize("problem", [["--coeffs", "1,-0.5", "--n", "511"],

@@ -9,7 +9,7 @@ import pytest
 import lpopa.opa
 from lpopa import (CircleZeroSpec, DegreeCapError, Poly, SpaceParams, SweepError,
                    UnsupportedExponentError, classify, closed_form_one_minus_zd,
-                   delta, evaluation_bound, expand, fit_rates, geometric_grid,
+                   delta, expand, fit_rates, geometric_grid,
                    lower_bound, rates, run_sweep, solve_flat, solve_structural)
 from lpopa.poly import ONE
 from lpopa.rates import detect_one_minus_zd, log_band_ratio, predicted_value
@@ -277,24 +277,6 @@ class TestSweep:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             run_sweep(Poly([1, -1]), SpaceParams.power(2, 0), [8, 8])
-
-    def test_pointwise_convergence_via_evaluation_bound(self):
-        # |residual(z0)| <= norm * h(|z0|) always, and the product tends to 0
-        # along a cyclic-regime sweep
-        sp = SpaceParams.power(2, 0)
-        f = Poly([1, -1])
-        z_samples = (0.0, 0.5, 0.9 * np.exp(1j * PI / 3))
-        products = []
-        for n in (8, 64, 512):
-            res = closed_form_one_minus_zd(1, n, sp)
-            bound_total = 0.0
-            for z0 in z_samples:
-                h = evaluation_bound(sp, abs(z0))
-                val = abs(res.residual(z0))
-                assert val <= res.optimal_norm * h + 1e-12
-                bound_total += res.optimal_norm * h
-            products.append(bound_total)
-        assert products[-1] < 0.5 * products[0]
 
 
 class TestPredictedValue:

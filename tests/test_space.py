@@ -1,4 +1,4 @@
-"""Tests for weighted norms, the evaluation bound and the product estimate."""
+"""Tests for weighted norms and the product estimate."""
 
 import math
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import lpopa.space
-from lpopa import (Poly, SpaceParams, evaluation_bound, multiplication_bound_check, norm,
-                   power_weight, table_weight, to_unweighted, wiener_norm)
-from lpopa.space import multiplication_constant, split_bound_terms
+from lpopa import (Poly, SpaceParams, multiplication_bound_check, norm, power_weight,
+                   table_weight)
+from lpopa.space import multiplication_constant
 
 INF = math.inf
 
@@ -66,63 +66,6 @@ class TestNorm:
                 assert norm(f + lam * g, sp) >= base - 1e-8
 
 
-class TestWienerNorm:
-    def test_square(self):
-        assert wiener_norm(Poly([1, -1]) * Poly([1, -1])) == pytest.approx(4.0)
-
-    def test_zero(self):
-        assert wiener_norm(Poly()) == 0.0
-
-    def test_binomial_gap(self):
-        for d in (1, 3, 7):
-            c = np.zeros(d + 1)
-            c[0], c[d] = 1, -1
-            assert wiener_norm(Poly(c)) == pytest.approx(2.0)
-
-
-class TestEvaluationBound:
-    def test_at_origin(self):
-        assert evaluation_bound(SpaceParams.power(2, 0), 0.0) == 1.0
-
-    def test_geometric_series(self):
-        for p in (1, 1.5, 2, INF):
-            assert evaluation_bound(SpaceParams.power(p, 0), 0.5) == pytest.approx(2.0)
-
-    def test_dirichlet_like_value(self):
-        # sum_n (n+1)^{-1} 2^{-n} = 2 log 2; cross-checked with a plain
-        # partial sum, which is exact to double precision by n = 200
-        oracle = sum((n + 1.0) ** -1 * 0.5 ** n for n in range(200))
-        val = evaluation_bound(SpaceParams.power(2, 2), 0.5)
-        assert val == pytest.approx(2 * math.log(2), rel=1e-13)
-        assert val == pytest.approx(oracle, rel=1e-13)
-
-    def test_sup_norm_space_uses_full_inverse_weight(self):
-        # at p = inf the summand is w_n^{-1} r^n; with alpha = 1 this is the
-        # same 2 log 2 series as the p = 2, alpha = 2 case
-        val = evaluation_bound(SpaceParams.power(INF, 1), 0.5)
-        assert val == pytest.approx(2 * math.log(2), rel=1e-13)
-
-    def test_growing_inverse_weight(self):
-        # alpha < 0 makes w^{-1/p} grow polynomially; the tail logic must
-        # still terminate and agree with a long partial sum
-        sp = SpaceParams.power(2, -3)
-        oracle = sum((n + 1.0) ** 1.5 * 0.9 ** n for n in range(4000))
-        assert evaluation_bound(sp, 0.9) == pytest.approx(oracle, rel=1e-12)
-
-    def test_radius_validation(self):
-        with pytest.raises(ValueError):
-            evaluation_bound(SpaceParams.power(2, 0), 1.0)
-
-    def test_bounds_point_evaluation(self):
-        rng = np.random.default_rng(8)
-        for p in (1.5, 2, INF):
-            sp = SpaceParams.power(p, 1.0)
-            for _ in range(25):
-                f = rand_poly(rng, max_deg=12)
-                z0 = 0.7 * np.exp(1j * rng.uniform(0, 2 * math.pi))
-                assert abs(f(z0)) <= norm(f, sp) * evaluation_bound(sp, abs(z0)) + 1e-12
-
-
 class TestMultiplicationBound:
     def test_identity_factor(self):
         rng = np.random.default_rng(55)
@@ -157,27 +100,14 @@ class TestMultiplicationBound:
                     g = rand_poly(rng, scale=rng.uniform(0.1, 10))
                     assert multiplication_bound_check(f, g, sp).holds
 
-    def test_split_terms_dominate(self):
-        rng = np.random.default_rng(78)
-        for p in (1.0, 2.0, INF):
-            sp = SpaceParams.power(p, 0.5)
-            for _ in range(30):
-                f, g = rand_poly(rng, 5), rand_poly(rng, 5)
-                a1, a2 = split_bound_terms(f, g, sp)
-                total = norm(f * g, sp)
-                if p != INF:
-                    total = total ** p
-                assert total <= a1 + a2 + 1e-10 * max(1.0, a1 + a2)
-
-
 def scalar_bound_sides(F, G, sp):
-    """Reference for the batch: both sides pair by pair through norm and wiener_norm."""
-    c = multiplication_constant(sp)
+    """Reference for the batch: both sides pair by pair through norm, |.|_1 at p = 1, alpha = 0."""
+    c, l1 = multiplication_constant(sp), SpaceParams.power(1.0, 0.0)
     lhs, rhs = [], []
     for fr, gr in zip(F, G):
         f, g = Poly(fr), Poly(gr)
         lhs.append(norm(f * g, sp))
-        rhs.append(c * (wiener_norm(f) * norm(g, sp) + norm(f, sp) * wiener_norm(g)))
+        rhs.append(c * (norm(f, l1) * norm(g, sp) + norm(f, sp) * norm(g, l1)))
     return np.array(lhs), np.array(rhs)
 
 
@@ -227,15 +157,3 @@ class TestMultiplicationBoundBatch:
         with pytest.raises(ValueError):
             lpopa.space.multiplication_bound_batch(F, G, SpaceParams.power(2, 0))
 
-
-def test_isometry_to_unweighted():
-    rng = np.random.default_rng(91)
-    flat = power_weight(0.0)
-    for p in (1.0, 1.5, 2.0, 3.0, INF):
-        for alpha in (-1.0, 0.5, 2.0):
-            sp = SpaceParams.power(p, alpha)
-            for _ in range(20):
-                f = rand_poly(rng)
-                image = to_unweighted(f, sp)
-                assert norm(image, SpaceParams(p, flat)) == pytest.approx(
-                    norm(f, sp), rel=1e-12, abs=1e-300)

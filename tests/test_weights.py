@@ -7,8 +7,7 @@ import pytest
 
 import lpopa
 from lpopa import (AdmissibilityError, SpaceParams, closed_form_one_minus_zd,
-                   doubling_constant_for, power_weight, table_weight, verify_admissibility,
-                   weight_from_config)
+                   doubling_constant_for, power_weight, table_weight, weight_from_config)
 
 
 def brute_force_doubling(w, k_max):
@@ -165,25 +164,6 @@ class TestTableWeights:
                 assert doubling_constant_for(w) == (2.0 if declared is None else declared)
 
 
-class TestAdmissibility:
-    def test_power_weights_pass(self):
-        for alpha in (-2.0, 0.0, 1.0, 3.0):
-            report = verify_admissibility(power_weight(alpha), k_test=2048)
-            assert report["ratio_dev_end"] < 0.01
-
-    def test_geometric_weight_fails_ratio_test(self):
-        vals = [2.0 ** k for k in range(40)]
-        vals[0] = 1.0
-        w = table_weight(vals, tail="power")
-        with pytest.raises(AdmissibilityError):
-            verify_admissibility(w, k_test=256)
-
-    def test_dilated_power_passes(self):
-        # w_{3t} of w_k = k + 1, tabulated past the index 2049 the check reads
-        dilated = table_weight(power_weight(1.0).values_up_to(3 * 2049)[::3], tail="power")
-        verify_admissibility(dilated, k_test=1024)
-
-
 def test_weight_from_config():
     w = weight_from_config({"kind": "power", "alpha": 0.5})
     assert w.at(3) == 4.0 ** 0.5
@@ -197,7 +177,14 @@ def test_weight_from_config():
 
 def test_aliases_left_the_package():
     # one name per operation: w.at(k), fit_rates(run_sweep(...)) and
-    # sum(fit.constants.values())
+    # sum(fit.constants.values()); no route calls the rest, and |f|_1 is
+    # norm(f, SpaceParams.power(1.0, 0.0))
     for name in ("weight_at", "sweep_and_fit"):
         assert name not in lpopa.__all__ and not hasattr(lpopa, name)
     assert not hasattr(lpopa.ExpPolyFit, "constant_sum")
+    for module, names in ((lpopa.space, ("evaluation_bound", "split_bound_terms",
+                                         "to_unweighted", "wiener_norm")),
+                          (lpopa.weights, ("verify_admissibility", "DEFAULT_K_TEST"))):
+        for name in names:
+            assert name not in lpopa.__all__ and not hasattr(lpopa, name)
+            assert not hasattr(module, name), name
