@@ -859,6 +859,14 @@ def test_valid_input_never_exits_2():
     assert proc.stderr.count("error: ") == sum(code == 3 for _, code in VALID_INPUT)
 
 
+def test_sweep_below_the_fit_window_skips_the_fit(capsys):
+    # one order at or above rates.FIT_MIN_N = 32 fits nothing; the sweep
+    # itself is still printed and exits 0
+    code, out, err = run_cli(capsys, "sweep", "--roots", "0:1", "--p", "2", "--n", "8..32")
+    assert code == 0 and len(out.splitlines()) == 1 + 3
+    assert err == "fit skipped: need at least two sweep points with n >= 32\n"
+
+
 @pytest.mark.parametrize("n", ["840", "841"])
 def test_point_worse_than_zero_approximant_exits_3(capsys, n):
     # the Hilbert answer for (z-1)^4 here has norm 3.6 (n = 840) and 15.3

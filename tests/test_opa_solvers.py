@@ -107,6 +107,15 @@ class TestHilbert:
         assert want.converged and res.optimal_norm / want.optimal_norm - 1 > 1e-8
         assert not res.converged
 
+    @pytest.mark.parametrize("solve, sp", [(solve_hilbert, power_weight(0)),
+                                           (solve_convex, SpaceParams.power(1.5, 0))],
+                             ids=["hilbert", "convex"])
+    def test_gram_band_out_of_the_float_range_is_ill_conditioned(self, solve, sp):
+        # the coefficients of (z-1)^1000 reach 2.7e299, so |f|^2 overflows
+        f = expand(CircleZeroSpec(((0.0, 1000),)))
+        with pytest.raises(IllConditionedError, match="Gram band of f leaves the float range"):
+            solve(f, 0, sp)
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             solve_hilbert(Poly(), 2, power_weight(0))
@@ -561,8 +570,10 @@ RECORD_PROBLEMS = {"spec": CircleZeroSpec(((0.0, 2), (PI, 1))), "poly": CPLX,
 
 def gap_rule(res: OpaResult, sp: SpaceParams) -> bool:
     """The converged rule of a certified route: |relative gap| at most 1e-9 at
-    the flat endpoints, 1e-10 otherwise."""
-    return abs(res.rel_gap) <= (1e-9 if sp.is_flat else 1e-10)
+    the flat endpoints, 1e-10 otherwise, and a norm at most the zero
+    approximant's 1, to 1e-12."""
+    return (abs(res.rel_gap) <= (1e-9 if sp.is_flat else 1e-10)
+            and res.optimal_norm <= 1 + 1e-12)
 
 
 class TestCertificateRecord:
@@ -608,6 +619,17 @@ class TestCertificateRecord:
                 assert (res.dual, res.rel_gap, res.optimal_norm) == (0.0, 0.0, 0.0)
             else:
                 assert res.rel_gap == (res.optimal_norm - res.dual) / res.optimal_norm
+
+    @pytest.mark.parametrize("excess, converged", [(0.0, True), (1e-12, True), (1e-11, False)])
+    def test_no_norm_above_the_zero_approximant_is_converged(self, excess, converged):
+        # a gap of 0 certifies nothing above w_0 = 1, the norm of the zero
+        # approximant, beyond the rounding allowance 1e-12
+        sp = SpaceParams.power(1.5, 0.0)
+        norm_value = 1.0 + excess
+        res = OpaResult(Poly([1, -1]), 0, sp, Poly([0]), Poly([1]), norm_value, 0, False,
+                        "convex")
+        res = opa._gap_rule(res, norm_value, 1.0)
+        assert res.rel_gap == 0.0 and res.converged is converged
 
     def test_flat_norm_below_its_dual_bound_is_not_converged(self):
         # a norm 1e-6 below the dual bound breaks weak duality; the flat

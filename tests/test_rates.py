@@ -279,6 +279,31 @@ class TestSweep:
             run_sweep(Poly([1, -1]), SpaceParams.power(2, 0), [8, 8])
 
 
+class TestFitWindow:
+    """A decay fit reads only the orders n >= rates.FIT_MIN_N = 32."""
+
+    def test_orders_below_the_window_are_ignored(self):
+        sp = SpaceParams.power(2, -0.5)
+        points = run_sweep(Poly([1, -1]), sp, [8, 16, 32, 64, 128])
+        assert fit_rates(points, sp) == fit_rates(points[2:], sp)
+
+    @pytest.mark.parametrize("grid", [[8, 16], [8, 16, 32]], ids=["none", "one"])
+    def test_fewer_than_two_orders_in_the_window_raise(self, grid):
+        sp = SpaceParams.power(2, 0)
+        with pytest.raises(ValueError, match="n >= 32"):
+            fit_rates(run_sweep(Poly([1, -1]), sp, grid), sp)
+
+    def test_log_band_ratio_ignores_orders_below_the_window(self):
+        sp = SpaceParams.power(2, 1)
+        points = run_sweep(Poly([1, -1]), sp, [8, 16, 64, 128])
+        assert log_band_ratio(points, sp) == log_band_ratio(points[2:], sp)
+
+    def test_log_band_ratio_of_an_empty_window_raises(self):
+        sp = SpaceParams.power(2, 1)
+        with pytest.raises(ValueError, match="empty fit window"):
+            log_band_ratio(run_sweep(Poly([1, -1]), sp, [8, 16]), sp)
+
+
 class TestPredictedValue:
     def test_power(self):
         assert predicted_value(2, 0, 10, 1) == pytest.approx(1 / 12)

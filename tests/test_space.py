@@ -66,6 +66,36 @@ class TestNorm:
                 assert norm(f + lam * g, sp) >= base - 1e-8
 
 
+class TestL1Norm:
+    """|f|_1 = sum |f_k|, the factor of the product estimate, is norm at p = 1, alpha = 0."""
+
+    L1 = SpaceParams.power(1.0, 0.0)
+
+    def test_square(self):
+        assert norm(Poly([1, -1]) * Poly([1, -1]), self.L1) == pytest.approx(4.0)
+
+    def test_binomial_gap(self):
+        for d in (1, 3, 7):
+            c = np.zeros(d + 1)
+            c[0], c[d] = 1, -1
+            assert norm(Poly(c), self.L1) == pytest.approx(2.0)
+
+    def test_submultiplicative(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            f, g = rand_poly(rng), rand_poly(rng)
+            bound = norm(f, self.L1) * norm(g, self.L1)
+            assert norm(f * g, self.L1) <= bound * (1 + 1e-12)
+
+    def test_bounds_the_disc(self):
+        # |f(z)| <= sum |f_k| |z|^k <= |f|_1 for |z| <= 1
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            f = rand_poly(rng, max_deg=12)
+            z0 = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+            assert abs(f(z0)) <= norm(f, self.L1) * (1 + 1e-12)
+
+
 class TestMultiplicationBound:
     def test_identity_factor(self):
         rng = np.random.default_rng(55)
