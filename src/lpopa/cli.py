@@ -7,10 +7,11 @@ by its closed form, or on an oracle named by ``--solver convex|hilbert``.
 The ``OPA_LOG`` environment variable sets diagnostic verbosity
 (debug/info/warning).  Exit codes: 0 success, 2 invalid configuration
 (malformed or non-finite input, an order past the degree cap), 3 a solve
-left uncertified or ended by an ill-conditioned problem, such as p near 1
-or a zero of f, P or the oracles' Gram band of f out of the float range
-(partial artifacts are still written), 4 internal inconsistency.  Any
-other input never exits 2.
+left uncertified (the JSON ``certificate``, a dual bound and its gap, says
+why) or ended by an ill-conditioned problem, such as p near 1 or a zero of
+f, P or the oracles' Gram band of f out of the float range (partial
+artifacts are still written), 4 internal inconsistency.  Any other input
+never exits 2.
 
 Given identical configuration the emitted JSON/CSV is byte-identical apart
 from the wall-clock timing column of sweeps.
@@ -216,7 +217,7 @@ def _result_payload(problem, res: OpaResult, args) -> dict:
         "residual": _pairs(res.residual),
         "optimal_norm": res.optimal_norm,
         "norm_power": npow,
-        "ortho_residual_max": res.ortho_residual_max,
+        "certificate": {"dual": res.dual, "rel_gap": res.rel_gap},
         "lower_bound": bound,
         "iterations": res.iterations,
         "converged": res.converged,

@@ -26,11 +26,11 @@ plus the :func:`composite_construction` of near-optimal approximants for
 repeated circle zeros out of a simple-zero Hilbert solve.  The Gram and
 convex routes end in one :func:`_finalize`, which forms the residual and its
 norm from a single weight table; every route returns one :class:`OpaResult`
-holding the problem (f, n, sp) as given, with its answer.  ``converged`` has
-one rule on every route, :func:`_gap_rule`: a small duality gap, and a
-norm no larger than the zero approximant's 1.  The orthogonality pairing
-and the structure constants (:class:`ExpPolyFit`) are formed from those
-when read, and so is the p = 2 residual-form approximant.
+holding the problem (f, n, sp) as given, with its answer and its one
+certificate, a dual bound and its duality gap (:func:`_gap_rule`), off which
+``converged`` is read by one rule on every route.  The structure constants
+(:class:`ExpPolyFit`) are formed from the result when read, and so is the
+p = 2 residual-form approximant.
 
 The p = 2 residual form and the closed form prepare for every order up to
 a largest one (one row table and one QR factor per block of rows, one set
@@ -101,14 +101,11 @@ class OpaResult:
     ``f``, ``n`` and ``sp`` are the problem solved: f the polynomial (a
     CircleZeroSpec expanded), n the order of ``approximant``.
     ``optimal_norm`` is the weighted norm of the residual 1 - p_n f (on the
-    p = 2 residual form, of its optimal r, from which p_n = (1 - r) / f);
-    ``ortho_residual_max`` is the largest orthogonality pairing of the
-    residual against z^j f for j <= n, evaluated with f scaled to unit norm
-    (None at the flat endpoints, which the pairing does not cover).  It is
-    formed from the fields each time it is read, and a sweep never reads it.
-    ``dual`` (a lower bound on the optimum) and ``rel_gap``, (optimal_norm -
-    dual) / optimal_norm or 0 when both vanish, give ``converged`` on every
-    route (:func:`_gap_rule`), None where the dual vector bounds nothing.
+    p = 2 residual form, of its optimal r, from which p_n = (1 - r) / f).
+    ``dual`` (a lower bound on the optimum, :func:`_gap_rule`) and
+    ``rel_gap``, (optimal_norm - dual) / optimal_norm or 0 when both
+    vanish, are the result's one certificate, None where the dual vector
+    bounds nothing; ``converged`` is read off them.
     """
 
     f: Poly
@@ -118,20 +115,17 @@ class OpaResult:
     residual: Poly
     optimal_norm: float
     iterations: int
-    converged: bool
     solver: str
     dual: float | None = None
     rel_gap: float | None = None
 
     @property
-    def ortho_residual_max(self) -> float | None:
-        """max_j |sum_t w_t r_t^<p-1> conj(z^j f / norm(f))_t| over j <= n."""
-        if self.sp.is_flat:
-            return None
-        wv = self.sp.weight.values_up_to(self.n + self.f.degree)
-        dv = signed_powers(self.residual.padded(wv.size), self.sp.p - 1.0) * wv
-        unit = _unit_and_norm(self.f, self.sp)[0]
-        return float(np.abs(np.correlate(dv, np.conj(unit), mode="valid")).max())
+    def converged(self) -> bool:
+        """|rel_gap| <= 1e-10 (1e-9 at p in {1, inf}) and a norm at most 1 + 1e-12,
+        the zero approximant's w_0 = 1: the one rule of every route."""
+        tol = _GAP_TOL if self.sp.is_flat else _DUAL_GAP_TOL
+        return bool(self.rel_gap is not None and abs(self.rel_gap) <= tol
+                    and self.optimal_norm <= _ZERO_NORM)
 
 
 def _validate(f: Poly, n: int) -> None:
@@ -210,7 +204,7 @@ def _finalize(f: Poly, c: np.ndarray, sp: SpaceParams, iterations: int,
         r -= conv
         residual = Poly(r)
     size = _table_norm(residual.coeffs, wv, sp.p)
-    return OpaResult(f, len(c) - 1, sp, approx, residual, size, iterations, False, solver)
+    return OpaResult(f, len(c) - 1, sp, approx, residual, size, iterations, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +566,7 @@ def _real(r: Poly, A: np.ndarray) -> np.ndarray:
 def _constant(f: Poly, n: int, sp: SpaceParams, solver: str, w: np.ndarray) -> OpaResult:
     """The exact answer P = 1 / f_0 of a constant f: residual 0, dual bound and gap 0."""
     return replace(_finalize(f, np.eye(1, n + 1)[0] / f.coeffs[0], sp, 0, solver, w),
-                   converged=True, dual=0.0, rel_gap=0.0)
+                   dual=0.0, rel_gap=0.0)
 
 
 def _certify(result: OpaResult, size: np.ndarray, pairing: float, w: np.ndarray,
@@ -582,7 +576,8 @@ def _certify(result: OpaResult, size: np.ndarray, pairing: float, w: np.ndarray,
     residual r, under the dual norm (sum_t w_t^(1-q) |y_t|^q)^(1/q), or
     max_t (p = 1) and sum_t (p = inf) of |y_t| / w_t."""
     if sp.is_flat:
-        size = size / w
+        with np.errstate(divide="ignore", invalid="ignore"):    # w_t = 0: bounds nothing
+            size = size / w
         dual_norm = float(size.max() if sp.p == 1.0 else size.sum())
     else:
         dual_norm = float((w ** (1.0 - sp.q) * size ** sp.q).sum()) ** (1.0 / sp.q)
@@ -590,23 +585,18 @@ def _certify(result: OpaResult, size: np.ndarray, pairing: float, w: np.ndarray,
 
 
 def _gap_rule(result: OpaResult, pairing: float, dual_norm: float) -> OpaResult:
-    """Set dual = pairing / dual_norm (weak duality), rel_gap and converged, which
-    means |rel_gap| <= 1e-10, or 1e-9 at the flat endpoints, and a norm at most
-    1 + 1e-12, since the zero approximant's norm is w_0 = 1; the one rule of
-    every route.  A dual norm that is zero or not finite (weights that leave
-    the float range) bounds nothing: dual and rel_gap stay None."""
+    """Set dual = pairing / dual_norm (weak duality) and rel_gap, the
+    certificate ``converged`` reads (:attr:`OpaResult.converged`).  A dual
+    norm that is zero or not finite (weights that leave the float range)
+    bounds nothing: dual and rel_gap stay None."""
     dual = float(pairing) / dual_norm if 0.0 < dual_norm < math.inf else math.nan
     if not math.isfinite(dual):
-        result.converged = False
         log.debug("solve_%s: dual norm %.3e bounds nothing", result.solver, dual_norm)
         return result
     primal = result.optimal_norm
-    gap = (primal - dual) / primal if primal > 0 else 0.0
-    tol = _GAP_TOL if result.sp.is_flat else _DUAL_GAP_TOL
-    result.dual, result.rel_gap = dual, gap
-    result.converged = bool(abs(gap) <= tol and primal <= _ZERO_NORM)
+    result.dual, result.rel_gap = dual, (primal - dual) / primal if primal > 0 else 0.0
     if not result.converged:
-        log.debug("solve_%s: gap %.3e (tol %.0e), norm %r", result.solver, gap, tol, primal)
+        log.debug("solve_%s: gap %.3e, norm %r", result.solver, result.rel_gap, primal)
     return result
 
 
@@ -647,7 +637,9 @@ def _residual_solve(problem, n: int, sp: SpaceParams, solver: str):
                                   f"vector is not finite")
     own = _complex(r)
     result = _finalize(f, _approximant(own, f, n).padded(n + 1), sp, steps, solver, w)
-    result = _certify(result, np.linalg.norm(A @ lam, axis=1), b @ lam, w, sp)
+    with np.errstate(over="ignore"):        # an |y_t| that overflows bounds nothing
+        size = np.linalg.norm(A @ lam, axis=1)
+    result = _certify(result, size, b @ lam, w, sp)
     if not result.converged and result.optimal_norm > _ZERO_NORM:
         raise IllConditionedError(f"solve_{solver} at n = {n}: its norm {result.optimal_norm:.3e} "
                                   "is above that of the zero approximant")
@@ -837,7 +829,7 @@ def prepare_residual_qr(problem, n_max: int, w: Weight):
         if not (cond * _EPS < 1.0 and math.isfinite(size)):
             raise IllConditionedError(f"residual form at n = {n}: R is singular to "
                                       f"working precision (condition {cond:.3e})")
-        result = _FormedOnRead(f, n, sp, None, r, size, 0, False, "residual-qr")
+        result = _FormedOnRead(f, n, sp, None, r, size, 0, "residual-qr")
         # |y| = w |r|, y = S^H lam the dual vector
         return _certify(result, a * wv[:m], float((e @ lam).real), wv[:m], sp)
 

@@ -154,7 +154,8 @@ def lower_bounds(problem, orders, sp: SpaceParams) -> list[float]:
     w = sp.weight.values_up_to(max(last))
     if sp.p == 1.0:
         return [float(w[: k + 1].min()) for k in last]
-    inv = 1.0 / w
+    with np.errstate(divide="ignore", over="ignore"):   # 1 / w_t = inf: the bound 0 holds
+        inv = 1.0 / w
     return [float(1.0 / inv[: k + 1].sum()) for k in last]
 
 

@@ -44,25 +44,28 @@ class Weight:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and idx.min() < 0:
             raise ValueError("weight index must be >= 0")
-        if self.kind == "power":
-            return (idx + 1.0) ** self.alpha
-        vals = np.asarray(self.values_table, dtype=float)
-        length = len(vals)
-        out = np.empty(idx.shape, dtype=float)
-        inside = idx < length
-        out[inside] = vals[idx[inside]]
-        if not inside.all():
-            k = idx[~inside]
-            if self.tail == "constant":
-                out[~inside] = vals[-1]
-            else:
-                out[~inside] = vals[-1] * ((k + 1.0) / length) ** self._tail_alpha()
-        return out
+        # inf past the float range: a norm that reads it is not finite, never certified
+        with np.errstate(over="ignore"):
+            if self.kind == "power":
+                return (idx + 1.0) ** self.alpha
+            vals = np.asarray(self.values_table, dtype=float)
+            length = len(vals)
+            out = np.empty(idx.shape, dtype=float)
+            inside = idx < length
+            out[inside] = vals[idx[inside]]
+            if not inside.all():
+                k = idx[~inside]
+                if self.tail == "constant":
+                    out[~inside] = vals[-1]
+                else:
+                    out[~inside] = vals[-1] * ((k + 1.0) / length) ** self._tail_alpha()
+            return out
 
     def _tail_alpha(self) -> float:
+        """The exponent of the last two values; their ratio may underflow, their logs do not."""
         vals = self.values_table
         length = len(vals)
-        return math.log(vals[-1] / vals[-2]) / math.log(length / (length - 1))
+        return (math.log(vals[-1]) - math.log(vals[-2])) / math.log(length / (length - 1))
 
     def at(self, k: int) -> float:
         return float(self.at_indices(np.array([k]))[0])

@@ -208,7 +208,7 @@ def test_criterion_11_orthogonality_certificates(records):
     result = orthogonality_check(records, n_probes=100, seed=0)
     assert len(result.records) > 300
     report_check(11, f"orthogonality certificates ({len(result.records)} convex solves)",
-                 result, {"pairing": 1e-7, "definitional": 1e-8})
+                 result, {"definitional": 1e-8})
 
 
 def test_criterion_12_off_circle_sanity():

@@ -54,7 +54,7 @@ class TestCompute:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert payload["solver"] == "convex"
-        assert payload["ortho_residual_max"] <= 1e-7
+        assert payload["certificate"]["rel_gap"] <= 1e-10
 
     def test_structural_solver(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--roots", "0:2", "--p", "3",
@@ -71,11 +71,38 @@ class TestCompute:
             norms[json.loads(out)["solver"]] = json.loads(out)["optimal_norm"]
         assert norms["structural"] == pytest.approx(norms["convex"], rel=1e-12)
 
-    def test_flat_solver_json_has_null_ortho(self, capsys):
+    def test_flat_solver_json_carries_a_finite_certificate(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "--coeffs", "1,-1", "--p", "inf",
                                "--n", "2")
-        assert code == 0
-        assert json.loads(out)["ortho_residual_max"] is None
+        certificate = json.loads(out)["certificate"]
+        assert code == 0 and set(certificate) == {"dual", "rel_gap"}
+        assert 0.0 < certificate["dual"] < math.inf and abs(certificate["rel_gap"]) <= 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["--coeffs", "1,-1", "--p", "1.5", "--n", "8"],                  # closed form
+        ["--roots", "0:2,pi:1", "--p", "2", "--n", "16"],                # residual-qr
+        ["--roots", "0:2,pi:1", "--p", "3", "--n", "16"],                # structural
+        ["--roots", "0:300", "--p", "4", "--n", "0"],                    # structural, gap 1e-8
+        ["--coeffs", "1,0.5-1i,-0.5i", "--p", "1", "--n", "8"],          # flat
+        ["--roots", "0:2,pi:1", "--p", "inf", "--n", "16"],              # flat
+        ["--roots", "0:2", "--p", "2", "--n", "8", "--solver", "hilbert"],
+        ["--coeffs", "1,-0.5", "--p", "2", "--n", "511", "--solver", "hilbert"],  # no bound
+        ["--roots", "0:2,pi:1", "--p", "6", "--n", "2", "--solver", "convex"],
+        ["--coeffs", "3", "--p", "1.5", "--n", "2"],                     # constant f
+    ], ids=lambda argv: " ".join(argv))
+    def test_compute_json_carries_the_certificate(self, capsys, argv):
+        # the JSON prints the result's one certificate, and converged is read off it
+        code, out, _ = run_cli(capsys, "compute", *argv)
+        payload = json.loads(out)
+        args = build_parser().parse_args(["compute", *argv])
+        sp = lpopa.cli._space_from_args(args)
+        res = lpopa.rates._dispatch(lpopa.cli._problem_from_args(args), args.n, sp, args.solver)
+        assert payload["certificate"] == {"dual": res.dual, "rel_gap": res.rel_gap}
+        gap = payload["certificate"]["rel_gap"]
+        rule = (gap is not None and abs(gap) <= (1e-9 if sp.is_flat else 1e-10)
+                and payload["optimal_norm"] <= 1 + 1e-12)
+        assert payload["converged"] is rule is res.converged
+        assert code == (0 if rule else 3)
 
     def test_weight_file(self, capsys, tmp_path):
         wf = tmp_path / "w.json"
@@ -198,6 +225,19 @@ class TestArgumentValidation:
         # nor a warning: no face dimension is formed from a dual that bounds nothing
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert json.loads(proc.stdout)["converged"] is False
+
+    @pytest.mark.parametrize("p", ["1", "1.5", "2", "3", "inf"])
+    @pytest.mark.parametrize("alpha", ["1000", "-1000"])
+    @pytest.mark.parametrize("command", [["compute", "--n", "4"], ["sweep", "--n", "1..8"]],
+                             ids=["compute", "sweep"])
+    def test_weights_out_of_the_float_range_never_warn(self, capsys, command, alpha, p):
+        # w_t overflows to inf (alpha 1000) or underflows to 0 (alpha -1000):
+        # each solve refuses it, certifies without it, or its dual bounds nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, command[0], "--roots", "0:2", "--p", p,
+                                   "--alpha", alpha, *command[1:])
+        assert code == (0 if alpha == "1000" and p in ("1.5", "3") else 3), err
 
     def test_high_multiplicity_compute_is_uncertified(self):
         # the dual Newton stops short at multiplicity 300; compute reads no
@@ -761,7 +801,7 @@ class TestVerify:
 
         def uncertified(*args):
             res, fit = solve(*args)
-            return replace(res, converged=False), fit
+            return replace(res, rel_gap=None), fit
 
         monkeypatch.setattr(lpopa.verification, "solve_structural", uncertified)
         result = lpopa.verification.structural_check(
@@ -836,16 +876,21 @@ VALID_INPUT = [
     ("compute --coeffs 1e-320,-1e-320 --p 3 --n 3 --solver convex", 3),
     ("compute --roots 0:1000 --p 2 --n 0 --solver hilbert", 3),
     ("compute --roots 0:1000 --p 1.5 --n 0 --solver convex", 3),
+    # w_2 / w_1 = 1e-600 underflows; the tail exponent is taken from logarithms
+    *((f"compute --coeffs 1,-1 --p {p} --n 4 --weight-file {{table}}", 3)
+      for p in ("1", "1.5", "2", "inf")),
 ]
 
 
-def test_valid_input_never_exits_2():
+def test_valid_input_never_exits_2(tmp_path):
     # one child runs every command, so a warning or an uncaught error of any
     # of them reaches its stderr
+    table = tmp_path / "table.json"
+    table.write_text('{"kind": "table", "values": [1, 1e300, 1e-300], "tail": "power"}')
     script = ("import contextlib, io\n"
               "from lpopa.cli import main\n"
               "codes = []\n"
-              f"for args in {[args for args, _ in VALID_INPUT]!r}:\n"
+              f"for args in {[args.format(table=table) for args, _ in VALID_INPUT]!r}:\n"
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        codes.append(main(args.split()))\n"
               "print(codes)\n")

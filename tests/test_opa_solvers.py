@@ -18,7 +18,7 @@ from lpopa import (CircleZeroSpec, DegreeCapError, IllConditionedError, OpaResul
                    lower_bound, norm, opa, power_weight, rates, solve_convex, solve_flat,
                    solve_hilbert, solve_structural, table_weight)
 from lpopa.opa import SolverOpts, bj_certificate, prepare_residual_qr
-from lpopa.poly import MAX_DEGREE, signed_powers
+from lpopa.poly import MAX_DEGREE
 
 INF = math.inf
 PI = math.pi
@@ -172,7 +172,6 @@ class TestConvex:
             f = expand(CircleZeroSpec(((0.0, 2),)))
             res = solve_convex(f, 6, sp)
             assert res.converged
-            assert res.ortho_residual_max <= 1e-7
             assert bj_certificate(res, n_probes=100, seed=1) <= 1e-8
 
     def test_norm_consistency(self):
@@ -307,7 +306,7 @@ class TestClosedForm:
     def test_orthogonality_of_exact_solution(self):
         for d, n, p, alpha in ((1, 5, 1.5, -1.0), (2, 9, 3.0, 0.5), (3, 7, 2.0, 1.0)):
             res = closed_form_one_minus_zd(d, n, SpaceParams.power(p, alpha))
-            assert res.ortho_residual_max <= 1e-12
+            assert bj_certificate(res, n_probes=100, seed=1) <= 1e-12
 
     def test_table_weight_agrees_with_convex(self):
         base = power_weight(0.5)
@@ -422,10 +421,6 @@ class TestFlat:
         assert face_dim == 1                      # the free b direction
         for shift in (-1e-3, 1e-3):               # a strict minimum in a
             assert norm(Poly([1]) - Poly([a + shift]) * g, sp) > res.optimal_norm + 1e-4
-
-    def test_ortho_certificate_not_defined(self):
-        res, _ = solve_flat(Poly([1, -1]), 2, SpaceParams.power(1, 0))
-        assert res.ortho_residual_max is None
 
     @pytest.mark.parametrize("alpha, n", [(-1000.0, 0), (-300.0, 3)])
     def test_dual_norm_out_of_range_certifies_nothing(self, alpha, n):
@@ -626,8 +621,7 @@ class TestCertificateRecord:
         # approximant, beyond the rounding allowance 1e-12
         sp = SpaceParams.power(1.5, 0.0)
         norm_value = 1.0 + excess
-        res = OpaResult(Poly([1, -1]), 0, sp, Poly([0]), Poly([1]), norm_value, 0, False,
-                        "convex")
+        res = OpaResult(Poly([1, -1]), 0, sp, Poly([0]), Poly([1]), norm_value, 0, "convex")
         res = opa._gap_rule(res, norm_value, 1.0)
         assert res.rel_gap == 0.0 and res.converged is converged
 
@@ -635,7 +629,7 @@ class TestCertificateRecord:
         # a norm 1e-6 below the dual bound breaks weak duality; the flat
         # endpoints once read only the upper side of the gap
         sp = SpaceParams.power(1, 0.0)
-        res = OpaResult(Poly([1, -1]), 0, sp, Poly([0]), Poly([1]), 1.0 - 1e-6, 0, False, "flat")
+        res = OpaResult(Poly([1, -1]), 0, sp, Poly([0]), Poly([1]), 1.0 - 1e-6, 0, "flat")
         res = opa._certify(res, np.array([1.0, 0.5]), 1.0, np.ones(2), sp)
         assert res.dual == 1.0
         assert not res.converged
@@ -690,7 +684,7 @@ def shifted_answer(res, f, sp, shift):
     """The result with ``shift`` added to the approximant's constant coefficient."""
     approx = res.approximant + Poly([shift])
     residual = Poly([1]) - approx * f
-    return OpaResult(f, res.n, sp, approx, residual, norm(residual, sp), 0, False, res.solver)
+    return OpaResult(f, res.n, sp, approx, residual, norm(residual, sp), 0, res.solver)
 
 
 @pytest.mark.parametrize("f, p, alpha, n", [
@@ -763,70 +757,34 @@ FINALIZE_ROUTES = {
     for alpha in (-0.5, 1.0) for n in (0, 5, 17)])
 def test_finalize_matches_separate_evaluation(route, p, alpha, n):
     # one convolution and one weight table give what Poly arithmetic and
-    # space.norm give one at a time, and the pairing of direct_pairing
+    # space.norm give one at a time
     f, solve = FINALIZE_ROUTES[route]
     sp = SpaceParams.power(p, alpha)
     res = solve(n, sp)
     assert res.optimal_norm == norm(res.residual, sp)
-    # the pairing is at rounding level of its Hoelder bound
-    # norm(residual)^(p-1), so that is the scale
-    pairing = direct_pairing(res, f, n, sp)
-    assert abs(res.ortho_residual_max - pairing) <= 1e-15 * res.optimal_norm ** (p - 1)
     got, want = res.residual.coeffs, (Poly([1]) - res.approximant * f).coeffs
     assert np.array_equal(got, want)
     for part in ("real", "imag"):
         assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
 
 
-def direct_pairing(res, f, n, sp):
-    """The orthogonality pairing of an order-n result, formed from its
-    residual against a fresh weight table: max_j |sum_t w_t r_t^<p-1>
-    conj(z^j f / norm(f))_t|."""
-    m = n + 1 + f.degree
-    dv = signed_powers(res.residual.padded(m), sp.p - 1.0) * sp.weight.values_up_to(m - 1)
-    unit = f.coeffs / norm(f, sp)
-    return float(np.abs(np.correlate(dv, np.conj(unit), mode="valid")).max())
-
-
 @pytest.mark.parametrize("route, p, n", [
     (route, p, n) for route in FINALIZE_ROUTES
     for p in ((2.0,) if route == "hilbert" else (1.5, 3.0)) for n in (0, 17)])
-def test_pairing_is_formed_from_the_fields_on_every_read(route, p, n):
-    f, solve = FINALIZE_ROUTES[route]
-    sp = SpaceParams.power(p, 0.5)
-    want = direct_pairing(solve(n, sp), f, n, sp).hex()
+def test_converged_is_read_off_the_certificate(route, p, n):
+    # converged is no field beside the certificate: it cannot be set, and a
+    # result whose gap is taken away is not converged
+    solve, sp = FINALIZE_ROUTES[route][1], SpaceParams.power(p, 0.5)
     res = solve(n, sp)
-    assert res.ortho_residual_max.hex() == want
-    assert res.ortho_residual_max.hex() == want
-    assert replace(res, iterations=res.iterations + 1).ortho_residual_max.hex() == want
-    assert replace(res, converged=False).ortho_residual_max.hex() == want
+    assert res.converged and "converged" not in {fld.name for fld in fields(res)}
+    with pytest.raises(TypeError, match="converged"):
+        replace(res, converged=False)
+    assert not replace(res, rel_gap=None).converged
+    assert not replace(res, rel_gap=1e-3).converged
     # the record holds data only, and == compares all of it
-    assert not any(isinstance(getattr(res, name), (types.FunctionType, partial))
-                   for name in (fld.name for fld in fields(res)))
+    assert not any(isinstance(getattr(res, fld.name), (types.FunctionType, partial))
+                   for fld in fields(res))
     assert res == solve(n, sp) and "partial" not in repr(solve(n, sp))
-
-
-def test_positional_result_forms_its_pairing():
-    f, n, sp = Poly([1.0, -1.0]), 1, SpaceParams.power(1.5, 0.5)
-    approx = Poly([0.5, 0.25])
-    residual = Poly([1.0]) - approx * f
-    res = OpaResult(f, n, sp, approx, residual, norm(residual, sp), 0, True, "test")
-    want = direct_pairing(res, f, n, sp)
-    assert res.ortho_residual_max == want and replace(res).ortho_residual_max == want
-    flat = solve_flat(CPLX, 4, SpaceParams.power(INF, 0.5))[0]
-    assert flat.ortho_residual_max is None and replace(flat).ortho_residual_max is None
-
-
-def test_pairing_survives_an_overflowing_f():
-    # the p-th powers of (z-1)^300's binomials, up to 9e88, overflow at p = 4,
-    # and f divided by an infinite norm would pair to 0
-    res = solve_structural(CircleZeroSpec(((0.0, 300),)), 0, SpaceParams.power(4, 0.0))[0]
-    scaled = replace(res, f=res.f * (1.0 / float(np.abs(res.f.coeffs).max())))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        pairing = res.ortho_residual_max
-        assert 0.0 < pairing < math.inf
-        assert pairing == pytest.approx(scaled.ortho_residual_max, rel=1e-12)
 
 
 def test_certificate_survives_an_overflowing_f():
